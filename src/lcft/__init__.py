@@ -19,10 +19,7 @@ from .virasoro import (
 )
 from .dozz import dozz_constant, rho_density
 from .blocks import (
-    BlockCoeffTensor,
     BlockSeries,
-    block_coeff_tensor,
-    chain_block,
     graph_block,
     three_point_descendant,
     torus_one_point_block,

@@ -9,11 +9,11 @@ Three ingredients:
 * radial-frame vertex matrix elements
   ``<h_out, nu_out | V_Delta(1) | h_in, nu_in>`` (normalized so the primary
   element is 1), which furnish the annulus matrices w^A and disk vectors w^D
-  entering the torus and sphere block series;
+  of the annulus and disk vertices;
 
-* block-series assembly: torus one-point, cyclic torus chains, sphere chains,
-  and general pants-graph contractions with inverse Gram matrices across each
-  glued edge.
+* block-series assembly: the torus one-point block and general pants-graph
+  contractions with inverse Gram matrices across each glued edge (cyclic
+  torus chains and sphere chains are pants graphs).
 
 Both descendant engines are exact symbolic computations: coefficients are
 polynomials in the three conformal weights and the central charge, built once
@@ -25,7 +25,7 @@ bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -44,11 +44,8 @@ from .virasoro import (
 __all__ = [
     "ZHAT",
     "three_point_descendant",
-    "BlockCoeffTensor",
-    "block_coeff_tensor",
     "BlockSeries",
     "torus_one_point_block",
-    "chain_block",
     "graph_block",
 ]
 
@@ -367,26 +364,6 @@ def three_point_descendant(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BlockCoeffTensor:
-    """Descendant coefficient tensor of one building block.
-
-    kind="annulus": blocks[(n_out, n_in)] is the d_{n_out} x d_{n_in} matrix
-    of radial elements with the marked weight in the middle.
-    kind="disk": blocks[(n,)] is the length-d_n vector (descendants on the
-    boundary slot only).  kind="pant": blocks[(n1, n2, n3)] is the rank-3
-    pant-frame array.
-    """
-
-    kind: str
-    weights: tuple
-    c: float
-    blocks: dict = field(default_factory=dict)
-
-    def level(self, key) -> np.ndarray:
-        return self.blocks[key]
-
-
 def _annulus_matrix(n_out: int, n_in: int, h_out, d_mid, h_in, c) -> np.ndarray:
     rows = [nu.word() for nu in partitions(n_out)]
     cols = [nu.word() for nu in partitions(n_in)]
@@ -416,33 +393,6 @@ def _pant_array(levels, weights, c, zhat=ZHAT) -> np.ndarray:
     return out
 
 
-def block_coeff_tensor(kind: str, weight_args: tuple, levels, c: float) -> BlockCoeffTensor:
-    """Build the coefficient tensor of one block kind up to the given levels.
-
-    weight_args: annulus (h_out, Delta_marked, h_in); disk
-    (h_boundary, Delta_marked, Delta_marked'); pant (D1, D2, D3).
-    levels: annulus (N_out, N_in); disk (N,); pant (N1, N2, N3) -- all level
-    combinations up to these bounds are materialized.
-    """
-    t = BlockCoeffTensor(kind=kind, weights=tuple(weight_args), c=c)
-    w = tuple(complex(x) for x in weight_args)
-    if kind == "annulus":
-        for n_out in range(levels[0] + 1):
-            for n_in in range(levels[1] + 1):
-                t.blocks[(n_out, n_in)] = _annulus_matrix(n_out, n_in, w[0], w[1], w[2], c)
-    elif kind == "disk":
-        for n in range(levels[0] + 1):
-            t.blocks[(n,)] = _disk_vector(n, w[0], w[1], w[2], c)
-    elif kind == "pant":
-        for n1 in range(levels[0] + 1):
-            for n2 in range(levels[1] + 1):
-                for n3 in range(levels[2] + 1):
-                    t.blocks[(n1, n2, n3)] = _pant_array((n1, n2, n3), w, c)
-    else:
-        raise ValidationError(f"unknown tensor kind {kind!r}")
-    return t
-
-
 # ---------------------------------------------------------------------------
 # block series
 # ---------------------------------------------------------------------------
@@ -450,7 +400,7 @@ def block_coeff_tensor(kind: str, weight_args: tuple, levels, c: float) -> Block
 
 @dataclass
 class BlockSeries:
-    """Truncated block expansion: constant * prod |q_i|^{exponents_i} * series.
+    """Truncated block expansion: prod |q_i|^{exponents_i} * series.
 
     ``coeffs`` maps multidegrees to holomorphic series coefficients; the
     modulus-dependent prefactor exponents stay symbolic in |q| so callers can
@@ -460,7 +410,6 @@ class BlockSeries:
     exponents: tuple
     coeffs: dict
     N: int
-    constant: float = 1.0
 
     def series_value(self, qs) -> complex:
         qs = tuple(complex(q) for q in qs)
@@ -476,7 +425,7 @@ class BlockSeries:
         return total
 
     def prefactor(self, qs) -> float:
-        out = self.constant
+        out = 1.0
         for q, e in zip(qs, self.exponents):
             out *= abs(complex(q)) ** e
         return out
@@ -527,95 +476,6 @@ def _compositions(total: int, length: int):
             yield (first,) + rest
 
 
-def chain_block(
-    kind: str,
-    alphas,
-    p_vector,
-    q_vector,
-    params: CftParams,
-    N: int = 6,
-    positions=None,
-) -> BlockSeries:
-    """Cyclic (torus) or open (sphere) chain of annulus matrices.
-
-    kind="torus_k": k moduli, coefficient at multidegree n is the cyclic trace
-    Tr(F^{-1}_{p_k,n_k} W^{(k)}_{n_k n_{k-1}} ... W^{(2)}_{n_2 n_1}
-    F^{-1}_{p_1,n_1} W^{(1)}_{n_1 n_k}) with W^{(j)} built from
-    (Q+ip_j, alpha_j, Q+ip_{j-1}).
-
-    kind="sphere_k": k-3 moduli; the chain is capped by disk vectors and the
-    |z_j|-power prefactors of the marked points; ``positions`` must then be
-    the full z list (z_1 = 0, z_k = inf as None).
-    """
-    c = params.c_L
-    Q = params.Q
-    if kind == "torus_k":
-        k = len(alphas)
-        if len(p_vector) != k or len(q_vector) != k:
-            raise DimensionMismatch("torus chain needs k alphas, k p's and k q's")
-        hs = [complex(conformal_weight(Q + 1j * p, params)) for p in p_vector]
-        dm = [complex(conformal_weight(a, params)) for a in alphas]
-        finv = [_gram_inverses(h, c, N) for h in hs]
-        Ws: dict = {}
-
-        def W(j: int, n_row: int, n_col: int) -> np.ndarray:
-            # vertex j: rows at p_j, columns at p_{j-1} (cyclically)
-            key = (j, n_row, n_col)
-            if key not in Ws:
-                Ws[key] = _annulus_matrix(n_row, n_col, hs[j], dm[j], hs[j - 1], c)
-            return Ws[key]
-
-        coeffs = {}
-        for degs in _compositions_upto(N, k):
-            mat = finv[k - 1][degs[k - 1]] @ W(k - 1, degs[k - 1], degs[k - 2]) if k > 1 else None
-            if k == 1:
-                coeffs[degs] = complex(np.trace(finv[0][degs[0]] @ W(0, degs[0], degs[0])))
-                continue
-            for j in range(k - 2, 0, -1):
-                mat = mat @ finv[j][degs[j]] @ W(j, degs[j], degs[j - 1])
-            mat = mat @ finv[0][degs[0]] @ W(0, degs[0], degs[k - 1])
-            coeffs[degs] = complex(np.trace(mat))
-        exps = tuple(-c / 24.0 + h.real for h in hs)
-        return BlockSeries(exponents=exps, coeffs=coeffs, N=N)
-
-    if kind == "sphere_k":
-        k = len(alphas)
-        if k < 4:
-            raise DimensionMismatch("sphere chain needs k >= 4 marked points")
-        if len(p_vector) != k - 3 or len(q_vector) != k - 3:
-            raise DimensionMismatch("sphere chain needs k-3 p's and q's")
-        if positions is None or len(positions) != k:
-            raise DimensionMismatch("sphere chain needs the full z list (z_k = None for infinity)")
-        hs = [complex(conformal_weight(Q + 1j * p, params)) for p in p_vector]  # p_2..p_{k-2}
-        dm = [complex(conformal_weight(a, params)) for a in alphas]
-        finv = [_gram_inverses(h, c, N) for h in hs]
-        coeffs = {}
-        for degs in _compositions_upto(N, k - 3):
-            # vec starts from the far disk cap w^D(p_{k-2}, alpha_{k-1}, alpha_k)
-            vec = _disk_vector(degs[-1], hs[-1], dm[k - 2], dm[k - 1], c)
-            vec = finv[-1][degs[-1]] @ vec
-            for idx in range(k - 5, -1, -1):
-                # annulus W_{n_idx, n_{idx+1}} with marked weight alpha_{idx+2}
-                Wm = _annulus_matrix(degs[idx], degs[idx + 1], hs[idx], dm[idx + 2], hs[idx + 1], c)
-                vec = finv[idx][degs[idx]] @ (Wm @ vec)
-            cap = _disk_vector(degs[0], hs[0], dm[1], dm[0], c)
-            coeffs[degs] = complex(np.dot(cap.conj(), vec))
-        constant = 1.0
-        for j, z in enumerate(positions):
-            if z is None:
-                continue
-            az = abs(complex(z))
-            if az == 0.0:
-                continue
-            constant *= az ** (-dm[j].real) if az < 1.0 else az ** (dm[j].real)
-        constant *= abs(complex(positions[1])) ** (-dm[0].real)
-        constant *= abs(complex(positions[k - 2])) ** (dm[k - 1].real)
-        exps = tuple(h.real for h in hs)
-        return BlockSeries(exponents=exps, coeffs=coeffs, N=N, constant=constant)
-
-    raise ValidationError(f"unknown chain kind {kind!r}")
-
-
 def _compositions_upto(N: int, length: int):
     for total in range(N + 1):
         yield from _compositions(total, length)
@@ -647,58 +507,37 @@ def graph_block(graph, alphas, p_vector, q_vector, params: CftParams, N: int = 4
         for m, a in zip(graph.marked, alphas)
     }
 
-    # per vertex: ordered slot list with (kind, edge index or marked weight)
-    vertex_slots = graph.slot_map()
+    # The contraction pattern depends on the graph only: one einsum letter per
+    # edge end, shared by the vertex slot it is glued to and by the edge's
+    # inverse Gram matrix.
+    letter = {(eidx, end): chr(ord("a") + 2 * eidx + end) for eidx in range(L) for end in (0, 1)}
+    vertices = []
+    for vid, slots in graph.slot_map().items():
+        edge_slots = [(k, eidx) for (k, kind, eidx) in slots if kind == "edge"]
+        if not edge_slots:
+            raise ValidationError(f"vertex {vid} has no edge slots")
+        mark_ws = [marked_weight[(vid, k)] for (k, kind, _e) in slots if kind == "mark"]
+        spec = "".join(letter[graph.edge_end_of_slot(vid, k)] for (k, _e) in edge_slots)
+        vertices.append(([eidx for (_k, eidx) in edge_slots], mark_ws, spec))
+    einsum_spec = ",".join(
+        [spec for (_e, _m, spec) in vertices] + [letter[(e, 0)] + letter[(e, 1)] for e in range(L)]
+    ) + "->"
 
     coeffs = {}
     for degs in _compositions_upto(N, L):
         operands = []
-        subscripts = []
-        for vid in graph.vertex_ids:
-            slots = vertex_slots[vid]
-            edge_slots = [(k, eidx) for (k, kind, eidx) in slots if kind == "edge"]
-            mark_ws = [marked_weight[(vid, k)] for (k, kind, _e) in slots if kind == "mark"]
-            b = len(edge_slots)
-            if b == 3:
-                ws = tuple(hs[eidx] for (_k, eidx) in edge_slots)
-                arr = _pant_array(tuple(degs[eidx] for (_k, eidx) in edge_slots), ws, c)
-            elif b == 2:
-                (k_a, e_a), (k_b, e_b) = edge_slots
+        for edges, mark_ws, _spec in vertices:
+            if len(edges) == 3:
+                ws = tuple(hs[eidx] for eidx in edges)
+                arr = _pant_array(tuple(degs[eidx] for eidx in edges), ws, c)
+            elif len(edges) == 2:
+                e_a, e_b = edges
                 arr = _annulus_matrix(degs[e_a], degs[e_b], hs[e_a], mark_ws[0], hs[e_b], c)
-            elif b == 1:
-                (_k, e_a) = edge_slots[0]
-                arr = _disk_vector(degs[e_a], hs[e_a], mark_ws[0], mark_ws[1], c)
             else:
-                raise ValidationError(f"vertex {vid} has no edge slots")
+                (e_a,) = edges
+                arr = _disk_vector(degs[e_a], hs[e_a], mark_ws[0], mark_ws[1], c)
             operands.append(arr)
-            subscripts.append([("v", vid, k) for (k, _eidx) in edge_slots])
-        for eidx, edge in enumerate(graph.edges):
-            operands.append(finv[eidx][degs[eidx]])
-            subscripts.append([("e", eidx, 0), ("e", eidx, 1)])
-
-        # map each tensor axis to an einsum letter; edge ends tie vertex slots
-        letter: dict = {}
-
-        def _sym(tag):
-            if tag not in letter:
-                letter[tag] = chr(ord("a") + len(letter))
-            return letter[tag]
-
-        for eidx, edge in enumerate(graph.edges):
-            _sym(("pair", eidx, 0))
-            _sym(("pair", eidx, 1))
-        spec_parts = []
-        for ops, subs in zip(operands, subscripts):
-            axes = []
-            for tag in subs:
-                kind_tag, idx, k = tag
-                if kind_tag == "v":
-                    eidx, end = graph.edge_end_of_slot(idx, k)
-                    axes.append(letter[("pair", eidx, end)])
-                else:
-                    axes.append(letter[("pair", idx, k)])
-            spec_parts.append("".join(axes))
-        einsum_spec = ",".join(spec_parts) + "->"
+        operands += [finv[eidx][degs[eidx]] for eidx in range(L)]
         coeffs[degs] = complex(np.einsum(einsum_spec, *operands))
     exps = tuple(-c / 24.0 + h.real for h in hs)
     return BlockSeries(exponents=exps, coeffs=coeffs, N=N)

@@ -1,36 +1,41 @@
 """Spectral-integral evaluation of correlation functions.
 
-Every entry point computes a weighted quadrature of
+Every correlator is a pants graph, and ``graph_correlator`` is the one
+spectral integral: a weighted quadrature of
 
     rho(alpha, p) * |F_p(alpha, q)|^2
 
-over the spectrum parameters p, one per glued edge.  The torus and sphere
-formulas carry their own explicit prefactors:
+over one spectrum parameter p per linking edge, times 2^{L/2} / (2 pi)^{2L-1}
+and one metric constant per vertex.  The three explicit formulas are graph
+adapters; the flat-annulus vertex constant pi/(sqrt(2) e) and the disk vertex
+constant Z_D/2 reproduce their closed-form prefactors:
 
-    torus one-point:  1/(2e)
-    torus k-point:    1/(2^{2k-1} pi^{k-1} e^k)
-    sphere k-point:   2^{-3/2} Z_D^2 / ((2 pi)^{k-3} (2e)^{k-4})
+    torus one-point:  self-loop             1/(2e)
+    torus k-point:    k-cycle of annuli     1/(2^{2k-1} pi^{k-1} e^k)
+    sphere k-point:   disk-annulus...-disk  2^{-3/2} Z_D^2 / ((2 pi)^{k-3} (2e)^{k-4})
 
-while the general pants-graph correlator uses 2^{L/2} / (2 pi)^{2L-1} with one
-metric constant per vertex.  The flat-annulus vertex constant pi/(sqrt(2) e)
-and disk vertex constant Z_D/2 make the three explicit formulas special cases
-of the graph formula; they are exported here so callers can reproduce the
-torus/sphere normalization through the graph path.
+The sphere adapter multiplies the graph value by one p-independent scalar
+S = const^2 prod_e |q_e|^{c_L/12}: const is the product of |z_j|-powers of the
+marked points, and the |q| powers remove the graph's -c_L/24 plumbing exponent,
+which the DOZZ-metric sphere formula does not have.  Through the graph's
+per-vertex admissibility the sphere adapter also requires alpha_1 + alpha_2 > Q
+and alpha_{k-1} + alpha_k > Q at the two disk vertices.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import roots_legendre, zeta
 
-from .blocks import BlockSeries, chain_block, graph_block, torus_one_point_block
+from .blocks import BlockSeries, graph_block
 from .dozz import rho_density
 from .errors import CostGuard, DimensionMismatch, ValidationError
-from .graphs import AdmissibleGraph, validate_graph
+from .graphs import AdmissibleGraph, EdgeSpec, MarkedPoint, validate_graph
 from .params import CftParams
+from .virasoro import conformal_weight
 
 __all__ = [
     "Quadrature",
@@ -45,8 +50,8 @@ __all__ = [
     "Z_DISK",
 ]
 
-#: Flat-annulus building-block constant C = pi / (sqrt(2) e); with it the
-#: graph correlator reproduces the explicit torus formulas exactly.
+#: Flat-annulus building-block constant C = pi / (sqrt(2) e): the metric
+#: constant of every annulus vertex in the torus and sphere adapters.
 ANNULUS_VERTEX_CONSTANT = math.pi / (math.sqrt(2.0) * math.e)
 
 
@@ -125,6 +130,50 @@ def _last_level_fraction(series: BlockSeries, qs) -> float:
     return abs(top) / abs(full) if full else math.inf
 
 
+def _torus_cycle(alphas, qs) -> AdmissibleGraph:
+    """k-cycle of annulus vertices 1..k (k = 1: a self-loop).  Edge j carries
+    q_j from slot 2 of vertex (j+1) % k + 1 into slot 1 of vertex j+1, which
+    holds alpha_j on slot 3 (j 0-based)."""
+    k = len(alphas)
+    return AdmissibleGraph(
+        edges=[EdgeSpec(((j + 1) % k + 1, 2), (j + 1, 1), q=complex(q)) for j, q in enumerate(qs)],
+        marked=[MarkedPoint(j + 1, 3, a) for j, a in enumerate(alphas)],
+    )
+
+
+def _sphere_chain(alphas, qs) -> AdmissibleGraph:
+    """Disk-annulus...-disk chain of vertices 1..k-2 for k marked points.
+
+    Edge e (0-based) carries q_e from vertex e+1 (slot 1 at the first disk,
+    slot 2 elsewhere) into slot 1 of vertex e+2.  Vertex 1 holds alpha_2,
+    alpha_1 on slots 2, 3; annulus vertex v holds alpha_{v+1} on slot 3;
+    vertex k-2 holds alpha_{k-1}, alpha_k on slots 2, 3 (alphas 1-based).
+    """
+    k = len(alphas)
+    edges = [EdgeSpec((e + 1, 1 if e == 0 else 2), (e + 2, 1), q=complex(q)) for e, q in enumerate(qs)]
+    marked = [MarkedPoint(1, 2, alphas[1]), MarkedPoint(1, 3, alphas[0])]
+    marked += [MarkedPoint(v, 3, alphas[v]) for v in range(2, k - 2)]
+    marked += [MarkedPoint(k - 2, 2, alphas[k - 2]), MarkedPoint(k - 2, 3, alphas[k - 1])]
+    return AdmissibleGraph(edges=edges, marked=marked)
+
+
+def _sphere_scalar(alphas, mags, qs, params: CftParams) -> float:
+    """p-independent factor S = const^2 prod_e |q_e|^{c_L/12} taking the sphere
+    chain graph to the DOZZ-metric k-point function.
+
+    ``mags`` are |z_2|, ..., |z_{k-1}|.  const carries |z_j|^{-Delta_j} inside
+    the unit circle and |z_j|^{+Delta_j} outside, plus |z_2|^{-Delta_1} for
+    z_1 = 0 and |z_{k-1}|^{Delta_k} for z_k = infinity.  The |q| powers cancel
+    the graph's -c_L/24 plumbing exponent per edge, which the sphere formula
+    does not have.
+    """
+    d = [conformal_weight(a, params).real for a in alphas]
+    const = mags[0] ** (-d[0]) * mags[-1] ** d[-1]
+    for m, dj in zip(mags, d[1:-1]):
+        const *= m ** (-dj) if m < 1.0 else m**dj
+    return const**2 * math.prod(abs(q) ** (params.c_L / 12.0) for q in qs)
+
+
 def torus_one_point(
     alpha1: float,
     tau: complex,
@@ -135,34 +184,30 @@ def torus_one_point(
     """<V_alpha1(0)> on the torus C/(2 pi Z + 2 pi tau Z) with metric |dz|^2:
 
         (1/2e) int_0^oo C(Q+ip, alpha1, Q-ip) |F_p(alpha1, q)|^2 dp,
-        q = e^{2 pi i tau}.
+        q = e^{2 pi i tau},
+
+    evaluated as the self-loop graph with one annulus vertex.  ``details``
+    holds the real DOZZ density ``rho`` and ``block_abs2`` at every node.
     """
     tau = complex(tau)
     if tau.imag <= 0:
         raise ValidationError(f"Im tau must be positive, got {tau}")
     if not 0.0 < alpha1 < params.Q:
         raise ValidationError(f"alpha1 must lie in (0, Q) = (0, {params.Q}), got {alpha1}")
-    quad = quad or Quadrature()
-    q = np.exp(2j * math.pi * tau)
-
-    integrand = np.empty(quad.n_nodes)
-    worst_level = 0.0
-    for i, p in enumerate(quad.nodes):
-        rho = rho_density("torus", [alpha1], [p], params)
-        series = torus_one_point_block(alpha1, float(p), q, params, N)
-        integrand[i] = float(np.real(rho)) * series.abs2([q])
-        worst_level = max(worst_level, _last_level_fraction(series, [q]))
-    total = float(np.dot(quad.weights, integrand))
-    tail = float(np.dot(quad.weights[quad.last_panel_slice()], integrand[quad.last_panel_slice()]))
-    value = total / (2.0 * math.e)
-    return CorrelatorResult(
-        value=value,
-        imag_residual=0.0,
-        tail_fraction=abs(tail) / abs(total) if total else math.inf,
-        last_level_fraction=worst_level,
-        mu_exponent=-alpha1 / params.gamma,
-        n_evaluations=quad.n_nodes,
-        details={"prefactor": "1/(2e)", "q": complex(q), "integrand_min": float(integrand.min())},
+    q = complex(np.exp(2j * math.pi * tau))
+    res = graph_correlator(
+        _torus_cycle([alpha1], [q]), params, metric_constants=[ANNULUS_VERTEX_CONSTANT], quad=quad, N=N
+    )
+    rho, block_abs2 = res.details["rho"].real, res.details["block_abs2"]
+    return replace(
+        res,
+        details={
+            "prefactor": "1/(2e)",
+            "q": q,
+            "integrand_min": float((rho * block_abs2).min()),
+            "rho": rho,
+            "block_abs2": block_abs2,
+        },
     )
 
 
@@ -177,7 +222,8 @@ def torus_k_point(
 ) -> CorrelatorResult:
     """k-point function on the torus, marked points x_j (x_1 = 0, increasing
     imaginary parts below 2 pi Im tau), moduli q_j = z_{j+1}/z_j with
-    z_j = e^{i x_j} and q_k = e^{2 pi i tau} / z_k."""
+    z_j = e^{i x_j} and q_k = e^{2 pi i tau} / z_k; evaluated as the k-cycle
+    of annulus vertices."""
     tau = complex(tau)
     k = len(alphas)
     if len(x_positions) != k:
@@ -189,42 +235,18 @@ def torus_k_point(
         raise ValidationError("need Im x_j < Im x_{j+1} < 2 pi Im tau")
     if any(not 0 < a < params.Q for a in alphas):
         raise ValidationError("all weights must lie in (0, Q)")
-    quad = quad or Quadrature()
-    if quad.n_nodes**k > node_budget:
-        raise CostGuard(f"{quad.n_nodes}^{k} spectral evaluations exceed budget {node_budget}")
 
     zs = [np.exp(1j * complex(x)) for x in x_positions]
     qs = [zs[j + 1] / zs[j] for j in range(k - 1)] + [np.exp(2j * math.pi * tau) / zs[k - 1]]
-
-    total = 0.0 + 0.0j
-    tail = 0.0 + 0.0j
-    worst_level = 0.0
-    p_nodes, p_weights = quad.nodes, quad.weights
-    last = quad.last_panel_slice()
-    n_eval = 0
-    for idx in np.ndindex(*([quad.n_nodes] * k)):
-        ps = [float(p_nodes[i]) for i in idx]
-        wgt = float(np.prod([p_weights[i] for i in idx]))
-        rho = rho_density("torus", list(alphas), ps, params)
-        series = chain_block("torus_k", list(alphas), ps, qs, params, N)
-        val = wgt * complex(rho) * series.abs2(qs)
-        total += val
-        if all(i >= last.start for i in idx):
-            tail += val
-        n_eval += 1
-        if n_eval <= 8:
-            worst_level = max(worst_level, _last_level_fraction(series, qs))
-    pref = 1.0 / (2.0 ** (2 * k - 1) * math.pi ** (k - 1) * math.e**k)
-    value = pref * total
-    return CorrelatorResult(
-        value=value.real,
-        imag_residual=abs(value.imag) / abs(value) if value else 0.0,
-        tail_fraction=abs(tail) / abs(total) if total else math.inf,
-        last_level_fraction=worst_level,
-        mu_exponent=-sum(alphas) / params.gamma,
-        n_evaluations=n_eval,
-        details={"prefactor": pref, "q": [complex(q) for q in qs]},
+    res = graph_correlator(
+        _torus_cycle(alphas, qs),
+        params,
+        metric_constants=[ANNULUS_VERTEX_CONSTANT] * k,
+        quad=quad,
+        N=N,
+        node_budget=node_budget,
     )
+    return replace(res, details={"prefactor": res.details["prefactor"], "q": [complex(q) for q in qs]})
 
 
 def sphere_k_point(
@@ -236,7 +258,13 @@ def sphere_k_point(
     node_budget: int = 10**6,
 ) -> CorrelatorResult:
     """k-point function on the sphere in the DOZZ metric; z_1 = 0, z_k = None
-    (infinity), radially ordered |z_j| < |z_{j+1}| with |z_2| < 1 < |z_{k-1}|."""
+    (infinity), radially ordered |z_j| < |z_{j+1}| with |z_2| < 1 < |z_{k-1}|.
+
+    Evaluated as the disk-annulus...-disk chain with moduli
+    q_j = z_j / z_{j+1} (j = 2..k-2), times the scalar S of _sphere_scalar.
+    The chain's disk vertices also require alpha_1 + alpha_2 > Q and
+    alpha_{k-1} + alpha_k > Q.
+    """
     k = len(alphas)
     if k < 4:
         raise ValidationError("sphere evaluation needs k >= 4 (fewer points have no moduli)")
@@ -255,41 +283,22 @@ def sphere_k_point(
         raise ValidationError(f"Seiberg bound sum(alpha) > 2Q = {2*params.Q} violated")
     if any(not 0 < a < params.Q for a in alphas):
         raise ValidationError("all weights must lie in (0, Q)")
-    quad = quad or Quadrature()
-    dim = k - 3
-    if quad.n_nodes**dim > node_budget:
-        raise CostGuard(f"{quad.n_nodes}^{dim} spectral evaluations exceed budget {node_budget}")
 
-    zs = [complex(z) if z is not None else None for z in z_positions]
+    zs = [complex(z) for z in z_positions[:-1]]
     qs = [zs[j] / zs[j + 1] for j in range(1, k - 2)]  # q_j = z_j/z_{j+1}, j = 2..k-2 (1-based)
-
-    total = 0.0 + 0.0j
-    tail = 0.0 + 0.0j
-    worst_level = 0.0
-    n_eval = 0
-    last = quad.last_panel_slice()
-    for idx in np.ndindex(*([quad.n_nodes] * dim)):
-        ps = [float(quad.nodes[i]) for i in idx]
-        wgt = float(np.prod([quad.weights[i] for i in idx]))
-        rho = rho_density("sphere", list(alphas), ps, params)
-        series = chain_block("sphere_k", list(alphas), ps, qs, params, N, positions=z_positions)
-        val = wgt * complex(rho) * series.abs2(qs)
-        total += val
-        if all(i >= last.start for i in idx):
-            tail += val
-        n_eval += 1
-        if n_eval <= 8:
-            worst_level = max(worst_level, _last_level_fraction(series, qs))
-    pref = 2.0 ** (-1.5) * Z_DISK**2 / ((2 * math.pi) ** (k - 3) * (2 * math.e) ** (k - 4))
-    value = pref * total
-    return CorrelatorResult(
-        value=value.real,
-        imag_residual=abs(value.imag) / abs(value) if value else 0.0,
-        tail_fraction=abs(tail) / abs(total) if total else math.inf,
-        last_level_fraction=worst_level,
-        mu_exponent=(2 * params.Q - sum(alphas)) / params.gamma,
-        n_evaluations=n_eval,
-        details={"prefactor": pref, "q": qs},
+    disk = disk_vertex_constant()
+    res = graph_correlator(
+        _sphere_chain(alphas, qs),
+        params,
+        metric_constants=[disk] + [ANNULUS_VERTEX_CONSTANT] * (k - 4) + [disk],
+        quad=quad,
+        N=N,
+        node_budget=node_budget,
+    )
+    return replace(
+        res,
+        value=res.value * _sphere_scalar(alphas, mags, qs, params),
+        details={"prefactor": res.details["prefactor"], "q": qs},
     )
 
 
@@ -305,12 +314,15 @@ def graph_correlator(
 ) -> CorrelatorResult:
     """Correlator of a validated pants graph:
 
-        2^{L/2} / (2 pi)^{2L-1} *
+        2^{L/2} / (2 pi)^{2L-1} * prod_v C_v *
             int rho(alpha, p) |F_p(alpha, q)|^2 dp  over p in R_+^L,
 
-    with one DOZZ factor and one metric constant per vertex (default 1; pass
-    ANNULUS_VERTEX_CONSTANT / disk_vertex_constant() to match the explicit
-    torus/sphere normalizations)."""
+    with one DOZZ factor in rho and one metric constant C_v per vertex
+    (default 1; ANNULUS_VERTEX_CONSTANT / disk_vertex_constant() give the
+    explicit torus/sphere normalizations).  ``details["prefactor"]`` includes
+    prod_v C_v; ``details["rho"]`` (the bare DOZZ product) and
+    ``details["block_abs2"]`` hold the integrand's factors at every node, as
+    arrays of shape (n_nodes,) * L."""
     alphas = list(alphas) if alphas is not None else graph.alphas()
     q_vector = [complex(q) for q in (q_vector if q_vector is not None else graph.q_vector())]
     violations = validate_graph(graph, alphas, params)
@@ -329,24 +341,21 @@ def graph_correlator(
     if len(mconsts) != n_vertices:
         raise DimensionMismatch(f"need {n_vertices} metric constants, got {len(mconsts)}")
 
-    total = 0.0 + 0.0j
-    tail = 0.0 + 0.0j
+    shape = (quad.n_nodes,) * L
+    rho = np.empty(shape, dtype=complex)
+    block_abs2 = np.empty(shape)
     worst_level = 0.0
-    n_eval = 0
-    last = quad.last_panel_slice()
-    for idx in np.ndindex(*([quad.n_nodes] * L)):
+    for idx in np.ndindex(*shape):
         ps = [float(quad.nodes[i]) for i in idx]
-        wgt = float(np.prod([quad.weights[i] for i in idx]))
-        rho = rho_density(graph, alphas, ps, params, metric_constants=mconsts)
+        rho[idx] = rho_density(graph, alphas, ps, params)
         series = graph_block(graph, alphas, ps, q_vector, params, N)
-        val = wgt * complex(rho) * series.abs2(q_vector)
-        total += val
-        if all(i >= last.start for i in idx):
-            tail += val
-        n_eval += 1
-        if n_eval <= 8:
-            worst_level = max(worst_level, _last_level_fraction(series, q_vector))
-    pref = 2.0 ** (L / 2.0) / (2.0 * math.pi) ** (2 * L - 1)
+        block_abs2[idx] = series.abs2(q_vector)
+        worst_level = max(worst_level, _last_level_fraction(series, q_vector))
+    weights = math.prod(np.ix_(*[quad.weights] * L))  # outer product over the edges
+    weighted = weights * rho * block_abs2
+    total = complex(weighted.sum())
+    tail = complex(weighted[(quad.last_panel_slice(),) * L].sum())
+    pref = 2.0 ** (L / 2.0) / (2.0 * math.pi) ** (2 * L - 1) * math.prod(mconsts)
     value = pref * total
     mark_per_vertex = {v: 0.0 for v in graph.vertex_ids}
     for m, a in zip(graph.marked, alphas):
@@ -362,6 +371,12 @@ def graph_correlator(
         tail_fraction=abs(tail) / abs(total) if total else math.inf,
         last_level_fraction=worst_level,
         mu_exponent=mu_exp,
-        n_evaluations=n_eval,
-        details={"prefactor": pref, "genus": graph.genus(), "L": L},
+        n_evaluations=block_abs2.size,
+        details={
+            "prefactor": pref,
+            "genus": graph.genus(),
+            "L": L,
+            "rho": rho,
+            "block_abs2": block_abs2,
+        },
     )

@@ -17,14 +17,12 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import errors
 from .blocks import torus_one_point_block
 from .bootstrap import Quadrature, graph_correlator, sphere_k_point, torus_k_point, torus_one_point
-from .dozz import dozz_constant, rho_density
+from .dozz import dozz_constant
 from .gmc import McConfig, TorusGeometry, mc_torus_one_point
-from .graphs import AdmissibleGraph, validate_graph
+from .graphs import AdmissibleGraph
 from .params import CftParams
 from .special import UpsilonEvaluator, upsilon
 from .virasoro import shapovalov, shapovalov_inverse
@@ -195,13 +193,12 @@ def cmd_torus1pt(args, cfg) -> tuple[dict, list, str, str]:
     a = (cfg.get("alpha") or [1.2])[0]
     quad = _quad(cfg)
     res = torus_one_point(a, _tau(cfg), params, quad, int(cfg["N"]))
-    rows = []
-    q = np.exp(2j * math.pi * _tau(cfg))
-    for p in quad.nodes:
-        rho = float(np.real(rho_density("torus", [a], [float(p)], params)))
-        series = torus_one_point_block(a, float(p), q, params, int(cfg["N"]))
-        f2 = series.abs2([q])
-        rows.append((float(p), rho, f2, rho * f2))
+    rows = [
+        (p, rho, f2, rho * f2)
+        for p, rho, f2 in zip(
+            quad.nodes.tolist(), res.details["rho"].tolist(), res.details["block_abs2"].tolist()
+        )
+    ]
     payload = {
         "alpha1": a,
         "tau": [_tau(cfg).real, _tau(cfg).imag],
@@ -251,9 +248,6 @@ def cmd_graph(args, cfg) -> dict:
     if not cfg.get("graph"):
         raise errors.ValidationError("graph command needs a 'graph' object in the config")
     graph = AdmissibleGraph.from_json(cfg["graph"])
-    violations = validate_graph(graph, graph.alphas(), params)
-    if violations:
-        raise errors.ValidationError("; ".join(str(v) for v in violations))
     res = graph_correlator(
         graph,
         params,
@@ -298,7 +292,6 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--out", help="output directory for JSON/CSV artifacts")
-    common.add_argument("--threads", type=int, default=None, help="worker thread override")
     common.add_argument("--seed", type=int, default=None, help="RNG seed override")
 
     parser = argparse.ArgumentParser(
@@ -332,10 +325,6 @@ def main(argv=None) -> int:
     st.add_argument("--mc-samples", type=int, default=200_000, dest="mc_samples")
 
     args = parser.parse_args(argv)
-    if args.threads is not None or os.environ.get("LCFT_THREADS"):
-        n = args.threads or int(os.environ["LCFT_THREADS"])
-        os.environ["OMP_NUM_THREADS"] = str(n)
-        os.environ["OPENBLAS_NUM_THREADS"] = str(n)
 
     if args.command == "selftest":
         from .acceptance import run_battery

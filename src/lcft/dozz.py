@@ -119,70 +119,38 @@ def dozz_constant(
 
 
 def rho_density(
-    case,
+    graph,
     alphas,
     p_vector,
     params: CftParams,
-    metric_constants=None,
     zero_threshold: float = 1e-6,
 ):
-    """Spectral density: the product of DOZZ factors of one bootstrap formula.
+    """Spectral density of a pants graph: one DOZZ factor per vertex with
+    arguments Q + i sigma p on edge slots (sigma the orientation sign) and the
+    marked alphas elsewhere.
 
-    case="torus": k-point torus chain, rho = prod_j C(Q+ip_j, alpha_j, Q-ip_{j-1})
-    with p_0 = p_k.  case="sphere": rho = C(a1, a2, Q-ip_2) C(a_k, a_{k-1}, Q+ip_{k-2})
-    prod_{j=2}^{k-3} C(Q+ip_j, a_{j+1}, Q-ip_{j+1}).  An AdmissibleGraph gives one
-    factor per vertex with arguments Q + i sigma p on edge slots (sigma the
-    orientation sign) and the marked alphas elsewhere.  ``metric_constants``
-    multiply per factor and default to 1.
-
-    Self-conjugate cases (torus one-point, genus-2) are real up to roundoff and
-    a float is returned; chains with k >= 2 are complex pointwise, reality
-    being restored only after the symmetrized spectral integral, so the
-    complex value is returned as is.
+    Self-conjugate graphs (the torus self-loop, genus 2) are real up to
+    roundoff and a float is returned; chains with k >= 2 are complex
+    pointwise, reality being restored only after the symmetrized spectral
+    integral, so the complex value is returned as is.
     """
-    from .graphs import AdmissibleGraph
-
     Q = params.Q
     factors = []
-    if isinstance(case, AdmissibleGraph):
-        alpha_of = {(m.vertex, m.slot): a for m, a in zip(case.marked, alphas)}
-        slot_map = case.slot_map()
-        for vid in case.vertex_ids:
-            args = []
-            for k, kind, eidx in slot_map[vid]:
-                if kind == "edge":
-                    sigma = case.orientation_sign(vid, k)
-                    args.append(Q + 1j * sigma * p_vector[eidx])
-                else:
-                    args.append(alpha_of[(vid, k)])
-            factors.append(dozz_constant(*args, params, zero_threshold))
-    elif case == "torus":
-        k = len(alphas)
-        for j in range(k):
-            factors.append(
-                dozz_constant(
-                    Q + 1j * p_vector[j], alphas[j], Q - 1j * p_vector[j - 1], params, zero_threshold
-                )
-            )
-    elif case == "sphere":
-        k = len(alphas)
-        factors.append(dozz_constant(alphas[0], alphas[1], Q - 1j * p_vector[0], params, zero_threshold))
-        factors.append(dozz_constant(alphas[k - 1], alphas[k - 2], Q + 1j * p_vector[-1], params, zero_threshold))
-        for j in range(len(p_vector) - 1):
-            factors.append(
-                dozz_constant(
-                    Q + 1j * p_vector[j], alphas[j + 2], Q - 1j * p_vector[j + 1], params, zero_threshold
-                )
-            )
-    else:
-        raise ValueError(f"unknown rho case {case!r}")
+    alpha_of = {(m.vertex, m.slot): a for m, a in zip(graph.marked, alphas)}
+    slot_map = graph.slot_map()
+    for vid in graph.vertex_ids:
+        args = []
+        for k, kind, eidx in slot_map[vid]:
+            if kind == "edge":
+                sigma = graph.orientation_sign(vid, k)
+                args.append(Q + 1j * sigma * p_vector[eidx])
+            else:
+                args.append(alpha_of[(vid, k)])
+        factors.append(dozz_constant(*args, params, zero_threshold))
 
     total = 1.0 + 0.0j
     for f in factors:
         total *= f
-    if metric_constants is not None:
-        for mconst in metric_constants:
-            total *= mconst
     if abs(total.imag) <= 1e-10 * max(abs(total), 1e-300):
         return total.real
     return total

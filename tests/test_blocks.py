@@ -9,12 +9,12 @@ from lcft.blocks import (
     BlockSeries,
     _annulus_matrix,
     _disk_vector,
-    block_coeff_tensor,
-    chain_block,
+    _pant_array,
     graph_block,
     three_point_descendant,
     torus_one_point_block,
 )
+from lcft.bootstrap import _sphere_chain, _sphere_scalar, _torus_cycle
 from lcft.errors import DimensionMismatch, DomainError
 from lcft.graphs import AdmissibleGraph, EdgeSpec, MarkedPoint
 from lcft.params import CftParams
@@ -129,12 +129,9 @@ class TestCoeffTensors:
     def test_all_empty_entries_are_one(self):
         params = CftParams(gamma=1.2)
         h = complex(conformal_weight(params.Q + 0.5j, params))
-        t_a = block_coeff_tensor("annulus", (h, 0.9, h), (1, 1), params.c_L)
-        t_d = block_coeff_tensor("disk", (h, 0.9, 1.1), (1,), params.c_L)
-        t_p = block_coeff_tensor("pant", (h, h, h), (1, 1, 1), params.c_L)
-        assert t_a.blocks[(0, 0)][0, 0] == pytest.approx(1.0)
-        assert t_d.blocks[(0,)][0] == pytest.approx(1.0)
-        assert t_p.blocks[(0, 0, 0)][0, 0, 0] == pytest.approx(1.0)
+        assert _annulus_matrix(0, 0, h, 0.9, h, params.c_L)[0, 0] == pytest.approx(1.0)
+        assert _disk_vector(0, h, 0.9, 1.1, params.c_L)[0] == pytest.approx(1.0)
+        assert _pant_array((0, 0, 0), (h, h, h), params.c_L)[0, 0, 0] == pytest.approx(1.0)
 
     def test_torus_level1_contraction_oracle(self):
         rng = np.random.default_rng(4)
@@ -194,10 +191,12 @@ class TestTorusBlock:
 
 
 class TestChainBlock:
+    """Blocks of the torus k-cycle and sphere chain graphs the adapters build."""
+
     def test_torus_k1_equals_one_point(self):
         params = CftParams(gamma=1.3)
         q = 0.12 + 0.07j
-        s1 = chain_block("torus_k", [1.1], [0.9], [q], params, N=4)
+        s1 = graph_block(_torus_cycle([1.1], [q]), [1.1], [0.9], [q], params, N=4)
         s2 = torus_one_point_block(1.1, 0.9, q, params, N=4)
         for n in range(5):
             assert s1.coeffs[(n,)] == pytest.approx(s2.coeffs[(n,)], rel=1e-12)
@@ -206,7 +205,7 @@ class TestChainBlock:
     def test_torus_k2_structure(self):
         params = CftParams(gamma=1.3)
         qs = [0.1 + 0.02j, 0.15 - 0.03j]
-        s = chain_block("torus_k", [1.0, 1.2], [0.5, 0.8], qs, params, N=3)
+        s = graph_block(_torus_cycle([1.0, 1.2], qs), [1.0, 1.2], [0.5, 0.8], qs, params, N=3)
         assert s.coeffs[(0, 0)] == pytest.approx(1.0)
         val = s.value(qs)
         assert np.isfinite(val.real) and np.isfinite(val.imag)
@@ -214,20 +213,23 @@ class TestChainBlock:
     def test_sphere_prefactor_factors(self):
         params = CftParams(gamma=1.2)
         alphas = [1.5, 1.4, 1.3, 1.2]
-        zs = [0, 0.5, 2.0, None]
-        s = chain_block("sphere_k", alphas, [0.7], [0.25], params, N=2, positions=zs)
+        g = _sphere_chain(alphas, [0.25])
+        s = graph_block(g, g.alphas(), [0.7], [0.25], params, N=2)
         dm = [complex(conformal_weight(a, params)).real for a in alphas]
         h2 = complex(conformal_weight(params.Q + 0.7j, params)).real
-        # |z2|^{-Da2} |z3|^{+Da3} |z2|^{-Da1} |z3|^{+Da4}; |q|^{Delta_{Q+ip}} via exponents
+        # |z2|^{-Da2} |z3|^{+Da3} |z2|^{-Da1} |z3|^{+Da4}, squared; |q|^{c_L/12}
+        # turns the graph's |q|^{2(-c_L/24 + Delta_{Q+ip})} into |q|^{2 Delta_{Q+ip}}
         expect_const = 0.5 ** (-dm[1]) * 2.0 ** dm[2] * 0.5 ** (-dm[0]) * 2.0 ** dm[3]
-        assert s.constant == pytest.approx(expect_const, rel=1e-12)
-        assert s.exponents[0] == pytest.approx(h2)
+        expect = expect_const**2 * 0.25 ** (params.c_L / 12.0)
+        assert _sphere_scalar(alphas, [0.5, 2.0], [0.25], params) == pytest.approx(expect, rel=1e-12)
+        assert s.exponents[0] + params.c_L / 24.0 == pytest.approx(h2)
         assert s.coeffs[(0,)] == pytest.approx(1.0)
 
     def test_dimension_mismatch(self):
         params = CftParams(gamma=1.3)
+        g = _torus_cycle([1.0, 1.2], [0.1, 0.1])
         with pytest.raises(DimensionMismatch):
-            chain_block("torus_k", [1.0, 1.2], [0.5], [0.1, 0.1], params, N=2)
+            graph_block(g, [1.0, 1.2], [0.5], [0.1, 0.1], params, N=2)
 
 
 class TestGraphBlock:
@@ -277,15 +279,28 @@ class TestGraphBlock:
         assert abs(d_im - 1j * d_re) < 1e-6 * max(abs(d_re), 1.0)
 
     def test_level_agreement_with_chain_on_torus_graph(self):
+        # 2-cycle vs the hand-written cyclic trace
+        # Tr(F^-1_{p2,n2} W2_{n2 n1} F^-1_{p1,n1} W1_{n1 n2}), W_j = w^A(p_j, alpha_j, p_{j-1})
         params = CftParams(gamma=1.25)
-        alpha1, p, q = 0.9, 1.1, 0.05 + 0.01j
+        c, N = params.c_L, 4
+        alphas, ps, qs = [0.9, 1.3], [1.1, 0.6], [0.05 + 0.01j, 0.07 - 0.02j]
         g = AdmissibleGraph(
-            edges=[EdgeSpec((1, 1), (1, 2), q=q)], marked=[MarkedPoint(1, 3, alpha1)]
+            edges=[EdgeSpec((2, 2), (1, 1), q=qs[0]), EdgeSpec((1, 2), (2, 1), q=qs[1])],
+            marked=[MarkedPoint(1, 3, alphas[0]), MarkedPoint(2, 3, alphas[1])],
         )
-        gb = graph_block(g, [alpha1], [p], [q], params, N=5)
-        cb = chain_block("torus_k", [alpha1], [p], [q], params, N=5)
-        for n in range(6):
-            assert gb.coeffs[(n,)] == pytest.approx(cb.coeffs[(n,)], rel=1e-12)
+        gb = graph_block(g, alphas, ps, qs, params, N=N)
+        h = [complex(conformal_weight(params.Q + 1j * p, params)) for p in ps]
+        d = [complex(conformal_weight(a, params)) for a in alphas]
+
+        def finv(j, n):
+            return np.eye(1) if n == 0 else shapovalov_inverse(shapovalov(h[j], c, n)).entries
+
+        for (n1, n2), co in gb.coeffs.items():
+            w1 = _annulus_matrix(n1, n2, h[0], d[0], h[1], c)
+            w2 = _annulus_matrix(n2, n1, h[1], d[1], h[0], c)
+            expect = complex(np.trace(finv(1, n2) @ w2 @ finv(0, n1) @ w1))
+            assert co == pytest.approx(expect, rel=1e-12)
+        assert len(gb.coeffs) == (N + 1) * (N + 2) // 2
 
 
 class TestBlockSeries:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from lcft.acceptance import _torus_one_point_hand_coded
 from lcft.bootstrap import (
     ANNULUS_VERTEX_CONSTANT,
     Quadrature,
@@ -20,6 +21,14 @@ from lcft.graphs import AdmissibleGraph, EdgeSpec, MarkedPoint, validate_graph
 from lcft.params import CftParams
 
 QUAD = Quadrature(p_max=4.0, panel_width=0.5, nodes_per_panel=6)
+
+
+@pytest.fixture(scope="module")
+def torus_k2():
+    """Torus 2-point at gamma = sqrt(2), 20 x 20 nodes, N = 2."""
+    quad = Quadrature(p_max=2.5, panel_width=0.5, nodes_per_panel=4)
+    params = CftParams(gamma=math.sqrt(2.0))
+    return torus_k_point([0.9, 1.1], [0.0, 0.2 + 2.2j], 1j, params, quad, N=2)
 
 
 class TestQuadrature:
@@ -129,11 +138,8 @@ class TestTorusKPoint:
         expect_qs = [zs[1] / zs[0], np.exp(2j * math.pi * tau) / zs[1]]
         assert np.allclose(res.details["q"], expect_qs)
 
-    def test_reality_at_k2(self):
-        params = CftParams(gamma=math.sqrt(2.0))
-        quad = Quadrature(p_max=2.5, panel_width=0.5, nodes_per_panel=4)
-        res = torus_k_point([0.9, 1.1], [0.0, 0.2 + 2.2j], 1j, params, quad, N=2)
-        assert res.imag_residual < 1e-8
+    def test_reality_at_k2(self, torus_k2):
+        assert torus_k2.imag_residual < 1e-8
 
     def test_cost_guard(self):
         params = CftParams(gamma=1.0)
@@ -147,6 +153,41 @@ class TestTorusKPoint:
         params = CftParams(gamma=1.0)
         with pytest.raises(ValidationError):
             torus_k_point([1.0, 1.0], [0.0, 0.1 - 1j], 1j, params, QUAD, N=1)
+
+    def test_last_level_fraction_covers_every_node(self, torus_k2):
+        # the worst node of the 20 x 20 grid is (19, 0), far past the first 8
+        assert torus_k2.last_level_fraction == pytest.approx(0.010905019858819308, rel=1e-8)
+
+
+class TestAdapterPins:
+    """Values of the torus and sphere entry points frozen from their former
+    dedicated quadrature loops (chain-of-annuli blocks, per-formula DOZZ
+    products and closed-form prefactors)."""
+
+    S2 = CftParams(gamma=math.sqrt(2.0))
+    QUAD_S = Quadrature(p_max=2.0, panel_width=0.5, nodes_per_panel=3)
+
+    def test_torus_k2(self, torus_k2):
+        assert torus_k2.value == pytest.approx(0.0007753834486284882, rel=1e-10)
+
+    def test_torus_k3(self):
+        quad = Quadrature(p_max=1.5, panel_width=0.5, nodes_per_panel=3)
+        res = torus_k_point(
+            [0.9, 1.1, 1.0], [0.0, 0.3 + 2.0j, 0.1 + 4.0j], 1j, self.S2, quad, N=1
+        )
+        assert res.value == pytest.approx(1.9812944654274972e-05, rel=1e-10)
+
+    def test_sphere_k4(self):
+        res = sphere_k_point(
+            [1.5, 1.4, 1.3, 1.2], [0, 0.5, 2.0, None], CftParams(gamma=1.2), self.QUAD_S, N=2
+        )
+        assert res.value == pytest.approx(5.606752192451118, rel=1e-10)
+
+    def test_sphere_k5(self):
+        res = sphere_k_point(
+            [1.5, 1.4, 1.3, 1.2, 1.1], [0, 0.3, 2.0, 4.0, None], self.S2, self.QUAD_S, N=2
+        )
+        assert res.value == pytest.approx(0.8412735590675887, rel=1e-10)
 
 
 class TestSphereKPoint:
@@ -174,6 +215,12 @@ class TestSphereKPoint:
             sphere_k_point([0.1, 0.2, 0.1, 0.2], [0, 0.5, 2.0, None], self.PARAMS, QUAD, N=1)
         with pytest.raises(ValidationError):
             sphere_k_point([1.5, 1.4, 1.3, 1.2], [0, 2.0, 0.5, None], self.PARAMS, QUAD, N=1)
+
+    def test_disk_vertex_spectral_bound(self):
+        # sum(alpha) = 5.2 > 2Q = 4.53, but the disk vertex holding alpha_1, alpha_2
+        # has alpha_1 + alpha_2 = 1.1 <= Q
+        with pytest.raises(ValidationError, match="vertex 1: spectral"):
+            sphere_k_point([0.5, 0.6, 2.0, 2.1], [0, 0.5, 2.0, None], self.PARAMS, QUAD, N=1)
 
 
 def theta_graph(q=0.1):
@@ -223,7 +270,9 @@ class TestGraphCorrelator:
             g, params, quad=quad, N=3, metric_constants=[ANNULUS_VERTEX_CONSTANT]
         )
         r_torus = torus_one_point(1.2, tau, params, quad, N=3)
-        assert r_graph.value == pytest.approx(r_torus.value, rel=1e-10)
+        hand = _torus_one_point_hand_coded(1.2, tau, params, quad, N=3)
+        assert r_graph.value == pytest.approx(hand, rel=1e-10)
+        assert r_torus.value == pytest.approx(hand, rel=1e-10)
 
 
 class TestValidateGraph:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lcft.bootstrap import Quadrature, _sphere_chain, _torus_cycle, graph_correlator
 from lcft.dozz import DozzEvaluator, dozz_constant, rho_density, _lattice_distance
 from lcft.errors import NearPole
 from lcft.params import CftParams
@@ -62,7 +63,7 @@ class TestRhoDensity:
     def test_torus_one_point_form(self):
         params = CftParams(gamma=1.2)
         p = 0.8
-        rho = rho_density("torus", [1.1], [p], params)
+        rho = rho_density(_torus_cycle([1.1], [0.1]), [1.1], [p], params)
         expect = dozz_constant(params.Q + 1j * p, 1.1, params.Q - 1j * p, params)
         assert isinstance(rho, float)
         assert rho == pytest.approx(expect.real, rel=1e-12)
@@ -70,7 +71,7 @@ class TestRhoDensity:
     def test_torus_one_point_real_positive(self):
         params = CftParams(gamma=math.sqrt(2.0))
         for p in np.linspace(0.05, 8.0, 40):
-            rho = rho_density("torus", [1.2], [float(p)], params)
+            rho = rho_density(_torus_cycle([1.2], [0.1]), [1.2], [float(p)], params)
             assert rho > 0
 
     def test_sphere_k4(self):
@@ -78,7 +79,8 @@ class TestRhoDensity:
         Q = params.Q
         alphas = [1.5, 1.4, 1.3, 1.2]
         p2 = 0.6
-        rho = rho_density("sphere", alphas, [p2], params)
+        g = _sphere_chain(alphas, [0.25])
+        rho = rho_density(g, g.alphas(), [p2], params)
         expect = dozz_constant(1.5, 1.4, Q - 1j * p2, params) * dozz_constant(
             1.2, 1.3, Q + 1j * p2, params
         )
@@ -86,9 +88,16 @@ class TestRhoDensity:
 
     def test_metric_constants_multiply(self):
         params = CftParams(gamma=1.2)
-        rho1 = rho_density("torus", [1.1], [0.8], params)
-        rho2 = rho_density("torus", [1.1], [0.8], params, metric_constants=[2.5])
-        assert rho2 == pytest.approx(2.5 * rho1, rel=1e-14)
+        # metric constants scale the graph correlator; its per-node density
+        # stays the bare DOZZ product
+        g = _torus_cycle([1.1], [0.1])
+        quad = Quadrature(p_max=1.0, panel_width=0.5, nodes_per_panel=2)
+        r1 = graph_correlator(g, params, quad=quad, N=1)
+        r2 = graph_correlator(g, params, quad=quad, N=1, metric_constants=[2.5])
+        assert r2.value == pytest.approx(2.5 * r1.value, rel=1e-14)
+        assert np.array_equal(r2.details["rho"], r1.details["rho"])
+        rho = rho_density(g, [1.1], [float(quad.nodes[0])], params)
+        assert r2.details["rho"][0] == pytest.approx(rho, rel=1e-14)
 
     def test_genus2_graph_case(self):
         from lcft.graphs import AdmissibleGraph, EdgeSpec
