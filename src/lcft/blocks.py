@@ -20,6 +20,12 @@ polynomials in the three conformal weights and the central charge, built once
 per diagram tuple, cached, and then evaluated at whatever numeric weights the
 quadrature loop asks for.  Repeated evaluation is therefore deterministic and
 bit-identical.
+
+``graph_block`` is a per-graph plan (vertex edge lists, marked weights, einsum
+subscripts) plus one per-node contraction.  The spectral integral in
+``bootstrap`` calls the same two pieces, building each Gram-inverse set once
+per quadrature node and each vertex tensor once per distinct tuple of
+incident-edge nodes and levels, within that one call.
 """
 
 from __future__ import annotations
@@ -481,6 +487,75 @@ def _compositions_upto(N: int, length: int):
         yield from _compositions(total, length)
 
 
+@dataclass(frozen=True)
+class _Vertex:
+    """One vertex of a block plan: the edge index of each of its edge slots
+    and the conformal weight of each of its marked slots, in slot order."""
+
+    edges: tuple
+    marks: tuple
+
+
+@dataclass(frozen=True)
+class _BlockPlan:
+    """What a pants-graph block needs of the graph alone: its vertices and the
+    einsum subscripts contracting their tensors with one inverse Gram matrix
+    per edge."""
+
+    vertices: tuple
+    einsum_spec: str
+
+
+def _block_plan(graph, alphas, params: CftParams) -> _BlockPlan:
+    """Per-graph half of graph_block: one einsum letter per edge end, shared by
+    the vertex slot it is glued to and by the edge's inverse Gram matrix."""
+    L = len(graph.edges)
+    marked_weight = {
+        (m.vertex, m.slot): complex(conformal_weight(a, params))
+        for m, a in zip(graph.marked, alphas)
+    }
+    letter = {(eidx, end): chr(ord("a") + 2 * eidx + end) for eidx in range(L) for end in (0, 1)}
+    vertices, specs = [], []
+    for vid, slots in graph.slot_map().items():
+        edge_slots = [(k, eidx) for (k, kind, eidx) in slots if kind == "edge"]
+        if not edge_slots:
+            raise ValidationError(f"vertex {vid} has no edge slots")
+        marks = tuple(marked_weight[(vid, k)] for (k, kind, _e) in slots if kind == "mark")
+        vertices.append(_Vertex(tuple(eidx for (_k, eidx) in edge_slots), marks))
+        specs.append("".join(letter[graph.edge_end_of_slot(vid, k)] for (k, _e) in edge_slots))
+    specs += [letter[(e, 0)] + letter[(e, 1)] for e in range(L)]
+    return _BlockPlan(vertices=tuple(vertices), einsum_spec=",".join(specs) + "->")
+
+
+def _vertex_tensor(vertex: _Vertex, levels: tuple, hs, c) -> np.ndarray:
+    """Pant array, annulus matrix or disk vector (by the number of edge slots)
+    of one vertex at the given levels on its edge slots; ``hs`` holds the
+    weight of every edge of the graph."""
+    if len(vertex.edges) == 3:
+        return _pant_array(levels, tuple(hs[eidx] for eidx in vertex.edges), c)
+    if len(vertex.edges) == 2:
+        e_a, e_b = vertex.edges
+        return _annulus_matrix(levels[0], levels[1], hs[e_a], vertex.marks[0], hs[e_b], c)
+    (e_a,) = vertex.edges
+    return _disk_vector(levels[0], hs[e_a], vertex.marks[0], vertex.marks[1], c)
+
+
+def _contract(plan: _BlockPlan, hs, finv, c, N: int, tensor) -> BlockSeries:
+    """Per-node half of graph_block.  ``hs`` and ``finv`` hold each edge's
+    weight and inverse Gram matrices (levels 0..N); ``tensor(v, levels)``
+    returns vertex v's tensor at the levels on its edge slots."""
+    coeffs = {}
+    for degs in _compositions_upto(N, len(hs)):
+        operands = [
+            tensor(v, tuple(degs[eidx] for eidx in vertex.edges))
+            for v, vertex in enumerate(plan.vertices)
+        ]
+        operands += [finv[eidx][n] for eidx, n in enumerate(degs)]
+        coeffs[degs] = complex(np.einsum(plan.einsum_spec, *operands))
+    exps = tuple(-c / 24.0 + h.real for h in hs)
+    return BlockSeries(exponents=exps, coeffs=coeffs, N=N)
+
+
 def graph_block(graph, alphas, p_vector, q_vector, params: CftParams, N: int = 4) -> BlockSeries:
     """Conformal block of a validated pants graph.
 
@@ -499,45 +574,9 @@ def graph_block(graph, alphas, p_vector, q_vector, params: CftParams, N: int = 4
     if len(p_vector) != L or len(q_vector) != L:
         raise DimensionMismatch(f"need one p and one q per edge ({L})")
     c = params.c_L
-    Q = params.Q
-    hs = [complex(conformal_weight(Q + 1j * p, params)) for p in p_vector]
+    plan = _block_plan(graph, alphas, params)
+    hs = [complex(conformal_weight(params.Q + 1j * p, params)) for p in p_vector]
     finv = [_gram_inverses(h, c, N) for h in hs]
-    marked_weight = {
-        (m.vertex, m.slot): complex(conformal_weight(a, params))
-        for m, a in zip(graph.marked, alphas)
-    }
-
-    # The contraction pattern depends on the graph only: one einsum letter per
-    # edge end, shared by the vertex slot it is glued to and by the edge's
-    # inverse Gram matrix.
-    letter = {(eidx, end): chr(ord("a") + 2 * eidx + end) for eidx in range(L) for end in (0, 1)}
-    vertices = []
-    for vid, slots in graph.slot_map().items():
-        edge_slots = [(k, eidx) for (k, kind, eidx) in slots if kind == "edge"]
-        if not edge_slots:
-            raise ValidationError(f"vertex {vid} has no edge slots")
-        mark_ws = [marked_weight[(vid, k)] for (k, kind, _e) in slots if kind == "mark"]
-        spec = "".join(letter[graph.edge_end_of_slot(vid, k)] for (k, _e) in edge_slots)
-        vertices.append(([eidx for (_k, eidx) in edge_slots], mark_ws, spec))
-    einsum_spec = ",".join(
-        [spec for (_e, _m, spec) in vertices] + [letter[(e, 0)] + letter[(e, 1)] for e in range(L)]
-    ) + "->"
-
-    coeffs = {}
-    for degs in _compositions_upto(N, L):
-        operands = []
-        for edges, mark_ws, _spec in vertices:
-            if len(edges) == 3:
-                ws = tuple(hs[eidx] for eidx in edges)
-                arr = _pant_array(tuple(degs[eidx] for eidx in edges), ws, c)
-            elif len(edges) == 2:
-                e_a, e_b = edges
-                arr = _annulus_matrix(degs[e_a], degs[e_b], hs[e_a], mark_ws[0], hs[e_b], c)
-            else:
-                (e_a,) = edges
-                arr = _disk_vector(degs[e_a], hs[e_a], mark_ws[0], mark_ws[1], c)
-            operands.append(arr)
-        operands += [finv[eidx][degs[eidx]] for eidx in range(L)]
-        coeffs[degs] = complex(np.einsum(einsum_spec, *operands))
-    exps = tuple(-c / 24.0 + h.real for h in hs)
-    return BlockSeries(exponents=exps, coeffs=coeffs, N=N)
+    return _contract(
+        plan, hs, finv, c, N, lambda v, levels: _vertex_tensor(plan.vertices[v], levels, hs, c)
+    )

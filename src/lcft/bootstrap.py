@@ -20,18 +20,26 @@ marked points, and the |q| powers remove the graph's -c_L/24 plumbing exponent,
 which the DOZZ-metric sphere formula does not have.  Through the graph's
 per-vertex admissibility the sphere adapter also requires alpha_1 + alpha_2 > Q
 and alpha_{k-1} + alpha_k > Q at the two disk vertices.
+
+The integrand's pieces depend on fewer nodes than the L-tuple: an edge's
+inverse Gram matrices only on its own node, and a vertex's DOZZ factor and
+descendant tensor only on the nodes (and levels) of its incident edges.  Within
+one graph_correlator call each Gram set is therefore built once per node, and
+the factor and tensors of a vertex that misses an edge of the graph once per
+distinct tuple of incident-edge nodes.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import roots_legendre, zeta
 
-from .blocks import BlockSeries, graph_block
-from .dozz import rho_density
+from .blocks import BlockSeries, _block_plan, _contract, _gram_inverses, _vertex_tensor
+from .dozz import _density, _dozz_plan, _vertex_dozz
 from .errors import CostGuard, DimensionMismatch, ValidationError
 from .graphs import AdmissibleGraph, EdgeSpec, MarkedPoint, validate_graph
 from .params import CftParams
@@ -128,6 +136,29 @@ def _last_level_fraction(series: BlockSeries, qs) -> float:
         if sum(degs) == series.N
     )
     return abs(top) / abs(full) if full else math.inf
+
+
+class _VertexMemo:
+    """Per-vertex values of one graph_correlator call, keyed by the node
+    indices on the vertex's own edges plus an ``extra`` key.  A vertex on every
+    edge of the graph meets a new key at every L-tuple, so nothing is stored
+    for it.  ``built`` counts the values built."""
+
+    def __init__(self, vertex_edges, L: int):
+        self.edges = vertex_edges
+        self.memo = [None if set(edges) == set(range(L)) else {} for edges in vertex_edges]
+        self.built = 0
+
+    def get(self, v: int, idx: tuple, extra, build, *args):
+        memo = self.memo[v]
+        if memo is None:
+            self.built += 1
+            return build(*args)
+        key = (tuple(idx[e] for e in self.edges[v]), extra)
+        if key not in memo:
+            self.built += 1
+            memo[key] = build(*args)
+        return memo[key]
 
 
 def _torus_cycle(alphas, qs) -> AdmissibleGraph:
@@ -322,7 +353,10 @@ def graph_correlator(
     explicit torus/sphere normalizations).  ``details["prefactor"]`` includes
     prod_v C_v; ``details["rho"]`` (the bare DOZZ product) and
     ``details["block_abs2"]`` hold the integrand's factors at every node, as
-    arrays of shape (n_nodes,) * L."""
+    arrays of shape (n_nodes,) * L.  ``details["gram_sets"]``,
+    ``["dozz_factors"]`` and ``["vertex_tensors"]`` count the Gram-inverse
+    sets, vertex DOZZ factors and vertex tensors built.  ``tail_fraction`` is
+    the share of the integral from nodes with any edge's p in the last panel."""
     alphas = list(alphas) if alphas is not None else graph.alphas()
     q_vector = [complex(q) for q in (q_vector if q_vector is not None else graph.q_vector())]
     violations = validate_graph(graph, alphas, params)
@@ -341,20 +375,43 @@ def graph_correlator(
     if len(mconsts) != n_vertices:
         raise DimensionMismatch(f"need {n_vertices} metric constants, got {len(mconsts)}")
 
+    c = params.c_L
+    hs = [complex(conformal_weight(params.Q + 1j * float(p), params)) for p in quad.nodes]
+    finv = [_gram_inverses(h, c, N) for h in hs]  # one set per node, shared by every edge
+    plan = _block_plan(graph, alphas, params)
+    dozz_plan = _dozz_plan(graph, alphas)
+    dozz_factors = _VertexMemo([vertex.edges for vertex in plan.vertices], L)
+    tensors = _VertexMemo([vertex.edges for vertex in plan.vertices], L)
+
     shape = (quad.n_nodes,) * L
     rho = np.empty(shape, dtype=complex)
     block_abs2 = np.empty(shape)
     worst_level = 0.0
     for idx in np.ndindex(*shape):
         ps = [float(quad.nodes[i]) for i in idx]
-        rho[idx] = rho_density(graph, alphas, ps, params)
-        series = graph_block(graph, alphas, ps, q_vector, params, N)
+        edge_hs = [hs[i] for i in idx]
+        rho[idx] = _density(
+            dozz_factors.get(v, idx, None, _vertex_dozz, slots, ps, params)
+            for v, slots in enumerate(dozz_plan)
+        )
+        series = _contract(
+            plan,
+            edge_hs,
+            [finv[i] for i in idx],
+            c,
+            N,
+            lambda v, levels: tensors.get(
+                v, idx, levels, _vertex_tensor, plan.vertices[v], levels, edge_hs, c
+            ),
+        )
         block_abs2[idx] = series.abs2(q_vector)
         worst_level = max(worst_level, _last_level_fraction(series, q_vector))
     weights = math.prod(np.ix_(*[quad.weights] * L))  # outer product over the edges
     weighted = weights * rho * block_abs2
     total = complex(weighted.sum())
-    tail = complex(weighted[(quad.last_panel_slice(),) * L].sum())
+    # nodes with any edge's p in the last panel: their largest node index is in it
+    largest_index = functools.reduce(np.maximum, np.indices(shape, sparse=True))
+    tail = complex(weighted[largest_index >= quad.last_panel_slice().start].sum())
     pref = 2.0 ** (L / 2.0) / (2.0 * math.pi) ** (2 * L - 1) * math.prod(mconsts)
     value = pref * total
     mark_per_vertex = {v: 0.0 for v in graph.vertex_ids}
@@ -378,5 +435,8 @@ def graph_correlator(
             "L": L,
             "rho": rho,
             "block_abs2": block_abs2,
+            "gram_sets": len(finv),
+            "dozz_factors": dozz_factors.built,
+            "vertex_tensors": tensors.built,
         },
     )

@@ -118,6 +118,39 @@ def dozz_constant(
     return cmath.exp(log_c)
 
 
+def _dozz_plan(graph, alphas) -> tuple:
+    """Per-graph half of rho_density: for each vertex (in ``graph.vertex_ids``
+    order) its slots in order, as (edge index, orientation sign) for an edge
+    slot and (None, alpha) for a marked slot."""
+    alpha_of = {(m.vertex, m.slot): a for m, a in zip(graph.marked, alphas)}
+    slot_map = graph.slot_map()
+    return tuple(
+        tuple(
+            (eidx, graph.orientation_sign(vid, k)) if kind == "edge" else (None, alpha_of[(vid, k)])
+            for k, kind, eidx in slot_map[vid]
+        )
+        for vid in graph.vertex_ids
+    )
+
+
+def _vertex_dozz(slots, p_vector, params: CftParams, zero_threshold: float = 1e-6) -> complex:
+    """DOZZ factor of one planned vertex: Q + i sigma p on its edge slots and
+    alpha on its marked slots."""
+    args = [x if eidx is None else params.Q + 1j * x * p_vector[eidx] for eidx, x in slots]
+    return dozz_constant(*args, params, zero_threshold)
+
+
+def _density(factors):
+    """Vertex-ordered product of the DOZZ factors; a float when it is real up
+    to roundoff (see rho_density)."""
+    total = 1.0 + 0.0j
+    for f in factors:
+        total *= f
+    if abs(total.imag) <= 1e-10 * max(abs(total), 1e-300):
+        return total.real
+    return total
+
+
 def rho_density(
     graph,
     alphas,
@@ -134,23 +167,6 @@ def rho_density(
     pointwise, reality being restored only after the symmetrized spectral
     integral, so the complex value is returned as is.
     """
-    Q = params.Q
-    factors = []
-    alpha_of = {(m.vertex, m.slot): a for m, a in zip(graph.marked, alphas)}
-    slot_map = graph.slot_map()
-    for vid in graph.vertex_ids:
-        args = []
-        for k, kind, eidx in slot_map[vid]:
-            if kind == "edge":
-                sigma = graph.orientation_sign(vid, k)
-                args.append(Q + 1j * sigma * p_vector[eidx])
-            else:
-                args.append(alpha_of[(vid, k)])
-        factors.append(dozz_constant(*args, params, zero_threshold))
-
-    total = 1.0 + 0.0j
-    for f in factors:
-        total *= f
-    if abs(total.imag) <= 1e-10 * max(abs(total), 1e-300):
-        return total.real
-    return total
+    return _density(
+        _vertex_dozz(slots, p_vector, params, zero_threshold) for slots in _dozz_plan(graph, alphas)
+    )

@@ -4,11 +4,16 @@ import math
 import numpy as np
 import pytest
 
+import lcft.blocks
+import lcft.dozz
 from lcft.acceptance import _torus_one_point_hand_coded
+from lcft.blocks import graph_block
 from lcft.bootstrap import (
     ANNULUS_VERTEX_CONSTANT,
     Quadrature,
     Z_DISK,
+    _sphere_chain,
+    _torus_cycle,
     disk_vertex_constant,
     graph_correlator,
     sphere_k_point,
@@ -16,19 +21,20 @@ from lcft.bootstrap import (
     torus_one_point,
     zeta_prime_minus1,
 )
+from lcft.dozz import rho_density
 from lcft.errors import CostGuard, GraphInvalid, ValidationError
 from lcft.graphs import AdmissibleGraph, EdgeSpec, MarkedPoint, validate_graph
 from lcft.params import CftParams
 
 QUAD = Quadrature(p_max=4.0, panel_width=0.5, nodes_per_panel=6)
+S2 = CftParams(gamma=math.sqrt(2.0))
 
 
 @pytest.fixture(scope="module")
 def torus_k2():
     """Torus 2-point at gamma = sqrt(2), 20 x 20 nodes, N = 2."""
     quad = Quadrature(p_max=2.5, panel_width=0.5, nodes_per_panel=4)
-    params = CftParams(gamma=math.sqrt(2.0))
-    return torus_k_point([0.9, 1.1], [0.0, 0.2 + 2.2j], 1j, params, quad, N=2)
+    return torus_k_point([0.9, 1.1], [0.0, 0.2 + 2.2j], 1j, S2, quad, N=2)
 
 
 class TestQuadrature:
@@ -158,6 +164,17 @@ class TestTorusKPoint:
         # the worst node of the 20 x 20 grid is (19, 0), far past the first 8
         assert torus_k2.last_level_fraction == pytest.approx(0.010905019858819308, rel=1e-8)
 
+    def test_tail_fraction_counts_any_edge_in_last_panel(self, torus_k2):
+        # share of the integral from the nodes where either edge's p lies in the
+        # last panel, not only the 4 x 4 corner where both do
+        quad = Quadrature(p_max=2.5, panel_width=0.5, nodes_per_panel=4)
+        res = graph_correlator(_torus_cycle([0.9, 1.1], torus_k2.details["q"]), S2, quad=quad, N=2)
+        weighted = np.outer(quad.weights, quad.weights) * res.details["rho"] * res.details["block_abs2"]
+        head = slice(0, quad.n_nodes - quad.nodes_per_panel)
+        expect = abs(weighted.sum() - weighted[head, head].sum()) / abs(weighted.sum())
+        assert torus_k2.tail_fraction == pytest.approx(expect, rel=1e-10)
+        assert torus_k2.tail_fraction == pytest.approx(1.11e-3, rel=0.01)
+
 
 class TestAdapterPins:
     """Values of the torus and sphere entry points frozen from their former
@@ -273,6 +290,105 @@ class TestGraphCorrelator:
         hand = _torus_one_point_hand_coded(1.2, tau, params, quad, N=3)
         assert r_graph.value == pytest.approx(hand, rel=1e-10)
         assert r_torus.value == pytest.approx(hand, rel=1e-10)
+
+
+def genus2_graph():
+    """The acceptance criterion-7 genus-2 graph."""
+    qs = [0.06 + 0.02j, 0.09 - 0.01j, 0.05 + 0.04j]
+    return AdmissibleGraph(
+        edges=[
+            EdgeSpec((1, 1), (2, 1), q=qs[0]),
+            EdgeSpec((1, 2), (1, 3), q=qs[1]),
+            EdgeSpec((2, 2), (2, 3), q=qs[2]),
+        ]
+    )
+
+
+@pytest.fixture(scope="module")
+def genus2_run():
+    """graph_correlator on the genus-2 graph at 9 nodes per edge and N = 3,
+    with the number of Gram matrices it built."""
+    builds = []
+    original = lcft.blocks.shapovalov
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return original(*args, **kwargs)
+
+    g, quad = genus2_graph(), Quadrature(p_max=1.5, panel_width=0.5, nodes_per_panel=3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lcft.blocks, "shapovalov", counting)
+        res = graph_correlator(g, S2, quad=quad, N=3)
+    return g, quad, 3, res, len(builds)
+
+
+def _sphere5():
+    g = _sphere_chain([1.5, 1.4, 1.3, 1.2, 1.1], [0.15, 0.5])
+    return g, Quadrature(p_max=2.0, panel_width=0.5, nodes_per_panel=3), 2
+
+
+def _torus2():
+    g = _torus_cycle([0.9, 1.1], [0.1 + 0.02j, 0.12 - 0.01j])
+    return g, Quadrature(p_max=1.5, panel_width=0.5, nodes_per_panel=3), 2
+
+
+class TestEngineCaches:
+    """graph_correlator builds each Gram set once per node and each vertex's
+    DOZZ factor and tensor once per distinct tuple of its edges' nodes; the
+    cached values must equal the per-node public path bit for bit."""
+
+    @pytest.mark.parametrize("case", ["genus2", "sphere5", "torus2"])
+    def test_bitwise_equal_to_per_node_path(self, case, request):
+        if case == "genus2":
+            g, quad, N, res, _builds = request.getfixturevalue("genus2_run")
+        else:
+            g, quad, N = {"sphere5": _sphere5, "torus2": _torus2}[case]()
+            res = graph_correlator(g, S2, quad=quad, N=N)
+        L, qs = len(g.edges), g.q_vector()
+        rho = np.empty((quad.n_nodes,) * L, dtype=complex)
+        block_abs2 = np.empty((quad.n_nodes,) * L)
+        for idx in np.ndindex(*rho.shape):
+            ps = [float(quad.nodes[i]) for i in idx]
+            rho[idx] = rho_density(g, g.alphas(), ps, S2)
+            block_abs2[idx] = graph_block(g, g.alphas(), ps, qs, S2, N).abs2(qs)
+        assert np.array_equal(res.details["rho"], rho)
+        assert np.array_equal(res.details["block_abs2"], block_abs2)
+
+    def test_genus2_counts(self, genus2_run):
+        *_g, res, builds = genus2_run
+        # 9 nodes x levels 1..3; each pant misses one loop: 81 node pairs, and
+        # 10 level pairs (n1, n_loop) with n1 + n_loop <= 3 at N = 3
+        assert builds == 27
+        assert res.details["gram_sets"] == 9
+        assert res.details["dozz_factors"] == 2 * 81
+        assert res.details["vertex_tensors"] == 2 * 81 * 10
+
+    def test_sphere5_counts(self):
+        # the annulus vertex touches both edges: one factor and 3 tensors per
+        # node pair; each disk misses one edge
+        g, _quad, _N = _sphere5()
+        res = graph_correlator(g, S2, quad=Quadrature(6.0, 0.5, 3), N=1)
+        assert res.details["gram_sets"] == 36
+        assert res.details["dozz_factors"] == 36 + 36**2 + 36
+        assert res.details["vertex_tensors"] == 2 * 36 * 2 + 3 * 36**2
+
+    def test_self_loop_counts(self):
+        res = graph_correlator(_torus_cycle([1.2], [0.0019]), S2, quad=Quadrature(6.0, 0.5, 8), N=1)
+        assert res.details["gram_sets"] == 96
+        assert res.details["dozz_factors"] == 96
+        assert res.details["vertex_tensors"] == 96 * 2
+
+    def test_cost_guard_at_its_edge(self, monkeypatch):
+        g, _quad, _N = _torus2()
+        quad = Quadrature(p_max=1.0, panel_width=0.5, nodes_per_panel=2)
+        assert graph_correlator(g, S2, quad=quad, N=1, node_budget=16).n_evaluations == 16
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("DOZZ evaluated before the cost guard")
+
+        monkeypatch.setattr(lcft.dozz, "dozz_constant", unreachable)
+        with pytest.raises(CostGuard, match="4\\^2 spectral evaluations exceed budget 15"):
+            graph_correlator(g, S2, quad=quad, N=1, node_budget=15)
 
 
 class TestValidateGraph:
