@@ -7,9 +7,7 @@ from .params import CftParams
 from .special import UpsilonEvaluator, dedekind_eta, l_ratio, theta1, upsilon, upsilon_prime_zero
 from .virasoro import (
     GramMatrix,
-    VermaVector,
     YoungDiagram,
-    apply_virasoro,
     conformal_weight,
     kac_weight,
     partition_count,
@@ -18,12 +16,7 @@ from .virasoro import (
     shapovalov_inverse,
 )
 from .dozz import dozz_constant, rho_density
-from .blocks import (
-    BlockSeries,
-    graph_block,
-    three_point_descendant,
-    torus_one_point_block,
-)
+from .blocks import BlockSeries, graph_block, torus_one_point_block
 from .free_field import (
     BoundaryField,
     annulus_partition,

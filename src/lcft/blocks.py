@@ -16,10 +16,14 @@ Three ingredients:
   torus chains and sphere chains are pants graphs).
 
 Both descendant engines are exact symbolic computations: coefficients are
-polynomials in the three conformal weights and the central charge, built once
-per diagram tuple, cached, and then evaluated at whatever numeric weights the
-quadrature loop asks for.  Repeated evaluation is therefore deterministic and
-bit-identical.
+polynomials (``virasoro.Poly``) in the three conformal weights and the
+central charge, built once per word tuple and cached.  Each family an engine
+feeds the contraction (the radial elements of a level pair, the pant brackets
+of a level triple) is then lowered once to a power matrix and a coefficient
+vector, keyed by its levels alone, and ``virasoro._evaluate`` turns it into
+numbers at whatever weights, central charge and pant-frame points a call
+passes; the Gram matrices take the same path.  Repeated evaluation is
+therefore deterministic and bit-identical.
 
 ``graph_block`` is a per-graph plan (vertex edge lists, marked weights, einsum
 subscripts) plus one per-node contraction.  The spectral integral in
@@ -39,7 +43,15 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError, ValidationError
 from .params import CftParams
 from .virasoro import (
-    YoungDiagram,
+    P_C,
+    P_D1,
+    P_D2,
+    P_D3,
+    P_ONE,
+    Poly,
+    _evaluate,
+    _lower,
+    _Lowered,
     apply_generator_to_word,
     conformal_weight,
     partitions,
@@ -49,7 +61,6 @@ from .virasoro import (
 
 __all__ = [
     "ZHAT",
-    "three_point_descendant",
     "BlockSeries",
     "torus_one_point_block",
     "graph_block",
@@ -58,101 +69,6 @@ __all__ = [
 #: Canonical pant-frame insertion points: unit pairwise distances, P(zhat)=1.
 ZHAT = (-0.5 + 0.0j, 0.5 + 0.0j, 0.0 + 1j * math.sqrt(3.0) / 2.0)
 
-
-# ---------------------------------------------------------------------------
-# sparse polynomials in (D1, D2, D3, C)
-# ---------------------------------------------------------------------------
-
-
-class Poly:
-    """Sparse polynomial in four commuting variables with float coefficients.
-
-    Inside the pant engine the variables are the three slot weights and the
-    central charge; the radial engine reuses the class with the reading
-    (h_out, Delta_mid, h_in, c).
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = dict(terms) if terms else {}
-
-    @staticmethod
-    def const(v) -> "Poly":
-        return Poly({(0, 0, 0, 0): v}) if v else Poly()
-
-    def ring_one(self) -> "Poly":
-        return Poly({(0, 0, 0, 0): 1.0})
-
-    def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = Poly.const(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            nv = out.get(k, 0.0) + v
-            if nv:
-                out[k] = nv
-            elif k in out:
-                del out[k]
-        return Poly(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = Poly.const(other)
-        return self + (other * -1)
-
-    def __rsub__(self, other):
-        return Poly.const(other) + (self * -1)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            if not other:
-                return Poly()
-            return Poly({k: v * other for k, v in self.terms.items()})
-        out: dict = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3])
-                nv = out.get(k, 0.0) + v1 * v2
-                if nv:
-                    out[k] = nv
-                elif k in out:
-                    del out[k]
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return Poly({k: v / scalar for k, v in self.terms.items()})
-
-    def __eq__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.terms == Poly.const(other).terms
-        return isinstance(other, Poly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __call__(self, d1, d2, d3, c) -> complex:
-        total = 0.0 + 0.0j
-        for (i, j, k, l), v in self.terms.items():
-            total += v * d1**i * d2**j * d3**k * c**l
-        return total
-
-    def __repr__(self):
-        return f"Poly({self.terms!r})"
-
-
-P_ONE = Poly({(0, 0, 0, 0): 1.0})
-P_D1 = Poly({(1, 0, 0, 0): 1.0})
-P_D2 = Poly({(0, 1, 0, 0): 1.0})
-P_D3 = Poly({(0, 0, 1, 0): 1.0})
-P_C = Poly({(0, 0, 0, 1): 1.0})
 _SLOT_WEIGHT = (P_D1, P_D2, P_D3)
 
 # exponents of the holomorphic half H = z12^E12 z13^E13 z23^E23
@@ -293,15 +209,6 @@ def _bracket(w1: tuple, w2: tuple, w3: tuple) -> tuple:
     return (((0, 0, 0), P_ONE),)
 
 
-def _eval_bracket(items: tuple, d1, d2, d3, c, zhat) -> complex:
-    z1, z2, z3 = (complex(z) for z in zhat)
-    z12, z13, z23 = z1 - z2, z1 - z3, z2 - z3
-    total = 0.0 + 0.0j
-    for (a, b, d), poly in items:
-        total += z12**a * z13**b * z23**d * poly(d1, d2, d3, c)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # radial-frame matrix elements  <h_out, a| V_Delta(1) |h_in, b>
 # ---------------------------------------------------------------------------
@@ -330,73 +237,46 @@ def _radial_element(a: tuple, b: tuple) -> Poly:
     return P_ONE
 
 
-def three_point_descendant(
-    delta1: complex,
-    delta2: complex,
-    delta3: complex,
-    nu1: YoungDiagram | tuple = (),
-    nu2: YoungDiagram | tuple = (),
-    nu3: YoungDiagram | tuple = (),
-    c: complex = 26.0,
-    zhat: tuple = ZHAT,
-    frame: str = "pant",
-) -> complex:
-    """Normalized holomorphic three-point coefficient with descendant slots.
-
-    frame="pant": the recursion-rule bracket divided by the holomorphic half
-    H(z), evaluated at the canonical insertion points ``zhat`` (pairwise
-    distances 1).  frame="radial": slots read (out, vertex, in) at positions
-    (infinity, 1, 0); slot 2 must then be primary.  The all-empty value is 1
-    in either frame.
-    """
-
-    def _w(nu):
-        return nu.word() if isinstance(nu, YoungDiagram) else tuple(reversed(tuple(nu)))
-
-    w1, w2, w3 = _w(nu1), _w(nu2), _w(nu3)
-    if frame == "radial":
-        if w2:
-            raise ValidationError("radial frame holds the vertex in slot 2 (must be primary)")
-        return _radial_element(w1, w3)(complex(delta1), complex(delta2), complex(delta3), complex(c))
-    if frame != "pant":
-        raise ValidationError(f"unknown frame {frame!r}")
-    return _eval_bracket(
-        _bracket(w1, w2, w3), complex(delta1), complex(delta2), complex(delta3), complex(c), zhat
-    )
-
-
 # ---------------------------------------------------------------------------
 # coefficient tensors
 # ---------------------------------------------------------------------------
 
 
-def _annulus_matrix(n_out: int, n_in: int, h_out, d_mid, h_in, c) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _radial_family(n_out: int, n_in: int) -> _Lowered:
+    """Radial elements between the level-n_out and level-n_in partitions,
+    lowered as polynomials in (h_out, Delta_mid, h_in, c)."""
     rows = [nu.word() for nu in partitions(n_out)]
     cols = [nu.word() for nu in partitions(n_in)]
-    out = np.empty((len(rows), len(cols)), dtype=complex)
-    for i, wa in enumerate(rows):
-        for j, wb in enumerate(cols):
-            out[i, j] = _radial_element(wa, wb)(h_out, d_mid, h_in, c)
-    return out
+    entries = [_radial_element(wa, wb).terms.items() for wa in rows for wb in cols]
+    return _lower(entries, (len(rows), len(cols)), 4)
+
+
+def _bracket_terms(w1: tuple, w2: tuple, w3: tuple) -> list:
+    """The bracket's items as terms in (z12, z13, z23, D1, D2, D3, c)."""
+    return [(zexp + k, v) for zexp, poly in _bracket(w1, w2, w3) for k, v in poly.terms.items()]
+
+
+@lru_cache(maxsize=None)
+def _pant_family(levels: tuple) -> _Lowered:
+    """Pant brackets of every partition triple at the given slot levels,
+    lowered as polynomials in (z12, z13, z23, D1, D2, D3, c)."""
+    bases = [[nu.word() for nu in partitions(n)] for n in levels]
+    entries = [_bracket_terms(w1, w2, w3) for w1 in bases[0] for w2 in bases[1] for w3 in bases[2]]
+    return _lower(entries, tuple(len(b) for b in bases), 7)
+
+
+def _annulus_matrix(n_out: int, n_in: int, h_out, d_mid, h_in, c) -> np.ndarray:
+    return _evaluate(_radial_family(n_out, n_in), (h_out, d_mid, h_in, c))
 
 
 def _disk_vector(n: int, h_bdy, d_mid, d_in, c) -> np.ndarray:
-    rows = [nu.word() for nu in partitions(n)]
-    return np.array([_radial_element(w, ())(h_bdy, d_mid, d_in, c) for w in rows], dtype=complex)
+    return _evaluate(_radial_family(n, 0), (h_bdy, d_mid, d_in, c))[:, 0]
 
 
-def _pant_array(levels, weights, c, zhat=ZHAT) -> np.ndarray:
-    n1, n2, n3 = levels
-    b1 = [nu.word() for nu in partitions(n1)]
-    b2 = [nu.word() for nu in partitions(n2)]
-    b3 = [nu.word() for nu in partitions(n3)]
-    d1, d2, d3 = (complex(w) for w in weights)
-    out = np.empty((len(b1), len(b2), len(b3)), dtype=complex)
-    for i, wa in enumerate(b1):
-        for j, wb in enumerate(b2):
-            for k, wc in enumerate(b3):
-                out[i, j, k] = _eval_bracket(_bracket(wa, wb, wc), d1, d2, d3, complex(c), zhat)
-    return out
+def _pant_array(levels, weights, c) -> np.ndarray:
+    z1, z2, z3 = ZHAT
+    return _evaluate(_pant_family(levels), (z1 - z2, z1 - z3, z2 - z3, *weights, c))
 
 
 # ---------------------------------------------------------------------------

@@ -218,7 +218,8 @@ def torus_one_point(
         q = e^{2 pi i tau},
 
     evaluated as the self-loop graph with one annulus vertex.  ``details``
-    holds the real DOZZ density ``rho`` and ``block_abs2`` at every node.
+    keeps the engine's keys, with ``rho`` made real and ``prefactor`` given
+    as "1/(2e)", and adds ``q`` and ``integrand_min``.
     """
     tau = complex(tau)
     if tau.imag <= 0:
@@ -229,15 +230,15 @@ def torus_one_point(
     res = graph_correlator(
         _torus_cycle([alpha1], [q]), params, metric_constants=[ANNULUS_VERTEX_CONSTANT], quad=quad, N=N
     )
-    rho, block_abs2 = res.details["rho"].real, res.details["block_abs2"]
+    rho = res.details["rho"].real
     return replace(
         res,
         details={
+            **res.details,
             "prefactor": "1/(2e)",
             "q": q,
-            "integrand_min": float((rho * block_abs2).min()),
+            "integrand_min": float((rho * res.details["block_abs2"]).min()),
             "rho": rho,
-            "block_abs2": block_abs2,
         },
     )
 
@@ -254,7 +255,8 @@ def torus_k_point(
     """k-point function on the torus, marked points x_j (x_1 = 0, increasing
     imaginary parts below 2 pi Im tau), moduli q_j = z_{j+1}/z_j with
     z_j = e^{i x_j} and q_k = e^{2 pi i tau} / z_k; evaluated as the k-cycle
-    of annulus vertices."""
+    of annulus vertices.  ``details`` keeps the engine's keys and adds the
+    moduli ``q``."""
     tau = complex(tau)
     k = len(alphas)
     if len(x_positions) != k:
@@ -277,7 +279,7 @@ def torus_k_point(
         N=N,
         node_budget=node_budget,
     )
-    return replace(res, details={"prefactor": res.details["prefactor"], "q": [complex(q) for q in qs]})
+    return replace(res, details={**res.details, "q": [complex(q) for q in qs]})
 
 
 def sphere_k_point(
@@ -294,7 +296,9 @@ def sphere_k_point(
     Evaluated as the disk-annulus...-disk chain with moduli
     q_j = z_j / z_{j+1} (j = 2..k-2), times the scalar S of _sphere_scalar.
     The chain's disk vertices also require alpha_1 + alpha_2 > Q and
-    alpha_{k-1} + alpha_k > Q.
+    alpha_{k-1} + alpha_k > Q.  ``details`` keeps the engine's keys, whose
+    ``rho`` and ``block_abs2`` belong to the graph value before S, and adds
+    the moduli ``q``.
     """
     k = len(alphas)
     if k < 4:
@@ -329,7 +333,7 @@ def sphere_k_point(
     return replace(
         res,
         value=res.value * _sphere_scalar(alphas, mags, qs, params),
-        details={"prefactor": res.details["prefactor"], "q": qs},
+        details={**res.details, "q": qs},
     )
 
 

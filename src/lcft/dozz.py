@@ -15,21 +15,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import NearPole
 from .params import CftParams
 from .special import UpsilonEvaluator, log_l_ratio
 
-__all__ = ["DozzArgs", "DozzEvaluator", "dozz_constant", "rho_density"]
-
-
-@dataclass(frozen=True)
-class DozzArgs:
-    alpha1: complex
-    alpha2: complex
-    alpha3: complex
-    params: CftParams
+__all__ = ["DozzEvaluator", "dozz_constant", "rho_density"]
 
 
 def _lattice_distance(z: complex, gamma: float) -> float:
@@ -140,15 +131,9 @@ def _vertex_dozz(slots, p_vector, params: CftParams, zero_threshold: float = 1e-
     return dozz_constant(*args, params, zero_threshold)
 
 
-def _density(factors):
-    """Vertex-ordered product of the DOZZ factors; a float when it is real up
-    to roundoff (see rho_density)."""
-    total = 1.0 + 0.0j
-    for f in factors:
-        total *= f
-    if abs(total.imag) <= 1e-10 * max(abs(total), 1e-300):
-        return total.real
-    return total
+def _density(factors) -> complex:
+    """Vertex-ordered product of the DOZZ factors."""
+    return math.prod(factors, start=1.0 + 0.0j)
 
 
 def rho_density(
@@ -157,15 +142,14 @@ def rho_density(
     p_vector,
     params: CftParams,
     zero_threshold: float = 1e-6,
-):
+) -> complex:
     """Spectral density of a pants graph: one DOZZ factor per vertex with
     arguments Q + i sigma p on edge slots (sigma the orientation sign) and the
     marked alphas elsewhere.
 
-    Self-conjugate graphs (the torus self-loop, genus 2) are real up to
-    roundoff and a float is returned; chains with k >= 2 are complex
-    pointwise, reality being restored only after the symmetrized spectral
-    integral, so the complex value is returned as is.
+    Always complex.  Self-conjugate graphs (the torus self-loop, genus 2) are
+    real up to roundoff; chains with k >= 2 are complex pointwise, reality
+    being restored only after the symmetrized spectral integral.
     """
     return _density(
         _vertex_dozz(slots, p_vector, params, zero_threshold) for slots in _dozz_plan(graph, alphas)

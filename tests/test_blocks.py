@@ -8,20 +8,50 @@ from lcft.blocks import (
     ZHAT,
     BlockSeries,
     _annulus_matrix,
+    _bracket_terms,
     _disk_vector,
     _pant_array,
+    _radial_element,
     graph_block,
-    three_point_descendant,
     torus_one_point_block,
 )
 from lcft.bootstrap import _sphere_chain, _sphere_scalar, _torus_cycle
 from lcft.errors import DimensionMismatch, DomainError
 from lcft.graphs import AdmissibleGraph, EdgeSpec, MarkedPoint
 from lcft.params import CftParams
-from lcft.virasoro import conformal_weight, partition_count, shapovalov, shapovalov_inverse
+from lcft.virasoro import (
+    _evaluate,
+    _lower,
+    conformal_weight,
+    partition_count,
+    shapovalov,
+    shapovalov_inverse,
+)
 
 from oracles import torus_level1_coeff, vertex_element
 from fractions import Fraction
+
+
+def three_point_descendant(
+    delta1, delta2, delta3, nu1=(), nu2=(), nu3=(), c=26.0, zhat=ZHAT, frame="pant"
+) -> complex:
+    """Normalized holomorphic three-point coefficient of one descendant triple
+    (partitions nu_i, largest part first), lowered on its own and evaluated by
+    the production kernel.
+
+    frame="pant": the recursion-rule bracket divided by the holomorphic half
+    H(z) at the insertion points ``zhat``.  frame="radial": slots read (out,
+    vertex, in) at (infinity, 1, 0), and slot 2 must be primary.  The
+    all-empty value is 1 in either frame.
+    """
+    w1, w2, w3 = (tuple(reversed(tuple(nu))) for nu in (nu1, nu2, nu3))
+    if frame == "radial":
+        assert not w2, "the radial frame holds the vertex in slot 2"
+        family = _lower([_radial_element(w1, w3).terms.items()], (), 4)
+        return complex(_evaluate(family, (delta1, delta2, delta3, c)))
+    z1, z2, z3 = zhat
+    family = _lower([_bracket_terms(w1, w2, w3)], (), 7)
+    return complex(_evaluate(family, (z1 - z2, z1 - z3, z2 - z3, delta1, delta2, delta3, c)))
 
 
 def sympy_h_and_points():

@@ -25,6 +25,7 @@ from lcft.dozz import rho_density
 from lcft.errors import CostGuard, GraphInvalid, ValidationError
 from lcft.graphs import AdmissibleGraph, EdgeSpec, MarkedPoint, validate_graph
 from lcft.params import CftParams
+from lcft.virasoro import conformal_weight
 
 QUAD = Quadrature(p_max=4.0, panel_width=0.5, nodes_per_panel=6)
 S2 = CftParams(gamma=math.sqrt(2.0))
@@ -168,8 +169,8 @@ class TestTorusKPoint:
         # share of the integral from the nodes where either edge's p lies in the
         # last panel, not only the 4 x 4 corner where both do
         quad = Quadrature(p_max=2.5, panel_width=0.5, nodes_per_panel=4)
-        res = graph_correlator(_torus_cycle([0.9, 1.1], torus_k2.details["q"]), S2, quad=quad, N=2)
-        weighted = np.outer(quad.weights, quad.weights) * res.details["rho"] * res.details["block_abs2"]
+        details = torus_k2.details
+        weighted = np.outer(quad.weights, quad.weights) * details["rho"] * details["block_abs2"]
         head = slice(0, quad.n_nodes - quad.nodes_per_panel)
         expect = abs(weighted.sum() - weighted[head, head].sum()) / abs(weighted.sum())
         assert torus_k2.tail_fraction == pytest.approx(expect, rel=1e-10)
@@ -205,6 +206,52 @@ class TestAdapterPins:
             [1.5, 1.4, 1.3, 1.2, 1.1], [0, 0.3, 2.0, 4.0, None], self.S2, self.QUAD_S, N=2
         )
         assert res.value == pytest.approx(0.8412735590675887, rel=1e-10)
+
+
+class TestAdapterDetails:
+    """The adapters keep the engine's details; their own keys override it."""
+
+    ENGINE_KEYS = {
+        "prefactor", "genus", "L", "rho", "block_abs2", "gram_sets", "dozz_factors", "vertex_tensors"
+    }
+    QUAD = Quadrature(p_max=1.0, panel_width=0.5, nodes_per_panel=2)
+
+    def test_torus_one_point(self):
+        details = torus_one_point(1.2, 1j, S2, self.QUAD, N=1).details
+        assert self.ENGINE_KEYS | {"q", "integrand_min"} <= details.keys()
+        assert details["prefactor"] == "1/(2e)"
+        assert np.isrealobj(details["rho"]) and details["rho"].shape == (4,)
+        counts = (details["gram_sets"], details["dozz_factors"], details["vertex_tensors"])
+        assert counts == (4, 4, 8)
+
+    def test_torus_k_point(self, torus_k2):
+        details = torus_k2.details
+        assert self.ENGINE_KEYS | {"q"} <= details.keys()
+        assert details["prefactor"] == pytest.approx(1.0 / (2**3 * math.pi * math.e**2))
+        assert details["rho"].shape == details["block_abs2"].shape == (20, 20)
+        assert details["gram_sets"] == 20
+
+    def test_sphere_k_point(self):
+        params = CftParams(gamma=1.2)
+        res = sphere_k_point([1.5, 1.4, 1.3, 1.2], [0, 0.5, 2.0, None], params, self.QUAD, N=1)
+        assert self.ENGINE_KEYS | {"q"} <= res.details.keys()
+        assert res.details["q"] == [0.25]
+        assert res.details["rho"].shape == res.details["block_abs2"].shape == (4,)
+        assert res.details["dozz_factors"] == 2 * 4
+
+
+class TestModularCovariance:
+    """S transformation of the torus one-point function,
+    <V_alpha>_{-1/tau} = |tau|^{2 Delta_alpha} <V_alpha>_tau: DOZZ, blocks and
+    quadrature together at two moduli against a closed-form law."""
+
+    @pytest.mark.parametrize("tau", [1.25j, 0.3 + 1.1j])
+    def test_s_covariance(self, tau):
+        alpha = 1.2
+        delta = conformal_weight(alpha, S2).real
+        lhs = torus_one_point(alpha, -1.0 / tau, S2, N=6).value
+        rhs = abs(tau) ** (2.0 * delta) * torus_one_point(alpha, tau, S2, N=6).value
+        assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
 class TestSphereKPoint:

@@ -65,14 +65,17 @@ class TestRhoDensity:
         p = 0.8
         rho = rho_density(_torus_cycle([1.1], [0.1]), [1.1], [p], params)
         expect = dozz_constant(params.Q + 1j * p, 1.1, params.Q - 1j * p, params)
-        assert isinstance(rho, float)
-        assert rho == pytest.approx(expect.real, rel=1e-12)
+        assert isinstance(rho, complex)
+        assert abs(rho.imag) <= 1e-10 * abs(rho)
+        assert rho.real == pytest.approx(expect.real, rel=1e-12)
 
     def test_torus_one_point_real_positive(self):
         params = CftParams(gamma=math.sqrt(2.0))
         for p in np.linspace(0.05, 8.0, 40):
             rho = rho_density(_torus_cycle([1.2], [0.1]), [1.2], [float(p)], params)
-            assert rho > 0
+            assert isinstance(rho, complex)
+            assert rho.real > 0
+            assert abs(rho.imag) <= 1e-10 * abs(rho)
 
     def test_sphere_k4(self):
         params = CftParams(gamma=1.1)
@@ -84,7 +87,8 @@ class TestRhoDensity:
         expect = dozz_constant(1.5, 1.4, Q - 1j * p2, params) * dozz_constant(
             1.2, 1.3, Q + 1j * p2, params
         )
-        assert complex(rho) == pytest.approx(expect, rel=1e-12)
+        assert isinstance(rho, complex)
+        assert rho == pytest.approx(expect, rel=1e-12)
 
     def test_metric_constants_multiply(self):
         params = CftParams(gamma=1.2)
@@ -115,4 +119,5 @@ class TestRhoDensity:
         rho = rho_density(g, [], ps, params)
         expect = dozz_constant(Q - 1j * ps[0], Q - 1j * ps[1], Q + 1j * ps[1], params)
         expect *= dozz_constant(Q + 1j * ps[0], Q - 1j * ps[2], Q + 1j * ps[2], params)
-        assert complex(rho) == pytest.approx(expect, rel=1e-12)
+        assert isinstance(rho, complex)
+        assert rho == pytest.approx(expect, rel=1e-12)

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from lcft.errors import DegenerateWeight, ValidationError
 from lcft.params import CftParams
 from lcft.virasoro import (
-    VermaVector,
     YoungDiagram,
-    apply_virasoro,
+    apply_generator_to_word,
     conformal_weight,
     kac_weight,
     partition_count,
@@ -73,18 +72,18 @@ class TestWeights:
 
 
 class TestApplyVirasoro:
+    """L_n on canonical operator words (ascending tuples) of level-|word|
+    descendants."""
+
     def test_grading_l0(self):
-        v = VermaVector.basis((1,))
-        out = apply_virasoro(0, v, 0.7, 25.0)
-        assert out.coeffs == {(1,): pytest.approx(1.7)}
+        assert apply_generator_to_word(0, (1,), 0.7, 25.0) == {(1,): pytest.approx(1.7)}
 
     def test_single_commutator(self):
-        out = apply_virasoro(1, VermaVector.basis((1,)), 0.7, 25.0)
-        assert out.coeffs == {(): pytest.approx(1.4)}
+        assert apply_generator_to_word(1, (1,), 0.7, 25.0) == {(): pytest.approx(1.4)}
 
     def test_level_two_commutator(self):
-        out = apply_virasoro(2, VermaVector.basis((2,)), 0.7, 25.0)
-        assert out.coeffs == {(): pytest.approx(4 * 0.7 + 25.0 / 2)}
+        out = apply_generator_to_word(2, (2,), 0.7, 25.0)
+        assert out == {(): pytest.approx(4 * 0.7 + 25.0 / 2)}
 
     @given(
         n=st.integers(min_value=-3, max_value=3),
@@ -92,12 +91,11 @@ class TestApplyVirasoro:
     )
     @settings(max_examples=60, deadline=None)
     def test_grading_respected(self, n, parts):
-        nu = tuple(sorted(parts, reverse=True))
-        v = VermaVector.basis(nu)
-        out = apply_virasoro(n, v, 0.5, 26.0)
-        assert out.grade == v.grade - n
-        for word, co in out.coeffs.items():
-            assert sum(word) == v.grade - n
+        word = tuple(sorted(parts))
+        out = apply_generator_to_word(n, word, 0.5, 26.0)
+        for w, co in out.items():
+            assert w == tuple(sorted(w))  # canonical
+            assert sum(w) == sum(word) - n
             assert co == co  # no NaN
 
 
