@@ -25,15 +25,18 @@ numbers at whatever weights, central charge and pant-frame points a call
 passes; the Gram matrices take the same path.  Repeated evaluation is
 therefore deterministic and bit-identical.
 
-``graph_block`` is a per-graph plan (vertex edge lists, marked weights, einsum
-subscripts) plus one per-node contraction.  The spectral integral in
-``bootstrap`` calls the same two pieces, building each Gram-inverse set once
-per quadrature node and each vertex tensor once per distinct tuple of
+``graph_block`` is a per-graph plan plus one per-node contraction.  The plan
+holds each vertex's slots in order, (edge index, orientation sign) or
+(None, alpha), and the einsum subscripts; ``dozz.rho_density`` reads its DOZZ
+arguments from the same vertex records.  The spectral integral in
+``bootstrap`` calls the same pieces, building each Gram-inverse set once per
+quadrature node and each vertex tensor once per distinct tuple of
 incident-edge nodes and levels, within that one call.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -297,18 +300,25 @@ class BlockSeries:
     coeffs: dict
     N: int
 
-    def series_value(self, qs) -> complex:
+    def _series_and_top(self, qs) -> tuple[complex, complex]:
+        """The series at the given moduli and its level-N part, summed in
+        one left-to-right pass over the coefficients."""
         qs = tuple(complex(q) for q in qs)
         if len(qs) != len(self.exponents):
             raise DimensionMismatch(f"expected {len(self.exponents)} moduli, got {len(qs)}")
-        total = 0.0 + 0.0j
+        total = top = 0.0 + 0.0j
         for degs, co in self.coeffs.items():
             term = co
             for q, n in zip(qs, degs):
                 if n:
                     term *= q**n
             total += term
-        return total
+            if sum(degs) == self.N:
+                top += term
+        return total, top
+
+    def series_value(self, qs) -> complex:
+        return self._series_and_top(qs)[0]
 
     def prefactor(self, qs) -> float:
         out = 1.0
@@ -319,18 +329,25 @@ class BlockSeries:
     def value(self, qs) -> complex:
         return self.prefactor(qs) * self.series_value(qs)
 
+    def abs2_and_last_level(self, qs) -> tuple[float, float]:
+        """|F|^2 at the given moduli and the level-N share |top| / |series|
+        of the truncated series (inf where the series vanishes)."""
+        full, top = self._series_and_top(qs)
+        last_level = abs(top) / abs(full) if full else math.inf
+        return self.prefactor(qs) ** 2 * abs(full) ** 2, last_level
+
     def abs2(self, qs) -> float:
         """|F|^2 at the given moduli."""
-        return self.prefactor(qs) ** 2 * abs(self.series_value(qs)) ** 2
+        return self.abs2_and_last_level(qs)[0]
 
 
-def _gram_inverses(h: complex, c: float, N: int, cond_guard: float = 1e10) -> list[np.ndarray]:
+def _gram_inverses(h: complex, c: float, N: int) -> list[np.ndarray]:
     out = []
     for n in range(N + 1):
         if n == 0:
             out.append(np.eye(1, dtype=complex))
         else:
-            out.append(shapovalov_inverse(shapovalov(h, c, n), cond_guard).entries)
+            out.append(shapovalov_inverse(shapovalov(h, c, n)).entries)
     return out
 
 
@@ -352,59 +369,63 @@ def torus_one_point_block(
     return BlockSeries(exponents=(-c / 24.0 + h.real,), coeffs=coeffs, N=N)
 
 
-def _compositions(total: int, length: int):
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, length - 1):
-            yield (first,) + rest
-
-
-def _compositions_upto(N: int, length: int):
-    for total in range(N + 1):
-        yield from _compositions(total, length)
+@lru_cache(maxsize=None)
+def _multidegrees(N: int, length: int) -> tuple:
+    """Every length-tuple of levels with total <= N, by total ascending and
+    then lexicographically."""
+    degs = itertools.product(range(N + 1), repeat=length)
+    return tuple(sorted((d for d in degs if sum(d) <= N), key=lambda d: (sum(d), d)))
 
 
 @dataclass(frozen=True)
 class _Vertex:
-    """One vertex of a block plan: the edge index of each of its edge slots
-    and the conformal weight of each of its marked slots, in slot order."""
+    """One vertex of a pants-graph plan.  ``slots`` holds its slots in order:
+    (edge index, orientation sign) for an edge slot and (None, alpha) for a
+    marked slot.  ``edges`` (the edge index of each edge slot) and ``marks``
+    (the conformal weight of each marked slot) follow from them."""
 
+    slots: tuple
     edges: tuple
     marks: tuple
 
 
 @dataclass(frozen=True)
 class _BlockPlan:
-    """What a pants-graph block needs of the graph alone: its vertices and the
-    einsum subscripts contracting their tensors with one inverse Gram matrix
-    per edge."""
+    """What the integrand of a pants graph needs of the graph alone: its
+    vertices, in ``graph.vertex_ids`` order, and the einsum subscripts
+    contracting their tensors with one inverse Gram matrix per edge."""
 
     vertices: tuple
     einsum_spec: str
 
 
 def _block_plan(graph, alphas, params: CftParams) -> _BlockPlan:
-    """Per-graph half of graph_block: one einsum letter per edge end, shared by
-    the vertex slot it is glued to and by the edge's inverse Gram matrix."""
+    """Per-graph half of graph_block and rho_density: one einsum letter per
+    edge end, shared by the vertex slot it is glued to and by the edge's
+    inverse Gram matrix."""
     L = len(graph.edges)
-    marked_weight = {
-        (m.vertex, m.slot): complex(conformal_weight(a, params))
-        for m, a in zip(graph.marked, alphas)
-    }
+    alpha_of = {(m.vertex, m.slot): a for m, a in zip(graph.marked, alphas)}
     letter = {(eidx, end): chr(ord("a") + 2 * eidx + end) for eidx in range(L) for end in (0, 1)}
     vertices, specs = [], []
-    for vid, slots in graph.slot_map().items():
-        edge_slots = [(k, eidx) for (k, kind, eidx) in slots if kind == "edge"]
-        if not edge_slots:
-            raise ValidationError(f"vertex {vid} has no edge slots")
-        marks = tuple(marked_weight[(vid, k)] for (k, kind, _e) in slots if kind == "mark")
-        vertices.append(_Vertex(tuple(eidx for (_k, eidx) in edge_slots), marks))
-        specs.append("".join(letter[graph.edge_end_of_slot(vid, k)] for (k, _e) in edge_slots))
+    for vid, slot_list in graph.slot_map().items():
+        slots = tuple(
+            (eidx, graph.orientation_sign(vid, k)) if kind == "edge" else (None, alpha_of[(vid, k)])
+            for k, kind, eidx in slot_list
+        )
+        edges = tuple(eidx for eidx, _x in slots if eidx is not None)
+        marks = tuple(complex(conformal_weight(x, params)) for eidx, x in slots if eidx is None)
+        vertices.append(_Vertex(slots, edges, marks))
+        ends = [graph.edge_end_of_slot(vid, k) for k, kind, _e in slot_list if kind == "edge"]
+        specs.append("".join(letter[end] for end in ends))
     specs += [letter[(e, 0)] + letter[(e, 1)] for e in range(L)]
     return _BlockPlan(vertices=tuple(vertices), einsum_spec=",".join(specs) + "->")
+
+
+def _require_edge_slots(graph, plan: _BlockPlan) -> None:
+    """A block glues every vertex into the graph through at least one edge."""
+    for vid, vertex in zip(graph.vertex_ids, plan.vertices):
+        if not vertex.edges:
+            raise ValidationError(f"vertex {vid} has no edge slots")
 
 
 def _vertex_tensor(vertex: _Vertex, levels: tuple, hs, c) -> np.ndarray:
@@ -425,7 +446,7 @@ def _contract(plan: _BlockPlan, hs, finv, c, N: int, tensor) -> BlockSeries:
     weight and inverse Gram matrices (levels 0..N); ``tensor(v, levels)``
     returns vertex v's tensor at the levels on its edge slots."""
     coeffs = {}
-    for degs in _compositions_upto(N, len(hs)):
+    for degs in _multidegrees(N, len(hs)):
         operands = [
             tensor(v, tuple(degs[eidx] for eidx in vertex.edges))
             for v, vertex in enumerate(plan.vertices)
@@ -455,6 +476,7 @@ def graph_block(graph, alphas, p_vector, q_vector, params: CftParams, N: int = 4
         raise DimensionMismatch(f"need one p and one q per edge ({L})")
     c = params.c_L
     plan = _block_plan(graph, alphas, params)
+    _require_edge_slots(graph, plan)
     hs = [complex(conformal_weight(params.Q + 1j * p, params)) for p in p_vector]
     finv = [_gram_inverses(h, c, N) for h in hs]
     return _contract(

@@ -21,12 +21,16 @@ which the DOZZ-metric sphere formula does not have.  Through the graph's
 per-vertex admissibility the sphere adapter also requires alpha_1 + alpha_2 > Q
 and alpha_{k-1} + alpha_k > Q at the two disk vertices.
 
-The integrand's pieces depend on fewer nodes than the L-tuple: an edge's
-inverse Gram matrices only on its own node, and a vertex's DOZZ factor and
-descendant tensor only on the nodes (and levels) of its incident edges.  Within
-one graph_correlator call each Gram set is therefore built once per node, and
-the factor and tensors of a vertex that misses an edge of the graph once per
-distinct tuple of incident-edge nodes.  Nothing is kept between calls.
+The graph is read once into ``blocks._block_plan``, whose vertex records give
+each vertex's DOZZ arguments, descendant tensor, einsum letters and share of
+the mu-exponent.  The integrand's pieces depend on fewer nodes than the
+L-tuple: an edge's inverse Gram matrices only on its own node, and a vertex's
+DOZZ factor and descendant tensor only on the nodes (and levels) of its
+incident edges.  Within one graph_correlator call each Gram set is therefore
+built once per node, and the factor and tensors of a vertex that misses an
+edge of the graph once per distinct tuple of incident-edge nodes.  Each node's
+block series is summed once for |F|^2 and its last-level share.  Nothing is
+kept between calls.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import roots_legendre, zeta
 
-from .blocks import BlockSeries, _block_plan, _contract, _gram_inverses, _vertex_tensor
-from .dozz import _density, _dozz_plan, _vertex_dozz
+from .blocks import _block_plan, _contract, _gram_inverses, _require_edge_slots, _vertex_tensor
+from .dozz import _density, _vertex_dozz
 from .errors import CostGuard, DimensionMismatch, ValidationError
 from .graphs import AdmissibleGraph, EdgeSpec, MarkedPoint, validate_graph
 from .params import CftParams
@@ -126,16 +130,6 @@ class CorrelatorResult:
     def __post_init__(self) -> None:
         if not math.isfinite(self.value):
             raise ValidationError(f"correlator value is not finite: {self.value}")
-
-
-def _last_level_fraction(series: BlockSeries, qs) -> float:
-    full = series.series_value(qs)
-    top = sum(
-        co * np.prod([complex(q) ** n for q, n in zip(qs, degs)])
-        for degs, co in series.coeffs.items()
-        if sum(degs) == series.N
-    )
-    return abs(top) / abs(full) if full else math.inf
 
 
 class _VertexMemo:
@@ -340,8 +334,6 @@ def sphere_k_point(
 def graph_correlator(
     graph: AdmissibleGraph,
     params: CftParams,
-    q_vector=None,
-    alphas=None,
     metric_constants=None,
     quad: Quadrature | None = None,
     N: int = 4,
@@ -361,14 +353,12 @@ def graph_correlator(
     ``["dozz_factors"]`` and ``["vertex_tensors"]`` count the Gram-inverse
     sets, vertex DOZZ factors and vertex tensors built.  ``tail_fraction`` is
     the share of the integral from nodes with any edge's p in the last panel."""
-    alphas = list(alphas) if alphas is not None else graph.alphas()
-    q_vector = [complex(q) for q in (q_vector if q_vector is not None else graph.q_vector())]
+    alphas = graph.alphas()
+    q_vector = [complex(q) for q in graph.q_vector()]
     violations = validate_graph(graph, alphas, params)
     if violations:
         raise ValidationError("; ".join(str(v) for v in violations))
     L = len(graph.edges)
-    if len(q_vector) != L:
-        raise DimensionMismatch(f"need {L} moduli, got {len(q_vector)}")
     if any(not 0 < abs(q) < 1 for q in q_vector):
         raise ValidationError("all plumbing moduli must satisfy 0 < |q| < 1")
     quad = quad or Quadrature()
@@ -379,11 +369,11 @@ def graph_correlator(
     if len(mconsts) != n_vertices:
         raise DimensionMismatch(f"need {n_vertices} metric constants, got {len(mconsts)}")
 
+    plan = _block_plan(graph, alphas, params)
+    _require_edge_slots(graph, plan)
     c = params.c_L
     hs = [complex(conformal_weight(params.Q + 1j * float(p), params)) for p in quad.nodes]
     finv = [_gram_inverses(h, c, N) for h in hs]  # one set per node, shared by every edge
-    plan = _block_plan(graph, alphas, params)
-    dozz_plan = _dozz_plan(graph, alphas)
     dozz_factors = _VertexMemo([vertex.edges for vertex in plan.vertices], L)
     tensors = _VertexMemo([vertex.edges for vertex in plan.vertices], L)
 
@@ -395,8 +385,8 @@ def graph_correlator(
         ps = [float(quad.nodes[i]) for i in idx]
         edge_hs = [hs[i] for i in idx]
         rho[idx] = _density(
-            dozz_factors.get(v, idx, None, _vertex_dozz, slots, ps, params)
-            for v, slots in enumerate(dozz_plan)
+            dozz_factors.get(v, idx, None, _vertex_dozz, vertex, ps, params)
+            for v, vertex in enumerate(plan.vertices)
         )
         series = _contract(
             plan,
@@ -408,8 +398,8 @@ def graph_correlator(
                 v, idx, levels, _vertex_tensor, plan.vertices[v], levels, edge_hs, c
             ),
         )
-        block_abs2[idx] = series.abs2(q_vector)
-        worst_level = max(worst_level, _last_level_fraction(series, q_vector))
+        block_abs2[idx], last_level = series.abs2_and_last_level(q_vector)
+        worst_level = max(worst_level, last_level)
     weights = math.prod(np.ix_(*[quad.weights] * L))  # outer product over the edges
     weighted = weights * rho * block_abs2
     total = complex(weighted.sum())
@@ -418,13 +408,10 @@ def graph_correlator(
     tail = complex(weighted[largest_index >= quad.last_panel_slice().start].sum())
     pref = 2.0 ** (L / 2.0) / (2.0 * math.pi) ** (2 * L - 1) * math.prod(mconsts)
     value = pref * total
-    mark_per_vertex = {v: 0.0 for v in graph.vertex_ids}
-    for m, a in zip(graph.marked, alphas):
-        mark_per_vertex[m.vertex] += a
-    b_of = {v: sum(1 for s in graph.slot_map()[v] if s[1] == "edge") for v in graph.vertex_ids}
     mu_exp = sum(
-        (2 * params.Q - b_of[v] * params.Q - mark_per_vertex[v]) / params.gamma
-        for v in graph.vertex_ids
+        (2 * params.Q - len(vertex.edges) * params.Q - sum(x for e, x in vertex.slots if e is None))
+        / params.gamma
+        for vertex in plan.vertices
     )
     return CorrelatorResult(
         value=value.real,

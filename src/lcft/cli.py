@@ -88,11 +88,9 @@ def _load_config(args) -> dict:
         cfg.update(user)
     for key in ("gamma", "mu", "p_max", "panel_width", "nodes_per_panel", "N", "seed",
                 "samples", "batches", "grid", "level", "c", "p"):
-        val = getattr(args, key.replace("-", "_"), None)
+        val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     return cfg
 
 
@@ -140,6 +138,18 @@ def _quad(cfg) -> Quadrature:
 def _tau(cfg) -> complex:
     t = cfg.get("tau") or [0.0, 1.0]
     return complex(t[0], t[1])
+
+
+def _correlator_payload(res) -> dict:
+    """The scalars of a CorrelatorResult that every bootstrap command reports."""
+    return {
+        "value": res.value,
+        "imag_residual": res.imag_residual,
+        "tail_fraction": res.tail_fraction,
+        "last_level_fraction": res.last_level_fraction,
+        "mu_exponent": res.mu_exponent,
+        "n_evaluations": res.n_evaluations,
+    }
 
 
 def cmd_upsilon(args, cfg) -> dict:
@@ -199,15 +209,7 @@ def cmd_torus1pt(args, cfg) -> tuple[dict, list, str, str]:
             quad.nodes.tolist(), res.details["rho"].tolist(), res.details["block_abs2"].tolist()
         )
     ]
-    payload = {
-        "alpha1": a,
-        "tau": [_tau(cfg).real, _tau(cfg).imag],
-        "value": res.value,
-        "tail_fraction": res.tail_fraction,
-        "last_level_fraction": res.last_level_fraction,
-        "mu_exponent": res.mu_exponent,
-        "n_evaluations": res.n_evaluations,
-    }
+    payload = {"alpha1": a, "tau": [_tau(cfg).real, _tau(cfg).imag], **_correlator_payload(res)}
     return payload, rows, "torus1pt_density.csv", "p,rho,block_abs2,integrand"
 
 
@@ -216,14 +218,7 @@ def cmd_toruskpt(args, cfg) -> dict:
     a = cfg.get("alpha") or [0.8, 1.2]
     xs = [complex(x[0], x[1]) for x in (cfg.get("x") or [[0, 0], [0.5, 2.0]])]
     res = torus_k_point(a, xs, _tau(cfg), params, _quad(cfg), int(cfg["N"]))
-    return {
-        "alpha": list(a),
-        "value": res.value,
-        "imag_residual": res.imag_residual,
-        "tail_fraction": res.tail_fraction,
-        "mu_exponent": res.mu_exponent,
-        "n_evaluations": res.n_evaluations,
-    }
+    return {"alpha": list(a), **_correlator_payload(res)}
 
 
 def cmd_spherekpt(args, cfg) -> dict:
@@ -233,14 +228,7 @@ def cmd_spherekpt(args, cfg) -> dict:
     for z in cfg.get("z") or [[0, 0], [0.5, 0.0], [2.0, 0.0], None]:
         zs.append(None if z is None else complex(z[0], z[1]))
     res = sphere_k_point(a, zs, params, _quad(cfg), int(cfg["N"]))
-    return {
-        "alpha": list(a),
-        "value": res.value,
-        "imag_residual": res.imag_residual,
-        "tail_fraction": res.tail_fraction,
-        "mu_exponent": res.mu_exponent,
-        "n_evaluations": res.n_evaluations,
-    }
+    return {"alpha": list(a), **_correlator_payload(res)}
 
 
 def cmd_graph(args, cfg) -> dict:
@@ -255,14 +243,7 @@ def cmd_graph(args, cfg) -> dict:
         quad=_quad(cfg),
         N=int(cfg["N"]),
     )
-    return {
-        "value": res.value,
-        "imag_residual": res.imag_residual,
-        "tail_fraction": res.tail_fraction,
-        "mu_exponent": res.mu_exponent,
-        "genus": res.details["genus"],
-        "n_evaluations": res.n_evaluations,
-    }
+    return {**_correlator_payload(res), "genus": res.details["genus"]}
 
 
 def cmd_mc_torus1pt(args, cfg) -> tuple[dict, list, str, str]:

@@ -7,66 +7,53 @@ The three-point constant is
                     / [Ups(abar/2 - Q) prod_i Ups(abar/2 - a_i)],
 
 abar = a1 + a2 + a3, accumulated in log domain.  Poles sit exactly on the
-zero lattice of the denominator Upsilons; arguments closer than
-``zero_threshold`` to that lattice raise NearPole.
+zero lattice of the denominator Upsilons; arguments closer than 1e-6 to that
+lattice raise NearPole.  One Upsilon evaluator per gamma serves every call.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
+from .blocks import _block_plan
 from .errors import NearPole
 from .params import CftParams
 from .special import UpsilonEvaluator, log_l_ratio
 
-__all__ = ["DozzEvaluator", "dozz_constant", "rho_density"]
+__all__ = ["dozz_constant", "rho_density"]
+
+#: Denominator arguments closer than this to the Upsilon zero lattice raise NearPole.
+_POLE_DISTANCE = 1e-6
 
 
 def _lattice_distance(z: complex, gamma: float) -> float:
     """Distance from z to the zero lattice of Upsilon,
-    (-g/2 N - 2/g N) union (Q + g/2 N + 2/g N)."""
+    (-g/2 N - 2/g N) union (Q + g/2 N + 2/g N).
+
+    The lattice is real, so on each ray the nearest point is the lattice value
+    nearest Re z: with t >= 0 the distance of Re z from the ray's base along
+    the ray, a <= t/(g/2) + 1 and b is the floor or ceiling of the rest."""
     Q = gamma / 2.0 + 2.0 / gamma
     best = math.inf
-    x = z.real
     for base, sgn in ((0.0, -1.0), (Q, 1.0)):
         # lattice points base + sgn*(a*g/2 + b*2/g), a,b >= 0
-        reach = abs(x - base) + abs(z.imag) + gamma  # conservative search radius
-        amax = int(reach / (gamma / 2.0)) + 2
-        for a in range(amax):
-            rem = reach - a * gamma / 2.0
-            bmax = int(rem / (2.0 / gamma)) + 2
-            for b in range(bmax):
+        t = max(sgn * (z.real - base), 0.0)
+        for a in range(int(t / (gamma / 2.0)) + 2):
+            rem = (t - a * gamma / 2.0) / (2.0 / gamma)
+            for b in (max(math.floor(rem), 0), max(math.ceil(rem), 0)):
                 pt = base + sgn * (a * gamma / 2.0 + b * 2.0 / gamma)
                 best = min(best, abs(z - pt))
-        if best == 0.0:
-            return 0.0
     return best
 
 
-class DozzEvaluator:
-    """Shared per-gamma evaluator: one UpsilonEvaluator amortized across the
-    thousands of structure-constant calls a quadrature loop makes."""
-
-    _cache: dict = {}
-
-    def __new__(cls, gamma: float, **kw):
-        key = (gamma, tuple(sorted(kw.items())))
-        if key not in cls._cache:
-            inst = super().__new__(cls)
-            inst.ev = UpsilonEvaluator(gamma, **kw)
-            inst.gamma = gamma
-            inst._log_ups_prime0 = None
-            cls._cache[key] = inst
-        return cls._cache[key]
-
-    def log_upsilon(self, z: complex) -> complex:
-        return self.ev.log_upsilon(z)
-
-    def log_upsilon_prime0(self) -> complex:
-        if self._log_ups_prime0 is None:
-            self._log_ups_prime0 = self.ev.log_upsilon(self.gamma / 2.0)
-        return self._log_ups_prime0
+@functools.lru_cache(maxsize=None)
+def _upsilon_evaluator(gamma: float) -> tuple[UpsilonEvaluator, complex]:
+    """The Upsilon evaluator at gamma, shared by every structure constant,
+    and log Upsilon'(0) = log Upsilon(gamma/2)."""
+    ev = UpsilonEvaluator(gamma)
+    return ev, ev.log_upsilon(gamma / 2.0)
 
 
 def dozz_constant(
@@ -74,11 +61,10 @@ def dozz_constant(
     alpha2: complex,
     alpha3: complex,
     params: CftParams,
-    zero_threshold: float = 1e-6,
 ) -> complex:
     """C^DOZZ_{gamma,mu}(alpha1, alpha2, alpha3), log-domain throughout."""
     gamma = params.gamma
-    dz = DozzEvaluator(gamma)
+    ev, log_ups_prime0 = _upsilon_evaluator(gamma)
     abar = alpha1 + alpha2 + alpha3
     denom_args = [
         abar / 2.0 - params.Q,
@@ -87,9 +73,9 @@ def dozz_constant(
         abar / 2.0 - alpha3,
     ]
     for arg in denom_args:
-        if _lattice_distance(complex(arg), gamma) < zero_threshold:
+        if _lattice_distance(complex(arg), gamma) < _POLE_DISTANCE:
             raise NearPole(
-                f"DOZZ denominator argument {arg} within {zero_threshold} of the Upsilon zero lattice"
+                f"DOZZ denominator argument {arg} within {_POLE_DISTANCE} of the Upsilon zero lattice"
             )
     base = (
         math.log(math.pi * params.mu)
@@ -97,11 +83,11 @@ def dozz_constant(
         + (2.0 - gamma**2 / 2.0) * math.log(gamma / 2.0)
     )
     log_c = (2.0 * params.Q - abar) / gamma * base
-    log_c += dz.log_upsilon_prime0()
+    log_c += log_ups_prime0
     for a in (alpha1, alpha2, alpha3):
-        log_c += dz.log_upsilon(complex(a))
+        log_c += ev.log_upsilon(complex(a))
     for arg in denom_args:
-        log_c -= dz.log_upsilon(complex(arg))
+        log_c -= ev.log_upsilon(complex(arg))
     if log_c.real == -math.inf:
         return 0.0 + 0.0j
     if log_c.real == math.inf:
@@ -109,26 +95,11 @@ def dozz_constant(
     return cmath.exp(log_c)
 
 
-def _dozz_plan(graph, alphas) -> tuple:
-    """Per-graph half of rho_density: for each vertex (in ``graph.vertex_ids``
-    order) its slots in order, as (edge index, orientation sign) for an edge
-    slot and (None, alpha) for a marked slot."""
-    alpha_of = {(m.vertex, m.slot): a for m, a in zip(graph.marked, alphas)}
-    slot_map = graph.slot_map()
-    return tuple(
-        tuple(
-            (eidx, graph.orientation_sign(vid, k)) if kind == "edge" else (None, alpha_of[(vid, k)])
-            for k, kind, eidx in slot_map[vid]
-        )
-        for vid in graph.vertex_ids
-    )
-
-
-def _vertex_dozz(slots, p_vector, params: CftParams, zero_threshold: float = 1e-6) -> complex:
-    """DOZZ factor of one planned vertex: Q + i sigma p on its edge slots and
-    alpha on its marked slots."""
-    args = [x if eidx is None else params.Q + 1j * x * p_vector[eidx] for eidx, x in slots]
-    return dozz_constant(*args, params, zero_threshold)
+def _vertex_dozz(vertex, p_vector, params: CftParams) -> complex:
+    """DOZZ factor of one planned vertex (``blocks._Vertex``): Q + i sigma p
+    on its edge slots and alpha on its marked slots, in slot order."""
+    args = [x if eidx is None else params.Q + 1j * x * p_vector[eidx] for eidx, x in vertex.slots]
+    return dozz_constant(*args, params)
 
 
 def _density(factors) -> complex:
@@ -136,13 +107,7 @@ def _density(factors) -> complex:
     return math.prod(factors, start=1.0 + 0.0j)
 
 
-def rho_density(
-    graph,
-    alphas,
-    p_vector,
-    params: CftParams,
-    zero_threshold: float = 1e-6,
-) -> complex:
+def rho_density(graph, alphas, p_vector, params: CftParams) -> complex:
     """Spectral density of a pants graph: one DOZZ factor per vertex with
     arguments Q + i sigma p on edge slots (sigma the orientation sign) and the
     marked alphas elsewhere.
@@ -151,6 +116,5 @@ def rho_density(
     real up to roundoff; chains with k >= 2 are complex pointwise, reality
     being restored only after the symmetrized spectral integral.
     """
-    return _density(
-        _vertex_dozz(slots, p_vector, params, zero_threshold) for slots in _dozz_plan(graph, alphas)
-    )
+    plan = _block_plan(graph, alphas, params)
+    return _density(_vertex_dozz(vertex, p_vector, params) for vertex in plan.vertices)

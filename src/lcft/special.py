@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import loggamma, roots_legendre
@@ -79,50 +80,54 @@ def l_ratio(z: complex) -> complex:
     return out
 
 
+def _panel_rule(T: float, panel_width: float, nodes_per_panel: int) -> tuple:
+    """Composite Gauss-Legendre nodes and weights on [0, T]."""
+    x, w = roots_legendre(nodes_per_panel)
+    edges = np.arange(0.0, T + 0.5 * panel_width, panel_width)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    nodes = (0.5 * (hi - lo) * x[None, :] + 0.5 * (hi + lo)).ravel()
+    weights = (0.5 * (hi - lo) * w[None, :]).ravel()
+    return nodes, weights
+
+
 @dataclass
 class UpsilonEvaluator:
-    """Quadrature and shift configuration for Upsilon_{gamma/2}.
+    """Upsilon_{gamma/2} at one gamma.
 
-    The t-integral is cut at T with composite Gauss-Legendre panels; below
-    ``series_cutoff`` the integrand bracket is evaluated by its small-t series
-    to dodge the catastrophic cancellation between the two terms.  Arguments
-    are first reduced into the band |Re z - Q/2| <= gamma/4 by the functional
-    relations (coarse 2/gamma steps first, then gamma/2 steps), which keeps
+    The t-integral is cut at ``T`` with composite Gauss-Legendre panels, one
+    rule shared by every gamma; below ``SERIES_CUTOFF`` the integrand bracket
+    is evaluated by its small-t series to dodge the catastrophic cancellation
+    between the two terms.  Arguments are first reduced into the band
+    |Re z - Q/2| <= gamma/4 by the functional relations (coarse 2/gamma steps
+    first, then gamma/2 steps, at most ``SHIFT_BUDGET`` of them), which keeps
     the integrand tail below 1e-14 of the accumulated value at T = 80.
     """
 
+    T: ClassVar[float] = 80.0
+    PANEL_WIDTH: ClassVar[float] = 0.5
+    NODES_PER_PANEL: ClassVar[int] = 16
+    SHIFT_BUDGET: ClassVar[int] = 200
+    SERIES_CUTOFF: ClassVar[float] = 1e-3
+    _NODES, _WEIGHTS = _panel_rule(T, PANEL_WIDTH, NODES_PER_PANEL)
+
     gamma: float
-    T: float = 80.0
-    panel_width: float = 0.5
-    nodes_per_panel: int = 16
-    shift_budget: int = 200
-    series_cutoff: float = 1e-3
     Q: float = field(init=False)
-    _nodes: np.ndarray = field(init=False, repr=False)
-    _weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma < 2.0:
             raise DomainError(f"gamma must lie in (0, 2), got {self.gamma}")
         self.Q = self.gamma / 2.0 + 2.0 / self.gamma
-        x, w = roots_legendre(self.nodes_per_panel)
-        edges = np.arange(0.0, self.T + 0.5 * self.panel_width, self.panel_width)
-        lo, hi = edges[:-1, None], edges[1:, None]
-        nodes = (0.5 * (hi - lo) * x[None, :] + 0.5 * (hi + lo)).ravel()
-        weights = (0.5 * (hi - lo) * w[None, :]).ravel()
-        self._nodes = nodes
-        self._weights = weights
 
     # -- integral on the central band ------------------------------------
 
     def _log_upsilon_band(self, z: complex) -> complex:
-        t = self._nodes
+        t = self._NODES
         w = complex(self.Q / 2.0) - z
         a = w / 2.0
         b = self.gamma / 4.0
         c = 1.0 / self.gamma
 
-        small = t < self.series_cutoff
+        small = t < self.SERIES_CUTOFF
         big = ~small
         vals = np.empty_like(t, dtype=complex)
 
@@ -140,7 +145,7 @@ class UpsilonEvaluator:
             A4 = 2.0 * a2 * a2 / 45.0 + c4 - a2 * (b2 + c2) / 18.0
             vals[small] = w**2 * (np.expm1(-ts) / ts - A2 * ts - A4 * ts**3)
 
-        return complex(np.dot(self._weights, vals))
+        return complex(np.dot(self._WEIGHTS, vals))
 
     # -- shift reduction ---------------------------------------------------
 
@@ -163,8 +168,8 @@ class UpsilonEvaluator:
                 acc -= log_l_ratio(self.gamma * z / 2.0) + (1.0 - self.gamma * z) * log_half_gamma
             z += step
             shifts += 1
-            if shifts > self.shift_budget:
-                raise BudgetExceeded(f"more than {self.shift_budget} Upsilon shifts required")
+            if shifts > self.SHIFT_BUDGET:
+                raise BudgetExceeded(f"more than {self.SHIFT_BUDGET} Upsilon shifts required")
         while z.real >= band_hi:
             step = ig2 if z.real - ig2 >= band_lo else g2
             z -= step
@@ -173,8 +178,8 @@ class UpsilonEvaluator:
             else:
                 acc += log_l_ratio(self.gamma * z / 2.0) + (1.0 - self.gamma * z) * log_half_gamma
             shifts += 1
-            if shifts > self.shift_budget:
-                raise BudgetExceeded(f"more than {self.shift_budget} Upsilon shifts required")
+            if shifts > self.SHIFT_BUDGET:
+                raise BudgetExceeded(f"more than {self.SHIFT_BUDGET} Upsilon shifts required")
 
         if acc.real == math.inf:
             raise PoleError(

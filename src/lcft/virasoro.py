@@ -378,7 +378,7 @@ def shapovalov_inverse(F: GramMatrix, cond_guard: float = 1e10) -> GramMatrix:
         )
     method = "lu"
     inv = None
-    if np.allclose(A.imag, 0.0, atol=0.0):
+    if not A.imag.any():
         R = A.real
         try:
             cf = np.linalg.cholesky(R)

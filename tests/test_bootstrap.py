@@ -21,7 +21,7 @@ from lcft.bootstrap import (
     torus_one_point,
     zeta_prime_minus1,
 )
-from lcft.dozz import rho_density
+from lcft.dozz import dozz_constant, rho_density
 from lcft.errors import CostGuard, GraphInvalid, ValidationError
 from lcft.graphs import AdmissibleGraph, EdgeSpec, MarkedPoint, validate_graph
 from lcft.params import CftParams
@@ -322,6 +322,16 @@ class TestGraphCorrelator:
         with pytest.raises(ValidationError):
             graph_correlator(g, params, quad=QUAD, N=1)
 
+    def test_three_marked_vertex(self):
+        # rho_density takes a lone pant with three marked points (one DOZZ
+        # constant); a block and the spectral integral need an edge to glue
+        g = AdmissibleGraph(edges=[], marked=[MarkedPoint(1, k, 2.0) for k in (1, 2, 3)])
+        assert rho_density(g, g.alphas(), [], S2) == dozz_constant(2.0, 2.0, 2.0, S2)
+        with pytest.raises(ValidationError, match="vertex 1 has no edge slots"):
+            graph_block(g, g.alphas(), [], [], S2)
+        with pytest.raises(ValidationError, match="vertex 1 has no edge slots"):
+            graph_correlator(g, S2)
+
     def test_self_loop_equals_torus_one_point(self):
         params = CftParams(gamma=math.sqrt(2.0))
         tau = 1j
@@ -379,17 +389,23 @@ def _torus2():
     return g, Quadrature(p_max=1.5, panel_width=0.5, nodes_per_panel=3), 2
 
 
+def _theta():
+    """Two pants joined by three distinct edges: each pant is on every edge."""
+    g = AdmissibleGraph(edges=[EdgeSpec((1, k), (2, k)) for k in (1, 2, 3)])
+    return g, Quadrature(1.0, 0.5, 2), 2
+
+
 class TestEngineCaches:
     """graph_correlator builds each Gram set once per node and each vertex's
     DOZZ factor and tensor once per distinct tuple of its edges' nodes; the
     cached values must equal the per-node public path bit for bit."""
 
-    @pytest.mark.parametrize("case", ["genus2", "sphere5", "torus2"])
+    @pytest.mark.parametrize("case", ["genus2", "sphere5", "torus2", "theta"])
     def test_bitwise_equal_to_per_node_path(self, case, request):
         if case == "genus2":
             g, quad, N, res, _builds = request.getfixturevalue("genus2_run")
         else:
-            g, quad, N = {"sphere5": _sphere5, "torus2": _torus2}[case]()
+            g, quad, N = {"sphere5": _sphere5, "torus2": _torus2, "theta": _theta}[case]()
             res = graph_correlator(g, S2, quad=quad, N=N)
         L, qs = len(g.edges), g.q_vector()
         rho = np.empty((quad.n_nodes,) * L, dtype=complex)
@@ -424,6 +440,15 @@ class TestEngineCaches:
         assert res.details["gram_sets"] == 96
         assert res.details["dozz_factors"] == 96
         assert res.details["vertex_tensors"] == 96 * 2
+
+    def test_theta_counts(self):
+        # nothing is memoized: both pants build a factor at each of the 4^3 node
+        # triples, and a tensor at each of the 10 level triples with total <= 2
+        g, quad, N = _theta()
+        res = graph_correlator(g, S2, quad=quad, N=N)
+        assert res.details["gram_sets"] == 4
+        assert res.details["dozz_factors"] == 2 * 4**3
+        assert res.details["vertex_tensors"] == 2 * 4**3 * 10
 
     def test_cost_guard_at_its_edge(self, monkeypatch):
         g, _quad, _N = _torus2()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lcft.bootstrap import Quadrature, _sphere_chain, _torus_cycle, graph_correlator
-from lcft.dozz import DozzEvaluator, dozz_constant, rho_density, _lattice_distance
+from lcft.dozz import _lattice_distance, _upsilon_evaluator, dozz_constant, rho_density
 from lcft.errors import NearPole
 from lcft.params import CftParams
 
@@ -46,8 +46,8 @@ class TestDozzConstant:
             dozz_constant(Q, Q / 2, Q / 2, params)
 
     def test_shared_evaluator_cached(self):
-        e1 = DozzEvaluator(1.17)
-        e2 = DozzEvaluator(1.17)
+        e1 = _upsilon_evaluator(1.17)
+        e2 = _upsilon_evaluator(1.17)
         assert e1 is e2
 
     def test_lattice_distance(self):
@@ -57,6 +57,23 @@ class TestDozzConstant:
         Q = gamma / 2 + 2 / gamma
         assert _lattice_distance(Q + 2 / gamma + 0j, gamma) == 0.0
         assert _lattice_distance(Q / 2 + 0j, gamma) > 0.5
+
+    @pytest.mark.parametrize("gamma", [0.8, 1.0, math.sqrt(2.0), 1.3, 1.8])
+    def test_lattice_distance_matches_box_scan(self, gamma):
+        # every lattice point base + sgn (a g/2 + b 2/g) within 14 of its base
+        Q = gamma / 2 + 2 / gamma
+        a = np.arange(int(14 / (gamma / 2)) + 1)[:, None]
+        b = np.arange(int(14 / (2 / gamma)) + 1)[None, :]
+        steps = (a * gamma / 2 + b * 2 / gamma).ravel()
+        box = np.concatenate([-steps, Q + steps])
+        rng = np.random.default_rng(3)
+        on_lattice = box[np.abs(box - Q / 2) < 6]
+        re = np.concatenate([rng.uniform(-6.0, Q + 6.0, 300), on_lattice])
+        zs = re + 1j * rng.uniform(-10.0, 10.0, re.size)
+        for z in zs:
+            assert _lattice_distance(complex(z), gamma) == pytest.approx(
+                np.abs(z - box).min(), abs=1e-12
+            )
 
 
 class TestRhoDensity:
