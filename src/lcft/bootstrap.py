@@ -28,9 +28,10 @@ L-tuple: an edge's inverse Gram matrices only on its own node, and a vertex's
 DOZZ factor and descendant tensor only on the nodes (and levels) of its
 incident edges.  Within one graph_correlator call each Gram set is therefore
 built once per node, and the factor and tensors of a vertex that misses an
-edge of the graph once per distinct tuple of incident-edge nodes.  Each node's
-block series is summed once for |F|^2 and its last-level share.  Nothing is
-kept between calls.
+edge of the graph once per distinct tuple of incident-edge nodes.  Below the
+DOZZ factors, each distinct log-Upsilon argument (and its pole distance) is
+evaluated once per call.  Each node's block series is summed once for |F|^2
+and its last-level share.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 from scipy.special import roots_legendre, zeta
 
 from .blocks import _block_plan, _contract, _gram_inverses, _require_edge_slots, _vertex_tensor
-from .dozz import _density, _vertex_dozz
+from .dozz import _density, _upsilon_evals, _vertex_dozz
 from .errors import CostGuard, DimensionMismatch, ValidationError
 from .graphs import AdmissibleGraph, EdgeSpec, MarkedPoint, validate_graph
 from .params import CftParams
@@ -350,8 +351,9 @@ def graph_correlator(
     prod_v C_v; ``details["rho"]`` (the bare DOZZ product) and
     ``details["block_abs2"]`` hold the integrand's factors at every node, as
     arrays of shape (n_nodes,) * L.  ``details["gram_sets"]``,
-    ``["dozz_factors"]`` and ``["vertex_tensors"]`` count the Gram-inverse
-    sets, vertex DOZZ factors and vertex tensors built.  ``tail_fraction`` is
+    ``["dozz_factors"]``, ``["vertex_tensors"]`` and ``["upsilon_evals"]``
+    count the Gram-inverse sets, vertex DOZZ factors, vertex tensors and
+    distinct log-Upsilon arguments evaluated.  ``tail_fraction`` is
     the share of the integral from nodes with any edge's p in the last panel."""
     alphas = graph.alphas()
     q_vector = [complex(q) for q in graph.q_vector()]
@@ -376,6 +378,7 @@ def graph_correlator(
     finv = [_gram_inverses(h, c, N) for h in hs]  # one set per node, shared by every edge
     dozz_factors = _VertexMemo([vertex.edges for vertex in plan.vertices], L)
     tensors = _VertexMemo([vertex.edges for vertex in plan.vertices], L)
+    upsilon_memo: dict = {}  # log Upsilon and pole distance per exact argument
 
     shape = (quad.n_nodes,) * L
     rho = np.empty(shape, dtype=complex)
@@ -385,7 +388,7 @@ def graph_correlator(
         ps = [float(quad.nodes[i]) for i in idx]
         edge_hs = [hs[i] for i in idx]
         rho[idx] = _density(
-            dozz_factors.get(v, idx, None, _vertex_dozz, vertex, ps, params)
+            dozz_factors.get(v, idx, None, _vertex_dozz, vertex, ps, params, upsilon_memo)
             for v, vertex in enumerate(plan.vertices)
         )
         series = _contract(
@@ -429,5 +432,6 @@ def graph_correlator(
             "gram_sets": len(finv),
             "dozz_factors": dozz_factors.built,
             "vertex_tensors": tensors.built,
+            "upsilon_evals": _upsilon_evals(upsilon_memo),
         },
     )

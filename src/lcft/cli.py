@@ -140,6 +140,10 @@ def _tau(cfg) -> complex:
     return complex(t[0], t[1])
 
 
+#: The spectral engine's work counters, copied from ``details`` into each record.
+_ENGINE_COUNTERS = ("gram_sets", "dozz_factors", "vertex_tensors", "upsilon_evals")
+
+
 def _correlator_payload(res) -> dict:
     """The scalars of a CorrelatorResult that every bootstrap command reports."""
     return {
@@ -149,6 +153,7 @@ def _correlator_payload(res) -> dict:
         "last_level_fraction": res.last_level_fraction,
         "mu_exponent": res.mu_exponent,
         "n_evaluations": res.n_evaluations,
+        **{key: res.details[key] for key in _ENGINE_COUNTERS},
     }
 
 

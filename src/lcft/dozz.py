@@ -9,6 +9,14 @@ The three-point constant is
 abar = a1 + a2 + a3, accumulated in log domain.  Poles sit exactly on the
 zero lattice of the denominator Upsilons; arguments closer than 1e-6 to that
 lattice raise NearPole.  One Upsilon evaluator per gamma serves every call.
+
+Every factor takes a memo dict from its caller: log Upsilon(z) and the pole
+distance of z are evaluated once per exact complex argument in it, so the
+constants that share arguments (the same edge node at many vertices or node
+tuples) share those evaluations.  A hit returns the bits a fresh evaluation
+would.  ``dozz_constant`` uses a fresh dict, ``rho_density`` one dict for its
+vertices and ``bootstrap.graph_correlator`` one dict per call; nothing is kept
+between calls.
 """
 
 from __future__ import annotations
@@ -56,6 +64,20 @@ def _upsilon_evaluator(gamma: float) -> tuple[UpsilonEvaluator, complex]:
     return ev, ev.log_upsilon(gamma / 2.0)
 
 
+def _once(memo: dict, tag: str, z: complex, evaluate, *args):
+    """evaluate(z, *args), computed once per tag and exact z in ``memo``.  The
+    key tells signed zeros apart, as loggamma's branch cut does."""
+    key = (tag, z, math.copysign(1.0, z.real), math.copysign(1.0, z.imag))
+    if key not in memo:
+        memo[key] = evaluate(z, *args)
+    return memo[key]
+
+
+def _upsilon_evals(memo: dict) -> int:
+    """Number of log Upsilon evaluations stored in ``memo``."""
+    return sum(key[0] == "log_upsilon" for key in memo)
+
+
 def dozz_constant(
     alpha1: complex,
     alpha2: complex,
@@ -63,8 +85,15 @@ def dozz_constant(
     params: CftParams,
 ) -> complex:
     """C^DOZZ_{gamma,mu}(alpha1, alpha2, alpha3), log-domain throughout."""
+    return _dozz((alpha1, alpha2, alpha3), params, {})
+
+
+def _dozz(alphas, params: CftParams, memo: dict) -> complex:
+    """dozz_constant(*alphas, params) with its log Upsilons and pole distances
+    looked up in, or added to, ``memo``."""
     gamma = params.gamma
     ev, log_ups_prime0 = _upsilon_evaluator(gamma)
+    alpha1, alpha2, alpha3 = alphas
     abar = alpha1 + alpha2 + alpha3
     denom_args = [
         abar / 2.0 - params.Q,
@@ -73,7 +102,7 @@ def dozz_constant(
         abar / 2.0 - alpha3,
     ]
     for arg in denom_args:
-        if _lattice_distance(complex(arg), gamma) < _POLE_DISTANCE:
+        if _once(memo, "distance", complex(arg), _lattice_distance, gamma) < _POLE_DISTANCE:
             raise NearPole(
                 f"DOZZ denominator argument {arg} within {_POLE_DISTANCE} of the Upsilon zero lattice"
             )
@@ -85,9 +114,9 @@ def dozz_constant(
     log_c = (2.0 * params.Q - abar) / gamma * base
     log_c += log_ups_prime0
     for a in (alpha1, alpha2, alpha3):
-        log_c += ev.log_upsilon(complex(a))
+        log_c += _once(memo, "log_upsilon", complex(a), ev.log_upsilon)
     for arg in denom_args:
-        log_c -= ev.log_upsilon(complex(arg))
+        log_c -= _once(memo, "log_upsilon", complex(arg), ev.log_upsilon)
     if log_c.real == -math.inf:
         return 0.0 + 0.0j
     if log_c.real == math.inf:
@@ -95,11 +124,11 @@ def dozz_constant(
     return cmath.exp(log_c)
 
 
-def _vertex_dozz(vertex, p_vector, params: CftParams) -> complex:
+def _vertex_dozz(vertex, p_vector, params: CftParams, memo: dict) -> complex:
     """DOZZ factor of one planned vertex (``blocks._Vertex``): Q + i sigma p
     on its edge slots and alpha on its marked slots, in slot order."""
     args = [x if eidx is None else params.Q + 1j * x * p_vector[eidx] for eidx, x in vertex.slots]
-    return dozz_constant(*args, params)
+    return _dozz(args, params, memo)
 
 
 def _density(factors) -> complex:
@@ -117,4 +146,5 @@ def rho_density(graph, alphas, p_vector, params: CftParams) -> complex:
     being restored only after the symmetrized spectral integral.
     """
     plan = _block_plan(graph, alphas, params)
-    return _density(_vertex_dozz(vertex, p_vector, params) for vertex in plan.vertices)
+    memo: dict = {}
+    return _density(_vertex_dozz(vertex, p_vector, params, memo) for vertex in plan.vertices)

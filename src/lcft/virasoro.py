@@ -86,8 +86,10 @@ def _partition_tuples(n: int, max_part: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def partitions(n: int) -> tuple[YoungDiagram, ...]:
-    """All partitions of n, largest-part-first (reverse-lexicographic) order."""
+    """All partitions of n, largest-part-first (reverse-lexicographic) order.
+    The diagrams are frozen, so one tuple per n serves every Gram build."""
     if n < 0:
         raise ValidationError(f"partition level must be >= 0, got {n}")
     return tuple(YoungDiagram(p) for p in _partition_tuples(n, n if n else 1))

@@ -22,7 +22,7 @@ from lcft.bootstrap import (
     zeta_prime_minus1,
 )
 from lcft.dozz import dozz_constant, rho_density
-from lcft.errors import CostGuard, GraphInvalid, ValidationError
+from lcft.errors import CostGuard, GraphInvalid, NearPole, ValidationError
 from lcft.graphs import AdmissibleGraph, EdgeSpec, MarkedPoint, validate_graph
 from lcft.params import CftParams
 from lcft.virasoro import conformal_weight
@@ -241,7 +241,7 @@ class TestAdapterDetails:
 
 
 class TestModularCovariance:
-    """S transformation of the torus one-point function,
+    """S transformation of the torus one- and two-point functions,
     <V_alpha>_{-1/tau} = |tau|^{2 Delta_alpha} <V_alpha>_tau: DOZZ, blocks and
     quadrature together at two moduli against a closed-form law."""
 
@@ -252,6 +252,34 @@ class TestModularCovariance:
         lhs = torus_one_point(alpha, -1.0 / tau, S2, N=6).value
         rhs = abs(tau) ** (2.0 * delta) * torus_one_point(alpha, tau, S2, N=6).value
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+    @staticmethod
+    def _s_frame(alphas, xs, tau):
+        """Weights, points and modulus after x -> x/tau, tau -> -1/tau, in
+        torus_k_point's frame: the point of least Im x moved to 0, every Im x
+        reduced into [0, 2 pi Im tau') by lattice steps, points ordered by Im x
+        and the weights ordered with them."""
+        tau_s = -1.0 / tau
+        period = 2.0 * math.pi * tau_s.imag
+        ys = [complex(x) / tau for x in xs]
+        y0 = min(ys, key=lambda y: y.imag)
+        ys = [y - y0 for y in ys]
+        ys = [y - math.floor(y.imag / period) * 2.0 * math.pi * tau_s for y in ys]
+        order = sorted(range(len(ys)), key=lambda j: ys[j].imag)
+        return [alphas[j] for j in order], [ys[j] for j in order], tau_s
+
+    # N = 6 against N = 7 moves either side by at most 1.6e-8 relative, over
+    # 100x below the tolerance; the 30-node rule is within 3e-9 of a 96-node one
+    @pytest.mark.parametrize("tau, x2", [(1.1j, 2.97 + 3.3j), (0.3 + 1.1j, -2.27 + 3.2j)])
+    def test_s_covariance_two_point(self, tau, x2):
+        """<V(x_1/tau) V(x_2/tau)>_{-1/tau} = prod_j |tau|^{2 Delta_j} <V(x_1) V(x_2)>_tau."""
+        alphas, xs = [0.9, 1.1], [0.0, x2]
+        quad = Quadrature(p_max=4.5, panel_width=1.5, nodes_per_panel=10)
+        alphas_s, xs_s, tau_s = self._s_frame(alphas, xs, tau)
+        lhs = torus_k_point(alphas_s, xs_s, tau_s, S2, quad, N=6).value
+        weight = math.prod(abs(tau) ** (2.0 * conformal_weight(a, S2).real) for a in alphas)
+        rhs = weight * torus_k_point(alphas, xs, tau, S2, quad, N=6).value
+        assert lhs == pytest.approx(rhs, rel=2e-6)
 
 
 class TestSphereKPoint:
@@ -425,6 +453,10 @@ class TestEngineCaches:
         assert res.details["gram_sets"] == 9
         assert res.details["dozz_factors"] == 2 * 81
         assert res.details["vertex_tensors"] == 2 * 81 * 10
+        # 18 numerator arguments Q +- ip and 133 distinct denominators
+        # Q/2 + i(+-a/2) and Q/2 + i(+-a/2 +- b): many of the node-pair values
+        # coincide exactly, as the 9 nodes sit on an arithmetic grid
+        assert res.details["upsilon_evals"] == 18 + 133
 
     def test_sphere5_counts(self):
         # the annulus vertex touches both edges: one factor and 3 tensors per
@@ -434,12 +466,15 @@ class TestEngineCaches:
         assert res.details["gram_sets"] == 36
         assert res.details["dozz_factors"] == 36 + 36**2 + 36
         assert res.details["vertex_tensors"] == 2 * 36 * 2 + 3 * 36**2
+        assert res.details["upsilon_evals"] == 873
 
     def test_self_loop_counts(self):
         res = graph_correlator(_torus_cycle([1.2], [0.0019]), S2, quad=Quadrature(6.0, 0.5, 8), N=1)
         assert res.details["gram_sets"] == 96
         assert res.details["dozz_factors"] == 96
         assert res.details["vertex_tensors"] == 96 * 2
+        # Q +- ip and alpha/2 +- ip per node, plus alpha, alpha/2 and Q - alpha/2
+        assert res.details["upsilon_evals"] == 4 * 96 + 3
 
     def test_theta_counts(self):
         # nothing is memoized: both pants build a factor at each of the 4^3 node
@@ -449,6 +484,25 @@ class TestEngineCaches:
         assert res.details["gram_sets"] == 4
         assert res.details["dozz_factors"] == 2 * 4**3
         assert res.details["vertex_tensors"] == 2 * 4**3 * 10
+        # 8 numerator arguments Q +- ip and 64 distinct denominators
+        assert res.details["upsilon_evals"] == 8 + 64
+
+    def test_upsilon_memo_is_per_call(self):
+        g, quad, N = _theta()
+        first = graph_correlator(g, S2, quad=quad, N=N)
+        second = graph_correlator(g, S2, quad=quad, N=N)
+        assert first.details["upsilon_evals"] == second.details["upsilon_evals"] == 72
+        assert np.array_equal(first.details["rho"], second.details["rho"])
+
+    def test_near_pole_at_its_edge(self):
+        # the self-loop's constant denominator argument abar/2 - Q = alpha/2
+        # lies within _POLE_DISTANCE of the lattice point 0 iff alpha < 2e-6
+        quad = Quadrature(1.0, 0.5, 2)
+        edge = 2.0 * lcft.dozz._POLE_DISTANCE
+        res = graph_correlator(_torus_cycle([1.01 * edge], [0.01]), S2, quad=quad, N=1)
+        assert math.isfinite(res.value)
+        with pytest.raises(NearPole, match="within 1e-06 of the Upsilon zero lattice"):
+            graph_correlator(_torus_cycle([0.99 * edge], [0.01]), S2, quad=quad, N=1)
 
     def test_cost_guard_at_its_edge(self, monkeypatch):
         g, _quad, _N = _torus2()
@@ -458,7 +512,7 @@ class TestEngineCaches:
         def unreachable(*args, **kwargs):
             raise AssertionError("DOZZ evaluated before the cost guard")
 
-        monkeypatch.setattr(lcft.dozz, "dozz_constant", unreachable)
+        monkeypatch.setattr(lcft.dozz, "_dozz", unreachable)
         with pytest.raises(CostGuard, match="4\\^2 spectral evaluations exceed budget 15"):
             graph_correlator(g, S2, quad=quad, N=1, node_budget=15)
 

@@ -3,6 +3,18 @@ import math
 import subprocess
 import sys
 
+import pytest
+
+GENUS2 = {
+    "vertices": [{"id": 1, "slots": 3}, {"id": 2, "slots": 3}],
+    "edges": [
+        {"from": [1, 1], "to": [2, 1], "q": [0.1, 0.0]},
+        {"from": [1, 2], "to": [1, 3], "q": [0.1, 0.0]},
+        {"from": [2, 2], "to": [2, 3], "q": [0.1, 0.0]},
+    ],
+    "marked": [],
+}
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -66,22 +78,26 @@ class TestCli:
         assert "criterion 5" in out.stdout and "PASS" in out.stdout
 
     def test_graph_command(self, tmp_path):
-        graph = {
-            "vertices": [{"id": 1, "slots": 3}, {"id": 2, "slots": 3}],
-            "edges": [
-                {"from": [1, 1], "to": [2, 1], "q": [0.1, 0.0]},
-                {"from": [1, 2], "to": [1, 3], "q": [0.1, 0.0]},
-                {"from": [2, 2], "to": [2, 3], "q": [0.1, 0.0]},
-            ],
-            "marked": [],
-        }
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"graph": graph, "p_max": 1.0, "nodes_per_panel": 2, "N": 1}))
+        cfg.write_text(json.dumps({"graph": GENUS2, "p_max": 1.0, "nodes_per_panel": 2, "N": 1}))
         out = run_cli("graph", "--config", str(cfg))
         assert out.returncode == 0
         rec = json.loads(out.stdout)
         assert rec["result"]["genus"] == 2
         assert math.isfinite(rec["result"]["value"])
+
+    @pytest.mark.parametrize("command", ["torus1pt", "toruskpt", "spherekpt", "graph"])
+    def test_engine_counters_in_record(self, command, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"graph": GENUS2} if command == "graph" else {}))
+        out = run_cli(command, "--config", str(cfg), "--N", "1", "--p-max", "1.0",
+                      "--nodes-per-panel", "2")
+        assert out.returncode == 0, out.stderr
+        result = json.loads(out.stdout)["result"]
+        for key in ("gram_sets", "dozz_factors", "vertex_tensors", "upsilon_evals"):
+            assert isinstance(result[key], int) and result[key] > 0, key
+        assert result["gram_sets"] == 4  # one Gram-inverse set per quadrature node
+        assert math.isfinite(result["value"])
 
     def test_upsilon_command(self):
         out = run_cli("upsilon", "--gamma", "1.0", "--p", "1.25")

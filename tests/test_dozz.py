@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from lcft.bootstrap import Quadrature, _sphere_chain, _torus_cycle, graph_correlator
-from lcft.dozz import _lattice_distance, _upsilon_evaluator, dozz_constant, rho_density
+from lcft.dozz import (
+    _dozz,
+    _lattice_distance,
+    _upsilon_evals,
+    _upsilon_evaluator,
+    dozz_constant,
+    rho_density,
+)
 from lcft.errors import NearPole
 from lcft.params import CftParams
 
@@ -44,6 +51,26 @@ class TestDozzConstant:
         Q = params.Q
         with pytest.raises(NearPole):
             dozz_constant(Q, Q / 2, Q / 2, params)
+
+    def test_near_pole_guard_with_shared_memo(self):
+        # log Upsilon(0) = -inf is memoized as a numerator first; the pole
+        # check of the same argument as a denominator must still run
+        params = CftParams(gamma=1.0)
+        Q = params.Q
+        memo = {}
+        assert _dozz((0.0, 1.0, 1.2), params, memo) == 0.0
+        assert _upsilon_evals(memo) == 7
+        with pytest.raises(NearPole):
+            _dozz((Q, Q / 2, Q / 2), params, memo)
+
+    def test_shared_memo_is_bitwise(self):
+        params = CftParams(gamma=math.sqrt(2.0))
+        Q, memo = params.Q, {}
+        for p in (0.3, 0.7, 0.3):
+            args = (Q + 1j * p, 1.2, Q - 1j * p)
+            assert _dozz(args, params, memo) == dozz_constant(*args, params)
+        # Q +- ip and alpha/2 +- ip per distinct p, plus alpha, alpha/2 and Q - alpha/2
+        assert _upsilon_evals(memo) == 2 * 4 + 3
 
     def test_shared_evaluator_cached(self):
         e1 = _upsilon_evaluator(1.17)

@@ -35,6 +35,12 @@ class TestPartitions:
             assert partition_count(n) == len(exact_partitions(n))
         assert partition_count(4) == 5
 
+    def test_basis_built_once_and_negative_level_rejected(self):
+        assert partitions(5) is partitions(5)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="level must be >= 0"):
+                partitions(-1)
+
     def test_canonical_order(self):
         assert [p.parts for p in partitions(4)] == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
