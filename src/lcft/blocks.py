@@ -25,13 +25,16 @@ numbers at whatever weights, central charge and pant-frame points a call
 passes; the Gram matrices take the same path.  Repeated evaluation is
 therefore deterministic and bit-identical.
 
-``graph_block`` is a per-graph plan plus one per-node contraction.  The plan
-holds each vertex's slots in order, (edge index, orientation sign) or
-(None, alpha), and the einsum subscripts; ``dozz.rho_density`` reads its DOZZ
-arguments from the same vertex records.  The spectral integral in
-``bootstrap`` calls the same pieces, building each Gram-inverse set once per
-quadrature node and each vertex tensor once per distinct tuple of
-incident-edge nodes and levels, within that one call.
+``graph_block`` is a per-graph plan, its level terms and one per-node
+contraction.  The plan holds each vertex's slots in order, (edge index,
+orientation sign) or (None, alpha), and the einsum subscripts;
+``dozz.rho_density`` reads its DOZZ arguments from the same vertex records.
+``_level_terms`` lists each multidegree with the levels it puts on every
+vertex, ``_vertex_tensors`` builds all of one vertex's tensors at those levels,
+and ``_contract`` sums the terms from the vertices' {levels: tensor} dicts.
+The spectral integral in ``bootstrap`` calls the same three pieces, listing
+the terms once per call, building each Gram-inverse set once per quadrature
+node and each vertex's tensors once per distinct tuple of incident-edge nodes.
 """
 
 from __future__ import annotations
@@ -369,14 +372,6 @@ def torus_one_point_block(
     return BlockSeries(exponents=(-c / 24.0 + h.real,), coeffs=coeffs, N=N)
 
 
-@lru_cache(maxsize=None)
-def _multidegrees(N: int, length: int) -> tuple:
-    """Every length-tuple of levels with total <= N, by total ascending and
-    then lexicographically."""
-    degs = itertools.product(range(N + 1), repeat=length)
-    return tuple(sorted((d for d in degs if sum(d) <= N), key=lambda d: (sum(d), d)))
-
-
 @dataclass(frozen=True)
 class _Vertex:
     """One vertex of a pants-graph plan.  ``slots`` holds its slots in order:
@@ -428,29 +423,36 @@ def _require_edge_slots(graph, plan: _BlockPlan) -> None:
             raise ValidationError(f"vertex {vid} has no edge slots")
 
 
-def _vertex_tensor(vertex: _Vertex, levels: tuple, hs, c) -> np.ndarray:
-    """Pant array, annulus matrix or disk vector (by the number of edge slots)
-    of one vertex at the given levels on its edge slots; ``hs`` holds the
-    weight of every edge of the graph."""
-    if len(vertex.edges) == 3:
-        return _pant_array(levels, tuple(hs[eidx] for eidx in vertex.edges), c)
-    if len(vertex.edges) == 2:
-        e_a, e_b = vertex.edges
-        return _annulus_matrix(levels[0], levels[1], hs[e_a], vertex.marks[0], hs[e_b], c)
-    (e_a,) = vertex.edges
-    return _disk_vector(levels[0], hs[e_a], vertex.marks[0], vertex.marks[1], c)
+def _level_terms(plan: _BlockPlan, N: int, L: int) -> list:
+    """Every multidegree of total <= N over the L edges, by total ascending
+    and then lexicographically, paired with the levels it puts on each
+    vertex's edge slots (one tuple per vertex)."""
+    degrees = (d for d in itertools.product(range(N + 1), repeat=L) if sum(d) <= N)
+    return [
+        (degs, tuple(tuple(degs[eidx] for eidx in vertex.edges) for vertex in plan.vertices))
+        for degs in sorted(degrees, key=lambda d: (sum(d), d))
+    ]
 
 
-def _contract(plan: _BlockPlan, hs, finv, c, N: int, tensor) -> BlockSeries:
-    """Per-node half of graph_block.  ``hs`` and ``finv`` hold each edge's
-    weight and inverse Gram matrices (levels 0..N); ``tensor(v, levels)``
-    returns vertex v's tensor at the levels on its edge slots."""
+def _vertex_tensors(vertex: _Vertex, levels, hs, c) -> dict:
+    """Pant arrays, annulus matrices or disk vectors (by the number of edge
+    slots) of one vertex, keyed by each of the given distinct level tuples on
+    its edge slots; ``hs`` holds the weight of every edge of the graph."""
+    weights = tuple(hs[eidx] for eidx in vertex.edges)
+    if len(weights) == 3:
+        return {lv: _pant_array(lv, weights, c) for lv in levels}
+    if len(weights) == 2:
+        return {lv: _annulus_matrix(*lv, weights[0], vertex.marks[0], weights[1], c) for lv in levels}
+    return {lv: _disk_vector(lv[0], weights[0], *vertex.marks, c) for lv in levels}
+
+
+def _contract(plan: _BlockPlan, terms: list, tensors, hs, finv, c, N: int) -> BlockSeries:
+    """Per-node half of graph_block.  ``terms`` comes from _level_terms;
+    ``tensors`` holds each vertex's {levels: tensor}, and ``hs`` and ``finv``
+    each edge's weight and inverse Gram matrices (levels 0..N)."""
     coeffs = {}
-    for degs in _multidegrees(N, len(hs)):
-        operands = [
-            tensor(v, tuple(degs[eidx] for eidx in vertex.edges))
-            for v, vertex in enumerate(plan.vertices)
-        ]
+    for degs, levels in terms:
+        operands = [t[lv] for t, lv in zip(tensors, levels)]
         operands += [finv[eidx][n] for eidx, n in enumerate(degs)]
         coeffs[degs] = complex(np.einsum(plan.einsum_spec, *operands))
     exps = tuple(-c / 24.0 + h.real for h in hs)
@@ -479,6 +481,9 @@ def graph_block(graph, alphas, p_vector, q_vector, params: CftParams, N: int = 4
     _require_edge_slots(graph, plan)
     hs = [complex(conformal_weight(params.Q + 1j * p, params)) for p in p_vector]
     finv = [_gram_inverses(h, c, N) for h in hs]
-    return _contract(
-        plan, hs, finv, c, N, lambda v, levels: _vertex_tensor(plan.vertices[v], levels, hs, c)
-    )
+    terms = _level_terms(plan, N, L)
+    tensors = [
+        _vertex_tensors(vertex, {lv[v] for _degs, lv in terms}, hs, c)
+        for v, vertex in enumerate(plan.vertices)
+    ]
+    return _contract(plan, terms, tensors, hs, finv, c, N)

@@ -22,13 +22,14 @@ per-vertex admissibility the sphere adapter also requires alpha_1 + alpha_2 > Q
 and alpha_{k-1} + alpha_k > Q at the two disk vertices.
 
 The graph is read once into ``blocks._block_plan``, whose vertex records give
-each vertex's DOZZ arguments, descendant tensor, einsum letters and share of
+each vertex's DOZZ arguments, descendant tensors, einsum letters and share of
 the mu-exponent.  The integrand's pieces depend on fewer nodes than the
 L-tuple: an edge's inverse Gram matrices only on its own node, and a vertex's
-DOZZ factor and descendant tensor only on the nodes (and levels) of its
-incident edges.  Within one graph_correlator call each Gram set is therefore
-built once per node, and the factor and tensors of a vertex that misses an
-edge of the graph once per distinct tuple of incident-edge nodes.  Below the
+DOZZ factor and descendant tensors only on the nodes of its incident edges.
+Within one graph_correlator call each Gram set is therefore built once per
+node, and each vertex's record, (DOZZ factor, {levels: tensor}), once per
+distinct tuple of incident-edge nodes; it is looked up once per vertex and
+node, and only a vertex that misses an edge of the graph stores it.  Below the
 DOZZ factors, each distinct log-Upsilon argument (and its pole distance) is
 evaluated once per call.  Each node's block series is summed once for |F|^2
 and its last-level share.  Nothing is kept between calls.
@@ -41,13 +42,21 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import roots_legendre, zeta
+from scipy.special import zeta
 
-from .blocks import _block_plan, _contract, _gram_inverses, _require_edge_slots, _vertex_tensor
+from .blocks import (
+    _block_plan,
+    _contract,
+    _gram_inverses,
+    _level_terms,
+    _require_edge_slots,
+    _vertex_tensors,
+)
 from .dozz import _density, _upsilon_evals, _vertex_dozz
 from .errors import CostGuard, DimensionMismatch, ValidationError
 from .graphs import AdmissibleGraph, EdgeSpec, MarkedPoint, validate_graph
 from .params import CftParams
+from .special import _panel_rule
 from .virasoro import conformal_weight
 
 __all__ = [
@@ -101,12 +110,7 @@ class Quadrature:
     def __post_init__(self) -> None:
         if self.p_max <= 0 or self.panel_width <= 0 or self.nodes_per_panel < 1:
             raise ValidationError("quadrature parameters must be positive")
-        x, w = roots_legendre(self.nodes_per_panel)
-        n_panels = max(1, int(round(self.p_max / self.panel_width)))
-        edges = np.linspace(0.0, self.p_max, n_panels + 1)
-        lo, hi = edges[:-1, None], edges[1:, None]
-        self.nodes = (0.5 * (hi - lo) * x[None, :] + 0.5 * (hi + lo)).ravel()
-        self.weights = (0.5 * (hi - lo) * w[None, :]).ravel()
+        self.nodes, self.weights = _panel_rule(self.p_max, self.panel_width, self.nodes_per_panel)
         if not (np.all(np.diff(self.nodes) > 0) and np.all(self.weights > 0)):
             raise ValidationError("quadrature nodes must increase with positive weights")
 
@@ -131,29 +135,6 @@ class CorrelatorResult:
     def __post_init__(self) -> None:
         if not math.isfinite(self.value):
             raise ValidationError(f"correlator value is not finite: {self.value}")
-
-
-class _VertexMemo:
-    """Per-vertex values of one graph_correlator call, keyed by the node
-    indices on the vertex's own edges plus an ``extra`` key.  A vertex on every
-    edge of the graph meets a new key at every L-tuple, so nothing is stored
-    for it.  ``built`` counts the values built."""
-
-    def __init__(self, vertex_edges, L: int):
-        self.edges = vertex_edges
-        self.memo = [None if set(edges) == set(range(L)) else {} for edges in vertex_edges]
-        self.built = 0
-
-    def get(self, v: int, idx: tuple, extra, build, *args):
-        memo = self.memo[v]
-        if memo is None:
-            self.built += 1
-            return build(*args)
-        key = (tuple(idx[e] for e in self.edges[v]), extra)
-        if key not in memo:
-            self.built += 1
-            memo[key] = build(*args)
-        return memo[key]
 
 
 def _torus_cycle(alphas, qs) -> AdmissibleGraph:
@@ -376,9 +357,13 @@ def graph_correlator(
     c = params.c_L
     hs = [complex(conformal_weight(params.Q + 1j * float(p), params)) for p in quad.nodes]
     finv = [_gram_inverses(h, c, N) for h in hs]  # one set per node, shared by every edge
-    dozz_factors = _VertexMemo([vertex.edges for vertex in plan.vertices], L)
-    tensors = _VertexMemo([vertex.edges for vertex in plan.vertices], L)
+    terms = _level_terms(plan, N, L)
+    vertex_levels = [{lv[v] for _degs, lv in terms} for v in range(n_vertices)]
+    # one (DOZZ factor, {levels: tensor}) record per vertex and tuple of nodes
+    # on its own edges; a vertex on every edge meets a new tuple at every node
+    records = [None if set(vertex.edges) == set(range(L)) else {} for vertex in plan.vertices]
     upsilon_memo: dict = {}  # log Upsilon and pole distance per exact argument
+    n_factors = n_tensors = 0
 
     shape = (quad.n_nodes,) * L
     rho = np.empty(shape, dtype=complex)
@@ -387,20 +372,23 @@ def graph_correlator(
     for idx in np.ndindex(*shape):
         ps = [float(quad.nodes[i]) for i in idx]
         edge_hs = [hs[i] for i in idx]
-        rho[idx] = _density(
-            dozz_factors.get(v, idx, None, _vertex_dozz, vertex, ps, params, upsilon_memo)
-            for v, vertex in enumerate(plan.vertices)
-        )
-        series = _contract(
-            plan,
-            edge_hs,
-            [finv[i] for i in idx],
-            c,
-            N,
-            lambda v, levels: tensors.get(
-                v, idx, levels, _vertex_tensor, plan.vertices[v], levels, edge_hs, c
-            ),
-        )
+        node_records = []
+        for vertex, levels, memo in zip(plan.vertices, vertex_levels, records):
+            key = tuple(idx[e] for e in vertex.edges)
+            record = None if memo is None else memo.get(key)
+            if record is None:
+                record = (
+                    _vertex_dozz(vertex, ps, params, upsilon_memo),
+                    _vertex_tensors(vertex, levels, edge_hs, c),
+                )
+                n_factors += 1
+                n_tensors += len(record[1])
+                if memo is not None:
+                    memo[key] = record
+            node_records.append(record)
+        factors, tensors = zip(*node_records)
+        rho[idx] = _density(factors)
+        series = _contract(plan, terms, tensors, edge_hs, [finv[i] for i in idx], c, N)
         block_abs2[idx], last_level = series.abs2_and_last_level(q_vector)
         worst_level = max(worst_level, last_level)
     weights = math.prod(np.ix_(*[quad.weights] * L))  # outer product over the edges
@@ -430,8 +418,8 @@ def graph_correlator(
             "rho": rho,
             "block_abs2": block_abs2,
             "gram_sets": len(finv),
-            "dozz_factors": dozz_factors.built,
-            "vertex_tensors": tensors.built,
+            "dozz_factors": n_factors,
+            "vertex_tensors": n_tensors,
             "upsilon_evals": _upsilon_evals(upsilon_memo),
         },
     )

@@ -74,9 +74,12 @@ DEFAULTS = {
 
 
 def _load_config(args) -> dict:
+    """DEFAULTS, then the --config file, then every parsed flag named in
+    CONFIG_SCHEMA; an unset flag (None, or an empty --alpha) changes nothing."""
     cfg = dict(DEFAULTS)
-    if args.config:
-        with open(args.config) as fh:
+    config_path = getattr(args, "config", None)
+    if config_path:
+        with open(config_path) as fh:
             user = json.load(fh)
         import jsonschema
 
@@ -86,10 +89,8 @@ def _load_config(args) -> dict:
             path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
             raise errors.ValidationError(f"config field {path}: {exc.message}") from exc
         cfg.update(user)
-    for key in ("gamma", "mu", "p_max", "panel_width", "nodes_per_panel", "N", "seed",
-                "samples", "batches", "grid", "level", "c", "p"):
-        val = getattr(args, key, None)
-        if val is not None:
+    for key, val in vars(args).items():
+        if key in CONFIG_SCHEMA["properties"] and val not in (None, []):
             cfg[key] = val
     return cfg
 
@@ -106,14 +107,15 @@ def _emit(args, cfg: dict, payload: dict, csv_rows=None, csv_name="curve.csv", c
         "result": payload,
     }
     text = json.dumps(record, indent=2, default=str)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"{cfg.get('command')}.json")
+    out_dir = getattr(args, "out", None)
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        path = os.path.join(out_dir, f"{cfg.get('command')}.json")
         with open(path, "w") as fh:
             fh.write(text + "\n")
         print(f"wrote {path}")
         if csv_rows is not None:
-            cpath = os.path.join(args.out, csv_name)
+            cpath = os.path.join(out_dir, csv_name)
             with open(cpath, "w") as fh:
                 fh.write(csv_header + "\n")
                 for row in csv_rows:
@@ -275,10 +277,11 @@ def cmd_mc_torus1pt(args, cfg) -> tuple[dict, list, str, str]:
 
 
 def main(argv=None) -> int:
-    common = argparse.ArgumentParser(add_help=False)
+    # SUPPRESS: a subcommand's parser must not reset a flag given before it
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--out", help="output directory for JSON/CSV artifacts")
-    common.add_argument("--seed", type=int, default=None, help="RNG seed override")
+    common.add_argument("--seed", type=int, help="RNG seed override")
 
     parser = argparse.ArgumentParser(
         prog="lcft",
@@ -322,10 +325,6 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         cfg["command"] = args.command
-        if getattr(args, "alpha", None):
-            cfg["alpha"] = list(args.alpha)
-        if getattr(args, "tau", None):
-            cfg["tau"] = list(args.tau)
         handlers = {
             "upsilon": cmd_upsilon,
             "dozz": cmd_dozz,

@@ -57,8 +57,8 @@ class BoundaryField:
         return cls(0.0, np.zeros(M), np.zeros(M))
 
     @classmethod
-    def sample(cls, M: int, rng: np.random.Generator, c_scale: float = 1.0) -> "BoundaryField":
-        return cls(float(rng.normal() * c_scale), rng.normal(size=M), rng.normal(size=M))
+    def sample(cls, M: int, rng: np.random.Generator) -> "BoundaryField":
+        return cls(float(rng.normal()), rng.normal(size=M), rng.normal(size=M))
 
 
 def poisson_dn_disk(f: BoundaryField):

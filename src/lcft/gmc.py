@@ -134,12 +134,12 @@ def torus_green(z, geom: TorusGeometry) -> float | np.ndarray:
     return float(out) if np.isscalar(z) or z_arr.ndim == 0 else out
 
 
-def green_constant(geom: TorusGeometry, n_quad: int = 256) -> float:
-    """c0(tau): minus the midpoint-grid average of the other two terms."""
-    key = ("c0", n_quad)
+def green_constant(geom: TorusGeometry) -> float:
+    """c0(tau): minus the 256^2 midpoint-grid average of the other two terms."""
+    key = "c0"
     if key not in geom._tables:
-        u = (np.arange(n_quad) + 0.5)[:, None] / n_quad
-        v = (np.arange(n_quad) + 0.5)[None, :] / n_quad
+        u = (np.arange(256) + 0.5)[:, None] / 256
+        v = (np.arange(256) + 0.5)[None, :] / 256
         z = 2.0 * math.pi * (u + v * geom.tau)
         th = theta1(z / (2.0 * math.pi), geom.tau)
         vals = -np.log(np.abs(th)) + (z.imag**2) / (4.0 * math.pi * geom.tau.imag)
@@ -223,11 +223,11 @@ def fit_w_constant(geom: TorusGeometry) -> float:
 # ---------------------------------------------------------------------------
 
 
-def det_prime_torus_closed(tau: complex, radius: float = 2.0 * math.pi) -> float:
+def det_prime_torus_closed(tau: complex) -> float:
     """Candidate closed form det' Delta = R^2 (Im tau)^2 |eta(tau)|^4 for the
-    torus C/(R Z + R tau Z)."""
+    torus C/(R Z + R tau Z), R = 2 pi."""
     tau = complex(tau)
-    return radius**2 * tau.imag**2 * abs(dedekind_eta(tau)) ** 4
+    return (2.0 * math.pi) ** 2 * tau.imag**2 * abs(dedekind_eta(tau)) ** 4
 
 
 def _heat_trace(t: float, tau: complex, radius: float) -> float:
@@ -258,7 +258,7 @@ def _heat_trace(t: float, tau: complex, radius: float) -> float:
     return total
 
 
-def det_prime_torus_zeta(tau: complex, radius: float = 2.0 * math.pi, n_quad: int = 200) -> float:
+def det_prime_torus_zeta(tau: complex, radius: float = 2.0 * math.pi) -> float:
     """det' Delta by direct zeta regularization: with theta(t) the heat trace
     and A = area/(4 pi),
 
@@ -271,7 +271,7 @@ def det_prime_torus_zeta(tau: complex, radius: float = 2.0 * math.pi, n_quad: in
     tau = complex(tau)
     area = radius**2 * tau.imag
     A = area / (4.0 * math.pi)
-    x, w = roots_legendre(n_quad)
+    x, w = roots_legendre(200)
     # I0 on (0, 1): substitute t = s^2 to soften the t -> 0 end
     s = 0.5 * (x + 1.0)
     ws = 0.5 * w
@@ -294,14 +294,14 @@ def det_prime_torus_zeta(tau: complex, radius: float = 2.0 * math.pi, n_quad: in
     return math.exp(-zeta_prime_0)
 
 
-def torus_det_prefactor(geom: TorusGeometry, check_tol: float = 0.01) -> float:
+def torus_det_prefactor(geom: TorusGeometry) -> float:
     """(v_g / det' Delta)^{1/2} = (Im tau)^{-1/2} |eta(tau)|^{-2}, the closed
-    form cross-checked against the spectral-zeta continuation at construction."""
+    form checked to 1% against the spectral-zeta continuation at construction."""
     key = "detpref"
     if key not in geom._tables:
         closed = det_prime_torus_closed(geom.tau)
         zeta_val = det_prime_torus_zeta(geom.tau)
-        if abs(zeta_val - closed) > check_tol * abs(closed):
+        if abs(zeta_val - closed) > 0.01 * abs(closed):
             raise ConsistencyError(
                 f"torus det': closed form {closed} vs zeta continuation {zeta_val}"
             )
@@ -343,9 +343,10 @@ class McEstimate:
     error_blown: bool = False
 
 
-def _cell_polar_integral(geom: TorusGeometry, power: float, n_theta: int = 512) -> float:
+def _cell_polar_integral(geom: TorusGeometry, power: float) -> float:
     """int over the grid cell centered at 0 of |x|^{-power} dA, by polar
     quadrature of the parallelogram cell spanned by the grid steps."""
+    n_theta = 512
     d1 = 2.0 * math.pi / geom.n_grid
     d2 = 2.0 * math.pi * geom.tau / geom.n_grid
     thetas = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)

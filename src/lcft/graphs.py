@@ -101,9 +101,6 @@ class AdmissibleGraph:
     def genus(self) -> int:
         return len(self.edges) - len(self.vertex_ids) + 1
 
-    def n_marked(self) -> int:
-        return len(self.marked)
-
     def slot_map(self) -> dict[int, list[tuple[int, str, int]]]:
         """vertex id -> ordered [(slot, 'edge'|'mark', edge index or -1)]."""
         out: dict[int, list[tuple[int, str, int]]] = {v: [] for v in self.vertex_ids}

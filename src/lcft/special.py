@@ -80,10 +80,13 @@ def l_ratio(z: complex) -> complex:
     return out
 
 
-def _panel_rule(T: float, panel_width: float, nodes_per_panel: int) -> tuple:
-    """Composite Gauss-Legendre nodes and weights on [0, T]."""
+def _panel_rule(length: float, panel_width: float, nodes_per_panel: int) -> tuple:
+    """Composite Gauss-Legendre nodes and weights on [0, length]: the
+    nodes_per_panel-point rule on each of round(length / panel_width) equal
+    panels (at least one)."""
     x, w = roots_legendre(nodes_per_panel)
-    edges = np.arange(0.0, T + 0.5 * panel_width, panel_width)
+    n_panels = max(1, int(round(length / panel_width)))
+    edges = np.linspace(0.0, length, n_panels + 1)
     lo, hi = edges[:-1, None], edges[1:, None]
     nodes = (0.5 * (hi - lo) * x[None, :] + 0.5 * (hi + lo)).ravel()
     weights = (0.5 * (hi - lo) * w[None, :]).ravel()
@@ -202,12 +205,12 @@ def upsilon(z: complex, ev: UpsilonEvaluator) -> complex:
     return out
 
 
-def upsilon_prime_zero(ev: UpsilonEvaluator, check_tol: float = 1e-6) -> complex:
+def upsilon_prime_zero(ev: UpsilonEvaluator) -> complex:
     """Upsilon'(0) via the identity Upsilon'(0) = Upsilon(gamma/2).
 
     The identity is the z -> 0 limit of the first shift relation, using
     l(gamma z/2) ~ 2/(gamma z).  A Richardson-extrapolated central difference
-    cross-checks it; disagreement beyond ``check_tol`` relative raises
+    cross-checks it; disagreement beyond 1e-6 relative raises
     ConsistencyError.
     """
     value = upsilon(ev.gamma / 2.0, ev)
@@ -217,7 +220,7 @@ def upsilon_prime_zero(ev: UpsilonEvaluator, check_tol: float = 1e-6) -> complex
         return (upsilon(hh, ev) - upsilon(-hh, ev)) / (2.0 * hh)
 
     fd = (4.0 * central(h / 2.0) - central(h)) / 3.0
-    if abs(fd - value) > check_tol * abs(value):
+    if abs(fd - value) > 1e-6 * abs(value):
         raise ConsistencyError(
             f"Upsilon'(0) mismatch: shift identity {value}, finite difference {fd}"
         )

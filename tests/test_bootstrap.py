@@ -417,6 +417,13 @@ def _torus2():
     return g, Quadrature(p_max=1.5, panel_width=0.5, nodes_per_panel=3), 2
 
 
+def _torus3():
+    """3-cycle of annuli: each annulus vertex misses one edge, so its record
+    is stored and reused across the nodes of that edge."""
+    g = _torus_cycle([0.9, 1.0, 1.1], [0.1 + 0.02j, 0.12 - 0.01j, 0.08 + 0.03j])
+    return g, Quadrature(1.0, 0.5, 2), 2
+
+
 def _theta():
     """Two pants joined by three distinct edges: each pant is on every edge."""
     g = AdmissibleGraph(edges=[EdgeSpec((1, k), (2, k)) for k in (1, 2, 3)])
@@ -428,12 +435,13 @@ class TestEngineCaches:
     DOZZ factor and tensor once per distinct tuple of its edges' nodes; the
     cached values must equal the per-node public path bit for bit."""
 
-    @pytest.mark.parametrize("case", ["genus2", "sphere5", "torus2", "theta"])
+    @pytest.mark.parametrize("case", ["genus2", "sphere5", "torus2", "torus3", "theta"])
     def test_bitwise_equal_to_per_node_path(self, case, request):
         if case == "genus2":
             g, quad, N, res, _builds = request.getfixturevalue("genus2_run")
         else:
-            g, quad, N = {"sphere5": _sphere5, "torus2": _torus2, "theta": _theta}[case]()
+            cases = {"sphere5": _sphere5, "torus2": _torus2, "torus3": _torus3, "theta": _theta}
+            g, quad, N = cases[case]()
             res = graph_correlator(g, S2, quad=quad, N=N)
         L, qs = len(g.edges), g.q_vector()
         rho = np.empty((quad.n_nodes,) * L, dtype=complex)
@@ -475,6 +483,19 @@ class TestEngineCaches:
         assert res.details["vertex_tensors"] == 96 * 2
         # Q +- ip and alpha/2 +- ip per node, plus alpha, alpha/2 and Q - alpha/2
         assert res.details["upsilon_evals"] == 4 * 96 + 3
+
+    def test_torus3_counts(self):
+        # each annulus misses one edge of the 3-cycle: one record per vertex
+        # and node pair on its own edges, reused at the 4 nodes of the third,
+        # holding a tensor at each of the 6 level pairs with total <= 2
+        g, quad, N = _torus3()
+        res = graph_correlator(g, S2, quad=quad, N=N)
+        assert res.details["gram_sets"] == 4
+        assert res.details["dozz_factors"] == 3 * 4**2
+        assert res.details["vertex_tensors"] == 3 * 4**2 * 6
+        # 8 numerator arguments Q +- ip, the 3 alphas and 90 distinct
+        # denominators (alpha/2 and Q - alpha/2 at equal nodes among them)
+        assert res.details["upsilon_evals"] == 8 + 3 + 90
 
     def test_theta_counts(self):
         # nothing is memoized: both pants build a factor at each of the 4^3 node

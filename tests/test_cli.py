@@ -62,6 +62,22 @@ class TestCli:
         assert out.returncode == 2
         assert "gamma" in out.stderr
 
+    def test_common_flags_before_subcommand(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": 1.1}))
+        out = run_cli("--out", str(tmp_path / "out"), "--config", str(cfg), "--seed", "7", "dozz")
+        assert out.returncode == 0, out.stderr
+        rec = json.loads((tmp_path / "out" / "dozz.json").read_text())
+        assert rec["config"]["gamma"] == 1.1
+        assert rec["config"]["seed"] == 7
+
+    def test_empty_alpha_is_unset(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": [0.4, 0.6, 1.1]}))
+        out = run_cli("dozz", "--config", str(cfg), "--alpha")
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["result"]["alpha"] == [0.4, 0.6, 1.1]
+
     def test_validation_exit_code(self):
         out = run_cli("torus1pt", "--alpha", "-3.0")
         assert out.returncode == 2
