@@ -28,9 +28,9 @@ from .graphs import AdmissibleGraph, EdgeSpec, MarkedPoint, validate_graph
 from .bootstrap import (
     ANNULUS_VERTEX_CONSTANT,
     CorrelatorResult,
+    DISK_VERTEX_CONSTANT,
     Quadrature,
     Z_DISK,
-    disk_vertex_constant,
     graph_correlator,
     sphere_k_point,
     torus_k_point,

@@ -394,25 +394,29 @@ class _BlockPlan:
     einsum_spec: str
 
 
-def _block_plan(graph, alphas, params: CftParams) -> _BlockPlan:
-    """Per-graph half of graph_block and rho_density: one einsum letter per
-    edge end, shared by the vertex slot it is glued to and by the edge's
-    inverse Gram matrix."""
+def _block_plan(graph, params: CftParams) -> _BlockPlan:
+    """The one reader of a pants graph's slots (graph_block, rho_density and
+    the spectral integral).  It checks the graph's structure, then takes each
+    marked weight and each edge end, outgoing (0, sign -1) or incoming (1,
+    sign +1), in one pass; an edge end's einsum letter is shared by its vertex
+    slot and by the edge's inverse Gram matrix."""
+    graph.check_structure()
     L = len(graph.edges)
-    alpha_of = {(m.vertex, m.slot): a for m, a in zip(graph.marked, alphas)}
-    letter = {(eidx, end): chr(ord("a") + 2 * eidx + end) for eidx in range(L) for end in (0, 1)}
     vertices, specs = [], []
     for vid, slot_list in graph.slot_map().items():
-        slots = tuple(
-            (eidx, graph.orientation_sign(vid, k)) if kind == "edge" else (None, alpha_of[(vid, k)])
-            for k, kind, eidx in slot_list
-        )
+        slots, spec = [], ""
+        for k, kind, i in slot_list:
+            if kind == "mark":
+                slots.append((None, graph.marked[i].alpha))
+            else:
+                end = int(graph.edges[i].v_to == (vid, k))
+                slots.append((i, 2 * end - 1))
+                spec += chr(ord("a") + 2 * i + end)
         edges = tuple(eidx for eidx, _x in slots if eidx is not None)
         marks = tuple(complex(conformal_weight(x, params)) for eidx, x in slots if eidx is None)
-        vertices.append(_Vertex(slots, edges, marks))
-        ends = [graph.edge_end_of_slot(vid, k) for k, kind, _e in slot_list if kind == "edge"]
-        specs.append("".join(letter[end] for end in ends))
-    specs += [letter[(e, 0)] + letter[(e, 1)] for e in range(L)]
+        vertices.append(_Vertex(tuple(slots), edges, marks))
+        specs.append(spec)
+    specs += [chr(ord("a") + 2 * e) + chr(ord("a") + 2 * e + 1) for e in range(L)]
     return _BlockPlan(vertices=tuple(vertices), einsum_spec=",".join(specs) + "->")
 
 
@@ -459,26 +463,25 @@ def _contract(plan: _BlockPlan, terms: list, tensors, hs, finv, c, N: int) -> Bl
     return BlockSeries(exponents=exps, coeffs=coeffs, N=N)
 
 
-def graph_block(graph, alphas, p_vector, q_vector, params: CftParams, N: int = 4) -> BlockSeries:
-    """Conformal block of a validated pants graph.
+def graph_block(graph, p_vector, params: CftParams, N: int = 4) -> BlockSeries:
+    """Conformal block of a pants graph, with its weights on the marked points.
 
-    One (p, q, level) triple per linking edge; per-vertex coefficient tensors
+    One p and one level per linking edge; per-vertex coefficient tensors
     (pant / annulus / disk by the number of edge slots) are contracted across
     every edge through the inverse Gram matrix at that edge's weight.  The
     output factorizes as prod_i |q_i|^{-c_L/24 + Delta_{Q+ip_i}} times a
-    holomorphic series in the q_i.
+    holomorphic series in the q_i, which the caller evaluates at the moduli.
     """
     from .graphs import AdmissibleGraph  # local import to avoid a cycle
 
     if not isinstance(graph, AdmissibleGraph):
         raise ValidationError("graph_block expects an AdmissibleGraph")
-    graph.check_structure()
+    plan = _block_plan(graph, params)
     L = len(graph.edges)
-    if len(p_vector) != L or len(q_vector) != L:
-        raise DimensionMismatch(f"need one p and one q per edge ({L})")
-    c = params.c_L
-    plan = _block_plan(graph, alphas, params)
+    if len(p_vector) != L:
+        raise DimensionMismatch(f"need one p per edge ({L}), got {len(p_vector)}")
     _require_edge_slots(graph, plan)
+    c = params.c_L
     hs = [complex(conformal_weight(params.Q + 1j * p, params)) for p in p_vector]
     finv = [_gram_inverses(h, c, N) for h in hs]
     terms = _level_terms(plan, N, L)

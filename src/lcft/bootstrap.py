@@ -17,9 +17,12 @@ constant Z_D/2 reproduce their closed-form prefactors:
 The sphere adapter multiplies the graph value by one p-independent scalar
 S = const^2 prod_e |q_e|^{c_L/12}: const is the product of |z_j|-powers of the
 marked points, and the |q| powers remove the graph's -c_L/24 plumbing exponent,
-which the DOZZ-metric sphere formula does not have.  Through the graph's
-per-vertex admissibility the sphere adapter also requires alpha_1 + alpha_2 > Q
-and alpha_{k-1} + alpha_k > Q at the two disk vertices.
+which the DOZZ-metric sphere formula does not have.
+
+The adapters check only their geometry.  Every weight bound comes from
+``graphs.validate_graph`` on the graph they build: alpha > 0 on an annulus
+vertex, alpha < Q everywhere, and for the sphere chain alpha_1 + alpha_2 > Q,
+alpha_{k-1} + alpha_k > Q at the two disk vertices and sum(alpha) > 2Q.
 
 The graph is read once into ``blocks._block_plan``, whose vertex records give
 each vertex's DOZZ arguments, descendant tensors, einsum letters and share of
@@ -67,15 +70,10 @@ __all__ = [
     "sphere_k_point",
     "graph_correlator",
     "ANNULUS_VERTEX_CONSTANT",
-    "disk_vertex_constant",
+    "DISK_VERTEX_CONSTANT",
     "zeta_prime_minus1",
     "Z_DISK",
 ]
-
-#: Flat-annulus building-block constant C = pi / (sqrt(2) e): the metric
-#: constant of every annulus vertex in the torus and sphere adapters.
-ANNULUS_VERTEX_CONSTANT = math.pi / (math.sqrt(2.0) * math.e)
-
 
 def zeta_prime_minus1() -> float:
     """zeta_R'(-1) by Richardson-extrapolated central differences of the
@@ -91,10 +89,13 @@ def zeta_prime_minus1() -> float:
 #: Z_{D, g_D} = e^{1/4} 2^{1/12} pi^{1/4} e^{5/24 + zeta'(-1)}
 Z_DISK = math.exp(0.25) * 2.0 ** (1.0 / 12.0) * math.pi**0.25 * math.exp(5.0 / 24.0 + zeta_prime_minus1())
 
+#: Flat-annulus building-block constant C = pi / (sqrt(2) e): the metric
+#: constant of every annulus vertex in the torus and sphere adapters.
+ANNULUS_VERTEX_CONSTANT = math.pi / (math.sqrt(2.0) * math.e)
 
-def disk_vertex_constant() -> float:
-    """Disk building-block constant Z_D / 2 for the graph correlator."""
-    return Z_DISK / 2.0
+#: Disk building-block constant Z_D / 2: the metric constant of the two disk
+#: vertices in the sphere adapter.
+DISK_VERTEX_CONSTANT = Z_DISK / 2.0
 
 
 @dataclass
@@ -194,14 +195,12 @@ def torus_one_point(
         q = e^{2 pi i tau},
 
     evaluated as the self-loop graph with one annulus vertex.  ``details``
-    keeps the engine's keys, with ``rho`` made real and ``prefactor`` given
-    as "1/(2e)", and adds ``q`` and ``integrand_min``.
+    keeps the engine's keys, with ``rho`` made real, and adds ``q`` and
+    ``integrand_min``.
     """
     tau = complex(tau)
     if tau.imag <= 0:
         raise ValidationError(f"Im tau must be positive, got {tau}")
-    if not 0.0 < alpha1 < params.Q:
-        raise ValidationError(f"alpha1 must lie in (0, Q) = (0, {params.Q}), got {alpha1}")
     q = complex(np.exp(2j * math.pi * tau))
     res = graph_correlator(
         _torus_cycle([alpha1], [q]), params, metric_constants=[ANNULUS_VERTEX_CONSTANT], quad=quad, N=N
@@ -211,7 +210,6 @@ def torus_one_point(
         res,
         details={
             **res.details,
-            "prefactor": "1/(2e)",
             "q": q,
             "integrand_min": float((rho * res.details["block_abs2"]).min()),
             "rho": rho,
@@ -242,8 +240,6 @@ def torus_k_point(
     ims = [complex(x).imag for x in x_positions]
     if any(ims[j + 1] <= ims[j] for j in range(k - 1)) or ims[-1] >= 2 * math.pi * tau.imag:
         raise ValidationError("need Im x_j < Im x_{j+1} < 2 pi Im tau")
-    if any(not 0 < a < params.Q for a in alphas):
-        raise ValidationError("all weights must lie in (0, Q)")
 
     zs = [np.exp(1j * complex(x)) for x in x_positions]
     qs = [zs[j + 1] / zs[j] for j in range(k - 1)] + [np.exp(2j * math.pi * tau) / zs[k - 1]]
@@ -290,18 +286,13 @@ def sphere_k_point(
         raise ValidationError("need |z_j| < |z_{j+1}|")
     if not (mags[0] < 1.0 < mags[-1]):
         raise ValidationError("need |z_2| < 1 < |z_{k-1}|")
-    if sum(alphas) <= 2 * params.Q:
-        raise ValidationError(f"Seiberg bound sum(alpha) > 2Q = {2*params.Q} violated")
-    if any(not 0 < a < params.Q for a in alphas):
-        raise ValidationError("all weights must lie in (0, Q)")
 
     zs = [complex(z) for z in z_positions[:-1]]
     qs = [zs[j] / zs[j + 1] for j in range(1, k - 2)]  # q_j = z_j/z_{j+1}, j = 2..k-2 (1-based)
-    disk = disk_vertex_constant()
     res = graph_correlator(
         _sphere_chain(alphas, qs),
         params,
-        metric_constants=[disk] + [ANNULUS_VERTEX_CONSTANT] * (k - 4) + [disk],
+        metric_constants=[DISK_VERTEX_CONSTANT, *[ANNULUS_VERTEX_CONSTANT] * (k - 4), DISK_VERTEX_CONSTANT],
         quad=quad,
         N=N,
         node_budget=node_budget,
@@ -327,7 +318,7 @@ def graph_correlator(
             int rho(alpha, p) |F_p(alpha, q)|^2 dp  over p in R_+^L,
 
     with one DOZZ factor in rho and one metric constant C_v per vertex
-    (default 1; ANNULUS_VERTEX_CONSTANT / disk_vertex_constant() give the
+    (default 1; ANNULUS_VERTEX_CONSTANT / DISK_VERTEX_CONSTANT give the
     explicit torus/sphere normalizations).  ``details["prefactor"]`` includes
     prod_v C_v; ``details["rho"]`` (the bare DOZZ product) and
     ``details["block_abs2"]`` hold the integrand's factors at every node, as
@@ -336,9 +327,8 @@ def graph_correlator(
     count the Gram-inverse sets, vertex DOZZ factors, vertex tensors and
     distinct log-Upsilon arguments evaluated.  ``tail_fraction`` is
     the share of the integral from nodes with any edge's p in the last panel."""
-    alphas = graph.alphas()
     q_vector = [complex(q) for q in graph.q_vector()]
-    violations = validate_graph(graph, alphas, params)
+    violations = validate_graph(graph, params)
     if violations:
         raise ValidationError("; ".join(str(v) for v in violations))
     L = len(graph.edges)
@@ -352,7 +342,7 @@ def graph_correlator(
     if len(mconsts) != n_vertices:
         raise DimensionMismatch(f"need {n_vertices} metric constants, got {len(mconsts)}")
 
-    plan = _block_plan(graph, alphas, params)
+    plan = _block_plan(graph, params)
     _require_edge_slots(graph, plan)
     c = params.c_L
     hs = [complex(conformal_weight(params.Q + 1j * float(p), params)) for p in quad.nodes]

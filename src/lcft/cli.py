@@ -137,6 +137,14 @@ def _quad(cfg) -> Quadrature:
     )
 
 
+def _one_alpha(cfg) -> float:
+    """The weight of a one-insertion command; unset or empty means 1.2."""
+    a = cfg.get("alpha") or [1.2]
+    if len(a) != 1:
+        raise errors.ValidationError(f"{cfg['command']} needs one weight in 'alpha', got {len(a)}")
+    return a[0]
+
+
 def _tau(cfg) -> complex:
     t = cfg.get("tau") or [0.0, 1.0]
     return complex(t[0], t[1])
@@ -190,7 +198,7 @@ def cmd_shapovalov(args, cfg) -> dict:
 
 def cmd_block(args, cfg) -> tuple[dict, list, str, str]:
     params = _cparams(cfg)
-    a = (cfg.get("alpha") or [1.2])[0]
+    a = _one_alpha(cfg)
     q = complex(cfg["q"][0], cfg["q"][1]) if cfg.get("q") else 0.3 + 0.0j
     series = torus_one_point_block(a, float(cfg["p"]), q, params, int(cfg["N"]))
     rows = [(n[0], series.coeffs[n].real, series.coeffs[n].imag) for n in sorted(series.coeffs)]
@@ -207,7 +215,7 @@ def cmd_block(args, cfg) -> tuple[dict, list, str, str]:
 
 def cmd_torus1pt(args, cfg) -> tuple[dict, list, str, str]:
     params = _cparams(cfg)
-    a = (cfg.get("alpha") or [1.2])[0]
+    a = _one_alpha(cfg)
     quad = _quad(cfg)
     res = torus_one_point(a, _tau(cfg), params, quad, int(cfg["N"]))
     rows = [
@@ -255,7 +263,7 @@ def cmd_graph(args, cfg) -> dict:
 
 def cmd_mc_torus1pt(args, cfg) -> tuple[dict, list, str, str]:
     params = _cparams(cfg)
-    a = (cfg.get("alpha") or [1.2])[0]
+    a = _one_alpha(cfg)
     geom = TorusGeometry(tau=_tau(cfg), n_grid=int(cfg["grid"]))
     mc = McConfig(
         n_samples=int(cfg["samples"]), n_batches=int(cfg["batches"]), seed=int(cfg["seed"])
@@ -309,13 +317,17 @@ def main(argv=None) -> int:
         p.add_argument("--p", type=float)
         p.add_argument("--tau", type=float, nargs=2)
 
-    st = sub.add_parser("selftest", help="run the acceptance battery", parents=[common])
+    st = sub.add_parser("selftest", help="run the acceptance battery")
     st.add_argument("--only", nargs="*", help="criterion ids to run (default: all)")
     st.add_argument("--mc-samples", type=int, default=200_000, dest="mc_samples")
 
     args = parser.parse_args(argv)
 
     if args.command == "selftest":
+        given = [f"--{key}" for key in ("config", "out", "seed") if hasattr(args, key)]
+        if given:
+            print(f"validation error: selftest takes no {', '.join(given)}", file=sys.stderr)
+            return 2
         from .acceptance import run_battery
 
         results = run_battery(only=set(args.only) if args.only else None,

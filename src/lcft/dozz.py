@@ -136,15 +136,15 @@ def _density(factors) -> complex:
     return math.prod(factors, start=1.0 + 0.0j)
 
 
-def rho_density(graph, alphas, p_vector, params: CftParams) -> complex:
+def rho_density(graph, p_vector, params: CftParams) -> complex:
     """Spectral density of a pants graph: one DOZZ factor per vertex with
     arguments Q + i sigma p on edge slots (sigma the orientation sign) and the
-    marked alphas elsewhere.
+    marked points' alphas elsewhere.
 
     Always complex.  Self-conjugate graphs (the torus self-loop, genus 2) are
     real up to roundoff; chains with k >= 2 are complex pointwise, reality
     being restored only after the symmetrized spectral integral.
     """
-    plan = _block_plan(graph, alphas, params)
+    plan = _block_plan(graph, params)
     memo: dict = {}
     return _density(_vertex_dozz(vertex, p_vector, params, memo) for vertex in plan.vertices)

@@ -102,35 +102,19 @@ class AdmissibleGraph:
         return len(self.edges) - len(self.vertex_ids) + 1
 
     def slot_map(self) -> dict[int, list[tuple[int, str, int]]]:
-        """vertex id -> ordered [(slot, 'edge'|'mark', edge index or -1)]."""
+        """vertex id -> ordered [(slot, 'edge'|'mark', index into edges or marked)]."""
         out: dict[int, list[tuple[int, str, int]]] = {v: [] for v in self.vertex_ids}
         for i, e in enumerate(self.edges):
             out[e.v_from[0]].append((e.v_from[1], "edge", i))
             out[e.v_to[0]].append((e.v_to[1], "edge", i))
-        for m in self.marked:
-            out[m.vertex].append((m.slot, "mark", -1))
+        for i, m in enumerate(self.marked):
+            out[m.vertex].append((m.slot, "mark", i))
         for v in out:
             out[v].sort()
         return out
 
-    def edge_end_of_slot(self, vid: int, slot: int) -> tuple[int, int]:
-        """(edge index, end) with end 0 for the outgoing side, 1 for incoming."""
-        for i, e in enumerate(self.edges):
-            if e.v_from == (vid, slot):
-                return i, 0
-            if e.v_to == (vid, slot):
-                return i, 1
-        raise GraphInvalid(f"slot ({vid}, {slot}) is not an edge slot")
-
-    def orientation_sign(self, vid: int, slot: int) -> int:
-        _i, end = self.edge_end_of_slot(vid, slot)
-        return 1 if end == 1 else -1
-
     def q_vector(self) -> list[complex]:
         return [e.q for e in self.edges]
-
-    def alphas(self) -> list[float]:
-        return [m.alpha for m in self.marked]
 
     # -- JSON ------------------------------------------------------------------
 
@@ -176,28 +160,24 @@ class Violation:
         return f"vertex {self.vertex}: {self.kind} margin {self.margin:+.6g}"
 
 
-def validate_graph(graph: AdmissibleGraph, alphas, params: CftParams) -> list[Violation]:
-    """Seiberg/spectral admissibility: per-vertex sum(alpha) - (2 - b) Q > 0 and
-    every alpha < Q; for closed-surface global data also sum(alpha) + 2Q(g-1) > 0.
-    Returns a (possibly empty) list of violations; structural problems raise."""
+def validate_graph(graph: AdmissibleGraph, params: CftParams) -> list[Violation]:
+    """Seiberg/spectral admissibility of the marked weights: per-vertex
+    sum(alpha) - (2 - b) Q > 0 and every alpha < Q; for closed-surface global
+    data also sum(alpha) + 2Q(g-1) > 0.  Returns a (possibly empty) list of
+    violations; structural problems raise."""
     graph.check_structure()
-    if len(alphas) != len(graph.marked):
-        raise GraphInvalid(f"need {len(graph.marked)} alphas, got {len(alphas)}")
     out: list[Violation] = []
     Q = params.Q
-    alpha_of = {(m.vertex, m.slot): a for m, a in zip(graph.marked, alphas)}
-    slot_map = graph.slot_map()
-    for vid in graph.vertex_ids:
-        slots = slot_map[vid]
-        b = sum(1 for (_k, kind, _e) in slots if kind == "edge")
-        a_sum = sum(alpha_of[(vid, k)] for (k, kind, _e) in slots if kind == "mark")
+    for vid, slots in graph.slot_map().items():
+        b = sum(1 for (_k, kind, _i) in slots if kind == "edge")
+        a_sum = sum(graph.marked[i].alpha for (_k, kind, i) in slots if kind == "mark")
         margin = a_sum - (2 - b) * Q
         if margin <= 0:
             out.append(Violation(vertex=vid, kind="spectral (sum alpha - (2-b)Q > 0)", margin=margin))
-    for (vid, _k), a in alpha_of.items():
-        if a >= Q:
-            out.append(Violation(vertex=vid, kind="Seiberg (alpha < Q)", margin=Q - a))
-    total = sum(alphas) + 2.0 * Q * (graph.genus() - 1)
+    for m in graph.marked:
+        if m.alpha >= Q:
+            out.append(Violation(vertex=m.vertex, kind="Seiberg (alpha < Q)", margin=Q - m.alpha))
+    total = sum(m.alpha for m in graph.marked) + 2.0 * Q * (graph.genus() - 1)
     if total <= 0:
         out.append(Violation(vertex=-1, kind="global Seiberg (sum alpha + 2Q(g-1) > 0)", margin=total))
     return out

@@ -226,7 +226,7 @@ class TestChainBlock:
     def test_torus_k1_equals_one_point(self):
         params = CftParams(gamma=1.3)
         q = 0.12 + 0.07j
-        s1 = graph_block(_torus_cycle([1.1], [q]), [1.1], [0.9], [q], params, N=4)
+        s1 = graph_block(_torus_cycle([1.1], [q]), [0.9], params, N=4)
         s2 = torus_one_point_block(1.1, 0.9, q, params, N=4)
         for n in range(5):
             assert s1.coeffs[(n,)] == pytest.approx(s2.coeffs[(n,)], rel=1e-12)
@@ -235,7 +235,7 @@ class TestChainBlock:
     def test_torus_k2_structure(self):
         params = CftParams(gamma=1.3)
         qs = [0.1 + 0.02j, 0.15 - 0.03j]
-        s = graph_block(_torus_cycle([1.0, 1.2], qs), [1.0, 1.2], [0.5, 0.8], qs, params, N=3)
+        s = graph_block(_torus_cycle([1.0, 1.2], qs), [0.5, 0.8], params, N=3)
         assert s.coeffs[(0, 0)] == pytest.approx(1.0)
         val = s.value(qs)
         assert np.isfinite(val.real) and np.isfinite(val.imag)
@@ -244,7 +244,7 @@ class TestChainBlock:
         params = CftParams(gamma=1.2)
         alphas = [1.5, 1.4, 1.3, 1.2]
         g = _sphere_chain(alphas, [0.25])
-        s = graph_block(g, g.alphas(), [0.7], [0.25], params, N=2)
+        s = graph_block(g, [0.7], params, N=2)
         dm = [complex(conformal_weight(a, params)).real for a in alphas]
         h2 = complex(conformal_weight(params.Q + 0.7j, params)).real
         # |z2|^{-Da2} |z3|^{+Da3} |z2|^{-Da1} |z3|^{+Da4}, squared; |q|^{c_L/12}
@@ -259,7 +259,7 @@ class TestChainBlock:
         params = CftParams(gamma=1.3)
         g = _torus_cycle([1.0, 1.2], [0.1, 0.1])
         with pytest.raises(DimensionMismatch):
-            graph_block(g, [1.0, 1.2], [0.5], [0.1, 0.1], params, N=2)
+            graph_block(g, [0.5], params, N=2)
 
 
 class TestGraphBlock:
@@ -269,7 +269,7 @@ class TestGraphBlock:
         g = AdmissibleGraph(
             edges=[EdgeSpec((1, 1), (1, 2), q=q)], marked=[MarkedPoint(1, 3, alpha1)]
         )
-        gb = graph_block(g, [alpha1], [p], [q], params, N=4)
+        gb = graph_block(g, [p], params, N=4)
         tb = torus_one_point_block(alpha1, p, q, params, N=4)
         for n in range(5):
             assert gb.coeffs[(n,)] == pytest.approx(tb.coeffs[(n,)], rel=1e-12)
@@ -283,7 +283,7 @@ class TestGraphBlock:
                 EdgeSpec((2, 2), (2, 3), q=0.1),
             ]
         )
-        gb = graph_block(g, [], [0.4, 0.7, 1.1], [0.1, 0.1, 0.1], params, N=2)
+        gb = graph_block(g, [0.4, 0.7, 1.1], params, N=2)
         assert gb.coeffs[(0, 0, 0)] == pytest.approx(1.0)
 
     def test_cauchy_riemann_in_q1(self):
@@ -296,7 +296,7 @@ class TestGraphBlock:
                 EdgeSpec((2, 2), (2, 3), q=0.1),
             ]
         )
-        gb = graph_block(g, [], [0.4, 0.7, 1.1], [0.1, 0.1, 0.1], params, N=3)
+        gb = graph_block(g, [0.4, 0.7, 1.1], params, N=3)
         q0 = [0.1 + 0.02j, 0.09, 0.11]
         h = 1e-5
 
@@ -318,7 +318,7 @@ class TestGraphBlock:
             edges=[EdgeSpec((2, 2), (1, 1), q=qs[0]), EdgeSpec((1, 2), (2, 1), q=qs[1])],
             marked=[MarkedPoint(1, 3, alphas[0]), MarkedPoint(2, 3, alphas[1])],
         )
-        gb = graph_block(g, alphas, ps, qs, params, N=N)
+        gb = graph_block(g, ps, params, N=N)
         h = [complex(conformal_weight(params.Q + 1j * p, params)) for p in ps]
         d = [complex(conformal_weight(a, params)) for a in alphas]
 

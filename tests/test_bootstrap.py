@@ -10,11 +10,11 @@ from lcft.acceptance import _torus_one_point_hand_coded
 from lcft.blocks import graph_block
 from lcft.bootstrap import (
     ANNULUS_VERTEX_CONSTANT,
+    DISK_VERTEX_CONSTANT,
     Quadrature,
     Z_DISK,
     _sphere_chain,
     _torus_cycle,
-    disk_vertex_constant,
     graph_correlator,
     sphere_k_point,
     torus_k_point,
@@ -68,7 +68,7 @@ class TestVertexConstants:
         zp = float(mpmath.zeta(-1, 1, 1))
         expect = math.exp(0.25) * 2 ** (1 / 12) * math.pi**0.25 * math.exp(5 / 24 + zp)
         assert Z_DISK == pytest.approx(expect, rel=1e-10)
-        assert disk_vertex_constant() == pytest.approx(Z_DISK / 2.0)
+        assert DISK_VERTEX_CONSTANT == pytest.approx(Z_DISK / 2.0)
 
     def test_prefactor_identities_symbolic(self):
         """The graph constant 2^{L/2}/(2 pi)^{2L-1} with the annulus/disk vertex
@@ -118,6 +118,11 @@ class TestTorusOnePoint:
             torus_one_point(-0.1, 1j, params, QUAD, N=2)
         with pytest.raises(ValidationError):
             torus_one_point(1.0, 1.0 - 1j, params, QUAD, N=2)
+        # the self-loop's admissibility at its edges: alpha > 0 (spectral), alpha < Q (Seiberg)
+        with pytest.raises(ValidationError, match="spectral"):
+            torus_one_point(0.0, 1j, params, QUAD, N=2)
+        with pytest.raises(ValidationError, match="Seiberg"):
+            torus_one_point(params.Q, 1j, params, QUAD, N=2)
 
     def test_quadrature_doubling_stability(self):
         params = CftParams(gamma=math.sqrt(2.0))
@@ -219,7 +224,7 @@ class TestAdapterDetails:
     def test_torus_one_point(self):
         details = torus_one_point(1.2, 1j, S2, self.QUAD, N=1).details
         assert self.ENGINE_KEYS | {"q", "integrand_min"} <= details.keys()
-        assert details["prefactor"] == "1/(2e)"
+        assert details["prefactor"] == pytest.approx(1 / (2 * math.e), rel=1e-15)
         assert np.isrealobj(details["rho"]) and details["rho"].shape == (4,)
         counts = (details["gram_sets"], details["dozz_factors"], details["vertex_tensors"])
         assert counts == (4, 4, 8)
@@ -303,7 +308,8 @@ class TestSphereKPoint:
         assert res.value == pytest.approx(base.value * 2.0**expect_exp, rel=1e-12)
 
     def test_seiberg_validation(self):
-        with pytest.raises(ValidationError):
+        # sum(alpha) = 0.6 < 2Q = 4.53
+        with pytest.raises(ValidationError, match="global Seiberg"):
             sphere_k_point([0.1, 0.2, 0.1, 0.2], [0, 0.5, 2.0, None], self.PARAMS, QUAD, N=1)
         with pytest.raises(ValidationError):
             sphere_k_point([1.5, 1.4, 1.3, 1.2], [0, 2.0, 0.5, None], self.PARAMS, QUAD, N=1)
@@ -341,6 +347,10 @@ class TestGraphCorrelator:
         )
         with pytest.raises(GraphInvalid):
             g.check_structure()
+        with pytest.raises(GraphInvalid):
+            rho_density(g, [0.5, 0.5], S2)
+        with pytest.raises(GraphInvalid):
+            graph_block(g, [0.5, 0.5], S2)
 
     def test_validation_errors_surface(self):
         params = CftParams(gamma=1.0)
@@ -354,9 +364,9 @@ class TestGraphCorrelator:
         # rho_density takes a lone pant with three marked points (one DOZZ
         # constant); a block and the spectral integral need an edge to glue
         g = AdmissibleGraph(edges=[], marked=[MarkedPoint(1, k, 2.0) for k in (1, 2, 3)])
-        assert rho_density(g, g.alphas(), [], S2) == dozz_constant(2.0, 2.0, 2.0, S2)
+        assert rho_density(g, [], S2) == dozz_constant(2.0, 2.0, 2.0, S2)
         with pytest.raises(ValidationError, match="vertex 1 has no edge slots"):
-            graph_block(g, g.alphas(), [], [], S2)
+            graph_block(g, [], S2)
         with pytest.raises(ValidationError, match="vertex 1 has no edge slots"):
             graph_correlator(g, S2)
 
@@ -448,8 +458,8 @@ class TestEngineCaches:
         block_abs2 = np.empty((quad.n_nodes,) * L)
         for idx in np.ndindex(*rho.shape):
             ps = [float(quad.nodes[i]) for i in idx]
-            rho[idx] = rho_density(g, g.alphas(), ps, S2)
-            block_abs2[idx] = graph_block(g, g.alphas(), ps, qs, S2, N).abs2(qs)
+            rho[idx] = rho_density(g, ps, S2)
+            block_abs2[idx] = graph_block(g, ps, S2, N).abs2(qs)
         assert np.array_equal(res.details["rho"], rho)
         assert np.array_equal(res.details["block_abs2"], block_abs2)
 
@@ -544,13 +554,16 @@ class TestValidateGraph:
         g = AdmissibleGraph(
             edges=[EdgeSpec((1, 1), (1, 2), q=0.1)], marked=[MarkedPoint(1, 3, 0.5)]
         )
-        assert validate_graph(g, [0.5], params) == []
-        bad = validate_graph(g, [-0.1], params)
+        assert validate_graph(g, params) == []
+        g_bad = AdmissibleGraph(
+            edges=[EdgeSpec((1, 1), (1, 2), q=0.1)], marked=[MarkedPoint(1, 3, -0.1)]
+        )
+        bad = validate_graph(g_bad, params)
         assert len(bad) >= 1 and "spectral" in bad[0].kind
 
     def test_genus2_always_admissible(self):
         params = CftParams(gamma=1.5)
-        assert validate_graph(theta_graph(), [], params) == []
+        assert validate_graph(theta_graph(), params) == []
 
     def test_one_hole_sphere_needs_charge(self):
         # b = 1 vertex with two marked points: alpha2 + alpha3 > Q
@@ -564,7 +577,7 @@ class TestValidateGraph:
                 MarkedPoint(2, 3, 0.8),
             ],
         )
-        out = validate_graph(g, [1.4, 1.2, 0.4, 0.8], params)
+        out = validate_graph(g, params)
         assert any(v.vertex == 2 for v in out)  # 0.4 + 0.8 - 2.5 < 0
         assert all(v.vertex != 1 for v in out if "spectral" in v.kind)
 

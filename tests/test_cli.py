@@ -78,6 +78,12 @@ class TestCli:
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout)["result"]["alpha"] == [0.4, 0.6, 1.1]
 
+    @pytest.mark.parametrize("command", ["block", "torus1pt", "mc-torus1pt"])
+    def test_single_weight_commands_reject_extra_weights(self, command):
+        out = run_cli(command, "--alpha", "1.2", "0.8", "--N", "1")
+        assert out.returncode == 2
+        assert "needs one weight in 'alpha', got 2" in out.stderr
+
     def test_validation_exit_code(self):
         out = run_cli("torus1pt", "--alpha", "-3.0")
         assert out.returncode == 2
@@ -92,6 +98,14 @@ class TestCli:
         out = run_cli("selftest", "--only", "5")
         assert out.returncode == 0
         assert "criterion 5" in out.stdout and "PASS" in out.stdout
+
+    @pytest.mark.parametrize("before", [True, False])
+    def test_selftest_rejects_common_flags(self, before, tmp_path):
+        flags = ("--out", str(tmp_path / "out"), "--seed", "3")
+        args = (*flags, "selftest", "--only", "5") if before else ("selftest", "--only", "5", *flags)
+        out = run_cli(*args)
+        assert out.returncode == 2
+        assert not (tmp_path / "out").exists()
 
     def test_graph_command(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -107,7 +107,7 @@ class TestRhoDensity:
     def test_torus_one_point_form(self):
         params = CftParams(gamma=1.2)
         p = 0.8
-        rho = rho_density(_torus_cycle([1.1], [0.1]), [1.1], [p], params)
+        rho = rho_density(_torus_cycle([1.1], [0.1]), [p], params)
         expect = dozz_constant(params.Q + 1j * p, 1.1, params.Q - 1j * p, params)
         assert isinstance(rho, complex)
         assert abs(rho.imag) <= 1e-10 * abs(rho)
@@ -116,7 +116,7 @@ class TestRhoDensity:
     def test_torus_one_point_real_positive(self):
         params = CftParams(gamma=math.sqrt(2.0))
         for p in np.linspace(0.05, 8.0, 40):
-            rho = rho_density(_torus_cycle([1.2], [0.1]), [1.2], [float(p)], params)
+            rho = rho_density(_torus_cycle([1.2], [0.1]), [float(p)], params)
             assert isinstance(rho, complex)
             assert rho.real > 0
             assert abs(rho.imag) <= 1e-10 * abs(rho)
@@ -127,7 +127,7 @@ class TestRhoDensity:
         alphas = [1.5, 1.4, 1.3, 1.2]
         p2 = 0.6
         g = _sphere_chain(alphas, [0.25])
-        rho = rho_density(g, g.alphas(), [p2], params)
+        rho = rho_density(g, [p2], params)
         expect = dozz_constant(1.5, 1.4, Q - 1j * p2, params) * dozz_constant(
             1.2, 1.3, Q + 1j * p2, params
         )
@@ -144,7 +144,7 @@ class TestRhoDensity:
         r2 = graph_correlator(g, params, quad=quad, N=1, metric_constants=[2.5])
         assert r2.value == pytest.approx(2.5 * r1.value, rel=1e-14)
         assert np.array_equal(r2.details["rho"], r1.details["rho"])
-        rho = rho_density(g, [1.1], [float(quad.nodes[0])], params)
+        rho = rho_density(g, [float(quad.nodes[0])], params)
         assert r2.details["rho"][0] == pytest.approx(rho, rel=1e-14)
 
     def test_genus2_graph_case(self):
@@ -160,7 +160,7 @@ class TestRhoDensity:
             ]
         )
         ps = [0.5, 0.9, 1.3]
-        rho = rho_density(g, [], ps, params)
+        rho = rho_density(g, ps, params)
         expect = dozz_constant(Q - 1j * ps[0], Q - 1j * ps[1], Q + 1j * ps[1], params)
         expect *= dozz_constant(Q + 1j * ps[0], Q - 1j * ps[2], Q + 1j * ps[2], params)
         assert isinstance(rho, complex)
