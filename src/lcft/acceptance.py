@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .blocks import _annulus_matrix, torus_one_point_block
+from .blocks import _pant_arrays, _radial_arrays, torus_one_point_block
 from .bootstrap import ANNULUS_VERTEX_CONSTANT, Quadrature, graph_correlator, torus_one_point
 from .dozz import dozz_constant
 from .free_field import BoundaryField, annulus_partition, free_annulus_amplitude, heat_kernel_K0
@@ -195,49 +195,57 @@ def criterion_6() -> CriterionResult:
         dh = complex(conformal_weight(params.Q + 1j * p, params))
         da = complex(conformal_weight(alpha1, params))
         finv = shapovalov_inverse(shapovalov(dh, params.c_L, 1)).entries
-        w = _annulus_matrix(1, 1, dh, da, dh, params.c_L)
+        w = _radial_arrays({(1, 1)}, (np.array([dh]), da, np.array([dh])), params.c_L)[(1, 1)][0]
         got = complex(np.trace(finv @ w))
         oracle = da * (da - 1.0) / (2.0 * dh) + 1.0
         worst = max(worst, abs(got - oracle) / abs(oracle))
     return _result("6", worst < 1e-10, f"worst rel {worst:.2e}", t0)
 
 
-def _genus2_hand_coded(ps, qs, params: CftParams, N: int) -> float:
-    """Independent transcription of the genus-2 partition-function formula:
-    two pants, one linking edge (p1), one self-loop on each pant (p2, p3)."""
-    from .blocks import _pant_array
-    from .virasoro import shapovalov, shapovalov_inverse
-
-    p1, p2, p3 = ps
+def _genus2_hand_coded(quad, qs, params: CftParams, N: int) -> float:
+    """Independent transcription of the genus-2 partition-function formula,
+    summed with quad's weights over its node triples: two pants, one linking
+    edge (p1), one self-loop on each pant (p2, p3).  Both pants take their
+    arrays from one build over the node pairs (p1, p_loop)."""
+    n_nodes = quad.n_nodes
     q1, q2, q3 = (complex(q) for q in qs)
     Q, c = params.Q, params.c_L
-    h = [complex(conformal_weight(Q + 1j * p, params)) for p in (p1, p2, p3)]
+    hs = [complex(conformal_weight(Q + 1j * p, params)) for p in quad.nodes]
     finv = []
-    for hh in h:
+    for hh in hs:
         per = [np.eye(1, dtype=complex)]
         for n in range(1, N + 1):
             per.append(shapovalov_inverse(shapovalov(hh, c, n)).entries)
         finv.append(per)
-    rho = (
-        dozz_constant(Q - 1j * p1, Q - 1j * p2, Q + 1j * p2, params)
-        * dozz_constant(Q + 1j * p1, Q + 1j * p3, Q - 1j * p3, params)
-    )
-    series = 0.0 + 0.0j
-    for n1 in range(N + 1):
-        for n2 in range(N + 1 - n1):
-            for n3 in range(N + 1 - n1 - n2):
-                w1 = _pant_array((n1, n2, n2), (h[0], h[1], h[1]), c)
-                w2 = _pant_array((n1, n3, n3), (h[0], h[2], h[2]), c)
-                # edge 1 pairs slot 1 of both pants; each loop pairs slots 2, 3
-                term = np.einsum(
-                    "iab,jcd,ij,ab,cd->", w1, w2, finv[0][n1], finv[1][n2], finv[2][n3]
-                )
-                series += complex(term) * q1**n1 * q2**n2 * q3**n3
-    pref_mod = 1.0
-    for qq, hh in zip((q1, q2, q3), h):
-        pref_mod *= abs(qq) ** (2.0 * (-c / 24.0 + hh.real))
-    block2 = pref_mod * abs(series) ** 2
-    return float(np.real(rho)) * block2 * 2.0 ** 1.5 / (2.0 * math.pi) ** 5
+    pair_h = np.array(hs)[np.indices((n_nodes, n_nodes)).reshape(2, -1)]
+    levels = {(n1, n2, n2) for n1 in range(N + 1) for n2 in range(N + 1 - n1)}
+    pant = _pant_arrays(levels, (pair_h[0], pair_h[1], pair_h[1]), c)
+    total = 0.0
+    for i1, i2, i3 in np.ndindex(n_nodes, n_nodes, n_nodes):
+        p1, p2, p3 = (float(quad.nodes[i]) for i in (i1, i2, i3))
+        h = [hs[i] for i in (i1, i2, i3)]
+        rho = (
+            dozz_constant(Q - 1j * p1, Q - 1j * p2, Q + 1j * p2, params)
+            * dozz_constant(Q + 1j * p1, Q + 1j * p3, Q - 1j * p3, params)
+        )
+        series = 0.0 + 0.0j
+        for n1 in range(N + 1):
+            for n2 in range(N + 1 - n1):
+                for n3 in range(N + 1 - n1 - n2):
+                    w1 = pant[(n1, n2, n2)][i1 * n_nodes + i2]
+                    w2 = pant[(n1, n3, n3)][i1 * n_nodes + i3]
+                    # edge 1 pairs slot 1 of both pants; each loop pairs slots 2, 3
+                    term = np.einsum(
+                        "iab,jcd,ij,ab,cd->", w1, w2, finv[i1][n1], finv[i2][n2], finv[i3][n3]
+                    )
+                    series += complex(term) * q1**n1 * q2**n2 * q3**n3
+        pref_mod = 1.0
+        for qq, hh in zip((q1, q2, q3), h):
+            pref_mod *= abs(qq) ** (2.0 * (-c / 24.0 + hh.real))
+        block2 = pref_mod * abs(series) ** 2
+        wgt = float(np.prod([quad.weights[i] for i in (i1, i2, i3)]))
+        total += wgt * float(np.real(rho)) * block2 * 2.0 ** 1.5 / (2.0 * math.pi) ** 5
+    return total
 
 
 def _torus_one_point_hand_coded(alpha1: float, tau: complex, params: CftParams, quad, N: int) -> float:
@@ -266,11 +274,7 @@ def criterion_7() -> CriterionResult:
     quad = Quadrature(p_max=1.5, panel_width=0.5, nodes_per_panel=3)
     N = 3
     res = graph_correlator(g2, params, quad=quad, N=N)
-    hand = 0.0
-    for idx in np.ndindex(quad.n_nodes, quad.n_nodes, quad.n_nodes):
-        ps = [float(quad.nodes[i]) for i in idx]
-        wgt = float(np.prod([quad.weights[i] for i in idx]))
-        hand += wgt * _genus2_hand_coded(ps, qs, params, N)
+    hand = _genus2_hand_coded(quad, qs, params, N)
     rel_g2 = abs(res.value - hand) / abs(hand)
 
     alpha1, tau = 1.2, 1j

@@ -15,26 +15,30 @@ Three ingredients:
   contractions with inverse Gram matrices across each glued edge (cyclic
   torus chains and sphere chains are pants graphs).
 
-Both descendant engines are exact symbolic computations: coefficients are
-polynomials (``virasoro.Poly``) in the three conformal weights and the
-central charge, built once per word tuple and cached.  Each family an engine
-feeds the contraction (the radial elements of a level pair, the pant brackets
-of a level triple) is then lowered once to a power matrix and a coefficient
-vector, keyed by its levels alone, and ``virasoro._evaluate`` turns it into
-numbers at whatever weights, central charge and pant-frame points a call
-passes; the Gram matrices take the same path.  Repeated evaluation is
-therefore deterministic and bit-identical.
+Both descendant recursions are ring-agnostic and memoised on their words in a
+dict their caller passes.  ``_radial_arrays`` and ``_pant_arrays`` run them
+once per call with the weights as complex arrays and c as a float, so each
+family an engine feeds the contraction (the radial elements of a level pair,
+the pant brackets of a level triple) comes out as one array whose axis 0 runs
+along the weights.  A pant bracket keeps its z-monomials only while slot 3 is
+primary, where the derivatives act on them; they are summed at ``ZHAT``
+before slot 3's transport, which only multiplies by powers of z13 and z23.
+The memo lives for that call only.  The Gram matrices take the same path
+through ``virasoro._gram_stack``.  Every operation is elementwise, so a
+one-element array gives the bits of the same entry in a longer one.
 
 ``graph_block`` is a per-graph plan, its level terms and one per-node
 contraction.  The plan holds each vertex's slots in order, (edge index,
 orientation sign) or (None, alpha), and the einsum subscripts;
 ``dozz.rho_density`` reads its DOZZ arguments from the same vertex records.
 ``_level_terms`` lists each multidegree with the levels it puts on every
-vertex, ``_vertex_tensors`` builds all of one vertex's tensors at those levels,
-and ``_contract`` sums the terms from the vertices' {levels: tensor} dicts.
-The spectral integral in ``bootstrap`` calls the same three pieces, listing
-the terms once per call, building each Gram-inverse set once per quadrature
-node and each vertex's tensors once per distinct tuple of incident-edge nodes.
+vertex, ``_vertex_tensors`` builds all of one vertex's tensors at those levels
+over the weight arrays of its edge slots, and ``_contract`` sums the terms
+from one row of each vertex's {levels: array} dict.  The spectral integral in
+``bootstrap`` calls the same three pieces on arrays over its quadrature nodes:
+the Gram inverses of every node at once, and each vertex's tensors over every
+tuple of nodes on its own edges; ``graph_block`` calls them on one-element
+arrays.
 """
 
 from __future__ import annotations
@@ -42,26 +46,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, ValidationError
 from .params import CftParams
 from .virasoro import (
-    P_C,
-    P_D1,
-    P_D2,
-    P_D3,
-    P_ONE,
-    Poly,
-    _evaluate,
-    _lower,
-    _Lowered,
+    GramMatrix,
+    _accumulate,
+    _gram_stack,
     apply_generator_to_word,
     conformal_weight,
     partitions,
-    shapovalov,
     shapovalov_inverse,
 )
 
@@ -75,66 +71,43 @@ __all__ = [
 #: Canonical pant-frame insertion points: unit pairwise distances, P(zhat)=1.
 ZHAT = (-0.5 + 0.0j, 0.5 + 0.0j, 0.0 + 1j * math.sqrt(3.0) / 2.0)
 
-_SLOT_WEIGHT = (P_D1, P_D2, P_D3)
-
-# exponents of the holomorphic half H = z12^E12 z13^E13 z23^E23
-_E12 = P_D3 - P_D1 - P_D2
-_E13 = P_D2 - P_D1 - P_D3
-_E23 = P_D1 - P_D2 - P_D3
-
 
 # ---------------------------------------------------------------------------
-# rational multiples of H: dict[(a, b, d)] -> Poly  (z12^a z13^b z23^d * H)
+# rational multiples of H = z12^E12 z13^E13 z23^E23:
+# dict[(a, b, d)] -> coefficient  (z12^a z13^b z23^d * H)
 # ---------------------------------------------------------------------------
 
 
-def _zf_add(x: dict, y: dict) -> dict:
-    out = dict(x)
-    for k, p in y.items():
-        q = out.get(k)
-        np_ = p if q is None else q + p
-        if np_:
-            out[k] = np_
-        elif k in out:
-            del out[k]
-    return out
-
-
-def _zf_scale(x: dict, s) -> dict:
-    if isinstance(s, (int, float, complex)) and not s:
-        return {}
-    return {k: p * s for k, p in x.items()}
-
-
-def _zf_shift(x: dict, da: int, db: int, dd: int, s=1) -> dict:
-    return {(k[0] + da, k[1] + db, k[2] + dd): (p * s if s != 1 else p) for k, p in x.items()}
-
-
-# dz_i of the monomial exponents: coefficient of 1/z12, 1/z13, 1/z23
-_DLOGH = {
-    1: ((_E12, 1, 0, 0), (_E13, 0, 1, 0)),
-    2: ((_E12 * -1, 1, 0, 0), (_E23, 0, 0, 1)),
-    3: ((_E13 * -1, 0, 1, 0), (_E23 * -1, 0, 0, 1)),
-}
-_DMON = {
-    1: ((1, (1, 0, 0)), (1, (0, 1, 0))),
-    2: ((-1, (1, 0, 0)), (1, (0, 0, 1))),
-    3: ((-1, (0, 1, 0)), (-1, (0, 0, 1))),
-}
-
-
-def _zf_dz(x: dict, i: int) -> dict:
-    """d/dz_i of (sum z-monomials * Poly) * H, returned in the same form."""
-    out: dict = {}
+def _zf_add(out: dict, x: dict, shift: tuple, s=None) -> None:
+    """Add x, times s unless s is None, into ``out`` with its z-monomials
+    shifted by ``shift``."""
+    da, db, dd = shift
     for (a, b, d), p in x.items():
-        exps = (a, b, d)
-        for sign, unit in _DMON[i]:
-            e = exps[unit.index(1)]
-            if e:
-                k = (a - unit[0], b - unit[1], d - unit[2])
-                out = _zf_add(out, {k: p * (sign * e)})
-        for epoly, ua, ub, ud in _DLOGH[i]:
-            out = _zf_add(out, {(a - ua, b - ub, d - ud): p * epoly})
+        _accumulate(out, (a + da, b + db, d + dd), p if s is None else p * s)
+
+
+# dz_i of z12, z13, z23: (sign, exponent slot, unit monomial) of the two
+# factors holding z_i
+_DZ = {
+    1: ((1, 0, (1, 0, 0)), (1, 1, (0, 1, 0))),
+    2: ((-1, 0, (1, 0, 0)), (1, 2, (0, 0, 1))),
+    3: ((-1, 1, (0, 1, 0)), (-1, 2, (0, 0, 1))),
+}
+
+
+def _zf_dz(x: dict, i: int, weights, s: int) -> dict:
+    """s times d/dz_i of (sum z-monomials * coefficient) * H, in the same form;
+    the exponents of H follow from the slot weights (D1, D2, D3)."""
+    d1, d2, d3 = weights
+    exps = (d3 - d1 - d2, d2 - d1 - d3, d1 - d2 - d3)  # of z12, z13, z23 in H
+    factors: dict = {}  # s * sign * (monomial exponent + exponent in H)
+    out: dict = {}
+    for mono, p in x.items():
+        for sign, slot, (ua, ub, ud) in _DZ[i]:
+            key = (slot, mono[slot])
+            if key not in factors:
+                factors[key] = (exps[slot] + mono[slot]) * (sign * s)
+            _accumulate(out, (mono[0] - ua, mono[1] - ub, mono[2] - ud), p * factors[key])
     return out
 
 
@@ -146,73 +119,93 @@ def _binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@lru_cache(maxsize=None)
-def _bracket(w1: tuple, w2: tuple, w3: tuple) -> tuple:
-    """Normalized pant-frame bracket of three descendant slots.
+def _generator(n: int, word: tuple, slot: int, weights, c, memo: dict) -> dict:
+    """L_n on a word of the given slot, memoised in a bracket memo."""
+    key = ("L", n, word, slot)
+    if key not in memo:
+        memo[key] = apply_generator_to_word(n, word, weights[slot], c)
+    return memo[key]
 
-    ``w_i`` are ascending operator words.  Returns the rational multiple of H
-    as a tuple of ((a, b, d), Poly) items; the result divided by H is the
-    polynomial-coefficient rational function evaluated at the insertion
-    points.  Reduction order: slot 3 via operator transport onto slots 1 and
-    2, then slot 2 via the differential term on the primary slot 3 plus
-    transport onto slot 1, then slot 1 as a pure differential word acting on
-    H.  Memoized; weight- and position-independent.
+
+def _bracket_h(w1: tuple, w2: tuple, weights, c, memo: dict) -> dict:
+    """Normalized pant-frame bracket of two descendant slots and a primary
+    third, as the rational multiple of H {(a, b, d): coeff}.
+
+    ``w_i`` are ascending operator words and ``weights`` the slot weights
+    (D1, D2, D3).  Slot 2 reduces via the differential term on the primary
+    slot 3 plus transport onto slot 1, then slot 1 as a pure differential
+    word acting on H.  Memoised in ``memo``, which must serve one (weights,
+    c) only.
     """
-    if w3:
-        m, rest3 = w3[0], w3[1:]
-        out: dict = {}
-        words = (w1, w2)
-        for r in (0, 1):  # slots 1 and 2
-            lvl_r = sum(words[r])
-            zunit = (0, 1, 0) if r == 0 else (0, 0, 1)  # powers of z13 or z23
-            for k in range(0, lvl_r + 2):
-                cb = _binom(m + k - 2, k)
-                if cb == 0:
-                    continue
-                sgn = -1 if k % 2 == 0 else 1  # (-1)^(k-1)
-                gen = apply_generator_to_word(k - 1, words[r], _SLOT_WEIGHT[r], P_C)
-                for wr_new, coeff in gen.items():
-                    sub = _bracket(wr_new, w2, rest3) if r == 0 else _bracket(w1, wr_new, rest3)
-                    term = _zf_scale(dict(sub), coeff * (sgn * cb))
-                    e = 1 - m - k
-                    out = _zf_add(out, _zf_shift(term, e * zunit[0], e * zunit[1], e * zunit[2]))
-        return tuple(out.items())
-
+    key = ("H", w1, w2)
+    if key in memo:
+        return memo[key]
+    out: dict = {}
     if w2:
         m, rest2 = w2[0], w2[1:]
-        lower = dict(_bracket(w1, rest2, ()))
+        lower = _bracket_h(w1, rest2, weights, c, memo)
         sgn_m = (-1) ** m
         # differential piece on the primary slot 3: (z3-z2) = -z23
-        out = _zf_shift(_zf_dz(lower, 3), 0, 0, 1 - m, sgn_m)
+        _zf_add(out, _zf_dz(lower, 3, weights, sgn_m), (0, 0, 1 - m))
         if m > 1:
-            out = _zf_add(out, _zf_shift(_zf_scale(lower, P_D3 * ((m - 1) * sgn_m)), 0, 0, -m))
+            _zf_add(out, lower, (0, 0, -m), weights[2] * ((m - 1) * sgn_m))
         # operator transport onto slot 1: powers of (z1 - z2) = z12
-        lvl1 = sum(w1)
-        for k in range(0, lvl1 + 2):
+        for k in range(0, sum(w1) + 2):
             cb = _binom(m + k - 2, k)
             if cb == 0:
                 continue
             sgn = -1 if k % 2 == 0 else 1
-            gen = apply_generator_to_word(k - 1, w1, P_D1, P_C)
-            for w1_new, coeff in gen.items():
-                sub = dict(_bracket(w1_new, rest2, ()))
-                term = _zf_scale(sub, coeff * (sgn * cb))
-                out = _zf_add(out, _zf_shift(term, 1 - m - k, 0, 0))
-        return tuple(out.items())
-
-    if w1:
+            for w1_new, coeff in _generator(k - 1, w1, 0, weights, c, memo).items():
+                sub = _bracket_h(w1_new, rest2, weights, c, memo)
+                _zf_add(out, sub, (1 - m - k, 0, 0), coeff * (sgn * cb))
+    elif w1:
         m, rest1 = w1[0], w1[1:]
-        lower = dict(_bracket(rest1, (), ()))
+        lower = _bracket_h(rest1, (), weights, c, memo)
         sgn_m = (-1) ** m
         # D_m on slots {2,3}: (z2-z1) = -z12, (z3-z1) = -z13
-        out = _zf_shift(_zf_dz(lower, 2), 1 - m, 0, 0, sgn_m)
-        out = _zf_add(out, _zf_shift(_zf_dz(lower, 3), 0, 1 - m, 0, sgn_m))
+        _zf_add(out, _zf_dz(lower, 2, weights, sgn_m), (1 - m, 0, 0))
+        _zf_add(out, _zf_dz(lower, 3, weights, sgn_m), (0, 1 - m, 0))
         if m > 1:
-            out = _zf_add(out, _zf_shift(_zf_scale(lower, P_D2 * ((m - 1) * sgn_m)), -m, 0, 0))
-            out = _zf_add(out, _zf_shift(_zf_scale(lower, P_D3 * ((m - 1) * sgn_m)), 0, -m, 0))
-        return tuple(out.items())
+            _zf_add(out, lower, (-m, 0, 0), weights[1] * ((m - 1) * sgn_m))
+            _zf_add(out, lower, (0, -m, 0), weights[2] * ((m - 1) * sgn_m))
+    else:
+        out[(0, 0, 0)] = 1
+    memo[key] = out
+    return out
 
-    return (((0, 0, 0), P_ONE),)
+
+def _bracket(w1: tuple, w2: tuple, w3: tuple, weights, c, zhat, memo: dict):
+    """Normalized pant-frame bracket of three descendant slots divided by H,
+    at the insertion points zhat.
+
+    Slot 3 reduces via operator transport onto slots 1 and 2, which
+    multiplies a bracket by powers of z13 or z23; a primary slot 3 leaves
+    ``_bracket_h`` summed at the points.  Memoised in ``memo``, which must
+    serve one (weights, c, zhat) only.
+    """
+    key = ("B", w1, w2, w3)
+    if key in memo:
+        return memo[key]
+    z1, z2, z3 = zhat
+    if not w3:
+        out = sum(p * ((z1 - z2) ** a * (z1 - z3) ** b * (z2 - z3) ** d)
+                  for (a, b, d), p in _bracket_h(w1, w2, weights, c, memo).items())
+    else:
+        m, rest3 = w3[0], w3[1:]
+        words = (w1, w2)
+        out = 0
+        for r, z in ((0, z1 - z3), (1, z2 - z3)):  # slots 1 and 2
+            for k in range(0, sum(words[r]) + 2):
+                cb = _binom(m + k - 2, k)
+                if cb == 0:
+                    continue
+                sgn = -1 if k % 2 == 0 else 1  # (-1)^(k-1)
+                for wr_new, coeff in _generator(k - 1, words[r], r, weights, c, memo).items():
+                    pair = (wr_new, w2) if r == 0 else (w1, wr_new)
+                    sub = _bracket(*pair, rest3, weights, c, zhat, memo)
+                    out = out + sub * (coeff * (sgn * cb * z ** (1 - m - k)))
+    memo[key] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -220,27 +213,32 @@ def _bracket(w1: tuple, w2: tuple, w3: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _radial_element(a: tuple, b: tuple) -> Poly:
-    """Normalized vertex matrix element as a Poly in (h_out, Delta, h_in, c).
+def _radial_element(a: tuple, b: tuple, weights, c, memo: dict):
+    """Normalized vertex matrix element at weights (h_out, Delta, h_in).
 
     Raising operators peel off the out-state through the commutator
     [L_m, V(z)] = z^m (z d/dz + (m+1) Delta) V(z) at z = 1, using that the
     matrix element between L0-eigenstates of weights (h_out + |a|, h_in + |b|)
-    scales as z^(h_out + |a| - h_in - |b| - Delta).
+    scales as z^(h_out + |a| - h_in - |b| - Delta).  Memoised in ``memo``,
+    which must serve one (weights, c) only.
     """
+    if (a, b) in memo:
+        return memo[(a, b)]
+    h_out, d_mid, h_in = weights
     if a:
         m, rest = a[0], a[1:]
-        grading = P_D1 + (sum(rest)) - P_D3 - sum(b) - P_D2
-        out = _radial_element(rest, b) * (grading + (m + 1) * P_D2)
-        for w2, coeff in apply_generator_to_word(m, b, P_D3, P_C).items():
-            out = out + _radial_element(rest, w2) * coeff
-        return out
-    if b:
+        grading = h_out + sum(rest) - h_in - sum(b) - d_mid
+        out = _radial_element(rest, b, weights, c, memo) * (grading + (m + 1) * d_mid)
+        for w2, coeff in apply_generator_to_word(m, b, h_in, c).items():
+            out = out + _radial_element(rest, w2, weights, c, memo) * coeff
+    elif b:
         m, rest = b[0], b[1:]
-        grading = P_D1 - P_D3 - (sum(b) - m) - P_D2
-        return _radial_element((), rest) * (grading + (1 - m) * P_D2) * -1
-    return P_ONE
+        grading = h_out - h_in - (sum(b) - m) - d_mid
+        out = _radial_element((), rest, weights, c, memo) * (grading + (1 - m) * d_mid) * -1
+    else:
+        out = 1
+    memo[(a, b)] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -248,41 +246,31 @@ def _radial_element(a: tuple, b: tuple) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _radial_family(n_out: int, n_in: int) -> _Lowered:
-    """Radial elements between the level-n_out and level-n_in partitions,
-    lowered as polynomials in (h_out, Delta_mid, h_in, c)."""
-    rows = [nu.word() for nu in partitions(n_out)]
-    cols = [nu.word() for nu in partitions(n_in)]
-    entries = [_radial_element(wa, wb).terms.items() for wa in rows for wb in cols]
-    return _lower(entries, (len(rows), len(cols)), 4)
+def _fill(levels, weights, element) -> dict:
+    """{levels: array} holding element(words) for every tuple of partition
+    words at each level tuple in ``levels``; axis 0 runs along the weights."""
+    size = np.broadcast(*weights).size
+    out = {}
+    for lv in levels:
+        bases = [[nu.word() for nu in partitions(n)] for n in lv]
+        arr = out[lv] = np.empty((size, *(len(b) for b in bases)), dtype=complex)
+        for idx in np.ndindex(*arr.shape[1:]):
+            arr[(slice(None), *idx)] = element(*(b[i] for b, i in zip(bases, idx)))
+    return out
 
 
-def _bracket_terms(w1: tuple, w2: tuple, w3: tuple) -> list:
-    """The bracket's items as terms in (z12, z13, z23, D1, D2, D3, c)."""
-    return [(zexp + k, v) for zexp, poly in _bracket(w1, w2, w3) for k, v in poly.terms.items()]
+def _radial_arrays(levels, weights, c) -> dict:
+    """Radial elements between the partitions of each level pair (n_out, n_in)
+    in ``levels``, at weights (h_out, Delta_mid, h_in)."""
+    memo: dict = {}
+    return _fill(levels, weights, lambda a, b: _radial_element(a, b, weights, c, memo))
 
 
-@lru_cache(maxsize=None)
-def _pant_family(levels: tuple) -> _Lowered:
-    """Pant brackets of every partition triple at the given slot levels,
-    lowered as polynomials in (z12, z13, z23, D1, D2, D3, c)."""
-    bases = [[nu.word() for nu in partitions(n)] for n in levels]
-    entries = [_bracket_terms(w1, w2, w3) for w1 in bases[0] for w2 in bases[1] for w3 in bases[2]]
-    return _lower(entries, tuple(len(b) for b in bases), 7)
-
-
-def _annulus_matrix(n_out: int, n_in: int, h_out, d_mid, h_in, c) -> np.ndarray:
-    return _evaluate(_radial_family(n_out, n_in), (h_out, d_mid, h_in, c))
-
-
-def _disk_vector(n: int, h_bdy, d_mid, d_in, c) -> np.ndarray:
-    return _evaluate(_radial_family(n, 0), (h_bdy, d_mid, d_in, c))[:, 0]
-
-
-def _pant_array(levels, weights, c) -> np.ndarray:
-    z1, z2, z3 = ZHAT
-    return _evaluate(_pant_family(levels), (z1 - z2, z1 - z3, z2 - z3, *weights, c))
+def _pant_arrays(levels, weights, c) -> dict:
+    """Pant brackets of every partition triple at each level triple in
+    ``levels``, at slot weights (D1, D2, D3) and the points ZHAT."""
+    memo: dict = {}
+    return _fill(levels, weights, lambda *w: _bracket(*w, weights, c, ZHAT, memo))
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +332,18 @@ class BlockSeries:
         return self.abs2_and_last_level(qs)[0]
 
 
-def _gram_inverses(h: complex, c: float, N: int) -> list[np.ndarray]:
-    out = []
-    for n in range(N + 1):
-        if n == 0:
-            out.append(np.eye(1, dtype=complex))
-        else:
-            out.append(shapovalov_inverse(shapovalov(h, c, n)).entries)
-    return out
+def _gram_inverses(hs: np.ndarray, c: float, N: int) -> list:
+    """Inverse Gram matrices at levels 0..N for each weight of the complex
+    array ``hs``, one list per weight, from one Gram stack per level."""
+    stacks = [_gram_stack(hs, c, n) for n in range(1, N + 1)]
+    return [
+        [np.eye(1, dtype=complex)]
+        + [
+            shapovalov_inverse(GramMatrix(n, h, c, F[i], partitions(n))).entries
+            for n, F in enumerate(stacks, start=1)
+        ]
+        for i, h in enumerate(hs)
+    ]
 
 
 def torus_one_point_block(
@@ -364,11 +356,10 @@ def torus_one_point_block(
     h = complex(conformal_weight(params.Q + 1j * p, params))
     d_mark = complex(conformal_weight(alpha1, params))
     c = params.c_L
-    finv = _gram_inverses(h, c, N)
-    coeffs = {}
-    for n in range(N + 1):
-        W = _annulus_matrix(n, n, h, d_mark, h, c)
-        coeffs[(n,)] = complex(np.trace(finv[n] @ W))
+    hs = np.array([h])
+    finv = _gram_inverses(hs, c, N)[0]
+    W = _radial_arrays({(n, n) for n in range(N + 1)}, (hs, d_mark, hs), c)
+    coeffs = {(n,): complex(np.trace(finv[n] @ W[(n, n)][0])) for n in range(N + 1)}
     return BlockSeries(exponents=(-c / 24.0 + h.real,), coeffs=coeffs, N=N)
 
 
@@ -438,25 +429,27 @@ def _level_terms(plan: _BlockPlan, N: int, L: int) -> list:
     ]
 
 
-def _vertex_tensors(vertex: _Vertex, levels, hs, c) -> dict:
+def _vertex_tensors(vertex: _Vertex, levels, weights, c) -> dict:
     """Pant arrays, annulus matrices or disk vectors (by the number of edge
     slots) of one vertex, keyed by each of the given distinct level tuples on
-    its edge slots; ``hs`` holds the weight of every edge of the graph."""
-    weights = tuple(hs[eidx] for eidx in vertex.edges)
+    its edge slots; ``weights`` holds one complex array per edge slot, and
+    axis 0 of every tensor runs along them."""
     if len(weights) == 3:
-        return {lv: _pant_array(lv, weights, c) for lv in levels}
+        return _pant_arrays(levels, weights, c)
     if len(weights) == 2:
-        return {lv: _annulus_matrix(*lv, weights[0], vertex.marks[0], weights[1], c) for lv in levels}
-    return {lv: _disk_vector(lv[0], weights[0], *vertex.marks, c) for lv in levels}
+        return _radial_arrays(levels, (weights[0], vertex.marks[0], weights[1]), c)
+    disks = _radial_arrays({(lv[0], 0) for lv in levels}, (weights[0], *vertex.marks), c)
+    return {(n,): arr[:, :, 0] for (n, _zero), arr in disks.items()}
 
 
-def _contract(plan: _BlockPlan, terms: list, tensors, hs, finv, c, N: int) -> BlockSeries:
+def _contract(plan: _BlockPlan, terms: list, tensors, rows, hs, finv, c, N: int) -> BlockSeries:
     """Per-node half of graph_block.  ``terms`` comes from _level_terms;
-    ``tensors`` holds each vertex's {levels: tensor}, and ``hs`` and ``finv``
-    each edge's weight and inverse Gram matrices (levels 0..N)."""
+    ``tensors`` holds each vertex's {levels: array} and ``rows`` the node's
+    row in each, and ``hs`` and ``finv`` each edge's weight and inverse Gram
+    matrices (levels 0..N)."""
     coeffs = {}
     for degs, levels in terms:
-        operands = [t[lv] for t, lv in zip(tensors, levels)]
+        operands = [t[lv][row] for t, row, lv in zip(tensors, rows, levels)]
         operands += [finv[eidx][n] for eidx, n in enumerate(degs)]
         coeffs[degs] = complex(np.einsum(plan.einsum_spec, *operands))
     exps = tuple(-c / 24.0 + h.real for h in hs)
@@ -483,10 +476,10 @@ def graph_block(graph, p_vector, params: CftParams, N: int = 4) -> BlockSeries:
     _require_edge_slots(graph, plan)
     c = params.c_L
     hs = [complex(conformal_weight(params.Q + 1j * p, params)) for p in p_vector]
-    finv = [_gram_inverses(h, c, N) for h in hs]
     terms = _level_terms(plan, N, L)
     tensors = [
-        _vertex_tensors(vertex, {lv[v] for _degs, lv in terms}, hs, c)
+        _vertex_tensors(vertex, {lv[v] for _degs, lv in terms}, [np.array([hs[e]]) for e in vertex.edges], c)
         for v, vertex in enumerate(plan.vertices)
     ]
-    return _contract(plan, terms, tensors, hs, finv, c, N)
+    finv = [_gram_inverses(np.array([h]), c, N)[0] for h in hs]
+    return _contract(plan, terms, tensors, [0] * len(tensors), hs, finv, c, N)

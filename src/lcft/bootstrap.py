@@ -28,14 +28,14 @@ The graph is read once into ``blocks._block_plan``, whose vertex records give
 each vertex's DOZZ arguments, descendant tensors, einsum letters and share of
 the mu-exponent.  The integrand's pieces depend on fewer nodes than the
 L-tuple: an edge's inverse Gram matrices only on its own node, and a vertex's
-DOZZ factor and descendant tensors only on the nodes of its incident edges.
-Within one graph_correlator call each Gram set is therefore built once per
-node, and each vertex's record, (DOZZ factor, {levels: tensor}), once per
-distinct tuple of incident-edge nodes; it is looked up once per vertex and
-node, and only a vertex that misses an edge of the graph stores it.  Below the
-DOZZ factors, each distinct log-Upsilon argument (and its pole distance) is
-evaluated once per call.  Each node's block series is summed once for |F|^2
-and its last-level share.  Nothing is kept between calls.
+DOZZ factor and descendant tensors only on the nodes of its own edges.  Within
+one graph_correlator call the Gram matrices of every node are therefore built
+as one stack per level, and each vertex's DOZZ factors and tensors once, over
+every tuple of nodes on its own edges, as one list and one array per level
+tuple; the node loop reads one row of each.  Below the DOZZ factors, each
+distinct log-Upsilon argument (and its pole distance) is evaluated once per
+call.  Each node's block series is summed once for |F|^2 and its last-level
+share.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -345,40 +345,35 @@ def graph_correlator(
     plan = _block_plan(graph, params)
     _require_edge_slots(graph, plan)
     c = params.c_L
-    hs = [complex(conformal_weight(params.Q + 1j * float(p), params)) for p in quad.nodes]
-    finv = [_gram_inverses(h, c, N) for h in hs]  # one set per node, shared by every edge
+    ps = [float(p) for p in quad.nodes]
+    hs = [complex(conformal_weight(params.Q + 1j * p, params)) for p in ps]
+    h_nodes = np.array(hs)
+    finv = _gram_inverses(h_nodes, c, N)  # one set per node, shared by every edge
     terms = _level_terms(plan, N, L)
-    vertex_levels = [{lv[v] for _degs, lv in terms} for v in range(n_vertices)]
-    # one (DOZZ factor, {levels: tensor}) record per vertex and tuple of nodes
-    # on its own edges; a vertex on every edge meets a new tuple at every node
-    records = [None if set(vertex.edges) == set(range(L)) else {} for vertex in plan.vertices]
-    upsilon_memo: dict = {}  # log Upsilon and pole distance per exact argument
-    n_factors = n_tensors = 0
-
     shape = (quad.n_nodes,) * L
+    upsilon_memo: dict = {}  # log Upsilon and pole distance per exact argument
+    # each vertex's DOZZ factors and tensors over the tuples of nodes on its
+    # own edges, in C order; rows[v][idx] is node idx's row in them
+    factors, tensors, rows = [], [], []
+    for v, vertex in enumerate(plan.vertices):
+        own = sorted(set(vertex.edges))
+        own_shape = (quad.n_nodes,) * len(own)
+        grid = np.indices(own_shape).reshape(len(own), -1)
+        factors.append(
+            [_vertex_dozz(vertex, {e: ps[i] for e, i in zip(own, t)}, params, upsilon_memo) for t in grid.T]
+        )
+        weights = [h_nodes[grid[own.index(e)]] for e in vertex.edges]
+        tensors.append(_vertex_tensors(vertex, {lv[v] for _degs, lv in terms}, weights, c))
+        rows.append(np.ravel_multi_index(tuple(np.indices(shape)[own]), own_shape))
+
     rho = np.empty(shape, dtype=complex)
     block_abs2 = np.empty(shape)
     worst_level = 0.0
     for idx in np.ndindex(*shape):
-        ps = [float(quad.nodes[i]) for i in idx]
-        edge_hs = [hs[i] for i in idx]
-        node_records = []
-        for vertex, levels, memo in zip(plan.vertices, vertex_levels, records):
-            key = tuple(idx[e] for e in vertex.edges)
-            record = None if memo is None else memo.get(key)
-            if record is None:
-                record = (
-                    _vertex_dozz(vertex, ps, params, upsilon_memo),
-                    _vertex_tensors(vertex, levels, edge_hs, c),
-                )
-                n_factors += 1
-                n_tensors += len(record[1])
-                if memo is not None:
-                    memo[key] = record
-            node_records.append(record)
-        factors, tensors = zip(*node_records)
-        rho[idx] = _density(factors)
-        series = _contract(plan, terms, tensors, edge_hs, [finv[i] for i in idx], c, N)
+        node_rows = [r[idx] for r in rows]
+        rho[idx] = _density(f[row] for f, row in zip(factors, node_rows))
+        edge_hs, edge_finv = [hs[i] for i in idx], [finv[i] for i in idx]
+        series = _contract(plan, terms, tensors, node_rows, edge_hs, edge_finv, c, N)
         block_abs2[idx], last_level = series.abs2_and_last_level(q_vector)
         worst_level = max(worst_level, last_level)
     weights = math.prod(np.ix_(*[quad.weights] * L))  # outer product over the edges
@@ -408,8 +403,8 @@ def graph_correlator(
             "rho": rho,
             "block_abs2": block_abs2,
             "gram_sets": len(finv),
-            "dozz_factors": n_factors,
-            "vertex_tensors": n_tensors,
+            "dozz_factors": sum(map(len, factors)),
+            "vertex_tensors": sum(len(f) * len(t) for f, t in zip(factors, tensors)),
             "upsilon_evals": _upsilon_evals(upsilon_memo),
         },
     )

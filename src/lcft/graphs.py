@@ -73,6 +73,9 @@ class AdmissibleGraph:
             if end in used:
                 raise GraphInvalid(f"slot {end} used more than once")
             used[end] = "mark"
+        unlisted = sorted({v for v, _k in used} - set(self.vertex_ids))
+        if unlisted:
+            raise GraphInvalid(f"vertices {unlisted} hold an edge end or marked point but are not listed")
         for vid in self.vertex_ids:
             n_used = sum(1 for (v, _k) in used if v == vid)
             if n_used != 3:

@@ -14,13 +14,13 @@ basis state is keyed by its *operator word*: the ascending tuple
 together with L_m |D> = 0 (m > 0) and L_0 |D> = D |D> normal-order any word.
 
 The generator action is written ring-agnostically: the weight ``delta`` and
-central charge ``c`` may be floats, complex numbers, Fractions, or any objects
-supporting +, *, and division by small integers.  Production feeds it ``Poly``
-weights, so every descendant coefficient (Gram entries here, radial elements
-and pant brackets in ``blocks``) is an exact polynomial with integer or half-
-integer coefficients.  A family of such polynomials is lowered once to a
-power matrix and a coefficient vector (``_lower``), and one kernel
-(``_evaluate``) turns it into numbers at any weights.  At dyadic-rational
+central charge ``c`` may be floats, complex numbers, Fractions, numpy arrays
+or any objects supporting +, *, and division by small integers.  Production
+runs it once per call on complex arrays of weights (one entry per quadrature
+node or node tuple) with c a float, so every descendant coefficient (Gram
+entries here, radial elements and pant brackets in ``blocks``) comes out as
+an array over the nodes.  Every operation is elementwise, so an entry has the
+same bits at any array length, one-element arrays included; at dyadic-rational
 weights every product and partial sum is exact, which is what makes the
 bit-for-bit oracle comparison in the test suite meaningful.
 """
@@ -131,7 +131,7 @@ def apply_generator_to_word(n: int, word: tuple[int, ...], delta, c) -> dict:
     if n < 0:
         m = -n
         if not word or m <= word[0]:
-            return {(m,) + word: _ring_one(delta)}
+            return {(m,) + word: 1}
         m1, rest = word[0], word[1:]
         out: dict = {}
         # L_{-m} L_{-m1} = L_{-m1} L_{-m} + (m1 - m) L_{-(m+m1)}
@@ -158,143 +158,6 @@ def apply_generator_to_word(n: int, word: tuple[int, ...], delta, c) -> dict:
     return out
 
 
-def _ring_one(delta):
-    """Multiplicative identity of the coefficient ring of ``delta``."""
-    one = getattr(delta, "ring_one", None)
-    if one is not None:
-        return one()
-    return type(delta)(1) if not isinstance(delta, (int, float, complex)) else 1
-
-
-# ---------------------------------------------------------------------------
-# exact polynomial coefficients and their one numeric kernel
-# ---------------------------------------------------------------------------
-
-
-class Poly:
-    """Sparse polynomial in four commuting variables with float coefficients.
-
-    Ring arithmetic only; numbers come from ``_lower`` and ``_evaluate``.  The
-    Gram entries read the variables as (h, -, -, c), the radial elements as
-    (h_out, Delta_mid, h_in, c) and the pant brackets as (D1, D2, D3, c).
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = dict(terms) if terms else {}
-
-    @staticmethod
-    def const(v) -> "Poly":
-        return Poly({(0, 0, 0, 0): v}) if v else Poly()
-
-    def ring_one(self) -> "Poly":
-        return Poly({(0, 0, 0, 0): 1.0})
-
-    def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = Poly.const(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            nv = out.get(k, 0.0) + v
-            if nv:
-                out[k] = nv
-            elif k in out:
-                del out[k]
-        return Poly(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = Poly.const(other)
-        return self + (other * -1)
-
-    def __rsub__(self, other):
-        return Poly.const(other) + (self * -1)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            if not other:
-                return Poly()
-            return Poly({k: v * other for k, v in self.terms.items()})
-        out: dict = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3])
-                nv = out.get(k, 0.0) + v1 * v2
-                if nv:
-                    out[k] = nv
-                elif k in out:
-                    del out[k]
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return Poly({k: v / scalar for k, v in self.terms.items()})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-
-P_ONE = Poly({(0, 0, 0, 0): 1.0})
-P_D1 = Poly({(1, 0, 0, 0): 1.0})
-P_D2 = Poly({(0, 1, 0, 0): 1.0})
-P_D3 = Poly({(0, 0, 1, 0): 1.0})
-P_C = Poly({(0, 0, 0, 1): 1.0})
-
-
-@dataclass(frozen=True)
-class _Lowered:
-    """A family of polynomials in the same variables x_0..x_{V-1}, lowered for
-    evaluation.  Term t is coeffs[t] * prod_v x_v ** exponents[v][powers[v, t]];
-    the terms of entry e are starts[e] <= t < starts[e + 1], and the entries
-    fill ``shape`` in C order."""
-
-    shape: tuple
-    starts: np.ndarray
-    coeffs: np.ndarray
-    powers: np.ndarray
-    exponents: tuple  # per variable, the range lo..hi of its exponents
-
-
-def _lower(entries, shape: tuple, n_vars: int) -> _Lowered:
-    """Lower polynomials given as iterables of (exponent tuple, coefficient),
-    one per entry of ``shape`` in C order.  Exponents may be negative.  An
-    entry without terms gets one zero term, so every entry owns a segment."""
-    starts, exps, coeffs = [], [], []
-    for terms in entries:
-        starts.append(len(coeffs))
-        for k, v in terms:
-            exps.append(k)
-            coeffs.append(v)
-        if len(coeffs) == starts[-1]:
-            exps.append((0,) * n_vars)
-            coeffs.append(0.0)
-    exps = np.array(exps, dtype=np.int64).reshape(len(coeffs), n_vars)
-    lo, hi = exps.min(axis=0), exps.max(axis=0)
-    return _Lowered(
-        shape=tuple(shape),
-        starts=np.array(starts, dtype=np.intp),
-        coeffs=np.array(coeffs, dtype=float),
-        powers=np.ascontiguousarray((exps - lo).T),
-        exponents=tuple(np.arange(a, b + 1) for a, b in zip(lo, hi)),
-    )
-
-
-def _evaluate(family: _Lowered, variables) -> np.ndarray:
-    """Every entry of a lowered family at the given variables (complex).
-
-    One power table per variable, each term's product taken left to right
-    from its coefficient, and one reduceat sum per entry; no BLAS call, so
-    the bits depend on the family and the values only."""
-    terms = family.coeffs
-    for x, exponents, powers in zip(variables, family.exponents, family.powers):
-        terms = terms * (complex(x) ** exponents)[powers]
-    return np.add.reduceat(terms, family.starts).reshape(family.shape)
-
-
 # ---------------------------------------------------------------------------
 # Shapovalov form
 # ---------------------------------------------------------------------------
@@ -315,7 +178,7 @@ class GramMatrix:
 
 def _pairing(word_bra: tuple[int, ...], word_ket: tuple[int, ...], delta, c):
     """< L_{-bra} D , L_{-ket} D >  with adjoint L_n^dag = L_{-n}."""
-    state = {word_ket: _ring_one(delta)}
+    state = {word_ket: 1}
     for m in word_bra:  # rightmost raising operator of the bra acts first
         nxt: dict = {}
         for w, co in state.items():
@@ -327,29 +190,25 @@ def _pairing(word_bra: tuple[int, ...], word_ket: tuple[int, ...], delta, c):
     return state.get((), 0)
 
 
-@lru_cache(maxsize=None)
-def _gram_family(n: int) -> _Lowered:
-    """Upper triangle (row-major) of the level-n Gram matrix, lowered as
-    polynomials in (h, c)."""
+def _gram_stack(deltas: np.ndarray, c, n: int) -> np.ndarray:
+    """Level-n Gram matrices at every weight of the complex array ``deltas``,
+    shape (len(deltas), p(n), p(n)): the upper triangle from ``_pairing`` on
+    the whole array, mirrored, so each matrix is exactly symmetric."""
     words = [nu.word() for nu in partitions(n)]
-    entries = []
+    F = np.empty((len(deltas), len(words), len(words)), dtype=complex)
     for i, wi in enumerate(words):
-        for wj in words[i:]:
-            pairing = _pairing(wi, wj, P_D1, P_C)
-            entries.append([((k[0], k[3]), v) for k, v in pairing.terms.items()] if pairing else [])
-    return _lower(entries, (len(entries),), 2)
+        for j in range(i, len(words)):
+            F[:, i, j] = F[:, j, i] = _pairing(wi, words[j], deltas, c)
+    return F
 
 
 def shapovalov(delta, c, n: int) -> GramMatrix:
-    """Gram matrix F(nu, nu') at level n: the lowered upper triangle evaluated
-    at (delta, c) and mirrored, so F is exactly symmetric."""
+    """Gram matrix F(nu, nu') at level n: ``_gram_stack`` at the one weight
+    ``delta``."""
     if n < 0:
         raise ValidationError(f"level must be >= 0, got {n}")
-    basis = partitions(n)
-    F = np.empty((len(basis), len(basis)), dtype=complex)
-    upper = np.triu_indices(len(basis))
-    F[upper] = F.T[upper] = _evaluate(_gram_family(n), (delta, c))
-    return GramMatrix(level=n, delta=delta, c=c, entries=F, basis=basis)
+    F = _gram_stack(np.array([delta], dtype=complex), c, n)[0]
+    return GramMatrix(level=n, delta=delta, c=c, entries=F, basis=partitions(n))
 
 
 def shapovalov_inverse(F: GramMatrix, cond_guard: float = 1e10) -> GramMatrix:

@@ -7,10 +7,9 @@ import sympy
 from lcft.blocks import (
     ZHAT,
     BlockSeries,
-    _annulus_matrix,
-    _bracket_terms,
-    _disk_vector,
-    _pant_array,
+    _bracket,
+    _pant_arrays,
+    _radial_arrays,
     _radial_element,
     graph_block,
     torus_one_point_block,
@@ -20,8 +19,6 @@ from lcft.errors import DimensionMismatch, DomainError
 from lcft.graphs import AdmissibleGraph, EdgeSpec, MarkedPoint
 from lcft.params import CftParams
 from lcft.virasoro import (
-    _evaluate,
-    _lower,
     conformal_weight,
     partition_count,
     shapovalov,
@@ -36,8 +33,8 @@ def three_point_descendant(
     delta1, delta2, delta3, nu1=(), nu2=(), nu3=(), c=26.0, zhat=ZHAT, frame="pant"
 ) -> complex:
     """Normalized holomorphic three-point coefficient of one descendant triple
-    (partitions nu_i, largest part first), lowered on its own and evaluated by
-    the production kernel.
+    (partitions nu_i, largest part first), from the production recursion at
+    scalar weights.
 
     frame="pant": the recursion-rule bracket divided by the holomorphic half
     H(z) at the insertion points ``zhat``.  frame="radial": slots read (out,
@@ -47,11 +44,14 @@ def three_point_descendant(
     w1, w2, w3 = (tuple(reversed(tuple(nu))) for nu in (nu1, nu2, nu3))
     if frame == "radial":
         assert not w2, "the radial frame holds the vertex in slot 2"
-        family = _lower([_radial_element(w1, w3).terms.items()], (), 4)
-        return complex(_evaluate(family, (delta1, delta2, delta3, c)))
-    z1, z2, z3 = zhat
-    family = _lower([_bracket_terms(w1, w2, w3)], (), 7)
-    return complex(_evaluate(family, (z1 - z2, z1 - z3, z2 - z3, delta1, delta2, delta3, c)))
+        return complex(_radial_element(w1, w3, (delta1, delta2, delta3), c, {}))
+    return complex(_bracket(w1, w2, w3, (delta1, delta2, delta3), c, zhat, {}))
+
+
+def radial_matrix(n_out, n_in, h_out, d_mid, h_in, c):
+    """The engine's radial elements between two levels at one node."""
+    arrays = _radial_arrays({(n_out, n_in)}, (np.array([h_out]), d_mid, np.array([h_in])), c)
+    return arrays[(n_out, n_in)][0]
 
 
 def sympy_h_and_points():
@@ -148,6 +148,8 @@ class TestRadialFrame:
         )
         assert got.real == pytest.approx(expect, rel=1e-12)
         assert got.imag == 0.0
+        words = (tuple(reversed(a)), tuple(reversed(b)))
+        assert _radial_element(*words, (ho, dm, hi), c, {}) == vertex_element(a, b, ho, dm, hi, c)
 
     def test_symmetry_under_swap(self):
         got1 = three_point_descendant(1.2, 0.7, 2.1, (2, 1), (), (1, 1), frame="radial")
@@ -159,9 +161,11 @@ class TestCoeffTensors:
     def test_all_empty_entries_are_one(self):
         params = CftParams(gamma=1.2)
         h = complex(conformal_weight(params.Q + 0.5j, params))
-        assert _annulus_matrix(0, 0, h, 0.9, h, params.c_L)[0, 0] == pytest.approx(1.0)
-        assert _disk_vector(0, h, 0.9, 1.1, params.c_L)[0] == pytest.approx(1.0)
-        assert _pant_array((0, 0, 0), (h, h, h), params.c_L)[0, 0, 0] == pytest.approx(1.0)
+        hs = np.array([h])
+        assert radial_matrix(0, 0, h, 0.9, h, params.c_L)[0, 0] == pytest.approx(1.0)
+        assert radial_matrix(0, 0, h, 0.9, 1.1, params.c_L)[0, 0] == pytest.approx(1.0)
+        pant = _pant_arrays({(0, 0, 0)}, (hs, hs, hs), params.c_L)[(0, 0, 0)]
+        assert pant[0, 0, 0, 0] == pytest.approx(1.0)
 
     def test_torus_level1_contraction_oracle(self):
         rng = np.random.default_rng(4)
@@ -172,7 +176,7 @@ class TestCoeffTensors:
             dh = complex(conformal_weight(params.Q + 1j * p, params))
             da = complex(conformal_weight(alpha1, params))
             finv = shapovalov_inverse(shapovalov(dh, params.c_L, 1)).entries
-            w = _annulus_matrix(1, 1, dh, da, dh, params.c_L)
+            w = radial_matrix(1, 1, dh, da, dh, params.c_L)
             got = complex(np.trace(finv @ w))
             assert got == pytest.approx(complex(torus_level1_coeff(da, dh)), rel=1e-10)
 
@@ -180,7 +184,7 @@ class TestCoeffTensors:
         params = CftParams(gamma=1.4)
         h = complex(conformal_weight(params.Q + 0.9j, params))
         d2, d1 = 0.8, 1.3
-        vec = _disk_vector(1, h, d2, d1, params.c_L)
+        vec = radial_matrix(1, 0, h, d2, d1, params.c_L)[:, 0]
         single = three_point_descendant(h, d2, d1, (1,), (), (), frame="radial", c=params.c_L)
         assert vec[0] == pytest.approx(single, rel=1e-14)
 
@@ -189,8 +193,8 @@ class TestCoeffTensors:
         p1 = CftParams(gamma=1.2, mu=1.0)
         p2 = CftParams(gamma=1.2, mu=9.0)
         h = complex(conformal_weight(p1.Q + 0.5j, p1))
-        w1 = _annulus_matrix(2, 2, h, 0.9, h, p1.c_L)
-        w2 = _annulus_matrix(2, 2, h, 0.9, h, p2.c_L)
+        w1 = radial_matrix(2, 2, h, 0.9, h, p1.c_L)
+        w2 = radial_matrix(2, 2, h, 0.9, h, p2.c_L)
         assert np.array_equal(w1, w2)
 
 
@@ -326,8 +330,8 @@ class TestGraphBlock:
             return np.eye(1) if n == 0 else shapovalov_inverse(shapovalov(h[j], c, n)).entries
 
         for (n1, n2), co in gb.coeffs.items():
-            w1 = _annulus_matrix(n1, n2, h[0], d[0], h[1], c)
-            w2 = _annulus_matrix(n2, n1, h[1], d[1], h[0], c)
+            w1 = radial_matrix(n1, n2, h[0], d[0], h[1], c)
+            w2 = radial_matrix(n2, n1, h[1], d[1], h[0], c)
             expect = complex(np.trace(finv(1, n2) @ w2 @ finv(0, n1) @ w1))
             assert co == pytest.approx(expect, rel=1e-12)
         assert len(gb.coeffs) == (N + 1) * (N + 2) // 2

@@ -402,9 +402,9 @@ def genus2_graph():
 @pytest.fixture(scope="module")
 def genus2_run():
     """graph_correlator on the genus-2 graph at 9 nodes per edge and N = 3,
-    with the number of Gram matrices it built."""
+    with the number of Gram stacks it built."""
     builds = []
-    original = lcft.blocks.shapovalov
+    original = lcft.blocks._gram_stack
 
     def counting(*args, **kwargs):
         builds.append(args)
@@ -412,7 +412,7 @@ def genus2_run():
 
     g, quad = genus2_graph(), Quadrature(p_max=1.5, panel_width=0.5, nodes_per_panel=3)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lcft.blocks, "shapovalov", counting)
+        mp.setattr(lcft.blocks, "_gram_stack", counting)
         res = graph_correlator(g, S2, quad=quad, N=3)
     return g, quad, 3, res, len(builds)
 
@@ -428,8 +428,9 @@ def _torus2():
 
 
 def _torus3():
-    """3-cycle of annuli: each annulus vertex misses one edge, so its record
-    is stored and reused across the nodes of that edge."""
+    """3-cycle of annuli: each annulus vertex misses one edge, so its factors
+    and tensors are built over node pairs and reused across the nodes of that
+    edge."""
     g = _torus_cycle([0.9, 1.0, 1.1], [0.1 + 0.02j, 0.12 - 0.01j, 0.08 + 0.03j])
     return g, Quadrature(1.0, 0.5, 2), 2
 
@@ -441,9 +442,10 @@ def _theta():
 
 
 class TestEngineCaches:
-    """graph_correlator builds each Gram set once per node and each vertex's
-    DOZZ factor and tensor once per distinct tuple of its edges' nodes; the
-    cached values must equal the per-node public path bit for bit."""
+    """graph_correlator builds the Gram sets of all nodes in one stack per
+    level and each vertex's DOZZ factors and tensors once, over every tuple of
+    its edges' nodes; its values must equal the per-node public path, which
+    runs the same code on one-element arrays, bit for bit."""
 
     @pytest.mark.parametrize("case", ["genus2", "sphere5", "torus2", "torus3", "theta"])
     def test_bitwise_equal_to_per_node_path(self, case, request):
@@ -465,9 +467,10 @@ class TestEngineCaches:
 
     def test_genus2_counts(self, genus2_run):
         *_g, res, builds = genus2_run
-        # 9 nodes x levels 1..3; each pant misses one loop: 81 node pairs, and
-        # 10 level pairs (n1, n_loop) with n1 + n_loop <= 3 at N = 3
-        assert builds == 27
+        # one Gram stack over the 9 nodes per level 1..3; each pant misses one
+        # loop: 81 node pairs, and 10 level pairs (n1, n_loop) with
+        # n1 + n_loop <= 3 at N = 3
+        assert builds == 3
         assert res.details["gram_sets"] == 9
         assert res.details["dozz_factors"] == 2 * 81
         assert res.details["vertex_tensors"] == 2 * 81 * 10
@@ -495,9 +498,9 @@ class TestEngineCaches:
         assert res.details["upsilon_evals"] == 4 * 96 + 3
 
     def test_torus3_counts(self):
-        # each annulus misses one edge of the 3-cycle: one record per vertex
+        # each annulus misses one edge of the 3-cycle: one factor per vertex
         # and node pair on its own edges, reused at the 4 nodes of the third,
-        # holding a tensor at each of the 6 level pairs with total <= 2
+        # and a tensor there at each of the 6 level pairs with total <= 2
         g, quad, N = _torus3()
         res = graph_correlator(g, S2, quad=quad, N=N)
         assert res.details["gram_sets"] == 4
@@ -508,8 +511,8 @@ class TestEngineCaches:
         assert res.details["upsilon_evals"] == 8 + 3 + 90
 
     def test_theta_counts(self):
-        # nothing is memoized: both pants build a factor at each of the 4^3 node
-        # triples, and a tensor at each of the 10 level triples with total <= 2
+        # both pants build a factor at each of the 4^3 node triples, and a
+        # tensor there at each of the 10 level triples with total <= 2
         g, quad, N = _theta()
         res = graph_correlator(g, S2, quad=quad, N=N)
         assert res.details["gram_sets"] == 4
@@ -580,6 +583,15 @@ class TestValidateGraph:
         out = validate_graph(g, params)
         assert any(v.vertex == 2 for v in out)  # 0.4 + 0.8 - 2.5 < 0
         assert all(v.vertex != 1 for v in out if "spectral" in v.kind)
+
+    def test_marked_point_on_unlisted_vertex(self):
+        g = AdmissibleGraph(
+            edges=[EdgeSpec((1, 1), (1, 2), q=0.1)],
+            marked=[MarkedPoint(1, 3, 1.2), MarkedPoint(3, 1, 1.2)],
+            vertex_ids=[1],
+        )
+        with pytest.raises(GraphInvalid, match=r"vertices \[3\]"):
+            validate_graph(g, S2)
 
     def test_json_roundtrip(self):
         g = theta_graph(0.2 + 0.05j)

@@ -116,6 +116,14 @@ class TestCli:
         assert rec["result"]["genus"] == 2
         assert math.isfinite(rec["result"]["value"])
 
+    def test_graph_with_unlisted_vertex_exits_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        graph = {**GENUS2, "vertices": [{"id": 1, "slots": 3}]}
+        cfg.write_text(json.dumps({"graph": graph, "p_max": 1.0, "nodes_per_panel": 2, "N": 1}))
+        out = run_cli("graph", "--config", str(cfg))
+        assert out.returncode == 2
+        assert "vertices [2]" in out.stderr
+
     @pytest.mark.parametrize("command", ["torus1pt", "toruskpt", "spherekpt", "graph"])
     def test_engine_counters_in_record(self, command, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -10,6 +10,7 @@ from lcft.errors import DegenerateWeight, ValidationError
 from lcft.params import CftParams
 from lcft.virasoro import (
     YoungDiagram,
+    _pairing,
     apply_generator_to_word,
     conformal_weight,
     kac_weight,
@@ -115,6 +116,14 @@ class TestShapovalov:
         F = shapovalov(D, c, 2).entries
         expect = np.array([[4 * D + c / 2, 6 * D], [6 * D, 8 * D**2 + 4 * D]])
         assert F == pytest.approx(expect)
+
+    def test_pairing_on_arrays_equals_each_weight_bitwise(self):
+        deltas = np.array([0.5, 0.7, 0.3 + 0.2j, 1.9 - 0.4j])
+        for bra, ket in [((1, 1), (1, 1)), ((1, 2), (3,)), ((1, 1, 2), (2, 2))]:
+            whole = _pairing(bra, ket, deltas, 26.0)
+            for i in range(len(deltas)):
+                assert np.array_equal(whole[i : i + 1], _pairing(bra, ket, deltas[i : i + 1], 26.0))
+        assert _pairing((1, 1), (1, 1), deltas[:2], 26.0) == pytest.approx([4.0, 6.72], rel=1e-15)
 
     def test_exactly_symmetric_bitwise(self):
         F = shapovalov(0.3 + 0.2j, 26.0, 4).entries
