@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -41,6 +42,8 @@ class TestCli:
         ra, rb = json.loads(a.stdout), json.loads(b.stdout)
         assert ra["result"]["mean"] == rb["result"]["mean"]
         assert ra["result"]["stderr"] == rb["result"]["stderr"]
+        threads = ra["result"]["mc_config"]["threads"]
+        assert threads == min(len(os.sched_getaffinity(0)), ra["config"]["batches"])
 
     def test_output_artifacts(self, tmp_path):
         out = run_cli("torus1pt", "--alpha", "1.2", "--N", "3", "--p-max", "3",

@@ -1,8 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
+from lcft import gmc
 from lcft.errors import SingularPoint, ValidationError
 from lcft.gmc import (
     McConfig,
@@ -13,6 +16,7 @@ from lcft.gmc import (
     gmc_mass,
     green_constant,
     mc_torus_one_point,
+    mc_torus_one_point_many,
     sample_gff,
     torus_det_prefactor,
     torus_green,
@@ -105,6 +109,122 @@ class TestSampling:
         b = mc_torus_one_point(1.2, GEOM, params, cfg)
         assert a.mean == b.mean and a.stderr == b.stderr
         assert np.array_equal(a.batch_means, b.batch_means)
+
+
+def _reference_sample_gff(geom, rng, batch):
+    """The sampler as first written: one chunk's normals drawn per block,
+    the spectrum assembled in full, one irfft2."""
+    n = geom.n_grid
+    half = n // 2
+    v = geom.mode_variances()
+    C = np.zeros((batch, n, half + 1), dtype=complex)
+    xi = rng.standard_normal((batch, n, half - 1, 2))
+    C[:, :, 1:half] = np.sqrt(v[None, :, 1:half] / 2.0) * (xi[..., 0] + 1j * xi[..., 1])
+    for k in (0, half):
+        xi2 = rng.standard_normal((batch, half - 1, 2))
+        block = np.sqrt(v[None, 1:half, k] / 2.0) * (xi2[..., 0] + 1j * xi2[..., 1])
+        C[:, 1:half, k] = block
+        C[:, n - 1 : half : -1, k] = np.conj(block)
+        C[:, 0, k] = np.sqrt(v[0, k]) * rng.standard_normal(batch)
+        C[:, half, k] = np.sqrt(v[half, k]) * rng.standard_normal(batch)
+    C[:, 0, 0] = 0.0
+    C *= n * n
+    return np.fft.irfft2(C, s=(n, n), axes=(1, 2))
+
+
+def _reference_batch_means(alphas, geom, params, cfg):
+    """Scaled batch means of mc_torus_one_point_many as first written: one
+    thread, batches in order, chunks of 256 samples from the reference sampler."""
+    g = params.gamma
+    W = gmc.fit_w_constant(geom)
+    s2 = gmc.wick_variance(geom)
+    pref = gmc.torus_det_prefactor(geom)
+    s_of = [a / g for a in alphas]
+    vw, const = [], []
+    for alpha1, s in zip(alphas, s_of):
+        if cfg.method == "reduced":
+            if cfg.green_mode == "continuum":
+                vw.append(gmc._vertex_weight_table(geom, alpha1, params))
+            else:
+                vw.append(np.exp(alpha1 * g * geom.truncated_covariance()) * geom.cell_area)
+            const.append(
+                pref
+                * math.exp(gammaln(s)) / g
+                * (params.mu * math.exp(0.5 * g * g * W)) ** (-s)
+                * math.exp(0.5 * alpha1 * alpha1 * W)
+            )
+        else:
+            dd = np.linspace(-30.0 / alpha1 - 5.0, 12.0 / g, 4001)
+            J = float(np.trapezoid(np.exp(alpha1 * dd - s * np.exp(g * dd)), dd))
+            vw.append(None)
+            const.append(pref * math.exp(0.5 * alpha1 * alpha1 * W) * J * (s / params.mu) ** s)
+    base, extra = divmod(cfg.n_samples, cfg.n_batches)
+    means = np.empty((len(alphas), cfg.n_batches))
+    for b in range(cfg.n_batches):
+        size = base + (1 if b < extra else 0)
+        rng = np.random.Generator(np.random.Philox(key=[cfg.seed, b]))
+        done = 0
+        acc = np.zeros(len(alphas))
+        while done < size:
+            nb = min(size - done, 256)
+            X = _reference_sample_gff(geom, rng, nb)
+            wick = np.exp(g * X - 0.5 * g * g * s2)
+            if cfg.method == "reduced":
+                for j, s in enumerate(s_of):
+                    Z = np.einsum("bij,ij->b", wick, vw[j])
+                    acc[j] += float(np.sum(Z ** (-s)))
+            else:
+                M_phys = math.exp(0.5 * g * g * W) * np.sum(wick, axis=(-2, -1)) * geom.cell_area
+                for j, (alpha1, s) in enumerate(zip(alphas, s_of)):
+                    vertex = np.exp(alpha1 * X[:, 0, 0] - 0.5 * alpha1 * alpha1 * s2)
+                    acc[j] += float(np.sum(vertex * M_phys ** (-s)))
+            done += nb
+        means[:, b] = acc / size
+    return np.array([c * m for c, m in zip(const, means)])
+
+
+class TestBitwiseThreadedSampler:
+    """The threaded, buffered sampling loop reproduces the reference loop bit
+    for bit, whatever the number of threads."""
+
+    PARAMS = CftParams(gamma=math.sqrt(2.0), mu=1.0)
+
+    @pytest.mark.parametrize(
+        "n, batch", [(64, 1), (64, 7), (12, 7)], ids=["64-b1", "64-b7", "12-b7"]
+    )
+    def test_sample_gff(self, n, batch):
+        geom = TorusGeometry(tau=0.3 + 1.1j, n_grid=n)
+        X = sample_gff(geom, np.random.default_rng(4), batch=batch)
+        ref = _reference_sample_gff(geom, np.random.default_rng(4), batch)
+        assert np.array_equal(X, ref)
+
+    @pytest.mark.parametrize("threads", [1, 2, 25])
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # batches of 258 and 257 samples: two chunks each, sizes not a
+            # multiple of the sub-chunk
+            McConfig(n_samples=20 * 257 + 5, n_batches=20, seed=7),
+            McConfig(n_samples=150, n_batches=21, seed=3, green_mode="truncated"),
+            McConfig(n_samples=130, n_batches=20, seed=5, method="direct"),
+        ],
+        ids=["continuum", "truncated", "direct"],
+    )
+    def test_batch_means(self, monkeypatch, cfg, threads):
+        monkeypatch.setattr(gmc, "_thread_count", lambda: threads)
+        geom = TorusGeometry(tau=0.2 + 1.05j, n_grid=16)
+        alphas = (0.8, 1.2)
+        # frequent thread switches, so a lost or misplaced batch mean would show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ests = mc_torus_one_point_many(alphas, geom, self.PARAMS, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        ref = _reference_batch_means(alphas, geom, self.PARAMS, cfg)
+        for j, est in enumerate(ests):
+            assert est.config["threads"] == min(threads, cfg.n_batches)
+            assert np.array_equal(est.batch_means, ref[j])
 
 
 class TestGmcMass:
