@@ -16,29 +16,25 @@ Three ingredients:
   torus chains and sphere chains are pants graphs).
 
 Both descendant recursions are ring-agnostic and memoised on their words in a
-dict their caller passes.  ``_radial_arrays`` and ``_pant_arrays`` run them
-once per call with the weights as complex arrays and c as a float, so each
-family an engine feeds the contraction (the radial elements of a level pair,
-the pant brackets of a level triple) comes out as one array whose axis 0 runs
-along the weights.  A pant bracket keeps its z-monomials only while slot 3 is
-primary, where the derivatives act on them; they are summed at ``ZHAT``
-before slot 3's transport, which only multiplies by powers of z13 and z23.
-The memo lives for that call only.  The Gram matrices take the same path
-through ``virasoro._gram_stack``.  Every operation is elementwise, so a
-one-element array gives the bits of the same entry in a longer one.
+dict that lives for one call.  ``_radial_arrays`` and ``_pant_arrays`` run
+them with the weights as complex arrays and c as a float, so each family (the
+radial elements of a level pair, the pant brackets of a level triple) comes
+out as one array whose axis 0 runs along the weights.  A pant bracket keeps
+its z-monomials only while slot 3 is primary, where the derivatives act on
+them; they are summed at ``ZHAT`` before slot 3's transport, which only
+multiplies by powers of z13 and z23.
 
-``graph_block`` is a per-graph plan, its level terms and one per-node
-contraction.  The plan holds each vertex's slots in order, (edge index,
-orientation sign) or (None, alpha), and the einsum subscripts;
-``dozz.rho_density`` reads its DOZZ arguments from the same vertex records.
-``_level_terms`` lists each multidegree with the levels it puts on every
-vertex, ``_vertex_tensors`` builds all of one vertex's tensors at those levels
-over the weight arrays of its edge slots, and ``_contract`` sums the terms
-from one row of each vertex's {levels: array} dict.  The spectral integral in
-``bootstrap`` calls the same three pieces on arrays over its quadrature nodes:
-the Gram inverses of every node at once, and each vertex's tensors over every
-tuple of nodes on its own edges; ``graph_block`` calls them on one-element
-arrays.
+``_block_series`` is the spectral engine's block at an array of node tuples,
+from one plan of the graph (``_block_plan``: each vertex's slots in order,
+as (edge index, orientation sign) or (None, alpha); ``dozz`` reads its DOZZ
+arguments from the same records).  It builds one inverse Gram stack per level
+over the nodes, and each vertex's tensors over the distinct projections of
+the tuples onto its own edges.  ``_contract`` sums each multidegree's
+products of tensor and inverse entries over the basis indices, and
+``BlockSeries`` turns the coefficient arrays into |F|^2 and the last-level
+share.  Every step is an out-of-place elementwise operation along the nodes
+or tuples, so an entry has the same bits at any array length;
+``graph_block`` is the engine at the one tuple (p_1, ..., p_L).
 """
 
 from __future__ import annotations
@@ -52,13 +48,12 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError, ValidationError
 from .params import CftParams
 from .virasoro import (
-    GramMatrix,
     _accumulate,
     _gram_stack,
+    _invert_stack,
     apply_generator_to_word,
     conformal_weight,
     partitions,
-    shapovalov_inverse,
 )
 
 __all__ = [
@@ -284,65 +279,64 @@ class BlockSeries:
 
     ``coeffs`` maps multidegrees to holomorphic series coefficients; the
     modulus-dependent prefactor exponents stay symbolic in |q| so callers can
-    form |F|^2 without cancellation.
+    form |F|^2 without cancellation.  Coefficients and exponents are scalars,
+    or arrays over node tuples in the spectral engine; the methods run on 1-D
+    arrays out of place, so an entry has the same bits at any number of
+    tuples, and return scalars for a scalar series.
     """
 
     exponents: tuple
     coeffs: dict
     N: int
 
-    def _series_and_top(self, qs) -> tuple[complex, complex]:
-        """The series at the given moduli and its level-N part, summed in
-        one left-to-right pass over the coefficients."""
+    def _parts(self, qs) -> tuple:
+        """The prefactor, the series and its level-N part at the given moduli,
+        the series summed in one pass over the coefficients."""
         qs = tuple(complex(q) for q in qs)
         if len(qs) != len(self.exponents):
             raise DimensionMismatch(f"expected {len(self.exponents)} moduli, got {len(qs)}")
-        total = top = 0.0 + 0.0j
+        pref, total, top = 1.0, 0.0 + 0.0j, 0.0 + 0.0j
+        for q, e in zip(qs, self.exponents):
+            pref = pref * abs(q) ** np.reshape(e, -1)
         for degs, co in self.coeffs.items():
-            term = co
+            term = np.reshape(co, -1)
             for q, n in zip(qs, degs):
                 if n:
-                    term *= q**n
-            total += term
+                    term = term * q**n
+            total = total + term
             if sum(degs) == self.N:
-                top += term
-        return total, top
+                top = top + term
+        return pref, total, top
 
-    def series_value(self, qs) -> complex:
-        return self._series_and_top(qs)[0]
+    def _out(self, x):
+        """x as a scalar when the coefficients are scalars."""
+        return x if np.ndim(next(iter(self.coeffs.values()))) else x[0]
 
-    def prefactor(self, qs) -> float:
-        out = 1.0
-        for q, e in zip(qs, self.exponents):
-            out *= abs(complex(q)) ** e
-        return out
+    def series_value(self, qs):
+        return self._out(self._parts(qs)[1])
 
-    def value(self, qs) -> complex:
-        return self.prefactor(qs) * self.series_value(qs)
+    def value(self, qs):
+        pref, total, _top = self._parts(qs)
+        return self._out(pref * total)
 
-    def abs2_and_last_level(self, qs) -> tuple[float, float]:
+    def abs2_and_last_level(self, qs) -> tuple:
         """|F|^2 at the given moduli and the level-N share |top| / |series|
         of the truncated series (inf where the series vanishes)."""
-        full, top = self._series_and_top(qs)
-        last_level = abs(top) / abs(full) if full else math.inf
-        return self.prefactor(qs) ** 2 * abs(full) ** 2, last_level
+        pref, full, top = self._parts(qs)
+        full, top = np.abs(full), np.abs(top)
+        last_level = np.divide(top, full, out=np.full(full.shape, math.inf), where=full != 0)
+        return self._out(pref**2 * full**2), self._out(last_level)
 
-    def abs2(self, qs) -> float:
+    def abs2(self, qs):
         """|F|^2 at the given moduli."""
         return self.abs2_and_last_level(qs)[0]
 
 
 def _gram_inverses(hs: np.ndarray, c: float, N: int) -> list:
-    """Inverse Gram matrices at levels 0..N for each weight of the complex
-    array ``hs``, one list per weight, from one Gram stack per level."""
-    stacks = [_gram_stack(hs, c, n) for n in range(1, N + 1)]
-    return [
-        [np.eye(1, dtype=complex)]
-        + [
-            shapovalov_inverse(GramMatrix(n, h, c, F[i], partitions(n))).entries
-            for n, F in enumerate(stacks, start=1)
-        ]
-        for i, h in enumerate(hs)
+    """Inverse Gram matrices at levels 0..N for every weight of the complex
+    array ``hs``: one stack per level, shape (len(hs), p(n), p(n))."""
+    return [np.ones((len(hs), 1, 1), dtype=complex)] + [
+        _invert_stack(_gram_stack(hs, c, n), n, hs)[0] for n in range(1, N + 1)
     ]
 
 
@@ -357,76 +351,80 @@ def torus_one_point_block(
     d_mark = complex(conformal_weight(alpha1, params))
     c = params.c_L
     hs = np.array([h])
-    finv = _gram_inverses(hs, c, N)[0]
+    finv = _gram_inverses(hs, c, N)
     W = _radial_arrays({(n, n) for n in range(N + 1)}, (hs, d_mark, hs), c)
-    coeffs = {(n,): complex(np.trace(finv[n] @ W[(n, n)][0])) for n in range(N + 1)}
+    coeffs = {(n,): complex(np.trace(finv[n][0] @ W[(n, n)][0])) for n in range(N + 1)}
     return BlockSeries(exponents=(-c / 24.0 + h.real,), coeffs=coeffs, N=N)
 
 
 @dataclass(frozen=True)
 class _Vertex:
-    """One vertex of a pants-graph plan.  ``slots`` holds its slots in order:
-    (edge index, orientation sign) for an edge slot and (None, alpha) for a
-    marked slot.  ``edges`` (the edge index of each edge slot) and ``marks``
-    (the conformal weight of each marked slot) follow from them."""
+    """One vertex of a pants-graph plan: its slots in order, (edge index,
+    orientation sign: -1 outgoing, +1 incoming) for an edge slot and (None,
+    alpha) for a marked slot, and the conformal weight of each marked slot."""
 
     slots: tuple
-    edges: tuple
     marks: tuple
 
+    @property
+    def edges(self) -> tuple:
+        """The edge index of each edge slot."""
+        return tuple(e for e, _sign in self.slots if e is not None)
 
-@dataclass(frozen=True)
-class _BlockPlan:
-    """What the integrand of a pants graph needs of the graph alone: its
-    vertices, in ``graph.vertex_ids`` order, and the einsum subscripts
-    contracting their tensors with one inverse Gram matrix per edge."""
-
-    vertices: tuple
-    einsum_spec: str
+    @property
+    def ends(self) -> tuple:
+        """The edge end of each edge slot, 2 e outgoing or 2 e + 1 incoming;
+        the edge's inverse Gram matrix joins its two ends."""
+        return tuple(2 * e + (sign > 0) for e, sign in self.slots if e is not None)
 
 
-def _block_plan(graph, params: CftParams) -> _BlockPlan:
+def _block_plan(graph, params: CftParams) -> tuple:
     """The one reader of a pants graph's slots (graph_block, rho_density and
-    the spectral integral).  It checks the graph's structure, then takes each
-    marked weight and each edge end, outgoing (0, sign -1) or incoming (1,
-    sign +1), in one pass; an edge end's einsum letter is shared by its vertex
-    slot and by the edge's inverse Gram matrix."""
+    the spectral integral): its vertices, in ``graph.vertex_ids`` order.  It
+    checks the graph's structure, then takes each marked weight and each edge
+    end in one pass."""
     graph.check_structure()
-    L = len(graph.edges)
-    vertices, specs = [], []
+    plan = []
     for vid, slot_list in graph.slot_map().items():
-        slots, spec = [], ""
+        slots = []
         for k, kind, i in slot_list:
             if kind == "mark":
                 slots.append((None, graph.marked[i].alpha))
-            else:
-                end = int(graph.edges[i].v_to == (vid, k))
-                slots.append((i, 2 * end - 1))
-                spec += chr(ord("a") + 2 * i + end)
-        edges = tuple(eidx for eidx, _x in slots if eidx is not None)
-        marks = tuple(complex(conformal_weight(x, params)) for eidx, x in slots if eidx is None)
-        vertices.append(_Vertex(tuple(slots), edges, marks))
-        specs.append(spec)
-    specs += [chr(ord("a") + 2 * e) + chr(ord("a") + 2 * e + 1) for e in range(L)]
-    return _BlockPlan(vertices=tuple(vertices), einsum_spec=",".join(specs) + "->")
+            else:  # outgoing edge end: sign -1, incoming: +1
+                slots.append((i, 1 if graph.edges[i].v_to == (vid, k) else -1))
+        marks = tuple(complex(conformal_weight(x, params)) for e, x in slots if e is None)
+        plan.append(_Vertex(tuple(slots), marks))
+    return tuple(plan)
 
 
-def _require_edge_slots(graph, plan: _BlockPlan) -> None:
+def _require_edge_slots(graph, plan: tuple) -> None:
     """A block glues every vertex into the graph through at least one edge."""
-    for vid, vertex in zip(graph.vertex_ids, plan.vertices):
+    for vid, vertex in zip(graph.vertex_ids, plan):
         if not vertex.edges:
             raise ValidationError(f"vertex {vid} has no edge slots")
 
 
-def _level_terms(plan: _BlockPlan, N: int, L: int) -> list:
+def _level_terms(plan: tuple, N: int, L: int) -> list:
     """Every multidegree of total <= N over the L edges, by total ascending
     and then lexicographically, paired with the levels it puts on each
     vertex's edge slots (one tuple per vertex)."""
     degrees = (d for d in itertools.product(range(N + 1), repeat=L) if sum(d) <= N)
     return [
-        (degs, tuple(tuple(degs[eidx] for eidx in vertex.edges) for vertex in plan.vertices))
+        (degs, tuple(tuple(degs[eidx] for eidx in vertex.edges) for vertex in plan))
         for degs in sorted(degrees, key=lambda d: (sum(d), d))
     ]
+
+
+def _projections(plan: tuple, tuples: np.ndarray) -> list:
+    """For each vertex: its own edges (sorted), the distinct projections onto
+    them of the node tuples (the columns of the (L, n) index array
+    ``tuples``), in C order, and each tuple's column among them."""
+    out = []
+    for vertex in plan:
+        own = sorted(set(vertex.edges))
+        distinct, rows = np.unique(tuples[own], axis=1, return_inverse=True)
+        out.append((own, distinct, rows.reshape(-1)))
+    return out
 
 
 def _vertex_tensors(vertex: _Vertex, levels, weights, c) -> dict:
@@ -442,18 +440,49 @@ def _vertex_tensors(vertex: _Vertex, levels, weights, c) -> dict:
     return {(n,): arr[:, :, 0] for (n, _zero), arr in disks.items()}
 
 
-def _contract(plan: _BlockPlan, terms: list, tensors, rows, hs, finv, c, N: int) -> BlockSeries:
-    """Per-node half of graph_block.  ``terms`` comes from _level_terms;
-    ``tensors`` holds each vertex's {levels: array} and ``rows`` the node's
-    row in each, and ``hs`` and ``finv`` each edge's weight and inverse Gram
-    matrices (levels 0..N)."""
+def _contract(plan: tuple, terms: list, tensors: list, finv: list) -> dict:
+    """Each multidegree's block coefficient, as an array over node tuples.
+
+    ``terms`` comes from _level_terms; ``tensors`` holds each vertex's
+    {levels: array} and ``finv`` each edge's inverse Gram matrices at levels
+    0..N, all with the tuples on their last, contiguous axis.  A coefficient
+    sums, over every assignment of basis indices to the edge ends, the
+    product of one entry of each operand, out of place and in an order fixed
+    by the plan, so a tuple's coefficient has the same bits at any number of
+    tuples (np.einsum's order depends on the operand shapes)."""
     coeffs = {}
     for degs, levels in terms:
-        operands = [t[lv][row] for t, row, lv in zip(tensors, rows, levels)]
-        operands += [finv[eidx][n] for eidx, n in enumerate(degs)]
-        coeffs[degs] = complex(np.einsum(plan.einsum_spec, *operands))
-    exps = tuple(-c / 24.0 + h.real for h in hs)
-    return BlockSeries(exponents=exps, coeffs=coeffs, N=N)
+        operands = [(t[lv], vertex.ends) for t, lv, vertex in zip(tensors, levels, plan)]
+        operands += [(f[n], (2 * e, 2 * e + 1)) for e, (f, n) in enumerate(zip(finv, degs))]
+        sizes = [len(f[n]) for f, n in zip(finv, degs) for _end in (0, 1)]
+        total = None
+        for idx in itertools.product(*map(range, sizes)):
+            term = None
+            for arr, ends in operands:
+                entry = arr[tuple(idx[end] for end in ends)]
+                term = entry if term is None else term * entry
+            total = term if total is None else total + term
+        coeffs[degs] = total
+    return coeffs
+
+
+def _block_series(plan: tuple, ps, tuples: np.ndarray, params: CftParams, N: int) -> tuple:
+    """The engine's block at node tuples, as one BlockSeries of arrays over
+    the columns of the (L, n) array ``tuples`` (indices into the edges' p
+    values ``ps``), and the number of vertex tensors built."""
+    c = params.c_L
+    hs = np.array([complex(conformal_weight(params.Q + 1j * p, params)) for p in ps])
+    terms = _level_terms(plan, N, len(tuples))
+    tensors, built = [], 0
+    for v, (vertex, (own, distinct, rows)) in enumerate(zip(plan, _projections(plan, tuples))):
+        weights = [hs[distinct[own.index(e)]] for e in vertex.edges]
+        arrays = _vertex_tensors(vertex, {lv[v] for _degs, lv in terms}, weights, c)
+        built += distinct.shape[1] * len(arrays)
+        tensors.append({lv: np.ascontiguousarray(np.moveaxis(a[rows], 0, -1)) for lv, a in arrays.items()})
+    stacks = _gram_inverses(hs, c, N)
+    finv = [[np.ascontiguousarray(np.moveaxis(F[node], 0, -1)) for F in stacks] for node in tuples]
+    exps = tuple(-c / 24.0 + hs[node].real for node in tuples)
+    return BlockSeries(exponents=exps, coeffs=_contract(plan, terms, tensors, finv), N=N), built
 
 
 def graph_block(graph, p_vector, params: CftParams, N: int = 4) -> BlockSeries:
@@ -464,6 +493,7 @@ def graph_block(graph, p_vector, params: CftParams, N: int = 4) -> BlockSeries:
     every edge through the inverse Gram matrix at that edge's weight.  The
     output factorizes as prod_i |q_i|^{-c_L/24 + Delta_{Q+ip_i}} times a
     holomorphic series in the q_i, which the caller evaluates at the moduli.
+    It is the spectral engine's block at the one node tuple (p_1, ..., p_L).
     """
     from .graphs import AdmissibleGraph  # local import to avoid a cycle
 
@@ -474,12 +504,6 @@ def graph_block(graph, p_vector, params: CftParams, N: int = 4) -> BlockSeries:
     if len(p_vector) != L:
         raise DimensionMismatch(f"need one p per edge ({L}), got {len(p_vector)}")
     _require_edge_slots(graph, plan)
-    c = params.c_L
-    hs = [complex(conformal_weight(params.Q + 1j * p, params)) for p in p_vector]
-    terms = _level_terms(plan, N, L)
-    tensors = [
-        _vertex_tensors(vertex, {lv[v] for _degs, lv in terms}, [np.array([hs[e]]) for e in vertex.edges], c)
-        for v, vertex in enumerate(plan.vertices)
-    ]
-    finv = [_gram_inverses(np.array([h]), c, N)[0] for h in hs]
-    return _contract(plan, terms, tensors, [0] * len(tensors), hs, finv, c, N)
+    series, _built = _block_series(plan, [float(p) for p in p_vector], np.arange(L)[:, None], params, N)
+    coeffs = {degs: complex(co[0]) for degs, co in series.coeffs.items()}
+    return BlockSeries(tuple(float(e[0]) for e in series.exponents), coeffs, N)

@@ -25,17 +25,13 @@ vertex, alpha < Q everywhere, and for the sphere chain alpha_1 + alpha_2 > Q,
 alpha_{k-1} + alpha_k > Q at the two disk vertices and sum(alpha) > 2Q.
 
 The graph is read once into ``blocks._block_plan``, whose vertex records give
-each vertex's DOZZ arguments, descendant tensors, einsum letters and share of
-the mu-exponent.  The integrand's pieces depend on fewer nodes than the
-L-tuple: an edge's inverse Gram matrices only on its own node, and a vertex's
-DOZZ factor and descendant tensors only on the nodes of its own edges.  Within
-one graph_correlator call the Gram matrices of every node are therefore built
-as one stack per level, and each vertex's DOZZ factors and tensors once, over
-every tuple of nodes on its own edges, as one list and one array per level
-tuple; the node loop reads one row of each.  Below the DOZZ factors, each
-distinct log-Upsilon argument (and its pole distance) is evaluated once per
-call.  Each node's block series is summed once for |F|^2 and its last-level
-share.  Nothing is kept between calls.
+each vertex's DOZZ arguments, descendant tensors, edge ends and share of the
+mu-exponent.  The integrand is one array computation over all n^L node
+tuples: ``dozz._rho`` and ``blocks._block_series`` build each vertex's DOZZ
+factors and tensors over the distinct projections of the tuples onto its own
+edges, and one inverse Gram stack per level over the n nodes.  Below the DOZZ
+factors, each distinct log-Upsilon argument (and its pole distance) is
+evaluated once per call.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -47,15 +43,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import zeta
 
-from .blocks import (
-    _block_plan,
-    _contract,
-    _gram_inverses,
-    _level_terms,
-    _require_edge_slots,
-    _vertex_tensors,
-)
-from .dozz import _density, _upsilon_evals, _vertex_dozz
+from .blocks import _block_plan, _block_series, _require_edge_slots
+from .dozz import _rho, _upsilon_evals
 from .errors import CostGuard, DimensionMismatch, ValidationError
 from .graphs import AdmissibleGraph, EdgeSpec, MarkedPoint, validate_graph
 from .params import CftParams
@@ -344,38 +333,14 @@ def graph_correlator(
 
     plan = _block_plan(graph, params)
     _require_edge_slots(graph, plan)
-    c = params.c_L
     ps = [float(p) for p in quad.nodes]
-    hs = [complex(conformal_weight(params.Q + 1j * p, params)) for p in ps]
-    h_nodes = np.array(hs)
-    finv = _gram_inverses(h_nodes, c, N)  # one set per node, shared by every edge
-    terms = _level_terms(plan, N, L)
     shape = (quad.n_nodes,) * L
+    tuples = np.indices(shape).reshape(L, -1)  # every L-tuple of nodes, in C order
     upsilon_memo: dict = {}  # log Upsilon and pole distance per exact argument
-    # each vertex's DOZZ factors and tensors over the tuples of nodes on its
-    # own edges, in C order; rows[v][idx] is node idx's row in them
-    factors, tensors, rows = [], [], []
-    for v, vertex in enumerate(plan.vertices):
-        own = sorted(set(vertex.edges))
-        own_shape = (quad.n_nodes,) * len(own)
-        grid = np.indices(own_shape).reshape(len(own), -1)
-        factors.append(
-            [_vertex_dozz(vertex, {e: ps[i] for e, i in zip(own, t)}, params, upsilon_memo) for t in grid.T]
-        )
-        weights = [h_nodes[grid[own.index(e)]] for e in vertex.edges]
-        tensors.append(_vertex_tensors(vertex, {lv[v] for _degs, lv in terms}, weights, c))
-        rows.append(np.ravel_multi_index(tuple(np.indices(shape)[own]), own_shape))
-
-    rho = np.empty(shape, dtype=complex)
-    block_abs2 = np.empty(shape)
-    worst_level = 0.0
-    for idx in np.ndindex(*shape):
-        node_rows = [r[idx] for r in rows]
-        rho[idx] = _density(f[row] for f, row in zip(factors, node_rows))
-        edge_hs, edge_finv = [hs[i] for i in idx], [finv[i] for i in idx]
-        series = _contract(plan, terms, tensors, node_rows, edge_hs, edge_finv, c, N)
-        block_abs2[idx], last_level = series.abs2_and_last_level(q_vector)
-        worst_level = max(worst_level, last_level)
+    rho, dozz_factors = _rho(plan, ps, tuples, params, upsilon_memo)
+    series, vertex_tensors = _block_series(plan, ps, tuples, params, N)
+    block_abs2, last_level = series.abs2_and_last_level(q_vector)
+    rho, block_abs2 = rho.reshape(shape), block_abs2.reshape(shape)
     weights = math.prod(np.ix_(*[quad.weights] * L))  # outer product over the edges
     weighted = weights * rho * block_abs2
     total = complex(weighted.sum())
@@ -387,13 +352,13 @@ def graph_correlator(
     mu_exp = sum(
         (2 * params.Q - len(vertex.edges) * params.Q - sum(x for e, x in vertex.slots if e is None))
         / params.gamma
-        for vertex in plan.vertices
+        for vertex in plan
     )
     return CorrelatorResult(
         value=value.real,
         imag_residual=abs(value.imag) / abs(value) if value else 0.0,
         tail_fraction=abs(tail) / abs(total) if total else math.inf,
-        last_level_fraction=worst_level,
+        last_level_fraction=float(last_level.max()),
         mu_exponent=mu_exp,
         n_evaluations=block_abs2.size,
         details={
@@ -402,9 +367,9 @@ def graph_correlator(
             "L": L,
             "rho": rho,
             "block_abs2": block_abs2,
-            "gram_sets": len(finv),
-            "dozz_factors": sum(map(len, factors)),
-            "vertex_tensors": sum(len(f) * len(t) for f, t in zip(factors, tensors)),
+            "gram_sets": len(ps),
+            "dozz_factors": dozz_factors,
+            "vertex_tensors": vertex_tensors,
             "upsilon_evals": _upsilon_evals(upsilon_memo),
         },
     )

@@ -25,7 +25,9 @@ import cmath
 import functools
 import math
 
-from .blocks import _block_plan
+import numpy as np
+
+from .blocks import _block_plan, _projections
 from .errors import NearPole
 from .params import CftParams
 from .special import UpsilonEvaluator, log_l_ratio
@@ -131,20 +133,29 @@ def _vertex_dozz(vertex, p_vector, params: CftParams, memo: dict) -> complex:
     return _dozz(args, params, memo)
 
 
-def _density(factors) -> complex:
-    """Vertex-ordered product of the DOZZ factors."""
-    return math.prod(factors, start=1.0 + 0.0j)
+def _rho(plan, ps, tuples, params: CftParams, memo: dict) -> tuple:
+    """The engine's bare DOZZ product at node tuples, as an array over the
+    columns of the (L, n) array ``tuples`` (indices into the edges' p values
+    ``ps``), and the number of vertex factors built."""
+    rho, built = None, 0
+    for vertex, (own, distinct, rows) in zip(plan, _projections(plan, tuples)):
+        edge_ps = ({e: ps[i] for e, i in zip(own, t)} for t in distinct.T)
+        factors = np.array([_vertex_dozz(vertex, p_vector, params, memo) for p_vector in edge_ps])
+        built += len(factors)
+        rho = factors[rows] if rho is None else rho * factors[rows]
+    return rho, built
 
 
 def rho_density(graph, p_vector, params: CftParams) -> complex:
     """Spectral density of a pants graph: one DOZZ factor per vertex with
     arguments Q + i sigma p on edge slots (sigma the orientation sign) and the
-    marked points' alphas elsewhere.
+    marked points' alphas elsewhere.  It is the spectral engine's density at
+    the one node tuple (p_1, ..., p_L).
 
     Always complex.  Self-conjugate graphs (the torus self-loop, genus 2) are
     real up to roundoff; chains with k >= 2 are complex pointwise, reality
     being restored only after the symmetrized spectral integral.
     """
     plan = _block_plan(graph, params)
-    memo: dict = {}
-    return _density(_vertex_dozz(vertex, p_vector, params, memo) for vertex in plan.vertices)
+    tuples = np.arange(len(graph.edges))[:, None]
+    return complex(_rho(plan, [float(p) for p in p_vector], tuples, params, {})[0][0])

@@ -60,19 +60,14 @@ class AdmissibleGraph:
     # -- structure -----------------------------------------------------------
 
     def check_structure(self) -> None:
-        used: dict[tuple[int, int], str] = {}
-        for e in self.edges:
-            for end in (e.v_from, e.v_to):
-                if end in used:
-                    raise GraphInvalid(f"slot {end} used more than once")
-                if end[1] not in (1, 2, 3):
-                    raise GraphInvalid(f"slot index must be 1..3, got {end}")
-                used[end] = "edge"
-        for m in self.marked:
-            end = (m.vertex, m.slot)
+        used: set[tuple[int, int]] = set()
+        ends = [end for e in self.edges for end in (e.v_from, e.v_to)]
+        for end in ends + [(m.vertex, m.slot) for m in self.marked]:
             if end in used:
                 raise GraphInvalid(f"slot {end} used more than once")
-            used[end] = "mark"
+            if end[1] not in (1, 2, 3):
+                raise GraphInvalid(f"slot index must be 1..3, got {end}")
+            used.add(end)
         unlisted = sorted({v for v, _k in used} - set(self.vertex_ids))
         if unlisted:
             raise GraphInvalid(f"vertices {unlisted} hold an edge end or marked point but are not listed")

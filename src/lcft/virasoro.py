@@ -19,10 +19,11 @@ or any objects supporting +, *, and division by small integers.  Production
 runs it once per call on complex arrays of weights (one entry per quadrature
 node or node tuple) with c a float, so every descendant coefficient (Gram
 entries here, radial elements and pant brackets in ``blocks``) comes out as
-an array over the nodes.  Every operation is elementwise, so an entry has the
-same bits at any array length, one-element arrays included; at dyadic-rational
-weights every product and partial sum is exact, which is what makes the
-bit-for-bit oracle comparison in the test suite meaningful.
+an array over the nodes.  Every operation is out-of-place and elementwise, so
+an entry has the same bits at any array length (numpy 2.4's in-place complex
+``*=`` does not: on one-element arrays it differs from ``a * b`` in 310 of 720
+products).  At dyadic-rational weights every product and partial sum is exact,
+which is what makes the bit-for-bit oracle comparison in the tests meaningful.
 """
 
 from __future__ import annotations
@@ -211,45 +212,48 @@ def shapovalov(delta, c, n: int) -> GramMatrix:
     return GramMatrix(level=n, delta=delta, c=c, entries=F, basis=partitions(n))
 
 
-def shapovalov_inverse(F: GramMatrix, cond_guard: float = 1e10) -> GramMatrix:
-    """F^{-1} with a residual report.
-
-    On the spectrum line (weight Q + ip, p real nonzero) the matrix is real
-    symmetric positive definite and a Cholesky factorization is used; generic
-    complex weights fall back to an LU solve.  A condition estimate beyond
-    ``cond_guard`` raises DegenerateWeight (weight too close to a Kac zero).
-    """
-    A = F.entries
-    if A.shape == (0, 0):
-        return GramMatrix(F.level, F.delta, F.c, A.copy(), F.basis, residual=0.0, method="empty")
+def _invert_stack(F: np.ndarray, level: int, deltas, cond_guard: float = 1e10) -> tuple[np.ndarray, str]:
+    """Inverses of the level-``level`` Gram matrices F, shape (n, p, p), at the
+    weights ``deltas``, and the method used.  A vanishing diagonal entry or an
+    equilibrated condition beyond ``cond_guard`` raises DegenerateWeight
+    naming the weight (near a Kac zero).  A real stack (the spectrum line,
+    where F is positive definite) takes Cholesky, any other stack or one
+    Cholesky rejects takes LU; numpy runs both one matrix at a time, so each
+    inverse has the bits it would have alone."""
     # scale-invariant condition estimate: symmetric diagonal equilibration
     # separates genuine Kac-zero proximity from the harmless entry-scale
     # spread that high levels and large weights produce
-    diag = np.abs(np.diagonal(A))
-    if np.any(diag == 0.0):
+    diag = np.abs(np.diagonal(F, axis1=1, axis2=2))
+    vanishing = (diag == 0.0).any(axis=1)
+    if vanishing.any():
         raise DegenerateWeight(
-            f"Gram matrix at level {F.level}, Delta = {F.delta} has a vanishing diagonal norm"
+            f"Gram matrix at level {level}, Delta = {deltas[np.argmax(vanishing)]} "
+            "has a vanishing diagonal norm"
         )
     d = 1.0 / np.sqrt(diag)
-    cond = float(np.linalg.cond(A * d[:, None] * d[None, :]))
-    if not np.isfinite(cond) or cond > cond_guard:
+    cond = np.linalg.cond(F * d[:, :, None] * d[:, None, :])
+    bad = ~(cond <= cond_guard)  # nan included
+    if bad.any():
+        i = np.argmax(bad)
         raise DegenerateWeight(
-            f"Gram matrix at level {F.level}, Delta = {F.delta} has equilibrated condition "
-            f"{cond:.3e} > guard {cond_guard:.1e} (weight near a Kac zero?)"
+            f"Gram matrix at level {level}, Delta = {deltas[i]} has equilibrated condition "
+            f"{cond[i]:.3e} > guard {cond_guard:.1e} (weight near a Kac zero?)"
         )
-    method = "lu"
-    inv = None
-    if not A.imag.any():
-        R = A.real
+    ident = np.eye(F.shape[-1])
+    if not F.imag.any():
         try:
-            cf = np.linalg.cholesky(R)
-            ident = np.eye(len(R))
-            y = np.linalg.solve(cf, ident)
-            inv = np.linalg.solve(cf.T, y).astype(complex)
-            method = "cholesky"
+            cf = np.linalg.cholesky(F.real)
         except np.linalg.LinAlgError:
-            inv = None
-    if inv is None:
-        inv = np.linalg.solve(A, np.eye(len(A), dtype=complex))
-    residual = float(np.max(np.abs(A @ inv - np.eye(len(A)))))
-    return GramMatrix(F.level, F.delta, F.c, inv, F.basis, residual=residual, method=method)
+            pass
+        else:
+            inv = np.linalg.solve(np.swapaxes(cf, 1, 2), np.linalg.solve(cf, ident))
+            return inv.astype(complex), "cholesky"
+    return np.linalg.solve(F, ident.astype(complex)), "lu"
+
+
+def shapovalov_inverse(F: GramMatrix, cond_guard: float = 1e10) -> GramMatrix:
+    """F^{-1} by ``_invert_stack`` on the one matrix, with its residual
+    max |F F^{-1} - I|."""
+    inv, method = _invert_stack(F.entries[None], F.level, [F.delta], cond_guard)
+    residual = float(np.max(np.abs(F.entries @ inv[0] - np.eye(len(inv[0])))))
+    return GramMatrix(F.level, F.delta, F.c, inv[0], F.basis, residual=residual, method=method)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from lcft.blocks import (
     ZHAT,
     BlockSeries,
     _bracket,
+    _gram_inverses,
     _pant_arrays,
     _radial_arrays,
     _radial_element,
@@ -15,11 +17,12 @@ from lcft.blocks import (
     torus_one_point_block,
 )
 from lcft.bootstrap import _sphere_chain, _sphere_scalar, _torus_cycle
-from lcft.errors import DimensionMismatch, DomainError
+from lcft.errors import DegenerateWeight, DimensionMismatch, DomainError
 from lcft.graphs import AdmissibleGraph, EdgeSpec, MarkedPoint
 from lcft.params import CftParams
 from lcft.virasoro import (
     conformal_weight,
+    kac_weight,
     partition_count,
     shapovalov,
     shapovalov_inverse,
@@ -196,6 +199,29 @@ class TestCoeffTensors:
         w1 = radial_matrix(2, 2, h, 0.9, h, p1.c_L)
         w2 = radial_matrix(2, 2, h, 0.9, h, p2.c_L)
         assert np.array_equal(w1, w2)
+
+
+class TestGramInverses:
+    """The DegenerateWeight guard on the stacked inverses, at its edge."""
+
+    params = CftParams(gamma=math.sqrt(2.0))
+
+    def spectrum_weights(self):
+        ps = np.linspace(0.1, 4.0, 12)
+        return np.array([complex(conformal_weight(self.params.Q + 1j * p, self.params)) for p in ps])
+
+    def test_weight_next_to_kac_zero_raises_at_level_2(self):
+        near = complex(conformal_weight(kac_weight(2, 1, self.params), self.params)) + 1e-13
+        hs = np.append(self.spectrum_weights(), near)
+        with pytest.raises(DegenerateWeight, match=re.escape(f"level 2, Delta = {hs[-1]} has equilibrated")):
+            _gram_inverses(hs, self.params.c_L, 2)
+        stacks = _gram_inverses(hs[:-1], self.params.c_L, 2)
+        assert [s.shape for s in stacks] == [(12, 1, 1), (12, 1, 1), (12, 2, 2)]
+
+    def test_zero_weight_has_vanishing_diagonal_at_level_1(self):
+        hs = np.append(self.spectrum_weights(), 0.0)
+        with pytest.raises(DegenerateWeight, match=r"level 1, Delta = 0j has a vanishing diagonal norm"):
+            _gram_inverses(hs, self.params.c_L, 1)
 
 
 class TestTorusBlock:

@@ -7,7 +7,7 @@ import pytest
 import lcft.blocks
 import lcft.dozz
 from lcft.acceptance import _torus_one_point_hand_coded
-from lcft.blocks import graph_block
+from lcft.blocks import BlockSeries, _block_plan, _contract, _gram_inverses, _level_terms, graph_block
 from lcft.bootstrap import (
     ANNULUS_VERTEX_CONSTANT,
     DISK_VERTEX_CONSTANT,
@@ -25,7 +25,7 @@ from lcft.dozz import dozz_constant, rho_density
 from lcft.errors import CostGuard, GraphInvalid, NearPole, ValidationError
 from lcft.graphs import AdmissibleGraph, EdgeSpec, MarkedPoint, validate_graph
 from lcft.params import CftParams
-from lcft.virasoro import conformal_weight
+from lcft.virasoro import conformal_weight, partition_count
 
 QUAD = Quadrature(p_max=4.0, panel_width=0.5, nodes_per_panel=6)
 S2 = CftParams(gamma=math.sqrt(2.0))
@@ -445,7 +445,7 @@ class TestEngineCaches:
     """graph_correlator builds the Gram sets of all nodes in one stack per
     level and each vertex's DOZZ factors and tensors once, over every tuple of
     its edges' nodes; its values must equal the per-node public path, which
-    runs the same code on one-element arrays, bit for bit."""
+    is the same engine at one node tuple, bit for bit."""
 
     @pytest.mark.parametrize("case", ["genus2", "sphere5", "torus2", "torus3", "theta"])
     def test_bitwise_equal_to_per_node_path(self, case, request):
@@ -464,6 +464,45 @@ class TestEngineCaches:
             block_abs2[idx] = graph_block(g, ps, S2, N).abs2(qs)
         assert np.array_equal(res.details["rho"], rho)
         assert np.array_equal(res.details["block_abs2"], block_abs2)
+
+    @pytest.mark.parametrize("case", ["genus2", "sphere5"])
+    def test_kernels_keep_bits_at_any_tuple_count(self, case):
+        # the Gram inverses, the contraction and the series pass give each of
+        # n nodes or node tuples the bits of its one-element slice
+        g, quad, N = (genus2_graph(), Quadrature(1.5, 0.5, 3), 3) if case == "genus2" else _sphere5()
+        hs = np.array([complex(conformal_weight(S2.Q + 1j * p, S2)) for p in quad.nodes])
+        stacks = _gram_inverses(hs, S2.c_L, N)
+        for i in range(len(hs)):
+            for full, alone in zip(stacks, _gram_inverses(hs[i : i + 1], S2.c_L, N)):
+                assert np.array_equal(full[i : i + 1], alone)
+
+        plan, L, n = _block_plan(g, S2), len(g.edges), 40
+        terms = _level_terms(plan, N, L)
+        rng = np.random.default_rng(7)
+
+        def noise(*shape):
+            return rng.normal(size=(*shape, n)) + 1j * rng.normal(size=(*shape, n))
+
+        def one(a, j):  # tuple j alone, as a contiguous one-element last axis
+            return np.ascontiguousarray(a[..., j : j + 1])
+
+        tensors = [
+            {lv: noise(*map(partition_count, lv)) for lv in {levels[v] for _degs, levels in terms}}
+            for v in range(len(plan))
+        ]
+        finv = [[noise(partition_count(k), partition_count(k)) for k in range(N + 1)] for _e in range(L)]
+        exps = tuple(rng.normal(size=n) for _e in range(L))
+        coeffs = _contract(plan, terms, tensors, finv)
+        series = BlockSeries(exps, coeffs, N).abs2_and_last_level(g.q_vector())
+        for j in range(n):
+            tensors_j = [{lv: one(a, j) for lv, a in t.items()} for t in tensors]
+            coeffs_j = _contract(plan, terms, tensors_j, [[one(f, j) for f in fs] for fs in finv])
+            for degs, co in coeffs.items():
+                assert np.array_equal(co[j : j + 1], coeffs_j[degs])
+            exps_j = tuple(one(e, j) for e in exps)
+            series_j = BlockSeries(exps_j, coeffs_j, N).abs2_and_last_level(g.q_vector())
+            for full, one_tuple in zip(series, series_j):
+                assert np.array_equal(full[j : j + 1], one_tuple)
 
     def test_genus2_counts(self, genus2_run):
         *_g, res, builds = genus2_run
@@ -592,6 +631,15 @@ class TestValidateGraph:
         )
         with pytest.raises(GraphInvalid, match=r"vertices \[3\]"):
             validate_graph(g, S2)
+
+    def test_marked_slot_out_of_range(self):
+        # the self-loop holds slots 1 and 2; a mark on slot 7 leaves slot 3
+        # empty and names a slot a pant does not have
+        g = AdmissibleGraph(edges=[EdgeSpec((1, 1), (1, 2), q=0.1)], marked=[MarkedPoint(1, 7, 1.2)])
+        with pytest.raises(GraphInvalid, match=r"slot index must be 1..3, got \(1, 7\)"):
+            validate_graph(g, S2)
+        with pytest.raises(GraphInvalid):
+            graph_correlator(g, S2, quad=QUAD, N=1)
 
     def test_json_roundtrip(self):
         g = theta_graph(0.2 + 0.05j)

@@ -127,6 +127,33 @@ class TestCli:
         assert out.returncode == 2
         assert "vertices [2]" in out.stderr
 
+    def test_graph_with_marked_slot_out_of_range_exits_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        graph = {
+            "vertices": [{"id": 1, "slots": 3}],
+            "edges": [{"from": [1, 1], "to": [1, 2], "q": [0.1, 0.0]}],
+            "marked": [{"vertex": 1, "slot": 7, "alpha": 1.2}],
+        }
+        cfg.write_text(json.dumps({"graph": graph, "p_max": 1.0, "nodes_per_panel": 2, "N": 1}))
+        out = run_cli("graph", "--config", str(cfg))
+        assert out.returncode == 2
+        assert "slot index must be 1..3, got (1, 7)" in out.stderr
+
+    def test_shapovalov_command(self, tmp_path):
+        out = run_cli("shapovalov", "--level", "3")
+        assert out.returncode == 0, out.stderr
+        result = json.loads(out.stdout)["result"]
+        assert result["level"] == 3 and len(result["basis"]) == 3
+        assert result["method"] == "cholesky"
+        assert result["inverse_residual"] < 1e-12
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": [0.5, 0.3]}))
+        out = run_cli("shapovalov", "--config", str(cfg), "--level", "2")
+        assert out.returncode == 0, out.stderr
+        result = json.loads(out.stdout)["result"]
+        assert result["method"] == "lu"
+        assert result["inverse_residual"] < 1e-12
+
     @pytest.mark.parametrize("command", ["torus1pt", "toruskpt", "spherekpt", "graph"])
     def test_engine_counters_in_record(self, command, tmp_path):
         cfg = tmp_path / "cfg.json"
