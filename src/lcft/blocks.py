@@ -334,7 +334,10 @@ class BlockSeries:
 
 def _gram_inverses(hs: np.ndarray, c: float, N: int) -> list:
     """Inverse Gram matrices at levels 0..N for every weight of the complex
-    array ``hs``: one stack per level, shape (len(hs), p(n), p(n))."""
+    array ``hs``: one stack per level, shape (len(hs), p(n), p(n)).  Every
+    block truncates through it, so it rejects N < 0."""
+    if N < 0:
+        raise ValidationError(f"truncation level N must be >= 0, got {N}")
     return [np.ones((len(hs), 1, 1), dtype=complex)] + [
         _invert_stack(_gram_stack(hs, c, n), n, hs)[0] for n in range(1, N + 1)
     ]

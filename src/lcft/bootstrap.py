@@ -29,9 +29,10 @@ each vertex's DOZZ arguments, descendant tensors, edge ends and share of the
 mu-exponent.  The integrand is one array computation over all n^L node
 tuples: ``dozz._rho`` and ``blocks._block_series`` build each vertex's DOZZ
 factors and tensors over the distinct projections of the tuples onto its own
-edges, and one inverse Gram stack per level over the n nodes.  Below the DOZZ
-factors, each distinct log-Upsilon argument (and its pole distance) is
-evaluated once per call.  Nothing is kept between calls.
+edges, and one inverse Gram stack per level over the n nodes.  ``_rho``
+makes one ``dozz._dozz`` call over every vertex's argument triples, which
+evaluates each distinct log-Upsilon argument (and its pole distance) once.
+Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 from scipy.special import zeta
 
 from .blocks import _block_plan, _block_series, _require_edge_slots
-from .dozz import _rho, _upsilon_evals
+from .dozz import _rho
 from .errors import CostGuard, DimensionMismatch, ValidationError
 from .graphs import AdmissibleGraph, EdgeSpec, MarkedPoint, validate_graph
 from .params import CftParams
@@ -336,8 +337,7 @@ def graph_correlator(
     ps = [float(p) for p in quad.nodes]
     shape = (quad.n_nodes,) * L
     tuples = np.indices(shape).reshape(L, -1)  # every L-tuple of nodes, in C order
-    upsilon_memo: dict = {}  # log Upsilon and pole distance per exact argument
-    rho, dozz_factors = _rho(plan, ps, tuples, params, upsilon_memo)
+    rho, dozz_factors, upsilon_evals = _rho(plan, ps, tuples, params)
     series, vertex_tensors = _block_series(plan, ps, tuples, params, N)
     block_abs2, last_level = series.abs2_and_last_level(q_vector)
     rho, block_abs2 = rho.reshape(shape), block_abs2.reshape(shape)
@@ -370,6 +370,6 @@ def graph_correlator(
             "gram_sets": len(ps),
             "dozz_factors": dozz_factors,
             "vertex_tensors": vertex_tensors,
-            "upsilon_evals": _upsilon_evals(upsilon_memo),
+            "upsilon_evals": upsilon_evals,
         },
     )

@@ -75,23 +75,28 @@ DEFAULTS = {
 
 def _load_config(args) -> dict:
     """DEFAULTS, then the --config file, then every parsed flag named in
-    CONFIG_SCHEMA; an unset flag (None, or an empty --alpha) changes nothing."""
+    CONFIG_SCHEMA (an unset flag, None or an empty --alpha, changes nothing);
+    the merged config is then checked against CONFIG_SCHEMA once."""
+    import jsonschema
+
     cfg = dict(DEFAULTS)
     config_path = getattr(args, "config", None)
     if config_path:
         with open(config_path) as fh:
             user = json.load(fh)
-        import jsonschema
-
-        try:
-            jsonschema.validate(user, CONFIG_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-            raise errors.ValidationError(f"config field {path}: {exc.message}") from exc
+        if not isinstance(user, dict):
+            raise errors.ValidationError("config file must hold a JSON object")
         cfg.update(user)
     for key, val in vars(args).items():
         if key in CONFIG_SCHEMA["properties"] and val not in (None, []):
             cfg[key] = val
+    # the schema is a constant, so the validator skips the metaschema check
+    # that jsonschema.validate repeats on every call
+    try:
+        jsonschema.Draft202012Validator(CONFIG_SCHEMA).validate(cfg)
+    except jsonschema.ValidationError as exc:
+        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
+        raise errors.ValidationError(f"config field {path}: {exc.message}") from exc
     return cfg
 
 

@@ -10,18 +10,18 @@ abar = a1 + a2 + a3, accumulated in log domain.  Poles sit exactly on the
 zero lattice of the denominator Upsilons; arguments closer than 1e-6 to that
 lattice raise NearPole.  One Upsilon evaluator per gamma serves every call.
 
-Every factor takes a memo dict from its caller: log Upsilon(z) and the pole
-distance of z are evaluated once per exact complex argument in it, so the
-constants that share arguments (the same edge node at many vertices or node
-tuples) share those evaluations.  A hit returns the bits a fresh evaluation
-would.  ``dozz_constant`` uses a fresh dict, ``rho_density`` one dict for its
-vertices and ``bootstrap.graph_correlator`` one dict per call; nothing is kept
-between calls.
+``_dozz`` evaluates the constant at every argument triple of three complex
+arrays in one pass.  One dedupe over the arguments' bit patterns (signed zeros
+kept apart, as loggamma's branch cut does) gives each distinct argument one
+log Upsilon and each distinct denominator one pole distance, every pole check
+first; constants that share arguments (the same edge node at many vertices or
+node tuples) share those evaluations, and each constant keeps the bits it has
+alone.  ``dozz_constant`` is the kernel at one triple, and ``_rho`` makes one
+kernel call per spectral call; nothing is kept between calls.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 
@@ -66,20 +66,6 @@ def _upsilon_evaluator(gamma: float) -> tuple[UpsilonEvaluator, complex]:
     return ev, ev.log_upsilon(gamma / 2.0)
 
 
-def _once(memo: dict, tag: str, z: complex, evaluate, *args):
-    """evaluate(z, *args), computed once per tag and exact z in ``memo``.  The
-    key tells signed zeros apart, as loggamma's branch cut does."""
-    key = (tag, z, math.copysign(1.0, z.real), math.copysign(1.0, z.imag))
-    if key not in memo:
-        memo[key] = evaluate(z, *args)
-    return memo[key]
-
-
-def _upsilon_evals(memo: dict) -> int:
-    """Number of log Upsilon evaluations stored in ``memo``."""
-    return sum(key[0] == "log_upsilon" for key in memo)
-
-
 def dozz_constant(
     alpha1: complex,
     alpha2: complex,
@@ -87,63 +73,77 @@ def dozz_constant(
     params: CftParams,
 ) -> complex:
     """C^DOZZ_{gamma,mu}(alpha1, alpha2, alpha3), log-domain throughout."""
-    return _dozz((alpha1, alpha2, alpha3), params, {})
+    return complex(_dozz(([alpha1], [alpha2], [alpha3]), params)[0][0])
 
 
-def _dozz(alphas, params: CftParams, memo: dict) -> complex:
-    """dozz_constant(*alphas, params) with its log Upsilons and pole distances
-    looked up in, or added to, ``memo``."""
+def _dozz(args, params: CftParams) -> tuple:
+    """C^DOZZ at the triples (args[0][i], args[1][i], args[2][i]) of three
+    complex arrays, and the number of distinct log Upsilon arguments.
+
+    Any denominator near the zero lattice raises NearPole before the first
+    log Upsilon.  The log sum runs in a lone constant's order, so each entry
+    has the bits it has alone; a zero of a numerator Upsilon gives 0 and an
+    exact pole raises NearPole."""
     gamma = params.gamma
     ev, log_ups_prime0 = _upsilon_evaluator(gamma)
-    alpha1, alpha2, alpha3 = alphas
-    abar = alpha1 + alpha2 + alpha3
-    denom_args = [
-        abar / 2.0 - params.Q,
-        abar / 2.0 - alpha1,
-        abar / 2.0 - alpha2,
-        abar / 2.0 - alpha3,
-    ]
-    for arg in denom_args:
-        if _once(memo, "distance", complex(arg), _lattice_distance, gamma) < _POLE_DISTANCE:
-            raise NearPole(
-                f"DOZZ denominator argument {arg} within {_POLE_DISTANCE} of the Upsilon zero lattice"
-            )
+    alphas = [np.asarray(a, dtype=complex) for a in args]
+    abar = alphas[0] + alphas[1] + alphas[2]
+    # columns: the numerators alpha_i, then the denominators abar/2 - Q, abar/2 - alpha_i
+    cols = np.stack([*alphas, abar / 2.0 - params.Q, *(abar / 2.0 - a for a in alphas)], axis=1)
+    flat = cols.ravel()
+    _bits, first, ids = np.unique(
+        flat.view(np.uint64).reshape(-1, 2), axis=0, return_index=True, return_inverse=True
+    )
+    ids = ids.reshape(cols.shape)
+    distance = np.full(len(first), math.inf)
+    for i in np.unique(ids[:, 3:]):
+        distance[i] = _lattice_distance(complex(flat[first[i]]), gamma)
+    near = distance[ids[:, 3:]] < _POLE_DISTANCE
+    if near.any():
+        raise NearPole(
+            f"DOZZ denominator argument {cols[:, 3:][near][0]} within {_POLE_DISTANCE} "
+            "of the Upsilon zero lattice"
+        )
+    terms = np.array([ev.log_upsilon(z) for z in flat[first].tolist()])[ids]
     base = (
         math.log(math.pi * params.mu)
         + log_l_ratio(gamma**2 / 4.0).real
         + (2.0 - gamma**2 / 2.0) * math.log(gamma / 2.0)
     )
-    log_c = (2.0 * params.Q - abar) / gamma * base
-    log_c += log_ups_prime0
-    for a in (alpha1, alpha2, alpha3):
-        log_c += _once(memo, "log_upsilon", complex(a), ev.log_upsilon)
-    for arg in denom_args:
-        log_c -= _once(memo, "log_upsilon", complex(arg), ev.log_upsilon)
-    if log_c.real == -math.inf:
-        return 0.0 + 0.0j
-    if log_c.real == math.inf:
-        raise NearPole(f"DOZZ pole hit exactly at ({alpha1}, {alpha2}, {alpha3})")
-    return cmath.exp(log_c)
+    # (2Q - abar) / gamma componentwise, as a complex scalar divides by a
+    # float; numpy's complex division multiplies by 1/gamma instead
+    log_c = np.divide((2.0 * params.Q - abar).view(float), gamma).view(complex) * base
+    log_c = log_c + log_ups_prime0
+    for k in range(3):
+        log_c = log_c + terms[:, k]
+    for k in range(3, 7):
+        log_c = log_c - terms[:, k]
+    pole = log_c.real == math.inf
+    if pole.any():
+        raise NearPole(f"DOZZ pole hit exactly at {tuple(cols[np.argmax(pole), :3].tolist())}")
+    zero = log_c.real == -math.inf
+    return np.where(zero, 0.0, np.exp(np.where(zero, 0.0, log_c))), len(first)
 
 
-def _vertex_dozz(vertex, p_vector, params: CftParams, memo: dict) -> complex:
-    """DOZZ factor of one planned vertex (``blocks._Vertex``): Q + i sigma p
-    on its edge slots and alpha on its marked slots, in slot order."""
-    args = [x if eidx is None else params.Q + 1j * x * p_vector[eidx] for eidx, x in vertex.slots]
-    return _dozz(args, params, memo)
-
-
-def _rho(plan, ps, tuples, params: CftParams, memo: dict) -> tuple:
+def _rho(plan, ps, tuples, params: CftParams) -> tuple:
     """The engine's bare DOZZ product at node tuples, as an array over the
     columns of the (L, n) array ``tuples`` (indices into the edges' p values
-    ``ps``), and the number of vertex factors built."""
-    rho, built = None, 0
+    ``ps``), the number of vertex factors and the number of distinct log
+    Upsilon arguments.  Each vertex's factors are taken over the distinct
+    projections of the tuples onto its edges: Q + i sigma p on its edge
+    slots and alpha on its marked slots, in slot order, all in one _dozz call."""
+    ps = np.asarray(ps, dtype=float)
+    slot_args, gathers, built = ([], [], []), [], 0
     for vertex, (own, distinct, rows) in zip(plan, _projections(plan, tuples)):
-        edge_ps = ({e: ps[i] for e, i in zip(own, t)} for t in distinct.T)
-        factors = np.array([_vertex_dozz(vertex, p_vector, params, memo) for p_vector in edge_ps])
-        built += len(factors)
-        rho = factors[rows] if rho is None else rho * factors[rows]
-    return rho, built
+        for column, (eidx, x) in zip(slot_args, vertex.slots):
+            if eidx is None:
+                column.append(np.full(distinct.shape[1], x, dtype=complex))
+            else:
+                column.append(params.Q + 1j * x * ps[distinct[own.index(eidx)]])
+        gathers.append(built + rows)
+        built += distinct.shape[1]
+    factors, evals = _dozz([np.concatenate(column) for column in slot_args], params)
+    return functools.reduce(np.multiply, (factors[g] for g in gathers)), built, evals
 
 
 def rho_density(graph, p_vector, params: CftParams) -> complex:
@@ -158,4 +158,4 @@ def rho_density(graph, p_vector, params: CftParams) -> complex:
     """
     plan = _block_plan(graph, params)
     tuples = np.arange(len(graph.edges))[:, None]
-    return complex(_rho(plan, [float(p) for p in p_vector], tuples, params, {})[0][0])
+    return complex(_rho(plan, [float(p) for p in p_vector], tuples, params)[0][0])

@@ -267,7 +267,6 @@ def fit_w_constant(geom: TorusGeometry) -> float:
     if key in geom._tables:
         return geom._tables[key]
     h = 2.0 * math.pi / geom.n_grid
-    zs = geom.grid_points()
     # recenter to the origin-symmetric copy of the fundamental domain
     n = geom.n_grid
     u = (np.fft.fftfreq(n, d=1.0 / n))[:, None] / n

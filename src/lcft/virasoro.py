@@ -212,10 +212,14 @@ def shapovalov(delta, c, n: int) -> GramMatrix:
     return GramMatrix(level=n, delta=delta, c=c, entries=F, basis=partitions(n))
 
 
-def _invert_stack(F: np.ndarray, level: int, deltas, cond_guard: float = 1e10) -> tuple[np.ndarray, str]:
+#: Equilibrated Gram condition numbers above this raise DegenerateWeight.
+_COND_GUARD = 1e10
+
+
+def _invert_stack(F: np.ndarray, level: int, deltas) -> tuple[np.ndarray, str]:
     """Inverses of the level-``level`` Gram matrices F, shape (n, p, p), at the
     weights ``deltas``, and the method used.  A vanishing diagonal entry or an
-    equilibrated condition beyond ``cond_guard`` raises DegenerateWeight
+    equilibrated condition beyond ``_COND_GUARD`` raises DegenerateWeight
     naming the weight (near a Kac zero).  A real stack (the spectrum line,
     where F is positive definite) takes Cholesky, any other stack or one
     Cholesky rejects takes LU; numpy runs both one matrix at a time, so each
@@ -232,12 +236,12 @@ def _invert_stack(F: np.ndarray, level: int, deltas, cond_guard: float = 1e10) -
         )
     d = 1.0 / np.sqrt(diag)
     cond = np.linalg.cond(F * d[:, :, None] * d[:, None, :])
-    bad = ~(cond <= cond_guard)  # nan included
+    bad = ~(cond <= _COND_GUARD)  # nan included
     if bad.any():
         i = np.argmax(bad)
         raise DegenerateWeight(
             f"Gram matrix at level {level}, Delta = {deltas[i]} has equilibrated condition "
-            f"{cond[i]:.3e} > guard {cond_guard:.1e} (weight near a Kac zero?)"
+            f"{cond[i]:.3e} > guard {_COND_GUARD:.1e} (weight near a Kac zero?)"
         )
     ident = np.eye(F.shape[-1])
     if not F.imag.any():
@@ -251,9 +255,9 @@ def _invert_stack(F: np.ndarray, level: int, deltas, cond_guard: float = 1e10) -
     return np.linalg.solve(F, ident.astype(complex)), "lu"
 
 
-def shapovalov_inverse(F: GramMatrix, cond_guard: float = 1e10) -> GramMatrix:
+def shapovalov_inverse(F: GramMatrix) -> GramMatrix:
     """F^{-1} by ``_invert_stack`` on the one matrix, with its residual
     max |F F^{-1} - I|."""
-    inv, method = _invert_stack(F.entries[None], F.level, [F.delta], cond_guard)
+    inv, method = _invert_stack(F.entries[None], F.level, [F.delta])
     residual = float(np.max(np.abs(F.entries @ inv[0] - np.eye(len(inv[0])))))
     return GramMatrix(F.level, F.delta, F.c, inv[0], F.basis, residual=residual, method=method)

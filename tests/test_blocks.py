@@ -17,7 +17,7 @@ from lcft.blocks import (
     torus_one_point_block,
 )
 from lcft.bootstrap import _sphere_chain, _sphere_scalar, _torus_cycle
-from lcft.errors import DegenerateWeight, DimensionMismatch, DomainError
+from lcft.errors import DegenerateWeight, DimensionMismatch, DomainError, ValidationError
 from lcft.graphs import AdmissibleGraph, EdgeSpec, MarkedPoint
 from lcft.params import CftParams
 from lcft.virasoro import (
@@ -222,6 +222,19 @@ class TestGramInverses:
         hs = np.append(self.spectrum_weights(), 0.0)
         with pytest.raises(DegenerateWeight, match=r"level 1, Delta = 0j has a vanishing diagonal norm"):
             _gram_inverses(hs, self.params.c_L, 1)
+
+    def test_negative_truncation_level_is_a_validation_error(self):
+        # every block truncates through the inverses; N = 0 is the edge
+        graph = _torus_cycle([1.2], [0.1])
+        assert len(graph_block(graph, [0.5], self.params, N=0).coeffs) == 1
+        calls = (
+            lambda N: _gram_inverses(self.spectrum_weights(), self.params.c_L, N),
+            lambda N: torus_one_point_block(1.2, 0.5, 0.1, self.params, N=N),
+            lambda N: graph_block(graph, [0.5], self.params, N=N),
+        )
+        for call in calls:
+            with pytest.raises(ValidationError, match="N must be >= 0, got -1"):
+                call(-1)
 
 
 class TestTorusBlock:

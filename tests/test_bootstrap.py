@@ -360,6 +360,13 @@ class TestGraphCorrelator:
         with pytest.raises(ValidationError):
             graph_correlator(g, params, quad=QUAD, N=1)
 
+    def test_negative_truncation_level(self):
+        g = _torus_cycle([1.2], [0.1])
+        quad = Quadrature(p_max=1.0, panel_width=0.5, nodes_per_panel=2)
+        assert math.isfinite(graph_correlator(g, S2, quad=quad, N=0).value)
+        with pytest.raises(ValidationError, match="N must be >= 0, got -1"):
+            graph_correlator(g, S2, quad=quad, N=-1)
+
     def test_three_marked_vertex(self):
         # rho_density takes a lone pant with three marked points (one DOZZ
         # constant); a block and the spectral integral need an edge to glue

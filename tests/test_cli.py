@@ -91,6 +91,27 @@ class TestCli:
         out = run_cli("torus1pt", "--alpha", "-3.0")
         assert out.returncode == 2
 
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (("torus1pt", "--N", "-1"), "N"),
+            (("block", "--N", "-2"), "N"),
+            (("mc-torus1pt", "--seed", "-1", "--samples", "20", "--grid", "8"), "seed"),
+            (("--seed", "-1", "mc-torus1pt", "--samples", "20", "--grid", "8"), "seed"),
+        ],
+    )
+    def test_flags_are_schema_checked(self, args, field):
+        out = run_cli(*args)
+        assert out.returncode == 2
+        assert f"config field {field}: " in out.stderr and "less than the minimum of 0" in out.stderr
+
+    def test_config_schema_is_valid(self):
+        import jsonschema
+
+        from lcft.cli import CONFIG_SCHEMA
+
+        jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
     def test_numerical_guard_exit_code(self):
         # alpha3 = alpha1 + alpha2 puts a denominator Upsilon argument on a zero
         out = run_cli("dozz", "--gamma", "1.0", "--alpha", "0.4", "0.7", "1.1")

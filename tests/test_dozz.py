@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from lcft.bootstrap import Quadrature, _sphere_chain, _torus_cycle, graph_correlator
-from lcft.dozz import (
-    _dozz,
-    _lattice_distance,
-    _upsilon_evals,
-    _upsilon_evaluator,
-    dozz_constant,
-    rho_density,
-)
+from lcft.dozz import _dozz, _lattice_distance, _upsilon_evaluator, dozz_constant, rho_density
 from lcft.errors import NearPole
 from lcft.params import CftParams
 
@@ -53,24 +46,36 @@ class TestDozzConstant:
             dozz_constant(Q, Q / 2, Q / 2, params)
 
     def test_near_pole_guard_with_shared_memo(self):
-        # log Upsilon(0) = -inf is memoized as a numerator first; the pole
-        # check of the same argument as a denominator must still run
+        # log Upsilon(0) = -inf as a numerator gives 0; the same argument as a
+        # denominator of another triple in the call must still raise NearPole
         params = CftParams(gamma=1.0)
         Q = params.Q
-        memo = {}
-        assert _dozz((0.0, 1.0, 1.2), params, memo) == 0.0
-        assert _upsilon_evals(memo) == 7
-        with pytest.raises(NearPole):
-            _dozz((Q, Q / 2, Q / 2), params, memo)
+        consts, evals = _dozz(([0.0], [1.0], [1.2]), params)
+        assert consts[0] == 0.0 and evals == 7
+        with pytest.raises(NearPole, match="within 1e-06 of the Upsilon zero lattice"):
+            _dozz(([0.0, Q], [1.0, Q / 2], [1.2, Q / 2]), params)
 
     def test_shared_memo_is_bitwise(self):
         params = CftParams(gamma=math.sqrt(2.0))
-        Q, memo = params.Q, {}
-        for p in (0.3, 0.7, 0.3):
-            args = (Q + 1j * p, 1.2, Q - 1j * p)
-            assert _dozz(args, params, memo) == dozz_constant(*args, params)
+        Q = params.Q
+        triples = [(Q + 1j * p, 1.2, Q - 1j * p) for p in (0.3, 0.7, 0.3)]
+        consts, evals = _dozz(list(zip(*triples)), params)
+        alone = np.array([dozz_constant(*args, params) for args in triples])
+        assert consts.tobytes() == alone.tobytes()
         # Q +- ip and alpha/2 +- ip per distinct p, plus alpha, alpha/2 and Q - alpha/2
-        assert _upsilon_evals(memo) == 2 * 4 + 3
+        assert evals == 2 * 4 + 3
+
+    def test_signed_zeros_are_distinct_arguments(self):
+        # 0.7 + 0j and 0.7 - 0j are one value but two bit patterns; the
+        # denominators of both triples coincide
+        params = CftParams(gamma=1.0)
+        plus, minus = complex(0.7, 0.0), complex(0.7, -0.0)
+        consts, evals = _dozz(([plus, minus], [1.0, 1.0], [1.2, 1.2]), params)
+        assert evals == 7 + 1
+        assert _dozz(([plus, plus], [1.0, 1.0], [1.2, 1.2]), params)[1] == 7
+        assert consts.tobytes() == np.array(
+            [dozz_constant(plus, 1.0, 1.2, params), dozz_constant(minus, 1.0, 1.2, params)]
+        ).tobytes()
 
     def test_shared_evaluator_cached(self):
         e1 = _upsilon_evaluator(1.17)

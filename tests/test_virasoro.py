@@ -185,7 +185,7 @@ class TestShapovalovInverse:
         params = CftParams(gamma=math.sqrt(2.0))
         d = conformal_weight(kac_weight(2, 1, params), params) + 1e-13
         with pytest.raises(DegenerateWeight):
-            shapovalov_inverse(shapovalov(complex(d), params.c_L, 2), cond_guard=1e10)
+            shapovalov_inverse(shapovalov(complex(d), params.c_L, 2))
         # exact Kac zero at level 1 has a vanishing diagonal norm
         with pytest.raises(DegenerateWeight):
             shapovalov_inverse(shapovalov(0.0, params.c_L, 1))
