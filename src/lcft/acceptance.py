@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .blocks import _pant_arrays, _radial_arrays, torus_one_point_block
-from .bootstrap import ANNULUS_VERTEX_CONSTANT, Quadrature, graph_correlator, torus_one_point
+from .bootstrap import Quadrature, graph_correlator, torus_one_point
 from .dozz import dozz_constant
 from .free_field import BoundaryField, annulus_partition, free_annulus_amplitude, heat_kernel_K0
 from .gmc import McConfig, TorusGeometry
@@ -283,9 +283,7 @@ def criterion_7() -> CriterionResult:
         edges=[EdgeSpec((1, 1), (1, 2), q=q)], marked=[MarkedPoint(1, 3, alpha1)]
     )
     quad2 = Quadrature(p_max=5.0, panel_width=0.5, nodes_per_panel=6)
-    r_graph = graph_correlator(
-        loop, params, quad=quad2, N=4, metric_constants=[ANNULUS_VERTEX_CONSTANT]
-    )
+    r_graph = graph_correlator(loop, params, quad=quad2, N=4)
     hand_loop = _torus_one_point_hand_coded(alpha1, tau, params, quad2, N=4)
     rel_loop = abs(r_graph.value - hand_loop) / abs(hand_loop)
     ok = rel_g2 < 1e-10 and rel_loop < 1e-10

@@ -25,15 +25,15 @@ them; they are summed at ``ZHAT`` before slot 3's transport, which only
 multiplies by powers of z13 and z23.
 
 ``_block_series`` is the spectral engine's block at an array of node tuples,
-from one plan of the graph (``_block_plan``: each vertex's slots in order,
+from one plan of the graph (``graphs._plan``: each vertex's slots in order,
 as (edge index, orientation sign) or (None, alpha); ``dozz`` reads its DOZZ
 arguments from the same records).  It builds one inverse Gram stack per level
 over the nodes, and each vertex's tensors over the distinct projections of
-the tuples onto its own edges.  ``_contract`` sums each multidegree's
-products of tensor and inverse entries over the basis indices, and
-``BlockSeries`` turns the coefficient arrays into |F|^2 and the last-level
-share.  Every step is an out-of-place elementwise operation along the nodes
-or tuples, so an entry has the same bits at any array length;
+the tuples onto its own edges (``graphs._projections``).  ``_contract`` sums
+each multidegree's products of tensor and inverse entries over the basis
+indices, and ``BlockSeries`` turns the coefficient arrays into |F|^2 and the
+last-level share.  Every step is an out-of-place elementwise operation along
+the nodes or tuples, so an entry has the same bits at any array length;
 ``graph_block`` is the engine at the one tuple (p_1, ..., p_L).
 """
 
@@ -46,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, ValidationError
+from .graphs import AdmissibleGraph, _plan, _projections
 from .params import CftParams
 from .virasoro import (
     _accumulate,
@@ -360,46 +361,6 @@ def torus_one_point_block(
     return BlockSeries(exponents=(-c / 24.0 + h.real,), coeffs=coeffs, N=N)
 
 
-@dataclass(frozen=True)
-class _Vertex:
-    """One vertex of a pants-graph plan: its slots in order, (edge index,
-    orientation sign: -1 outgoing, +1 incoming) for an edge slot and (None,
-    alpha) for a marked slot, and the conformal weight of each marked slot."""
-
-    slots: tuple
-    marks: tuple
-
-    @property
-    def edges(self) -> tuple:
-        """The edge index of each edge slot."""
-        return tuple(e for e, _sign in self.slots if e is not None)
-
-    @property
-    def ends(self) -> tuple:
-        """The edge end of each edge slot, 2 e outgoing or 2 e + 1 incoming;
-        the edge's inverse Gram matrix joins its two ends."""
-        return tuple(2 * e + (sign > 0) for e, sign in self.slots if e is not None)
-
-
-def _block_plan(graph, params: CftParams) -> tuple:
-    """The one reader of a pants graph's slots (graph_block, rho_density and
-    the spectral integral): its vertices, in ``graph.vertex_ids`` order.  It
-    checks the graph's structure, then takes each marked weight and each edge
-    end in one pass."""
-    graph.check_structure()
-    plan = []
-    for vid, slot_list in graph.slot_map().items():
-        slots = []
-        for k, kind, i in slot_list:
-            if kind == "mark":
-                slots.append((None, graph.marked[i].alpha))
-            else:  # outgoing edge end: sign -1, incoming: +1
-                slots.append((i, 1 if graph.edges[i].v_to == (vid, k) else -1))
-        marks = tuple(complex(conformal_weight(x, params)) for e, x in slots if e is None)
-        plan.append(_Vertex(tuple(slots), marks))
-    return tuple(plan)
-
-
 def _require_edge_slots(graph, plan: tuple) -> None:
     """A block glues every vertex into the graph through at least one edge."""
     for vid, vertex in zip(graph.vertex_ids, plan):
@@ -418,28 +379,18 @@ def _level_terms(plan: tuple, N: int, L: int) -> list:
     ]
 
 
-def _projections(plan: tuple, tuples: np.ndarray) -> list:
-    """For each vertex: its own edges (sorted), the distinct projections onto
-    them of the node tuples (the columns of the (L, n) index array
-    ``tuples``), in C order, and each tuple's column among them."""
-    out = []
-    for vertex in plan:
-        own = sorted(set(vertex.edges))
-        distinct, rows = np.unique(tuples[own], axis=1, return_inverse=True)
-        out.append((own, distinct, rows.reshape(-1)))
-    return out
-
-
-def _vertex_tensors(vertex: _Vertex, levels, weights, c) -> dict:
+def _vertex_tensors(vertex, levels, weights, params: CftParams) -> dict:
     """Pant arrays, annulus matrices or disk vectors (by the number of edge
     slots) of one vertex, keyed by each of the given distinct level tuples on
     its edge slots; ``weights`` holds one complex array per edge slot, and
     axis 0 of every tensor runs along them."""
+    c = params.c_L
+    marks = [complex(conformal_weight(x, params)) for x in vertex.alphas]
     if len(weights) == 3:
         return _pant_arrays(levels, weights, c)
     if len(weights) == 2:
-        return _radial_arrays(levels, (weights[0], vertex.marks[0], weights[1]), c)
-    disks = _radial_arrays({(lv[0], 0) for lv in levels}, (weights[0], *vertex.marks), c)
+        return _radial_arrays(levels, (weights[0], marks[0], weights[1]), c)
+    disks = _radial_arrays({(lv[0], 0) for lv in levels}, (weights[0], *marks), c)
     return {(n,): arr[:, :, 0] for (n, _zero), arr in disks.items()}
 
 
@@ -469,17 +420,20 @@ def _contract(plan: tuple, terms: list, tensors: list, finv: list) -> dict:
     return coeffs
 
 
-def _block_series(plan: tuple, ps, tuples: np.ndarray, params: CftParams, N: int) -> tuple:
+def _block_series(
+    plan: tuple, ps, tuples: np.ndarray, projections: list, params: CftParams, N: int
+) -> tuple:
     """The engine's block at node tuples, as one BlockSeries of arrays over
     the columns of the (L, n) array ``tuples`` (indices into the edges' p
-    values ``ps``), and the number of vertex tensors built."""
+    values ``ps``; ``projections`` from graphs._projections), and the number
+    of vertex tensors built."""
     c = params.c_L
     hs = np.array([complex(conformal_weight(params.Q + 1j * p, params)) for p in ps])
     terms = _level_terms(plan, N, len(tuples))
     tensors, built = [], 0
-    for v, (vertex, (own, distinct, rows)) in enumerate(zip(plan, _projections(plan, tuples))):
+    for v, (vertex, (own, distinct, rows)) in enumerate(zip(plan, projections)):
         weights = [hs[distinct[own.index(e)]] for e in vertex.edges]
-        arrays = _vertex_tensors(vertex, {lv[v] for _degs, lv in terms}, weights, c)
+        arrays = _vertex_tensors(vertex, {lv[v] for _degs, lv in terms}, weights, params)
         built += distinct.shape[1] * len(arrays)
         tensors.append({lv: np.ascontiguousarray(np.moveaxis(a[rows], 0, -1)) for lv, a in arrays.items()})
     stacks = _gram_inverses(hs, c, N)
@@ -498,15 +452,14 @@ def graph_block(graph, p_vector, params: CftParams, N: int = 4) -> BlockSeries:
     holomorphic series in the q_i, which the caller evaluates at the moduli.
     It is the spectral engine's block at the one node tuple (p_1, ..., p_L).
     """
-    from .graphs import AdmissibleGraph  # local import to avoid a cycle
-
     if not isinstance(graph, AdmissibleGraph):
         raise ValidationError("graph_block expects an AdmissibleGraph")
-    plan = _block_plan(graph, params)
+    plan = _plan(graph)
     L = len(graph.edges)
     if len(p_vector) != L:
         raise DimensionMismatch(f"need one p per edge ({L}), got {len(p_vector)}")
     _require_edge_slots(graph, plan)
-    series, _built = _block_series(plan, [float(p) for p in p_vector], np.arange(L)[:, None], params, N)
+    ps, tuples = [float(p) for p in p_vector], np.arange(L)[:, None]
+    series, _built = _block_series(plan, ps, tuples, _projections(plan, tuples), params, N)
     coeffs = {degs: complex(co[0]) for degs, co in series.coeffs.items()}
     return BlockSeries(tuple(float(e[0]) for e in series.exponents), coeffs, N)

@@ -6,9 +6,11 @@ spectral integral: a weighted quadrature of
     rho(alpha, p) * |F_p(alpha, q)|^2
 
 over one spectrum parameter p per linking edge, times 2^{L/2} / (2 pi)^{2L-1}
-and one metric constant per vertex.  The three explicit formulas are graph
-adapters; the flat-annulus vertex constant pi/(sqrt(2) e) and the disk vertex
-constant Z_D/2 reproduce their closed-form prefactors:
+and one metric constant per vertex.  A vertex's constant is that of its
+building block, fixed by its number of edge slots: Z_D/2 for a disk,
+pi/(sqrt(2) e) for a flat annulus and 1 for a pant.  The three explicit
+formulas are graph adapters, and these constants reproduce their closed-form
+prefactors:
 
     torus one-point:  self-loop             1/(2e)
     torus k-point:    k-cycle of annuli     1/(2^{2k-1} pi^{k-1} e^k)
@@ -24,15 +26,16 @@ The adapters check only their geometry.  Every weight bound comes from
 vertex, alpha < Q everywhere, and for the sphere chain alpha_1 + alpha_2 > Q,
 alpha_{k-1} + alpha_k > Q at the two disk vertices and sum(alpha) > 2Q.
 
-The graph is read once into ``blocks._block_plan``, whose vertex records give
-each vertex's DOZZ arguments, descendant tensors, edge ends and share of the
-mu-exponent.  The integrand is one array computation over all n^L node
-tuples: ``dozz._rho`` and ``blocks._block_series`` build each vertex's DOZZ
-factors and tensors over the distinct projections of the tuples onto its own
-edges, and one inverse Gram stack per level over the n nodes.  ``_rho``
-makes one ``dozz._dozz`` call over every vertex's argument triples, which
-evaluates each distinct log-Upsilon argument (and its pole distance) once.
-Nothing is kept between calls.
+The graph is read once into ``graphs._plan``, whose vertex records give each
+vertex's weight bounds, DOZZ arguments, tensors, edge ends, metric constant
+and share of the mu-exponent.  The integrand is one array computation over
+all n^L node tuples: ``dozz._rho`` and ``blocks._block_series`` build each
+vertex's DOZZ factors and tensors over the distinct projections of the tuples
+onto its own edges (``graphs._projections``, taken once per call), and one
+inverse Gram stack per level over the n nodes.  ``_rho`` makes one
+``dozz._dozz`` call over every vertex's argument triples, which evaluates
+each distinct log-Upsilon argument (and its pole distance) once.  Nothing is
+kept between calls.
 """
 
 from __future__ import annotations
@@ -44,10 +47,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import zeta
 
-from .blocks import _block_plan, _block_series, _require_edge_slots
+from .blocks import _block_series, _require_edge_slots
 from .dozz import _rho
 from .errors import CostGuard, DimensionMismatch, ValidationError
-from .graphs import AdmissibleGraph, EdgeSpec, MarkedPoint, validate_graph
+from .graphs import AdmissibleGraph, EdgeSpec, MarkedPoint, _plan, _projections, _violations
 from .params import CftParams
 from .special import _panel_rule
 from .virasoro import conformal_weight
@@ -80,12 +83,19 @@ def zeta_prime_minus1() -> float:
 Z_DISK = math.exp(0.25) * 2.0 ** (1.0 / 12.0) * math.pi**0.25 * math.exp(5.0 / 24.0 + zeta_prime_minus1())
 
 #: Flat-annulus building-block constant C = pi / (sqrt(2) e): the metric
-#: constant of every annulus vertex in the torus and sphere adapters.
+#: constant of every vertex with two edge slots.
 ANNULUS_VERTEX_CONSTANT = math.pi / (math.sqrt(2.0) * math.e)
 
-#: Disk building-block constant Z_D / 2: the metric constant of the two disk
-#: vertices in the sphere adapter.
+#: Disk building-block constant Z_D / 2: the metric constant of every vertex
+#: with one edge slot.
 DISK_VERTEX_CONSTANT = Z_DISK / 2.0
+
+#: A vertex's metric constant by its number of edge slots.
+_VERTEX_CONSTANTS = {1: DISK_VERTEX_CONSTANT, 2: ANNULUS_VERTEX_CONSTANT, 3: 1.0}
+
+#: The default cap on spectral evaluations (node tuples) of one correlator;
+#: a quadrature rule with more nodes is refused before it is built.
+_NODE_BUDGET = 10**6
 
 
 @dataclass
@@ -99,8 +109,17 @@ class Quadrature:
     weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.p_max <= 0 or self.panel_width <= 0 or self.nodes_per_panel < 1:
-            raise ValidationError("quadrature parameters must be positive")
+        # each bound is written so that NaN fails it; the nodes are counted
+        # before the rule is built, the panel count capped against overflow
+        finite = 0 < self.p_max < math.inf and 0 < self.panel_width < math.inf
+        if not (finite and self.nodes_per_panel >= 1):
+            raise ValidationError("quadrature parameters must be positive and finite")
+        panels = max(1, round(min(self.p_max / self.panel_width, _NODE_BUDGET)))
+        if panels * self.nodes_per_panel > _NODE_BUDGET:
+            raise CostGuard(
+                f"{self.p_max / self.panel_width:.6g} panels of {self.nodes_per_panel} "
+                f"quadrature nodes exceed budget {_NODE_BUDGET}"
+            )
         self.nodes, self.weights = _panel_rule(self.p_max, self.panel_width, self.nodes_per_panel)
         if not (np.all(np.diff(self.nodes) > 0) and np.all(self.weights > 0)):
             raise ValidationError("quadrature nodes must increase with positive weights")
@@ -184,23 +203,20 @@ def torus_one_point(
         (1/2e) int_0^oo C(Q+ip, alpha1, Q-ip) |F_p(alpha1, q)|^2 dp,
         q = e^{2 pi i tau},
 
-    evaluated as the self-loop graph with one annulus vertex.  ``details``
-    keeps the engine's keys, with ``rho`` made real, and adds ``q`` and
-    ``integrand_min``.
+    evaluated as torus_k_point at the one point x_1 = 0: the self-loop graph
+    with one annulus vertex.  ``details`` keeps the engine's keys, with ``rho``
+    made real, and adds ``q`` and ``integrand_min``.
     """
     tau = complex(tau)
     if tau.imag <= 0:
         raise ValidationError(f"Im tau must be positive, got {tau}")
-    q = complex(np.exp(2j * math.pi * tau))
-    res = graph_correlator(
-        _torus_cycle([alpha1], [q]), params, metric_constants=[ANNULUS_VERTEX_CONSTANT], quad=quad, N=N
-    )
+    res = torus_k_point([alpha1], [0], tau, params, quad, N)
     rho = res.details["rho"].real
     return replace(
         res,
         details={
             **res.details,
-            "q": q,
+            "q": res.details["q"][0],
             "integrand_min": float((rho * res.details["block_abs2"]).min()),
             "rho": rho,
         },
@@ -214,7 +230,7 @@ def torus_k_point(
     params: CftParams,
     quad: Quadrature | None = None,
     N: int = 4,
-    node_budget: int = 10**6,
+    node_budget: int = _NODE_BUDGET,
 ) -> CorrelatorResult:
     """k-point function on the torus, marked points x_j (x_1 = 0, increasing
     imaginary parts below 2 pi Im tau), moduli q_j = z_{j+1}/z_j with
@@ -233,14 +249,7 @@ def torus_k_point(
 
     zs = [np.exp(1j * complex(x)) for x in x_positions]
     qs = [zs[j + 1] / zs[j] for j in range(k - 1)] + [np.exp(2j * math.pi * tau) / zs[k - 1]]
-    res = graph_correlator(
-        _torus_cycle(alphas, qs),
-        params,
-        metric_constants=[ANNULUS_VERTEX_CONSTANT] * k,
-        quad=quad,
-        N=N,
-        node_budget=node_budget,
-    )
+    res = graph_correlator(_torus_cycle(alphas, qs), params, quad=quad, N=N, node_budget=node_budget)
     return replace(res, details={**res.details, "q": [complex(q) for q in qs]})
 
 
@@ -250,7 +259,7 @@ def sphere_k_point(
     params: CftParams,
     quad: Quadrature | None = None,
     N: int = 4,
-    node_budget: int = 10**6,
+    node_budget: int = _NODE_BUDGET,
 ) -> CorrelatorResult:
     """k-point function on the sphere in the DOZZ metric; z_1 = 0, z_k = None
     (infinity), radially ordered |z_j| < |z_{j+1}| with |z_2| < 1 < |z_{k-1}|.
@@ -279,14 +288,7 @@ def sphere_k_point(
 
     zs = [complex(z) for z in z_positions[:-1]]
     qs = [zs[j] / zs[j + 1] for j in range(1, k - 2)]  # q_j = z_j/z_{j+1}, j = 2..k-2 (1-based)
-    res = graph_correlator(
-        _sphere_chain(alphas, qs),
-        params,
-        metric_constants=[DISK_VERTEX_CONSTANT, *[ANNULUS_VERTEX_CONSTANT] * (k - 4), DISK_VERTEX_CONSTANT],
-        quad=quad,
-        N=N,
-        node_budget=node_budget,
-    )
+    res = graph_correlator(_sphere_chain(alphas, qs), params, quad=quad, N=N, node_budget=node_budget)
     return replace(
         res,
         value=res.value * _sphere_scalar(alphas, mags, qs, params),
@@ -297,20 +299,19 @@ def sphere_k_point(
 def graph_correlator(
     graph: AdmissibleGraph,
     params: CftParams,
-    metric_constants=None,
     quad: Quadrature | None = None,
     N: int = 4,
-    node_budget: int = 10**6,
+    node_budget: int = _NODE_BUDGET,
 ) -> CorrelatorResult:
     """Correlator of a validated pants graph:
 
         2^{L/2} / (2 pi)^{2L-1} * prod_v C_v *
             int rho(alpha, p) |F_p(alpha, q)|^2 dp  over p in R_+^L,
 
-    with one DOZZ factor in rho and one metric constant C_v per vertex
-    (default 1; ANNULUS_VERTEX_CONSTANT / DISK_VERTEX_CONSTANT give the
-    explicit torus/sphere normalizations).  ``details["prefactor"]`` includes
-    prod_v C_v; ``details["rho"]`` (the bare DOZZ product) and
+    with one DOZZ factor in rho and one metric constant C_v per vertex, that
+    of its building block: DISK_VERTEX_CONSTANT with one edge slot,
+    ANNULUS_VERTEX_CONSTANT with two and 1 with three.  ``details["prefactor"]``
+    includes prod_v C_v; ``details["rho"]`` (the bare DOZZ product) and
     ``details["block_abs2"]`` hold the integrand's factors at every node, as
     arrays of shape (n_nodes,) * L.  ``details["gram_sets"]``,
     ``["dozz_factors"]``, ``["vertex_tensors"]`` and ``["upsilon_evals"]``
@@ -318,7 +319,8 @@ def graph_correlator(
     distinct log-Upsilon arguments evaluated.  ``tail_fraction`` is
     the share of the integral from nodes with any edge's p in the last panel."""
     q_vector = [complex(q) for q in graph.q_vector()]
-    violations = validate_graph(graph, params)
+    plan = _plan(graph)
+    violations = _violations(graph, plan, params)
     if violations:
         raise ValidationError("; ".join(str(v) for v in violations))
     L = len(graph.edges)
@@ -327,18 +329,13 @@ def graph_correlator(
     quad = quad or Quadrature()
     if quad.n_nodes**L > node_budget:
         raise CostGuard(f"{quad.n_nodes}^{L} spectral evaluations exceed budget {node_budget}")
-    n_vertices = len(graph.vertex_ids)
-    mconsts = list(metric_constants) if metric_constants is not None else [1.0] * n_vertices
-    if len(mconsts) != n_vertices:
-        raise DimensionMismatch(f"need {n_vertices} metric constants, got {len(mconsts)}")
-
-    plan = _block_plan(graph, params)
     _require_edge_slots(graph, plan)
     ps = [float(p) for p in quad.nodes]
     shape = (quad.n_nodes,) * L
     tuples = np.indices(shape).reshape(L, -1)  # every L-tuple of nodes, in C order
-    rho, dozz_factors, upsilon_evals = _rho(plan, ps, tuples, params)
-    series, vertex_tensors = _block_series(plan, ps, tuples, params, N)
+    projections = _projections(plan, tuples)
+    rho, dozz_factors, upsilon_evals = _rho(plan, ps, projections, params)
+    series, vertex_tensors = _block_series(plan, ps, tuples, projections, params, N)
     block_abs2, last_level = series.abs2_and_last_level(q_vector)
     rho, block_abs2 = rho.reshape(shape), block_abs2.reshape(shape)
     weights = math.prod(np.ix_(*[quad.weights] * L))  # outer product over the edges
@@ -347,12 +344,12 @@ def graph_correlator(
     # nodes with any edge's p in the last panel: their largest node index is in it
     largest_index = functools.reduce(np.maximum, np.indices(shape, sparse=True))
     tail = complex(weighted[largest_index >= quad.last_panel_slice().start].sum())
-    pref = 2.0 ** (L / 2.0) / (2.0 * math.pi) ** (2 * L - 1) * math.prod(mconsts)
+    pref = 2.0 ** (L / 2.0) / (2.0 * math.pi) ** (2 * L - 1) * math.prod(
+        _VERTEX_CONSTANTS[len(vertex.edges)] for vertex in plan
+    )
     value = pref * total
     mu_exp = sum(
-        (2 * params.Q - len(vertex.edges) * params.Q - sum(x for e, x in vertex.slots if e is None))
-        / params.gamma
-        for vertex in plan
+        (2 * params.Q - len(vertex.edges) * params.Q - sum(vertex.alphas)) / params.gamma for vertex in plan
     )
     return CorrelatorResult(
         value=value.real,

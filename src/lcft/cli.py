@@ -51,7 +51,6 @@ CONFIG_SCHEMA = {
         "p": {"type": "number"},
         "q": {"type": "array", "minItems": 2, "maxItems": 2, "items": {"type": "number"}},
         "zarg": {"type": "array", "minItems": 2, "maxItems": 2, "items": {"type": "number"}},
-        "metric_constants": {"type": "array", "items": {"type": "number"}},
     },
     "additionalProperties": False,
 }
@@ -76,20 +75,30 @@ DEFAULTS = {
 def _load_config(args) -> dict:
     """DEFAULTS, then the --config file, then every parsed flag named in
     CONFIG_SCHEMA (an unset flag, None or an empty --alpha, changes nothing);
-    the merged config is then checked against CONFIG_SCHEMA once."""
+    the merged config is then checked for NaN and infinite numbers (flags and
+    json read both, and NaN passes the schema's bounds) and against
+    CONFIG_SCHEMA once."""
     import jsonschema
 
     cfg = dict(DEFAULTS)
     config_path = getattr(args, "config", None)
     if config_path:
         with open(config_path) as fh:
-            user = json.load(fh)
+            try:
+                user = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise errors.ValidationError(f"config file {config_path} is not valid JSON: {exc}") from exc
         if not isinstance(user, dict):
             raise errors.ValidationError("config file must hold a JSON object")
         cfg.update(user)
     for key, val in vars(args).items():
         if key in CONFIG_SCHEMA["properties"] and val not in (None, []):
             cfg[key] = val
+    for key, val in cfg.items():
+        try:
+            json.dumps(val, allow_nan=False)
+        except ValueError:
+            raise errors.ValidationError(f"config field {key}: holds a number that is not finite") from None
     # the schema is a constant, so the validator skips the metaschema check
     # that jsonschema.validate repeats on every call
     try:
@@ -256,13 +265,7 @@ def cmd_graph(args, cfg) -> dict:
     if not cfg.get("graph"):
         raise errors.ValidationError("graph command needs a 'graph' object in the config")
     graph = AdmissibleGraph.from_json(cfg["graph"])
-    res = graph_correlator(
-        graph,
-        params,
-        metric_constants=cfg.get("metric_constants"),
-        quad=_quad(cfg),
-        N=int(cfg["N"]),
-    )
+    res = graph_correlator(graph, params, quad=_quad(cfg), N=int(cfg["N"]))
     return {**_correlator_payload(res), "genus": res.details["genus"]}
 
 

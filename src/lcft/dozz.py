@@ -17,7 +17,9 @@ log Upsilon and each distinct denominator one pole distance, every pole check
 first; constants that share arguments (the same edge node at many vertices or
 node tuples) share those evaluations, and each constant keeps the bits it has
 alone.  ``dozz_constant`` is the kernel at one triple, and ``_rho`` makes one
-kernel call per spectral call; nothing is kept between calls.
+kernel call per spectral call, with each vertex's arguments read from the
+graph's plan and projections (``graphs._plan``, ``graphs._projections``);
+nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ import math
 
 import numpy as np
 
-from .blocks import _block_plan, _projections
 from .errors import NearPole
+from .graphs import _plan, _projections
 from .params import CftParams
 from .special import UpsilonEvaluator, log_l_ratio
 
@@ -125,16 +127,16 @@ def _dozz(args, params: CftParams) -> tuple:
     return np.where(zero, 0.0, np.exp(np.where(zero, 0.0, log_c))), len(first)
 
 
-def _rho(plan, ps, tuples, params: CftParams) -> tuple:
+def _rho(plan, ps, projections: list, params: CftParams) -> tuple:
     """The engine's bare DOZZ product at node tuples, as an array over the
-    columns of the (L, n) array ``tuples`` (indices into the edges' p values
-    ``ps``), the number of vertex factors and the number of distinct log
-    Upsilon arguments.  Each vertex's factors are taken over the distinct
-    projections of the tuples onto its edges: Q + i sigma p on its edge
+    tuples that ``projections`` (from graphs._projections) projects onto each
+    vertex's edges, the number of vertex factors and the number of distinct
+    log Upsilon arguments.  ``ps`` holds the edges' p values.  Each vertex's
+    factors are taken over its distinct projections: Q + i sigma p on its edge
     slots and alpha on its marked slots, in slot order, all in one _dozz call."""
     ps = np.asarray(ps, dtype=float)
     slot_args, gathers, built = ([], [], []), [], 0
-    for vertex, (own, distinct, rows) in zip(plan, _projections(plan, tuples)):
+    for vertex, (own, distinct, rows) in zip(plan, projections):
         for column, (eidx, x) in zip(slot_args, vertex.slots):
             if eidx is None:
                 column.append(np.full(distinct.shape[1], x, dtype=complex))
@@ -156,6 +158,6 @@ def rho_density(graph, p_vector, params: CftParams) -> complex:
     real up to roundoff; chains with k >= 2 are complex pointwise, reality
     being restored only after the symmetrized spectral integral.
     """
-    plan = _block_plan(graph, params)
-    tuples = np.arange(len(graph.edges))[:, None]
-    return complex(_rho(plan, [float(p) for p in p_vector], tuples, params)[0][0])
+    plan = _plan(graph)
+    projections = _projections(plan, np.arange(len(graph.edges))[:, None])
+    return complex(_rho(plan, [float(p) for p in p_vector], projections, params)[0][0])

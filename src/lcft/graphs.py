@@ -14,12 +14,17 @@ JSON format (one object):
 Slots are numbered 1..3.  Edge orientation runs from "from" (outgoing, sign
 -1) to "to" (incoming, sign +1); the sign fixes which of Q -/+ ip feeds each
 DOZZ factor.
+
+``_plan`` is the one reader of the slots: the weight bounds, the DOZZ factors,
+the block and the spectral integral read its vertex records.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import GraphInvalid
 from .params import CftParams
@@ -99,18 +104,6 @@ class AdmissibleGraph:
     def genus(self) -> int:
         return len(self.edges) - len(self.vertex_ids) + 1
 
-    def slot_map(self) -> dict[int, list[tuple[int, str, int]]]:
-        """vertex id -> ordered [(slot, 'edge'|'mark', index into edges or marked)]."""
-        out: dict[int, list[tuple[int, str, int]]] = {v: [] for v in self.vertex_ids}
-        for i, e in enumerate(self.edges):
-            out[e.v_from[0]].append((e.v_from[1], "edge", i))
-            out[e.v_to[0]].append((e.v_to[1], "edge", i))
-        for i, m in enumerate(self.marked):
-            out[m.vertex].append((m.slot, "mark", i))
-        for v in out:
-            out[v].sort()
-        return out
-
     def q_vector(self) -> list[complex]:
         return [e.q for e in self.edges]
 
@@ -148,6 +141,56 @@ class AdmissibleGraph:
         }
 
 
+@dataclass(frozen=True)
+class _Vertex:
+    """One vertex of a pants-graph plan: its slots in order, (edge index,
+    orientation sign: -1 outgoing, +1 incoming) for an edge slot and (None,
+    alpha) for a marked slot."""
+
+    slots: tuple
+
+    @property
+    def edges(self) -> tuple:
+        """The edge index of each edge slot."""
+        return tuple(e for e, _sign in self.slots if e is not None)
+
+    @property
+    def ends(self) -> tuple:
+        """The edge end of each edge slot, 2 e outgoing or 2 e + 1 incoming;
+        the edge's inverse Gram matrix joins its two ends."""
+        return tuple(2 * e + (sign > 0) for e, sign in self.slots if e is not None)
+
+    @property
+    def alphas(self) -> tuple:
+        """The weight of each marked slot."""
+        return tuple(x for e, x in self.slots if e is None)
+
+
+def _plan(graph: AdmissibleGraph) -> tuple:
+    """The graph's vertices, in ``graph.vertex_ids`` order: its structure is
+    checked, then each edge end and marked point is placed in its slot."""
+    graph.check_structure()
+    slots: dict[int, list] = {v: [] for v in graph.vertex_ids}
+    for i, e in enumerate(graph.edges):
+        slots[e.v_from[0]].append((e.v_from[1], i, -1))
+        slots[e.v_to[0]].append((e.v_to[1], i, 1))
+    for m in graph.marked:
+        slots[m.vertex].append((m.slot, None, m.alpha))
+    return tuple(_Vertex(tuple(s[1:] for s in sorted(v, key=lambda s: s[0]))) for v in slots.values())
+
+
+def _projections(plan: tuple, tuples: np.ndarray) -> list:
+    """For each vertex: its own edges (sorted), the distinct projections onto
+    them of the node tuples (the columns of the (L, n) index array
+    ``tuples``), in C order, and each tuple's column among them."""
+    out = []
+    for vertex in plan:
+        own = sorted(set(vertex.edges))
+        distinct, rows = np.unique(tuples[own], axis=1, return_inverse=True)
+        out.append((own, distinct, rows.reshape(-1)))
+    return out
+
+
 @dataclass
 class Violation:
     vertex: int
@@ -162,20 +205,23 @@ def validate_graph(graph: AdmissibleGraph, params: CftParams) -> list[Violation]
     """Seiberg/spectral admissibility of the marked weights: per-vertex
     sum(alpha) - (2 - b) Q > 0 and every alpha < Q; for closed-surface global
     data also sum(alpha) + 2Q(g-1) > 0.  Returns a (possibly empty) list of
-    violations; structural problems raise."""
-    graph.check_structure()
+    violations, a NaN weight among them; structural problems raise."""
+    return _violations(graph, _plan(graph), params)
+
+
+def _violations(graph: AdmissibleGraph, plan: tuple, params: CftParams) -> list[Violation]:
+    """validate_graph on the graph's plan; each bound is written so that a
+    NaN fails it."""
     out: list[Violation] = []
     Q = params.Q
-    for vid, slots in graph.slot_map().items():
-        b = sum(1 for (_k, kind, _i) in slots if kind == "edge")
-        a_sum = sum(graph.marked[i].alpha for (_k, kind, i) in slots if kind == "mark")
-        margin = a_sum - (2 - b) * Q
-        if margin <= 0:
+    for vid, vertex in zip(graph.vertex_ids, plan):
+        margin = sum(vertex.alphas) - (2 - len(vertex.edges)) * Q
+        if not margin > 0:
             out.append(Violation(vertex=vid, kind="spectral (sum alpha - (2-b)Q > 0)", margin=margin))
     for m in graph.marked:
-        if m.alpha >= Q:
+        if not m.alpha < Q:
             out.append(Violation(vertex=m.vertex, kind="Seiberg (alpha < Q)", margin=Q - m.alpha))
     total = sum(m.alpha for m in graph.marked) + 2.0 * Q * (graph.genus() - 1)
-    if total <= 0:
+    if not total > 0:
         out.append(Violation(vertex=-1, kind="global Seiberg (sum alpha + 2Q(g-1) > 0)", margin=total))
     return out

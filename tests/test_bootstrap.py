@@ -5,15 +5,18 @@ import numpy as np
 import pytest
 
 import lcft.blocks
+import lcft.bootstrap
 import lcft.dozz
+import lcft.graphs
 from lcft.acceptance import _torus_one_point_hand_coded
-from lcft.blocks import BlockSeries, _block_plan, _contract, _gram_inverses, _level_terms, graph_block
+from lcft.blocks import BlockSeries, _contract, _gram_inverses, _level_terms, graph_block
 from lcft.bootstrap import (
     ANNULUS_VERTEX_CONSTANT,
     DISK_VERTEX_CONSTANT,
     Quadrature,
     Z_DISK,
     _sphere_chain,
+    _sphere_scalar,
     _torus_cycle,
     graph_correlator,
     sphere_k_point,
@@ -23,7 +26,7 @@ from lcft.bootstrap import (
 )
 from lcft.dozz import dozz_constant, rho_density
 from lcft.errors import CostGuard, GraphInvalid, NearPole, ValidationError
-from lcft.graphs import AdmissibleGraph, EdgeSpec, MarkedPoint, validate_graph
+from lcft.graphs import AdmissibleGraph, EdgeSpec, MarkedPoint, _plan, validate_graph
 from lcft.params import CftParams
 from lcft.virasoro import conformal_weight, partition_count
 
@@ -48,6 +51,20 @@ class TestQuadrature:
     def test_integrates_polynomial_exactly(self):
         q = Quadrature(p_max=2.0, panel_width=0.5, nodes_per_panel=4)
         assert np.dot(q.weights, q.nodes**3) == pytest.approx(2.0**4 / 4.0, rel=1e-13)
+
+    @pytest.mark.parametrize("field", ["p_max", "panel_width"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_non_finite_or_non_positive_rejected(self, field, bad):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            Quadrature(**{field: bad})
+
+    def test_node_count_at_the_budget(self):
+        # 125 000 panels of 8 nodes is the default budget of 10^6 nodes
+        assert Quadrature(p_max=62_500.0, panel_width=0.5, nodes_per_panel=8).n_nodes == 10**6
+        with pytest.raises(CostGuard, match="exceed budget 1000000"):
+            Quadrature(p_max=62_500.0, panel_width=0.5, nodes_per_panel=9)
+        with pytest.raises(CostGuard, match="exceed budget 1000000"):
+            Quadrature(p_max=1e300, panel_width=1e-300)
 
 
 class TestVertexConstants:
@@ -377,6 +394,22 @@ class TestGraphCorrelator:
         with pytest.raises(ValidationError, match="vertex 1 has no edge slots"):
             graph_correlator(g, S2)
 
+    def test_adapters_are_the_engine_on_their_graphs(self):
+        # every vertex takes its building block's metric constant, so the
+        # engine with no extra argument is each adapter, bit for bit
+        quad = Quadrature(p_max=1.5, panel_width=0.5, nodes_per_panel=3)
+        q = complex(np.exp(2j * math.pi * 1j))
+        one = torus_one_point(1.2, 1j, S2, quad, N=3)
+        assert graph_correlator(_torus_cycle([1.2], [q]), S2, quad=quad, N=3).value == one.value
+        two = torus_k_point([0.9, 1.1], [0.0, 0.2 + 2.2j], 1j, S2, quad, N=2)
+        cycle = _torus_cycle([0.9, 1.1], two.details["q"])
+        assert graph_correlator(cycle, S2, quad=quad, N=2).value == two.value
+        alphas, zs = [1.5, 1.4, 1.3, 1.2, 1.1], [0.0, 0.3, 2.0, 4.0, None]
+        sphere = sphere_k_point(alphas, zs, S2, quad, N=2)
+        qs = sphere.details["q"]
+        chain = graph_correlator(_sphere_chain(alphas, qs), S2, quad=quad, N=2).value
+        assert chain * _sphere_scalar(alphas, [0.3, 2.0, 4.0], qs, S2) == sphere.value
+
     def test_self_loop_equals_torus_one_point(self):
         params = CftParams(gamma=math.sqrt(2.0))
         tau = 1j
@@ -385,9 +418,7 @@ class TestGraphCorrelator:
             edges=[EdgeSpec((1, 1), (1, 2), q=q)], marked=[MarkedPoint(1, 3, 1.2)]
         )
         quad = Quadrature(p_max=4.0, panel_width=0.5, nodes_per_panel=5)
-        r_graph = graph_correlator(
-            g, params, quad=quad, N=3, metric_constants=[ANNULUS_VERTEX_CONSTANT]
-        )
+        r_graph = graph_correlator(g, params, quad=quad, N=3)
         r_torus = torus_one_point(1.2, tau, params, quad, N=3)
         hand = _torus_one_point_hand_coded(1.2, tau, params, quad, N=3)
         assert r_graph.value == pytest.approx(hand, rel=1e-10)
@@ -483,7 +514,7 @@ class TestEngineCaches:
             for full, alone in zip(stacks, _gram_inverses(hs[i : i + 1], S2.c_L, N)):
                 assert np.array_equal(full[i : i + 1], alone)
 
-        plan, L, n = _block_plan(g, S2), len(g.edges), 40
+        plan, L, n = _plan(g), len(g.edges), 40
         terms = _level_terms(plan, N, L)
         rng = np.random.default_rng(7)
 
@@ -584,6 +615,27 @@ class TestEngineCaches:
         with pytest.raises(NearPole, match="within 1e-06 of the Upsilon zero lattice"):
             graph_correlator(_torus_cycle([0.99 * edge], [0.01]), S2, quad=quad, N=1)
 
+    def test_graph_read_once_per_call(self, monkeypatch):
+        # one structure check and one projection of the node tuples serve the
+        # weight bounds, the DOZZ factors and the block
+        calls = {"check_structure": 0, "_projections": 0}
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        original = AdmissibleGraph.check_structure
+        monkeypatch.setattr(AdmissibleGraph, "check_structure", counted("check_structure", original))
+        for module in (lcft.bootstrap, lcft.blocks, lcft.dozz, lcft.graphs):
+            if hasattr(module, "_projections"):
+                monkeypatch.setattr(module, "_projections", counted("_projections", module._projections))
+        g, quad, N = _torus3()
+        graph_correlator(g, S2, quad=quad, N=N)
+        assert calls == {"check_structure": 1, "_projections": 1}
+
     def test_cost_guard_at_its_edge(self, monkeypatch):
         g, _quad, _N = _torus2()
         quad = Quadrature(p_max=1.0, panel_width=0.5, nodes_per_panel=2)
@@ -638,6 +690,11 @@ class TestValidateGraph:
         )
         with pytest.raises(GraphInvalid, match=r"vertices \[3\]"):
             validate_graph(g, S2)
+
+    def test_nan_weight_violates_every_bound(self):
+        g = AdmissibleGraph(edges=[EdgeSpec((1, 1), (1, 2), q=0.1)], marked=[MarkedPoint(1, 3, math.nan)])
+        kinds = [v.kind.split(" (")[0] for v in validate_graph(g, S2)]
+        assert kinds == ["spectral", "Seiberg", "global Seiberg"]
 
     def test_marked_slot_out_of_range(self):
         # the self-loop holds slots 1 and 2; a mark on slot 7 leaves slot 3

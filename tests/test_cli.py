@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 GENUS2 = {
@@ -187,6 +188,68 @@ class TestCli:
             assert isinstance(result[key], int) and result[key] > 0, key
         assert result["gram_sets"] == 4  # one Gram-inverse set per quadrature node
         assert math.isfinite(result["value"])
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("torus1pt", "--p-max", "inf"),
+            ("torus1pt", "--p-max", "nan"),
+            ("torus1pt", "--panel-width", "nan"),
+            ("torus1pt", "--alpha", "nan"),
+            ("dozz", "--alpha", "nan", "0.5", "0.9"),
+        ],
+    )
+    def test_non_finite_flag_exits_2(self, args):
+        out = run_cli(*args)
+        assert out.returncode == 2, out.stderr
+        assert "holds a number that is not finite" in out.stderr
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"gamma": 1.1,', "is not valid JSON"),
+            ('{"alpha": [NaN, 0.5, 0.9]}', "config field alpha: holds a number"),
+        ],
+    )
+    def test_unreadable_config_file_exits_2(self, text, message, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = run_cli("dozz", "--config", str(cfg))
+        assert out.returncode == 2, out.stderr
+        assert message in out.stderr
+
+    def test_quadrature_over_budget_exits_3_before_building(self, monkeypatch, capsys):
+        import lcft.bootstrap
+        from lcft.cli import main
+
+        def unreachable(*args):
+            raise AssertionError("quadrature rule built before its nodes were counted")
+
+        monkeypatch.setattr(lcft.bootstrap, "_panel_rule", unreachable)
+        assert main(["torus1pt", "--p-max", "1e9"]) == 3
+        assert "exceed budget 1000000" in capsys.readouterr().err
+
+    def test_graph_self_loop_equals_torus1pt(self, tmp_path):
+        q = complex(np.exp(2j * math.pi * 1j))  # tau = i, as torus1pt defaults
+        graph = {
+            "vertices": [{"id": 1, "slots": 3}],
+            "edges": [{"from": [1, 2], "to": [1, 1], "q": [q.real, q.imag]}],
+            "marked": [{"vertex": 1, "slot": 3, "alpha": 1.2}],
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"graph": graph}))
+        flags = ("--N", "2", "--p-max", "2.0", "--nodes-per-panel", "3")
+        loop = run_cli("graph", "--config", str(cfg), *flags)
+        torus = run_cli("torus1pt", "--alpha", "1.2", *flags)
+        assert loop.returncode == 0 and torus.returncode == 0, loop.stderr + torus.stderr
+        assert json.loads(loop.stdout)["result"]["value"] == json.loads(torus.stdout)["result"]["value"]
+
+    def test_metric_constants_key_exits_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"graph": GENUS2, "metric_constants": [1.0, 1.0]}))
+        out = run_cli("graph", "--config", str(cfg))
+        assert out.returncode == 2
+        assert "metric_constants" in out.stderr
 
     def test_upsilon_command(self):
         out = run_cli("upsilon", "--gamma", "1.0", "--p", "1.25")

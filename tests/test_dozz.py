@@ -139,18 +139,15 @@ class TestRhoDensity:
         assert isinstance(rho, complex)
         assert rho == pytest.approx(expect, rel=1e-12)
 
-    def test_metric_constants_multiply(self):
+    def test_engine_density_is_bare_dozz_product(self):
         params = CftParams(gamma=1.2)
-        # metric constants scale the graph correlator; its per-node density
-        # stays the bare DOZZ product
+        # the vertex constant scales the graph correlator; its per-node
+        # density stays the bare DOZZ product
         g = _torus_cycle([1.1], [0.1])
         quad = Quadrature(p_max=1.0, panel_width=0.5, nodes_per_panel=2)
-        r1 = graph_correlator(g, params, quad=quad, N=1)
-        r2 = graph_correlator(g, params, quad=quad, N=1, metric_constants=[2.5])
-        assert r2.value == pytest.approx(2.5 * r1.value, rel=1e-14)
-        assert np.array_equal(r2.details["rho"], r1.details["rho"])
+        r = graph_correlator(g, params, quad=quad, N=1)
         rho = rho_density(g, [float(quad.nodes[0])], params)
-        assert r2.details["rho"][0] == pytest.approx(rho, rel=1e-14)
+        assert r.details["rho"][0] == pytest.approx(rho, rel=1e-14)
 
     def test_genus2_graph_case(self):
         from lcft.graphs import AdmissibleGraph, EdgeSpec
