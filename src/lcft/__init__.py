@@ -4,7 +4,7 @@ independent Gaussian-multiplicative-chaos Monte Carlo cross-check on the torus.
 """
 
 from .params import CftParams
-from .special import UpsilonEvaluator, dedekind_eta, l_ratio, theta1, upsilon, upsilon_prime_zero
+from .special import UpsilonEvaluator, dedekind_eta, l_ratio, theta1, upsilon
 from .virasoro import (
     GramMatrix,
     YoungDiagram,

@@ -45,7 +45,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import zeta
 
 from .blocks import _block_series, _require_edge_slots
 from .dozz import _rho
@@ -64,23 +63,14 @@ __all__ = [
     "graph_correlator",
     "ANNULUS_VERTEX_CONSTANT",
     "DISK_VERTEX_CONSTANT",
-    "zeta_prime_minus1",
     "Z_DISK",
 ]
 
-def zeta_prime_minus1() -> float:
-    """zeta_R'(-1) by Richardson-extrapolated central differences of the
-    analytically continued Riemann zeta; accurate to ~1e-12."""
-    eps = 1e-4
-
-    def central(e: float) -> float:
-        return float((zeta(-1.0 + e) - zeta(-1.0 - e)) / (2.0 * e))
-
-    return (4.0 * central(eps / 2.0) - central(eps)) / 3.0
-
+#: zeta_R'(-1) = mpmath.zeta(-1, derivative=1), rounded to double
+_ZETA_PRIME_MINUS1 = -0.16542114370045094
 
 #: Z_{D, g_D} = e^{1/4} 2^{1/12} pi^{1/4} e^{5/24 + zeta'(-1)}
-Z_DISK = math.exp(0.25) * 2.0 ** (1.0 / 12.0) * math.pi**0.25 * math.exp(5.0 / 24.0 + zeta_prime_minus1())
+Z_DISK = math.exp(0.25) * 2.0 ** (1.0 / 12.0) * math.pi**0.25 * math.exp(5.0 / 24.0 + _ZETA_PRIME_MINUS1)
 
 #: Flat-annulus building-block constant C = pi / (sqrt(2) e): the metric
 #: constant of every vertex with two edge slots.

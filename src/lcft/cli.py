@@ -83,11 +83,13 @@ def _load_config(args) -> dict:
     cfg = dict(DEFAULTS)
     config_path = getattr(args, "config", None)
     if config_path:
-        with open(config_path) as fh:
-            try:
+        try:
+            with open(config_path) as fh:
                 user = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise errors.ValidationError(f"config file {config_path} is not valid JSON: {exc}") from exc
+        except OSError as exc:
+            raise errors.ValidationError(f"config file {config_path} cannot be read: {exc}") from exc
+        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on bytes that are not text
+            raise errors.ValidationError(f"config file {config_path} is not valid JSON: {exc}") from exc
         if not isinstance(user, dict):
             raise errors.ValidationError("config file must hold a JSON object")
         cfg.update(user)

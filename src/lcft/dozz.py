@@ -12,7 +12,7 @@ lattice raise NearPole.  One Upsilon evaluator per gamma serves every call.
 
 ``_dozz`` evaluates the constant at every argument triple of three complex
 arrays in one pass.  One dedupe over the arguments' bit patterns (signed zeros
-kept apart, as loggamma's branch cut does) gives each distinct argument one
+kept apart, as log Gamma's branch cut does) gives each distinct argument one
 log Upsilon and each distinct denominator one pole distance, every pole check
 first; constants that share arguments (the same edge node at many vertices or
 node tuples) share those evaluations, and each constant keeps the bits it has

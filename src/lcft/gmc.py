@@ -41,11 +41,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConsistencyError, SingularPoint, ValidationError
 from .params import CftParams
-from .special import dedekind_eta, theta1
+from .special import _panel_rule, dedekind_eta, theta1
 
 __all__ = [
     "TorusGeometry",
@@ -326,19 +325,15 @@ def det_prime_torus_zeta(tau: complex, radius: float = 2.0 * math.pi) -> float:
                    - A - euler_gamma,
         det' = exp(-zeta'(0)).
     """
-    from scipy.special import roots_legendre
-
     tau = complex(tau)
     area = radius**2 * tau.imag
     A = area / (4.0 * math.pi)
-    x, w = roots_legendre(200)
     # I0 on (0, 1): substitute t = s^2 to soften the t -> 0 end
-    s = 0.5 * (x + 1.0)
-    ws = 0.5 * w
+    s, ws = _panel_rule(1.0, 1.0, 200)
     I0 = float(np.sum(ws * 2.0 * s * np.array(
         [(_heat_trace(si**2, tau, radius) - A / si**2) / si**2 for si in s]
     )))
-    # I1 on (1, T]: integrand decays like e^{-lambda_min t}
+    # I1 on (1, 1 + span]: integrand decays like e^{-lambda_min t}
     scale = (2.0 * math.pi / radius) ** 2
     lam_min = scale * min(
         abs(n - m * tau) ** 2 / tau.imag**2
@@ -346,10 +341,9 @@ def det_prime_torus_zeta(tau: complex, radius: float = 2.0 * math.pi) -> float:
         for n in range(-2, 3)
         if (m, n) != (0, 0)
     )
-    T = 1.0 + 45.0 / lam_min
-    tt = 0.5 * (T - 1.0) * (x + 1.0) + 1.0
-    wt = 0.5 * (T - 1.0) * w
-    I1 = float(np.sum(wt * np.array([(_heat_trace(ti, tau, radius) - 1.0) / ti for ti in tt])))
+    span = 45.0 / lam_min
+    tt, wt = _panel_rule(span, span, 200)
+    I1 = float(np.sum(wt * np.array([(_heat_trace(ti, tau, radius) - 1.0) / ti for ti in 1.0 + tt])))
     zeta_prime_0 = I0 + I1 - A - float(np.euler_gamma)
     return math.exp(-zeta_prime_0)
 
@@ -488,7 +482,7 @@ def mc_torus_one_point_many(
             # exact c-integral + Girsanov: E[Z^{-s}] carries all randomness
             const.append(
                 pref
-                * math.exp(gammaln(s)) / g
+                * math.exp(math.lgamma(s)) / g
                 * (params.mu * math.exp(0.5 * g * g * W)) ** (-s)
                 * math.exp(0.5 * alpha1 * alpha1 * W)
             )

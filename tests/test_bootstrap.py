@@ -15,6 +15,7 @@ from lcft.bootstrap import (
     DISK_VERTEX_CONSTANT,
     Quadrature,
     Z_DISK,
+    _ZETA_PRIME_MINUS1,
     _sphere_chain,
     _sphere_scalar,
     _torus_cycle,
@@ -22,7 +23,6 @@ from lcft.bootstrap import (
     sphere_k_point,
     torus_k_point,
     torus_one_point,
-    zeta_prime_minus1,
 )
 from lcft.dozz import dozz_constant, rho_density
 from lcft.errors import CostGuard, GraphInvalid, NearPole, ValidationError
@@ -75,8 +75,8 @@ class TestVertexConstants:
         import mpmath
 
         mpmath.mp.dps = 20
-        assert zeta_prime_minus1() == pytest.approx(float(mpmath.zeta(-1, 1, 1)), rel=1e-10)
-        assert zeta_prime_minus1() == pytest.approx(-0.1654211437, abs=1e-9)
+        assert _ZETA_PRIME_MINUS1 == pytest.approx(float(mpmath.zeta(-1, 1, 1)), rel=1e-15)
+        assert _ZETA_PRIME_MINUS1 == pytest.approx(-0.1654211437, abs=1e-9)
 
     def test_z_disk_reference_value(self):
         import mpmath

@@ -209,14 +209,44 @@ class TestCli:
         [
             ('{"gamma": 1.1,', "is not valid JSON"),
             ('{"alpha": [NaN, 0.5, 0.9]}', "config field alpha: holds a number"),
+            pytest.param("<missing>", "cannot be read", id="missing-file"),
+            pytest.param("<directory>", "cannot be read", id="directory"),
+            pytest.param('\xff\xfe{"gamma": 1.1}', "is not valid JSON", id="not-utf-8"),
         ],
     )
     def test_unreadable_config_file_exits_2(self, text, message, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(text)
+        if text == "<directory>":
+            cfg.mkdir()
+        elif text != "<missing>":
+            cfg.write_bytes(text.encode("latin-1"))
         out = run_cli("dozz", "--config", str(cfg))
         assert out.returncode == 2, out.stderr
         assert message in out.stderr
+
+    def test_runs_without_scipy(self, tmp_path):
+        """lcft imports and runs every bootstrap and MC command with scipy
+        unimportable, and loads no scipy module."""
+        cfg = tmp_path / "graph.json"
+        cfg.write_text(json.dumps({"graph": GENUS2}))
+        tiny = ("--N", "1", "--p-max", "1.0", "--nodes-per-panel", "2")
+        calls = [
+            ("torus1pt", "--alpha", "1.2", *tiny),
+            ("spherekpt", *tiny),
+            ("graph", "--config", str(cfg), *tiny),
+            ("mc-torus1pt", "--alpha", "1.2", "--samples", "20", "--grid", "8", *tiny),
+        ]
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import lcft, lcft.acceptance, lcft.cli\n"
+            f"codes = [lcft.cli.main(list(argv)) for argv in {calls!r}]\n"
+            "assert codes == [0, 0, 0, 0], codes\n"
+            "loaded = [m for m in sys.modules if m.startswith('scipy') and sys.modules[m] is not None]\n"
+            "assert not loaded, loaded\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
 
     def test_quadrature_over_budget_exits_3_before_building(self, monkeypatch, capsys):
         import lcft.bootstrap

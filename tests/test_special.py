@@ -8,11 +8,11 @@ import pytest
 from lcft.errors import DomainError, PoleError
 from lcft.special import (
     UpsilonEvaluator,
+    _log_gamma,
     dedekind_eta,
     l_ratio,
     theta1,
     upsilon,
-    upsilon_prime_zero,
 )
 
 GAMMAS = (0.8, 1.0, math.sqrt(2.0), 1.8)
@@ -40,6 +40,62 @@ class TestLRatio:
 
     def test_zero_at_positive_integers(self):
         assert l_ratio(2.0) == 0.0
+
+
+def _mp_log_gamma(z):
+    return complex(mpmath.loggamma(mpmath.mpc(z.real, z.imag)))
+
+
+def _rel_to_ref(value, ref):
+    return abs(value - ref) / max(1.0, abs(ref))
+
+
+class TestLogGamma:
+    """The complex log Gamma behind l(z) against mpmath's, which is the
+    analytic continuation from the positive reals."""
+
+    def test_grid_against_mpmath(self):
+        mpmath.mp.dps = 30
+        worst = 0.0
+        for x in np.linspace(-12.0, 12.0, 97):
+            for y in np.linspace(-20.0, 20.0, 41):
+                if y == 0.0 and x <= 0.0:
+                    continue  # the cut, tested below
+                z = complex(x, y)
+                worst = max(worst, _rel_to_ref(_log_gamma(z), _mp_log_gamma(z)))
+        assert worst <= 1e-14
+
+    def test_positive_reals(self):
+        mpmath.mp.dps = 30
+        for x in np.geomspace(1e-6, 150.0, 120):
+            z = complex(x, 0.0)
+            assert _rel_to_ref(_log_gamma(z), _mp_log_gamma(z)) <= 1e-14
+
+    def test_next_to_poles(self):
+        mpmath.mp.dps = 30
+        for n in range(0, 12):
+            for eps in (1e-12, 1e-6, 1e-2):
+                for theta in (0.3, 1.7, 2.9, -0.8, -2.2):
+                    z = complex(-n + eps * math.cos(theta), eps * math.sin(theta))
+                    assert _rel_to_ref(_log_gamma(z), _mp_log_gamma(z)) <= 1e-14, z
+
+    def test_negative_axis_branches(self):
+        # x + 0j and x - 0j agree with mpmath mod 2 pi i, on either side of the cut
+        mpmath.mp.dps = 30
+        for x in (-0.5, -1e-9, -1.25, -2.999999, -3.000001, -7.5, -11.9):
+            ref = _mp_log_gamma(complex(x, 0.0))
+            above, below = _log_gamma(complex(x, 0.0)), _log_gamma(complex(x, -0.0))
+            for value in (above, below):
+                d = value - ref
+                d -= 2j * math.pi * round(d.imag / (2.0 * math.pi))
+                assert abs(d) <= 1e-14 * max(1.0, abs(ref)), (x, value)
+            assert below == above.conjugate()
+            assert abs(above.imag - below.imag) > math.pi
+
+    def test_far_left_raises(self):
+        # x + 1 == x there, so the recurrence would never end
+        with pytest.raises(DomainError):
+            _log_gamma(complex(-1e300, 0.5))
 
 
 class TestUpsilon:
@@ -87,17 +143,15 @@ class TestUpsilon:
 
     @pytest.mark.parametrize("gamma", (1.2, math.sqrt(2.0), 0.8))
     def test_prime_zero_identity(self, gamma):
+        # Upsilon'(0) = Upsilon(gamma/2) against a Richardson-extrapolated difference
         ev = UpsilonEvaluator(gamma)
-        v = upsilon_prime_zero(ev)
-        assert v == pytest.approx(upsilon(gamma / 2.0, ev), rel=1e-8)
-        # Richardson-extrapolated difference oracle
         h = 1e-4
 
         def central(hh):
             return (upsilon(hh, ev) - upsilon(-hh, ev)) / (2 * hh)
 
         fd = (4 * central(h / 2) - central(h)) / 3
-        assert fd == pytest.approx(v, rel=1e-6)
+        assert fd == pytest.approx(upsilon(gamma / 2.0, ev), rel=1e-6)
 
 
 class TestEta:
