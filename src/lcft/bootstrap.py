@@ -84,7 +84,8 @@ DISK_VERTEX_CONSTANT = Z_DISK / 2.0
 _VERTEX_CONSTANTS = {1: DISK_VERTEX_CONSTANT, 2: ANNULUS_VERTEX_CONSTANT, 3: 1.0}
 
 #: The default cap on spectral evaluations (node tuples) of one correlator;
-#: a quadrature rule with more nodes is refused before it is built.
+#: a quadrature rule with more nodes, or with more than its square root per
+#: panel (leggauss's dense companion matrix), is refused before it is built.
 _NODE_BUDGET = 10**6
 
 
@@ -105,10 +106,10 @@ class Quadrature:
         if not (finite and self.nodes_per_panel >= 1):
             raise ValidationError("quadrature parameters must be positive and finite")
         panels = max(1, round(min(self.p_max / self.panel_width, _NODE_BUDGET)))
-        if panels * self.nodes_per_panel > _NODE_BUDGET:
+        if panels * self.nodes_per_panel > _NODE_BUDGET or self.nodes_per_panel**2 > _NODE_BUDGET:
             raise CostGuard(
                 f"{self.p_max / self.panel_width:.6g} panels of {self.nodes_per_panel} "
-                f"quadrature nodes exceed budget {_NODE_BUDGET}"
+                f"quadrature nodes exceed budget {_NODE_BUDGET} (per panel, its square root)"
             )
         self.nodes, self.weights = _panel_rule(self.p_max, self.panel_width, self.nodes_per_panel)
         if not (np.all(np.diff(self.nodes) > 0) and np.all(self.weights > 0)):

@@ -47,11 +47,22 @@ _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 /
 def _log_gamma(z: complex) -> complex:
     """log Gamma(z), continued analytically off the positive reals and cut along
     the negative real axis (x + 0j and x - 0j lie on either side of the cut).
-    The recurrence lifts Re z to at least 7, subtracting the principal log of
-    each factor, and the 8-term Stirling series ends it (error below 1e-15)."""
+    Below Re z = -7 the reflection Gamma(z) Gamma(1 - z) = pi / sin(pi z) is
+    used; otherwise the recurrence lifts Re z to at least 7, subtracting the
+    principal log of each factor, and the 8-term Stirling series ends it."""
     x, y = z.real, z.imag
-    if x < -1e6:
-        raise DomainError(f"log Gamma recurrence too long at z = {z}")
+    if x < -7.0:
+        # sin(pi z) e^{-pi |y|} / 2 with x reduced to r = x - n exactly; the
+        # 2 pi i multiple moves its principal log to the recurrence's branch
+        n = round(x)
+        r, s, e = x - n, (-1.0) ** (n % 2), -2.0 * math.pi * abs(y)
+        sin_scaled = complex(
+            s * math.sin(math.pi * r) * (1.0 + math.exp(e)),
+            s * math.copysign(1.0, y) * math.cos(math.pi * r) * -math.expm1(e),
+        )
+        log_sin = cmath.log(sin_scaled) + (math.pi * abs(y) - math.log(2.0))
+        turns = math.copysign(2.0 * math.pi, y) * math.floor(0.5 * x + 0.25)
+        return complex(math.log(math.pi), turns) - log_sin - _log_gamma(complex(1.0 - x, -y))
     acc = 0j
     while x < 7.0:
         acc -= cmath.log(complex(x, y))  # complex(), not z + 1, keeps the sign of a zero y

@@ -92,10 +92,18 @@ class TestLogGamma:
             assert below == above.conjugate()
             assert abs(above.imag - below.imag) > math.pi
 
-    def test_far_left_raises(self):
-        # x + 1 == x there, so the recurrence would never end
-        with pytest.raises(DomainError):
-            _log_gamma(complex(-1e300, 0.5))
+    def test_far_left_by_reflection(self):
+        # below Re z = -7 the reflection formula is used, so neither cost nor
+        # error grows with -Re z; the cut is reached from either side
+        mpmath.mp.dps = 30
+        for x in (-7.0000001, -20.3, -999.5, -1e3, -1e4 + 0.3, -1e6 + 0.123, -3.3e7 + 0.25):
+            for y in (-1e5, -250.0, -20.0, -1e-9, -1e-300, 1e-300, 0.3, 7.0, 400.0):
+                z = complex(x, y)
+                assert _rel_to_ref(_log_gamma(z), _mp_log_gamma(z)) <= 1e-14, z
+            if x != round(x):
+                above = _log_gamma(complex(x, 0.0))
+                assert above == _log_gamma(complex(x, -0.0)).conjugate()
+                assert abs(above - _log_gamma(complex(x, 1e-300))) <= 1e-14 * abs(above)
 
 
 class TestUpsilon:
