@@ -65,6 +65,10 @@ class TestQuadrature:
             Quadrature(p_max=62_500.0, panel_width=0.5, nodes_per_panel=9)
         with pytest.raises(CostGuard, match="exceed budget 1000000"):
             Quadrature(p_max=1e300, panel_width=1e-300)
+        # the square root of the budget caps the nodes of one panel
+        assert Quadrature(p_max=0.5, panel_width=0.5, nodes_per_panel=1000).n_nodes == 1000
+        with pytest.raises(CostGuard, match="exceed budget 1000000"):
+            Quadrature(p_max=0.5, panel_width=0.5, nodes_per_panel=1001)
 
 
 class TestVertexConstants:
