@@ -58,12 +58,17 @@ class TestDozzConstant:
     def test_shared_memo_is_bitwise(self):
         params = CftParams(gamma=math.sqrt(2.0))
         Q = params.Q
-        triples = [(Q + 1j * p, 1.2, Q - 1j * p) for p in (0.3, 0.7, 0.3)]
+        # p = 30 and 12 put |Im w| of their arguments in other panel counts of
+        # the log Upsilon band rule than p = 0.3 and 0.7
+        ev, _ = _upsilon_evaluator(params.gamma)
+        assert len({ev._band_rule(p)[0].size for p in (0.7, 12.0, 30.0)}) == 3
+        triples = [(Q + 1j * p, 1.2, Q - 1j * p) for p in (0.3, 30.0, 0.7, 0.3, 12.0)]
         consts, evals = _dozz(list(zip(*triples)), params)
         alone = np.array([dozz_constant(*args, params) for args in triples])
+        assert np.all(consts != 0.0)
         assert consts.tobytes() == alone.tobytes()
         # Q +- ip and alpha/2 +- ip per distinct p, plus alpha, alpha/2 and Q - alpha/2
-        assert evals == 2 * 4 + 3
+        assert evals == 4 * 4 + 3
 
     def test_signed_zeros_are_distinct_arguments(self):
         # 0.7 + 0j and 0.7 - 0j are one value but two bit patterns; the

@@ -5,12 +5,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from lcft.errors import DomainError, PoleError
+from lcft.errors import BudgetExceeded, DomainError, PoleError
 from lcft.special import (
     UpsilonEvaluator,
+    _gauss_legendre,
     _log_gamma,
     dedekind_eta,
     l_ratio,
+    log_l_ratio,
     theta1,
     upsilon,
 )
@@ -40,6 +42,14 @@ class TestLRatio:
 
     def test_zero_at_positive_integers(self):
         assert l_ratio(2.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "z", [-math.inf, math.inf, math.nan, complex(0.5, math.inf), complex(math.nan, 1)]
+    )
+    def test_non_finite_raises_domain_error(self, z):
+        for f in (log_l_ratio, l_ratio):
+            with pytest.raises(DomainError):
+                f(z)
 
 
 def _mp_log_gamma(z):
@@ -96,6 +106,97 @@ class TestLogGamma:
             assert abs(above - _log_gamma(complex(x, 1e-300))) <= 1e-14 * abs(above)
 
 
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n, bound", [(1, 1e-16), (3, 1e-15), (16, 1e-14), (20, 1e-14), (200, 5e-13)])
+    def test_weights_against_mpmath(self, n, bound):
+        # the end weights move fast with their node: numpy's leggauss has them
+        # 7e-14 off at n = 20 and 2e-11 at n = 200
+        mpmath.mp.dps = 30
+        x, w = _gauss_legendre(n)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        for i in sorted({0, 1, 2, n // 2} & set(range(n))):
+            root = mpmath.mpf(x[i])
+            for _ in range(4):
+                p, p_last = mpmath.legendre(n, root), mpmath.legendre(n - 1, root)
+                root -= p * (root**2 - 1) / (n * (root * p - p_last))
+            ref = 2 * (1 - root**2) / (n * mpmath.legendre(n - 1, root)) ** 2
+            assert abs(x[i] - root) <= 1e-16
+            assert abs((w[i] - ref) / ref) <= bound, i
+
+
+def _mp_band(gamma, w):
+    """The band integral of ln Upsilon_{gamma/2} at w = Q/2 - z by mpmath's
+    adaptive Gauss-Legendre quadrature at 20 digits: the integrand is cut at
+    t = 45 max(1, gamma), beyond which the band's tail is below 1e-17, and
+    split into pieces that each hold at most 16 radians of its oscillation."""
+    mpmath.mp.dps = 20
+    g, w = mpmath.mpf(gamma), mpmath.mpc(w.real, w.imag)
+
+    def integrand(t):
+        pair = mpmath.sinh(g * t / 4) * mpmath.sinh(t / g)
+        return (w**2 * mpmath.exp(-t) - mpmath.sinh(w * t / 2) ** 2 / pair) / t
+
+    cut = 45.0 * max(1.0, gamma)
+    pieces = math.ceil(cut * max(1.0, abs(float(w.imag))) / 16.0)
+    return complex(mpmath.quad(integrand, mpmath.linspace(0, cut, pieces + 1), method="gauss-legendre"))
+
+
+def _mp_log_upsilon(gamma, z):
+    """ln Upsilon_{gamma/2}(z): gamma/2 steps of the shift relation with
+    mpmath's log Gamma, into the band |Re z - Q/2| <= gamma/4, then the band
+    integral."""
+    mpmath.mp.dps = 20
+    g, z = mpmath.mpf(gamma), mpmath.mpc(z.real, z.imag)
+    Q = g / 2 + 2 / g
+
+    def log_shift(x):  # log of l(g x / 2) (g/2)^{1 - g x}
+        return mpmath.loggamma(g * x / 2) - mpmath.loggamma(1 - g * x / 2) + (1 - g * x) * mpmath.log(g / 2)
+
+    acc = mpmath.mpc(0)
+    while z.real < Q / 2 - g / 4:
+        acc -= log_shift(z)
+        z += g / 2
+    while z.real > Q / 2 + g / 4:
+        z -= g / 2
+        acc += log_shift(z)
+    return complex(acc) + _mp_band(gamma, complex(Q / 2 - z))
+
+
+class TestLogUpsilonOracle:
+    """log Upsilon against mpmath quadrature of its integral representation."""
+
+    def test_band_integral(self):
+        # the integrand is even in w and real for real w, so one reference at
+        # (|Re w|, |Im w|) checks w at both band edges and both signs of Im w
+        grid = [
+            (gamma, re, im)
+            for gamma in (*GAMMAS, 0.3, 1.99)
+            for re, im in ((gamma / 4, 0.0), (0.0, 2.5), (gamma / 4, 2.5), (0.0, 7.0), (gamma / 4, 7.0))
+        ]
+        grid += [(0.3, 0.075, 15.0), (1.0, 0.25, 28.0), (0.3, 0.0, 40.0)]
+        grid += [(gamma, gamma / 4, 40.0) for gamma in (math.sqrt(2.0), 1.99)]
+        worst = 0.0
+        for gamma, re, im in grid:
+            ev = UpsilonEvaluator(gamma)
+            ref = _mp_band(gamma, complex(re, im))
+            for sign in (1.0, -1.0):
+                for w, expect in ((complex(re, im), ref), (complex(re, -im), ref.conjugate())):
+                    value = ev._log_upsilon_band(ev.Q / 2.0 - sign * w)
+                    worst = max(worst, _rel_to_ref(value, expect))
+        assert worst <= 1e-13
+
+    def test_workload_arguments(self):
+        # arguments of the torus1pt-deep, spherekpt-wide and graph-genus2
+        # benchmark workloads at gamma = sqrt(2): alpha, alpha/2 - ip, Q - alpha/2
+        # and Q + ip of the torus one-point function, the sphere chain's last
+        # vertex (alpha_4 + alpha_5 - Q - ip)/2 and the genus-2 Q/2 + i(p1 + p2 + p3)/2
+        gamma = math.sqrt(2.0)
+        ev = UpsilonEvaluator(gamma)
+        Q = ev.Q
+        for z in (1.2, 0.6 - 5.99j, Q - 0.6, Q + 5.99j, (2.3 - Q) / 2.0 - 2.97j, Q / 2.0 + 2.17j):
+            assert _rel_to_ref(ev.log_upsilon(z), _mp_log_upsilon(gamma, complex(z))) <= 1e-13, z
+
+
 class TestUpsilon:
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_strip_center_is_one(self, gamma):
@@ -138,6 +239,22 @@ class TestUpsilon:
         assert abs(upsilon(0.9, ev).imag) < 1e-14
         z = 0.8 + 0.6j
         assert upsilon(z.conjugate(), ev) == pytest.approx(upsilon(z, ev).conjugate(), rel=1e-12)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, complex(1, math.inf), complex(1, math.nan)])
+    def test_non_finite_raises_domain_error(self, z):
+        with pytest.raises(DomainError):
+            UpsilonEvaluator(math.sqrt(2.0)).log_upsilon(z)
+
+    def test_band_rules_are_lazy_and_bounded(self):
+        ev = UpsilonEvaluator(math.sqrt(2.0))
+        assert ev._rules == {}
+        ev.log_upsilon(0.9 + 3j)
+        ev.log_upsilon(1.1 - 6j)
+        assert [t.size for t, _, _ in ev._rules.values()] == [460]
+        # 2^18 nodes at most: |Im w| = 1e5 would take 460 * 2^14 of them
+        with pytest.raises(BudgetExceeded):
+            ev.log_upsilon(ev.Q / 2.0 + 1e5j)
+        assert len(ev._rules) == 1
 
     @pytest.mark.parametrize("gamma", (1.2, math.sqrt(2.0), 0.8))
     def test_prime_zero_identity(self, gamma):
