@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import NearPole
+from .errors import DomainError, NearPole
 from .graphs import _plan, _projections
 from .params import CftParams
 from .special import UpsilonEvaluator, log_l_ratio
@@ -82,13 +82,19 @@ def _dozz(args, params: CftParams) -> tuple:
     """C^DOZZ at the triples (args[0][i], args[1][i], args[2][i]) of three
     complex arrays, and the number of distinct log Upsilon arguments.
 
-    Any denominator near the zero lattice raises NearPole before the first
-    log Upsilon.  The log sum runs in a lone constant's order, so each entry
-    has the bits it has alone; a zero of a numerator Upsilon gives 0 and an
-    exact pole raises NearPole."""
+    A non-finite weight raises DomainError, and a denominator that log
+    Upsilon could not shift into its band within its budget raises
+    BudgetExceeded before that denominator's pole distance is sought.  Any
+    denominator near the zero lattice raises NearPole before the first log
+    Upsilon.  The log sum runs in a lone constant's order, so each entry has
+    the bits it has alone; a zero of a numerator Upsilon gives 0 and an exact
+    pole raises NearPole."""
     gamma = params.gamma
     ev, log_ups_prime0 = _upsilon_evaluator(gamma)
-    alphas = [np.asarray(a, dtype=complex) for a in args]
+    alphas = np.array(args, dtype=complex)
+    finite = np.isfinite(alphas)
+    if not finite.all():
+        raise DomainError(f"DOZZ needs finite weights, got {alphas[~finite][0]}")
     abar = alphas[0] + alphas[1] + alphas[2]
     # columns: the numerators alpha_i, then the denominators abar/2 - Q, abar/2 - alpha_i
     cols = np.stack([*alphas, abar / 2.0 - params.Q, *(abar / 2.0 - a for a in alphas)], axis=1)
@@ -98,8 +104,12 @@ def _dozz(args, params: CftParams) -> tuple:
     )
     ids = ids.reshape(cols.shape)
     distance = np.full(len(first), math.inf)
-    for i in np.unique(ids[:, 3:]):
-        distance[i] = _lattice_distance(complex(flat[first[i]]), gamma)
+    # the distinct denominators in ascending id order; a bare np.unique would
+    # import numpy.ma
+    for i in np.flatnonzero(np.bincount(ids[:, 3:].ravel(), minlength=len(first))):
+        z = complex(flat[first[i]])
+        ev.check_shift_budget(z)
+        distance[i] = _lattice_distance(z, gamma)
     near = distance[ids[:, 3:]] < _POLE_DISTANCE
     if near.any():
         raise NearPole(

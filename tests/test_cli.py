@@ -18,6 +18,36 @@ GENUS2 = {
 }
 
 
+def _config_battery(schema, validator):
+    """Configs for the schema oracle: each property alone at every edge value
+    (each bound at and one step beside it, bools, integral floats, -0.0, None,
+    strings, short, long and nested lists), extra keys, roots that are not
+    objects, and 5 000 seeded mixtures of up to four entries that the
+    validator accepts alone, half of them with one more entry of any kind."""
+    generic = [None, True, False, 0, -0.0, 1, 3.0, 2.5, -1, "1", {}, [], [1.0], [1.0, 2.0],
+               [1.0, 2.0, 3.0], [True, 1.0], [None, 1], [[1, 2], 3], ["a", 1.0], [[0, 0], None]]
+    entries = []
+    for key, sub in schema["properties"].items():
+        values = list(generic)
+        for bound in (sub.get(k) for k in ("minimum", "exclusiveMinimum", "exclusiveMaximum")):
+            if bound is not None:
+                values += [bound, float(bound), bound - 1, bound + 1,
+                           math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf)]
+        for n in {sub.get("minItems", 0), sub.get("maxItems", 3)}:
+            values += [[0.5] * n, [0.5] * (n + 1), [0.5] * max(n - 1, 0), [0.5] * (n - 1) + [True]]
+        entries += [(key, v) for v in values]
+    entries += [(key, 1.0) for key in ("metric_constants", "Gamma", "")]
+    yield from ({key: v} for key, v in entries)
+    yield from ([], None, 1.0, "gamma")
+    valid = [entry for entry in entries if validator.is_valid(dict([entry]))]
+    rng = np.random.default_rng(7)
+    for i in range(5000):
+        picks = [valid[j] for j in rng.choice(len(valid), size=rng.integers(1, 5))]
+        if i % 2:
+            picks.append(entries[rng.integers(len(entries))])
+        yield dict(picks)
+
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "lcft.cli", *args], capture_output=True, text=True, timeout=300
@@ -112,6 +142,45 @@ class TestCli:
         from lcft.cli import CONFIG_SCHEMA
 
         jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+    def test_config_check_agrees_with_jsonschema(self):
+        """The CLI's schema walker accepts and rejects what a Draft 2020-12
+        validator does, and names the same field when every error is in one."""
+        import jsonschema
+
+        from lcft.cli import CONFIG_SCHEMA, _check_schema
+        from lcft.errors import ValidationError
+
+        validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+        battery = list(_config_battery(CONFIG_SCHEMA, validator))
+        assert len(battery) > 5000
+        for cfg in battery:
+            errors = list(validator.iter_errors(cfg))
+            try:
+                _check_schema(CONFIG_SCHEMA, cfg)
+            except ValidationError as exc:
+                assert errors, cfg
+                fields = {"/".join(map(str, e.absolute_path)) or "<root>" for e in errors}
+                if len(fields) == 1:
+                    assert str(exc).startswith(f"config field {fields.pop()}: "), (cfg, str(exc))
+            else:
+                assert not errors, (cfg, [e.message for e in errors])
+
+    @pytest.mark.parametrize(
+        "sub",
+        [
+            {"type": "string"},
+            {"type": "number", "pattern": "^1"},
+            {"type": "array", "items": {"type": "number", "multipleOf": 2}},
+            {"type": "object", "additionalProperties": {"type": "number"}},
+        ],
+    )
+    def test_config_check_refuses_an_unimplemented_keyword(self, sub):
+        from lcft.cli import _check_schema
+
+        schema = {"type": "object", "properties": {"k": sub}, "additionalProperties": False}
+        with pytest.raises(ValueError, match="does not implement"):
+            _check_schema(schema, {"k": [1] if sub["type"] == "array" else 1})
 
     def test_numerical_guard_exit_code(self):
         # alpha3 = alpha1 + alpha2 puts a denominator Upsilon argument on a zero
@@ -224,9 +293,10 @@ class TestCli:
         assert out.returncode == 2, out.stderr
         assert message in out.stderr
 
-    def test_runs_without_scipy(self, tmp_path):
-        """lcft imports and runs every bootstrap and MC command with scipy
-        unimportable, and loads no scipy module."""
+    def test_loads_no_scipy_jsonschema_or_numpy_ma(self, tmp_path):
+        """lcft imports and runs every bootstrap and MC command with scipy and
+        jsonschema unimportable, and loads no scipy, jsonschema or numpy.ma
+        module."""
         cfg = tmp_path / "graph.json"
         cfg.write_text(json.dumps({"graph": GENUS2}))
         tiny = ("--N", "1", "--p-max", "1.0", "--nodes-per-panel", "2")
@@ -238,11 +308,12 @@ class TestCli:
         ]
         script = (
             "import sys\n"
-            "sys.modules['scipy'] = None\n"
+            "sys.modules['scipy'] = sys.modules['jsonschema'] = None\n"
             "import lcft, lcft.acceptance, lcft.cli\n"
             f"codes = [lcft.cli.main(list(argv)) for argv in {calls!r}]\n"
             "assert codes == [0, 0, 0, 0], codes\n"
-            "loaded = [m for m in sys.modules if m.startswith('scipy') and sys.modules[m] is not None]\n"
+            "loaded = [m for m, mod in sys.modules.items() if mod is not None and (\n"
+            "    m == 'numpy.ma' or m.startswith(('scipy', 'jsonschema', 'numpy.ma.')))]\n"
             "assert not loaded, loaded\n"
         )
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
@@ -262,6 +333,23 @@ class TestCli:
         # build a dense 40 000^2 companion matrix for it
         assert main(["torus1pt", "--p-max", "0.5", "--nodes-per-panel", "40000"]) == 3
         assert "exceed budget 1000000" in capsys.readouterr().err
+
+    def test_dozz_over_shift_budget_exits_3_before_pole_search(self, monkeypatch, capsys):
+        import lcft.dozz
+        from lcft.cli import main
+
+        search = lcft.dozz._lattice_distance
+
+        def near_only(z, gamma):
+            assert abs(z.real) < 1e3, f"pole distance sought at {z}"
+            return search(z, gamma)
+
+        monkeypatch.setattr(lcft.dozz, "_lattice_distance", near_only)
+        assert main(["dozz", "--alpha", "1e7", "1.0", "1.2"]) == 3
+        assert "more than 200 Upsilon shifts required" in capsys.readouterr().err
+        # abar/2 - alpha1 = 0.6 is searched, abar/2 - alpha3 is out of reach
+        assert main(["dozz", "--alpha", "1e7", "1e7", "1.2"]) == 3
+        assert "more than 200 Upsilon shifts required" in capsys.readouterr().err
 
     def test_graph_self_loop_equals_torus1pt(self, tmp_path):
         q = complex(np.exp(2j * math.pi * 1j))  # tau = i, as torus1pt defaults

@@ -5,7 +5,7 @@ import pytest
 
 from lcft.bootstrap import Quadrature, _sphere_chain, _torus_cycle, graph_correlator
 from lcft.dozz import _dozz, _lattice_distance, _upsilon_evaluator, dozz_constant, rho_density
-from lcft.errors import NearPole
+from lcft.errors import DomainError, NearPole
 from lcft.params import CftParams
 
 
@@ -81,6 +81,15 @@ class TestDozzConstant:
         assert consts.tobytes() == np.array(
             [dozz_constant(plus, 1.0, 1.2, params), dozz_constant(minus, 1.0, 1.2, params)]
         ).tobytes()
+
+    @pytest.mark.parametrize(
+        "weight", [math.inf, -math.inf, math.nan, complex(1.0, math.inf), complex(math.inf, -math.inf)]
+    )
+    def test_non_finite_weight_raises_domain_error(self, weight):
+        params = CftParams(gamma=math.sqrt(2.0))
+        for args in ((weight, 1.0, 1.2), (1.0, 1.2, weight)):
+            with pytest.raises(DomainError, match="DOZZ needs finite weights"):
+                dozz_constant(*args, params)
 
     def test_shared_evaluator_cached(self):
         e1 = _upsilon_evaluator(1.17)

@@ -5,11 +5,13 @@ import mpmath
 import numpy as np
 import pytest
 
+import lcft.special
 from lcft.errors import BudgetExceeded, DomainError, PoleError
 from lcft.special import (
     UpsilonEvaluator,
     _gauss_legendre,
     _log_gamma,
+    _panel_rule,
     dedekind_eta,
     l_ratio,
     log_l_ratio,
@@ -122,6 +124,19 @@ class TestGaussLegendre:
             ref = 2 * (1 - root**2) / (n * mpmath.legendre(n - 1, root)) ** 2
             assert abs(x[i] - root) <= 1e-16
             assert abs((w[i] - ref) / ref) <= bound, i
+
+    def test_built_once_and_read_only(self):
+        x, w = _gauss_legendre(20)
+        again = _gauss_legendre(20)
+        assert again[0] is x and again[1] is w
+        assert not x.flags.writeable and not w.flags.writeable
+
+    @pytest.mark.parametrize("length, width, n", [(1.0, 1.0, 200), (79.0, 2.5, 20), (6.0, 0.5, 8)])
+    def test_panel_rule_is_bitwise_the_uncached_rule(self, monkeypatch, length, width, n):
+        cached = _panel_rule(length, width, n)
+        monkeypatch.setattr(lcft.special, "_gauss_legendre", _gauss_legendre.__wrapped__)
+        fresh = _panel_rule(length, width, n)
+        assert [a.tobytes() for a in cached] == [a.tobytes() for a in fresh]
 
 
 def _mp_band(gamma, w):
@@ -255,6 +270,24 @@ class TestUpsilon:
         with pytest.raises(BudgetExceeded):
             ev.log_upsilon(ev.Q / 2.0 + 1e5j)
         assert len(ev._rules) == 1
+
+    @pytest.mark.parametrize("side", (-1.0, 1.0))
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_shift_budget_check_refuses_what_log_upsilon_refuses(self, gamma, side):
+        ev = UpsilonEvaluator(gamma)
+        step = 2.0 / gamma
+
+        def at_gap(gap):  # gap: the distance from the band |Re z - Q/2| < gamma/4
+            return complex(ev.Q / 2.0 + side * (gamma / 4.0 + gap), 0.3)
+
+        past = at_gap((ev.SHIFT_BUDGET + 1) * step + 1e-9)
+        with pytest.raises(BudgetExceeded, match="more than 200 Upsilon shifts"):
+            ev.check_shift_budget(past)
+        with pytest.raises(BudgetExceeded, match="more than 200 Upsilon shifts"):
+            ev.log_upsilon(past)
+        within = at_gap((ev.SHIFT_BUDGET - 10) * step)
+        ev.check_shift_budget(within)
+        ev.log_upsilon(within)
 
     @pytest.mark.parametrize("gamma", (1.2, math.sqrt(2.0), 0.8))
     def test_prime_zero_identity(self, gamma):
