@@ -10,13 +10,12 @@ from .virasoro import (
     YoungDiagram,
     conformal_weight,
     kac_weight,
-    partition_count,
     partitions,
     shapovalov,
     shapovalov_inverse,
 )
-from .dozz import dozz_constant, rho_density
-from .blocks import BlockSeries, graph_block, torus_one_point_block
+from .dozz import dozz_constant
+from .blocks import BlockSeries, torus_one_point_block
 from .free_field import (
     BoundaryField,
     annulus_partition,
@@ -24,7 +23,7 @@ from .free_field import (
     heat_kernel_K0,
     poisson_dn_disk,
 )
-from .graphs import AdmissibleGraph, EdgeSpec, MarkedPoint, validate_graph
+from .graphs import AdmissibleGraph, EdgeSpec, MarkedPoint
 from .bootstrap import (
     ANNULUS_VERTEX_CONSTANT,
     CorrelatorResult,
@@ -40,10 +39,8 @@ from .gmc import (
     McConfig,
     McEstimate,
     TorusGeometry,
-    gmc_mass,
     mc_torus_one_point,
     mc_torus_one_point_many,
-    sample_gff,
     torus_det_prefactor,
     torus_green,
 )

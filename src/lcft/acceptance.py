@@ -254,7 +254,7 @@ def _torus_one_point_hand_coded(alpha1: float, tau: complex, params: CftParams, 
     total = 0.0
     for p, w in zip(quad.nodes, quad.weights):
         rho = dozz_constant(params.Q + 1j * p, alpha1, params.Q - 1j * p, params).real
-        total += w * rho * torus_one_point_block(alpha1, float(p), q, params, N).abs2([q])
+        total += w * rho * torus_one_point_block(alpha1, float(p), params, N).abs2([q])
     return total / (2.0 * math.e)
 
 
@@ -449,7 +449,7 @@ def criterion_10() -> CriterionResult:
     worst_pair = ""
     for _ in range(5):
         p = float(rng.uniform(0.3, 2.5))
-        series = torus_one_point_block(1.1, p, 0.5, params, N=8)
+        series = torus_one_point_block(1.1, p, params, N=8)
         incs = [abs(series.coeffs[(n,)] * 0.5**n) for n in range(9)]
         decreasing = all(incs[n + 1] < incs[n] for n in range(1, 8))
         if not decreasing:

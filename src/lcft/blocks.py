@@ -33,8 +33,9 @@ the tuples onto its own edges (``graphs._projections``).  ``_contract`` sums
 each multidegree's products of tensor and inverse entries over the basis
 indices, and ``BlockSeries`` turns the coefficient arrays into |F|^2 and the
 last-level share.  Every step is an out-of-place elementwise operation along
-the nodes or tuples, so an entry has the same bits at any array length;
-``graph_block`` is the engine at the one tuple (p_1, ..., p_L).
+the nodes or tuples, so an entry has the same bits at any array length.
+``torus_one_point_block`` is the torus one-point series at one p, apart from
+the engine, for ``lcft block`` and the acceptance battery's transcription.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, ValidationError
-from .graphs import AdmissibleGraph, _plan, _projections
+from .errors import DimensionMismatch, ValidationError
 from .params import CftParams
 from .virasoro import (
     _accumulate,
@@ -61,7 +61,6 @@ __all__ = [
     "ZHAT",
     "BlockSeries",
     "torus_one_point_block",
-    "graph_block",
 ]
 
 #: Canonical pant-frame insertion points: unit pairwise distances, P(zhat)=1.
@@ -313,9 +312,6 @@ class BlockSeries:
         """x as a scalar when the coefficients are scalars."""
         return x if np.ndim(next(iter(self.coeffs.values()))) else x[0]
 
-    def series_value(self, qs):
-        return self._out(self._parts(qs)[1])
-
     def value(self, qs):
         pref, total, _top = self._parts(qs)
         return self._out(pref * total)
@@ -344,13 +340,10 @@ def _gram_inverses(hs: np.ndarray, c: float, N: int) -> list:
     ]
 
 
-def torus_one_point_block(
-    alpha1: complex, p: float, q: complex, params: CftParams, N: int = 6
-) -> BlockSeries:
+def torus_one_point_block(alpha1: complex, p: float, params: CftParams, N: int = 6) -> BlockSeries:
     """One-point block on the torus: |q|^{-c_L/24 + Delta_{Q+ip}} sum_n q^n
-    Tr(F^{-1}_{Q+ip,n} w^A_n(alpha1, p, p))."""
-    if abs(q) >= 1.0:
-        raise DomainError(f"|q| must be < 1, got {abs(q)}")
+    Tr(F^{-1}_{Q+ip,n} w^A_n(alpha1, p, p)), for the caller to evaluate at
+    a modulus 0 < |q| < 1."""
     h = complex(conformal_weight(params.Q + 1j * p, params))
     d_mark = complex(conformal_weight(alpha1, params))
     c = params.c_L
@@ -441,25 +434,3 @@ def _block_series(
     exps = tuple(-c / 24.0 + hs[node].real for node in tuples)
     return BlockSeries(exponents=exps, coeffs=_contract(plan, terms, tensors, finv), N=N), built
 
-
-def graph_block(graph, p_vector, params: CftParams, N: int = 4) -> BlockSeries:
-    """Conformal block of a pants graph, with its weights on the marked points.
-
-    One p and one level per linking edge; per-vertex coefficient tensors
-    (pant / annulus / disk by the number of edge slots) are contracted across
-    every edge through the inverse Gram matrix at that edge's weight.  The
-    output factorizes as prod_i |q_i|^{-c_L/24 + Delta_{Q+ip_i}} times a
-    holomorphic series in the q_i, which the caller evaluates at the moduli.
-    It is the spectral engine's block at the one node tuple (p_1, ..., p_L).
-    """
-    if not isinstance(graph, AdmissibleGraph):
-        raise ValidationError("graph_block expects an AdmissibleGraph")
-    plan = _plan(graph)
-    L = len(graph.edges)
-    if len(p_vector) != L:
-        raise DimensionMismatch(f"need one p per edge ({L}), got {len(p_vector)}")
-    _require_edge_slots(graph, plan)
-    ps, tuples = [float(p) for p in p_vector], np.arange(L)[:, None]
-    series, _built = _block_series(plan, ps, tuples, _projections(plan, tuples), params, N)
-    coeffs = {degs: complex(co[0]) for degs, co in series.coeffs.items()}
-    return BlockSeries(tuple(float(e[0]) for e in series.exponents), coeffs, N)

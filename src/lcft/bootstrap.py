@@ -22,7 +22,7 @@ marked points, and the |q| powers remove the graph's -c_L/24 plumbing exponent,
 which the DOZZ-metric sphere formula does not have.
 
 The adapters check only their geometry.  Every weight bound comes from
-``graphs.validate_graph`` on the graph they build: alpha > 0 on an annulus
+``graphs._violations`` on the graph they build: alpha > 0 on an annulus
 vertex, alpha < Q everywhere, and for the sphere chain alpha_1 + alpha_2 > Q,
 alpha_{k-1} + alpha_k > Q at the two disk vertices and sum(alpha) > 2Q.
 
@@ -35,7 +35,8 @@ onto its own edges (``graphs._projections``, taken once per call), and one
 inverse Gram stack per level over the n nodes.  ``_rho`` makes one
 ``dozz._dozz`` call over every vertex's argument triples, which evaluates
 each distinct log-Upsilon argument (and its pole distance) once.  Nothing is
-kept between calls.
+kept between calls, and a rule whose n^L tuples exceed ``_NODE_BUDGET`` raises
+CostGuard before any of them is evaluated.
 """
 
 from __future__ import annotations
@@ -83,9 +84,10 @@ DISK_VERTEX_CONSTANT = Z_DISK / 2.0
 #: A vertex's metric constant by its number of edge slots.
 _VERTEX_CONSTANTS = {1: DISK_VERTEX_CONSTANT, 2: ANNULUS_VERTEX_CONSTANT, 3: 1.0}
 
-#: The default cap on spectral evaluations (node tuples) of one correlator;
-#: a quadrature rule with more nodes, or with more than its square root per
-#: panel (leggauss's dense companion matrix), is refused before it is built.
+#: The cap on spectral evaluations (node tuples) of one correlator, read at
+#: each call; a quadrature rule with more nodes, or with more than its square
+#: root per panel (leggauss's dense companion matrix), is refused before it is
+#: built.
 _NODE_BUDGET = 10**6
 
 
@@ -221,7 +223,6 @@ def torus_k_point(
     params: CftParams,
     quad: Quadrature | None = None,
     N: int = 4,
-    node_budget: int = _NODE_BUDGET,
 ) -> CorrelatorResult:
     """k-point function on the torus, marked points x_j (x_1 = 0, increasing
     imaginary parts below 2 pi Im tau), moduli q_j = z_{j+1}/z_j with
@@ -240,7 +241,7 @@ def torus_k_point(
 
     zs = [np.exp(1j * complex(x)) for x in x_positions]
     qs = [zs[j + 1] / zs[j] for j in range(k - 1)] + [np.exp(2j * math.pi * tau) / zs[k - 1]]
-    res = graph_correlator(_torus_cycle(alphas, qs), params, quad=quad, N=N, node_budget=node_budget)
+    res = graph_correlator(_torus_cycle(alphas, qs), params, quad=quad, N=N)
     return replace(res, details={**res.details, "q": [complex(q) for q in qs]})
 
 
@@ -250,7 +251,6 @@ def sphere_k_point(
     params: CftParams,
     quad: Quadrature | None = None,
     N: int = 4,
-    node_budget: int = _NODE_BUDGET,
 ) -> CorrelatorResult:
     """k-point function on the sphere in the DOZZ metric; z_1 = 0, z_k = None
     (infinity), radially ordered |z_j| < |z_{j+1}| with |z_2| < 1 < |z_{k-1}|.
@@ -279,7 +279,7 @@ def sphere_k_point(
 
     zs = [complex(z) for z in z_positions[:-1]]
     qs = [zs[j] / zs[j + 1] for j in range(1, k - 2)]  # q_j = z_j/z_{j+1}, j = 2..k-2 (1-based)
-    res = graph_correlator(_sphere_chain(alphas, qs), params, quad=quad, N=N, node_budget=node_budget)
+    res = graph_correlator(_sphere_chain(alphas, qs), params, quad=quad, N=N)
     return replace(
         res,
         value=res.value * _sphere_scalar(alphas, mags, qs, params),
@@ -292,7 +292,6 @@ def graph_correlator(
     params: CftParams,
     quad: Quadrature | None = None,
     N: int = 4,
-    node_budget: int = _NODE_BUDGET,
 ) -> CorrelatorResult:
     """Correlator of a validated pants graph:
 
@@ -318,8 +317,8 @@ def graph_correlator(
     if any(not 0 < abs(q) < 1 for q in q_vector):
         raise ValidationError("all plumbing moduli must satisfy 0 < |q| < 1")
     quad = quad or Quadrature()
-    if quad.n_nodes**L > node_budget:
-        raise CostGuard(f"{quad.n_nodes}^{L} spectral evaluations exceed budget {node_budget}")
+    if quad.n_nodes**L > _NODE_BUDGET:
+        raise CostGuard(f"{quad.n_nodes}^{L} spectral evaluations exceed budget {_NODE_BUDGET}")
     _require_edge_slots(graph, plan)
     ps = [float(p) for p in quad.nodes]
     shape = (quad.n_nodes,) * L

@@ -28,15 +28,18 @@ from .params import CftParams
 from .special import UpsilonEvaluator, upsilon
 from .virasoro import shapovalov, shapovalov_inverse
 
+#: A complex number as its [re, im] pair.
+_PAIR = {"type": "array", "minItems": 2, "maxItems": 2, "items": {"type": "number"}}
+
 CONFIG_SCHEMA = {
     "type": "object",
     "properties": {
         "gamma": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 2},
         "mu": {"type": "number", "exclusiveMinimum": 0},
         "alpha": {"type": "array", "items": {"type": "number"}},
-        "tau": {"type": "array", "minItems": 2, "maxItems": 2, "items": {"type": "number"}},
+        "tau": _PAIR,
         "z": {"type": "array"},
-        "x": {"type": "array"},
+        "x": {"type": "array", "items": _PAIR},
         "graph": {"type": "object"},
         "p_max": {"type": "number", "exclusiveMinimum": 0},
         "panel_width": {"type": "number", "exclusiveMinimum": 0},
@@ -47,11 +50,11 @@ CONFIG_SCHEMA = {
         "batches": {"type": "integer", "minimum": 20},
         "grid": {"type": "integer", "minimum": 4},
         "level": {"type": "integer", "minimum": 0},
-        "delta": {"type": "array", "minItems": 2, "maxItems": 2, "items": {"type": "number"}},
+        "delta": _PAIR,
         "c": {"type": "number"},
         "p": {"type": "number"},
-        "q": {"type": "array", "minItems": 2, "maxItems": 2, "items": {"type": "number"}},
-        "zarg": {"type": "array", "minItems": 2, "maxItems": 2, "items": {"type": "number"}},
+        "q": _PAIR,
+        "zarg": _PAIR,
     },
     "additionalProperties": False,
 }
@@ -240,14 +243,14 @@ def _correlator_payload(res) -> dict:
     }
 
 
-def cmd_upsilon(args, cfg) -> dict:
+def cmd_upsilon(cfg) -> dict:
     ev = UpsilonEvaluator(float(cfg["gamma"]))
     z = complex(cfg["zarg"][0], cfg["zarg"][1]) if cfg.get("zarg") else complex(cfg["p"])
     val = upsilon(z, ev)
     return {"z": [z.real, z.imag], "value": {"re": val.real, "im": val.imag}}
 
 
-def cmd_dozz(args, cfg) -> dict:
+def cmd_dozz(cfg) -> dict:
     a = cfg.get("alpha") or [0.3, 0.5, 0.9]
     if len(a) != 3:
         raise errors.ValidationError("dozz needs exactly three weights in 'alpha'")
@@ -255,7 +258,7 @@ def cmd_dozz(args, cfg) -> dict:
     return {"alpha": list(a), "value": {"re": val.real, "im": val.imag}}
 
 
-def cmd_shapovalov(args, cfg) -> dict:
+def cmd_shapovalov(cfg) -> dict:
     d = complex(cfg["delta"][0], cfg["delta"][1]) if cfg.get("delta") else 0.5 + 0.0j
     F = shapovalov(d, float(cfg["c"]), int(cfg["level"]))
     inv = shapovalov_inverse(F)
@@ -269,11 +272,13 @@ def cmd_shapovalov(args, cfg) -> dict:
     }
 
 
-def cmd_block(args, cfg) -> tuple[dict, list, str, str]:
+def cmd_block(cfg) -> tuple[dict, list, str, str]:
     params = _cparams(cfg)
     a = _one_alpha(cfg)
     q = complex(cfg["q"][0], cfg["q"][1]) if cfg.get("q") else 0.3 + 0.0j
-    series = torus_one_point_block(a, float(cfg["p"]), q, params, int(cfg["N"]))
+    if abs(q) >= 1.0:
+        raise errors.DomainError(f"|q| must be < 1, got {abs(q)}")
+    series = torus_one_point_block(a, float(cfg["p"]), params, int(cfg["N"]))
     rows = [(n[0], series.coeffs[n].real, series.coeffs[n].imag) for n in sorted(series.coeffs)]
     payload = {
         "alpha1": a,
@@ -286,7 +291,7 @@ def cmd_block(args, cfg) -> tuple[dict, list, str, str]:
     return payload, rows, "block_coeffs.csv", "degree,re,im"
 
 
-def cmd_torus1pt(args, cfg) -> tuple[dict, list, str, str]:
+def cmd_torus1pt(cfg) -> tuple[dict, list, str, str]:
     params = _cparams(cfg)
     a = _one_alpha(cfg)
     quad = _quad(cfg)
@@ -301,7 +306,7 @@ def cmd_torus1pt(args, cfg) -> tuple[dict, list, str, str]:
     return payload, rows, "torus1pt_density.csv", "p,rho,block_abs2,integrand"
 
 
-def cmd_toruskpt(args, cfg) -> dict:
+def cmd_toruskpt(cfg) -> dict:
     params = _cparams(cfg)
     a = cfg.get("alpha") or [0.8, 1.2]
     xs = [complex(x[0], x[1]) for x in (cfg.get("x") or [[0, 0], [0.5, 2.0]])]
@@ -309,17 +314,19 @@ def cmd_toruskpt(args, cfg) -> dict:
     return {"alpha": list(a), **_correlator_payload(res)}
 
 
-def cmd_spherekpt(args, cfg) -> dict:
+def cmd_spherekpt(cfg) -> dict:
     params = _cparams(cfg)
     a = cfg.get("alpha") or [1.5, 1.4, 1.3, 1.2]
-    zs = []
-    for z in cfg.get("z") or [[0, 0], [0.5, 0.0], [2.0, 0.0], None]:
-        zs.append(None if z is None else complex(z[0], z[1]))
+    zs = cfg.get("z") or [[0, 0], [0.5, 0.0], [2.0, 0.0], None]
+    # the schema cannot say "a pair, or null last" (the point at infinity)
+    for i, z in enumerate(zs[:-1] if zs[-1] is None else zs):
+        _check_schema(_PAIR, z, ("z", i))
+    zs = [None if z is None else complex(z[0], z[1]) for z in zs]
     res = sphere_k_point(a, zs, params, _quad(cfg), int(cfg["N"]))
     return {"alpha": list(a), **_correlator_payload(res)}
 
 
-def cmd_graph(args, cfg) -> dict:
+def cmd_graph(cfg) -> dict:
     params = _cparams(cfg)
     if not cfg.get("graph"):
         raise errors.ValidationError("graph command needs a 'graph' object in the config")
@@ -328,7 +335,7 @@ def cmd_graph(args, cfg) -> dict:
     return {**_correlator_payload(res), "genus": res.details["genus"]}
 
 
-def cmd_mc_torus1pt(args, cfg) -> tuple[dict, list, str, str]:
+def cmd_mc_torus1pt(cfg) -> tuple[dict, list, str, str]:
     params = _cparams(cfg)
     a = _one_alpha(cfg)
     geom = TorusGeometry(tau=_tau(cfg), n_grid=int(cfg["grid"]))
@@ -415,7 +422,7 @@ def main(argv=None) -> int:
             "graph": cmd_graph,
             "mc-torus1pt": cmd_mc_torus1pt,
         }
-        out = handlers[args.command](args, cfg)
+        out = handlers[args.command](cfg)
         if isinstance(out, tuple):
             payload, rows, csv_name, csv_header = out
             _emit(args, cfg, payload, rows, csv_name, csv_header)

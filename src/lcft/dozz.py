@@ -30,11 +30,10 @@ import math
 import numpy as np
 
 from .errors import DomainError, NearPole
-from .graphs import _plan, _projections
 from .params import CftParams
 from .special import UpsilonEvaluator, log_l_ratio
 
-__all__ = ["dozz_constant", "rho_density"]
+__all__ = ["dozz_constant"]
 
 #: Denominator arguments closer than this to the Upsilon zero lattice raise NearPole.
 _POLE_DISTANCE = 1e-6
@@ -45,16 +44,17 @@ def _lattice_distance(z: complex, gamma: float) -> float:
     (-g/2 N - 2/g N) union (Q + g/2 N + 2/g N).
 
     The lattice is real, so on each ray the nearest point is the lattice value
-    nearest Re z: with t >= 0 the distance of Re z from the ray's base along
-    the ray, a <= t/(g/2) + 1 and b is the floor or ceiling of the rest."""
+    nearest Re z: with t >= 0 the distance of Re z from the ray's base, b runs
+    over the steps of the longer generator 2/g up to t/(2/g) + 1 and a is the
+    floor or ceiling of the rest."""
     Q = gamma / 2.0 + 2.0 / gamma
     best = math.inf
     for base, sgn in ((0.0, -1.0), (Q, 1.0)):
         # lattice points base + sgn*(a*g/2 + b*2/g), a,b >= 0
         t = max(sgn * (z.real - base), 0.0)
-        for a in range(int(t / (gamma / 2.0)) + 2):
-            rem = (t - a * gamma / 2.0) / (2.0 / gamma)
-            for b in (max(math.floor(rem), 0), max(math.ceil(rem), 0)):
+        for b in range(int(t / (2.0 / gamma)) + 2):
+            rem = (t - b * 2.0 / gamma) / (gamma / 2.0)
+            for a in (max(math.floor(rem), 0), max(math.ceil(rem), 0)):
                 pt = base + sgn * (a * gamma / 2.0 + b * 2.0 / gamma)
                 best = min(best, abs(z - pt))
     return best
@@ -157,17 +157,3 @@ def _rho(plan, ps, projections: list, params: CftParams) -> tuple:
     factors, evals = _dozz([np.concatenate(column) for column in slot_args], params)
     return functools.reduce(np.multiply, (factors[g] for g in gathers)), built, evals
 
-
-def rho_density(graph, p_vector, params: CftParams) -> complex:
-    """Spectral density of a pants graph: one DOZZ factor per vertex with
-    arguments Q + i sigma p on edge slots (sigma the orientation sign) and the
-    marked points' alphas elsewhere.  It is the spectral engine's density at
-    the one node tuple (p_1, ..., p_L).
-
-    Always complex.  Self-conjugate graphs (the torus self-loop, genus 2) are
-    real up to roundoff; chains with k >= 2 are complex pointwise, reality
-    being restored only after the symmetrized spectral integral.
-    """
-    plan = _plan(graph)
-    projections = _projections(plan, np.arange(len(graph.edges))[:, None])
-    return complex(_rho(plan, [float(p) for p in p_vector], projections, params)[0][0])

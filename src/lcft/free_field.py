@@ -53,10 +53,6 @@ class BoundaryField:
         return (self.xs + 1j * self.ys) / (2.0 * np.sqrt(n))
 
     @classmethod
-    def zero(cls, M: int) -> "BoundaryField":
-        return cls(0.0, np.zeros(M), np.zeros(M))
-
-    @classmethod
     def sample(cls, M: int, rng: np.random.Generator) -> "BoundaryField":
         return cls(float(rng.normal()), rng.normal(size=M), rng.normal(size=M))
 

@@ -52,8 +52,6 @@ __all__ = [
     "McEstimate",
     "torus_green",
     "green_constant",
-    "sample_gff",
-    "gmc_mass",
     "wick_variance",
     "fit_w_constant",
     "mc_torus_one_point",
@@ -89,10 +87,6 @@ class TorusGeometry:
     @property
     def cell_area(self) -> float:
         return self.area / self.n_grid**2
-
-    @property
-    def cutoff(self) -> int:
-        return self.n_grid // 2
 
     def grid_points(self) -> np.ndarray:
         """Complex coordinates z = 2 pi (u + v tau), u, v on the n x n grid."""
@@ -192,8 +186,11 @@ class _GffBuffers:
 
 
 def _fill_gff(buf: _GffBuffers, rng: np.random.Generator, nb: int):
-    """Draw ``nb`` samples into ``buf.X[:nb]``, one sub-chunk at a time; yields
-    each sub-chunk's slice of samples once its field is in place.
+    """Draw ``nb`` GFF samples X = sum_k A_k e^{i k x}, A_{-k} = conj(A_k),
+    E|A_k|^2 = 2 pi / (v_g lambda_k), into ``buf.X[:nb]`` through the Hermitian
+    half-spectrum (an inverse FFT over m, then a real one over k), so every
+    sample's spatial average is exactly zero; yields each sub-chunk's slice
+    of samples once its field is in place.
 
     The n^2 normals per sample are drawn in one call, laid out as the chunk's
     interior columns 1..half-1 as (nb, n, half-1, 2), then, for k = 0 and
@@ -228,34 +225,6 @@ def _fill_gff(buf: _GffBuffers, rng: np.random.Generator, nb: int):
         F = np.fft.ifft(C, axis=1, out=buf.F[: e - i])
         np.fft.irfft(F, n=n, axis=2, out=buf.X[i:e])
         yield slice(i, e)
-
-
-def sample_gff(geom: TorusGeometry, rng: np.random.Generator, batch: int = 1) -> np.ndarray:
-    """Spectrally truncated zero-mean GFF samples on the grid, shape (batch, n, n).
-
-    X = sum_k A_k e^{i k x} with A_{-k} = conj(A_k) and per-mode variance
-    E|A_k|^2 = 2 pi / (v_g lambda_k), synthesized through the Hermitian
-    half-spectrum (an inverse FFT over m, then a real one over k).  Every
-    sample's spatial average is exactly zero.  The estimator runs the same
-    kernel on per-thread buffers, one chunk of at most 256 samples at a time.
-    """
-    buf = _GffBuffers(geom, batch)
-    for _ in _fill_gff(buf, rng, batch):
-        pass
-    return buf.X
-
-
-def gmc_mass(sample: np.ndarray, geom: TorusGeometry, params: CftParams) -> float | np.ndarray:
-    """Wick-ordered lattice GMC mass sum_x e^{gamma X(x) - (gamma^2/2) E[X^2]} cell.
-
-    E[M_wick] = v_g exactly; the physical mass is e^{(gamma^2/2) W} M_wick.
-    """
-    g = params.gamma
-    s2 = wick_variance(geom)
-    w = np.exp(g * sample - 0.5 * g * g * s2)
-    if sample.ndim == 2:
-        return float(np.sum(w) * geom.cell_area)
-    return np.sum(w, axis=(-2, -1)) * geom.cell_area
 
 
 def fit_w_constant(geom: TorusGeometry) -> float:

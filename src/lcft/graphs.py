@@ -21,7 +21,6 @@ the block and the spectral integral read its vertex records.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +28,7 @@ import numpy as np
 from .errors import GraphInvalid
 from .params import CftParams
 
-__all__ = ["EdgeSpec", "MarkedPoint", "AdmissibleGraph", "validate_graph", "Violation"]
+__all__ = ["EdgeSpec", "MarkedPoint", "AdmissibleGraph"]
 
 
 @dataclass(frozen=True)
@@ -110,35 +109,55 @@ class AdmissibleGraph:
     # -- JSON ------------------------------------------------------------------
 
     @classmethod
-    def from_json(cls, obj) -> "AdmissibleGraph":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        edges = [
-            EdgeSpec(
-                v_from=tuple(e["from"]),
-                v_to=tuple(e["to"]),
-                q=complex(e["q"][0], e["q"][1]) if "q" in e else 0.1 + 0j,
-            )
-            for e in obj.get("edges", [])
-        ]
-        marked = [
-            MarkedPoint(vertex=m["vertex"], slot=m["slot"], alpha=float(m["alpha"]))
-            for m in obj.get("marked", [])
-        ]
-        ids = [v["id"] for v in obj.get("vertices", [])]
-        return cls(edges=edges, marked=marked, vertex_ids=ids)
+    def from_json(cls, obj: dict) -> "AdmissibleGraph":
+        """The graph of one JSON object in the module's format; a record or
+        field that is missing or malformed raises GraphInvalid naming it."""
+        pair = (_pair, "a [vertex, slot] pair")
+        edges = zip(
+            _column(obj, "edges", "from", *pair),
+            _column(obj, "edges", "to", *pair),
+            _column(obj, "edges", "q", lambda v: complex(*_pair(v)), "a [re, im] pair", 0.1 + 0j),
+        )
+        marked = zip(
+            _column(obj, "marked", "vertex", _key, "a vertex id"),
+            _column(obj, "marked", "slot", _key, "a slot"),
+            _column(obj, "marked", "alpha", float, "a number"),
+        )
+        ids = _column(obj, "vertices", "id", _key, "a vertex id")
+        return cls([EdgeSpec(*e) for e in edges], [MarkedPoint(*m) for m in marked], ids)
 
-    def to_json(self) -> dict:
-        return {
-            "vertices": [{"id": v, "slots": 3} for v in self.vertex_ids],
-            "edges": [
-                {"from": list(e.v_from), "to": list(e.v_to), "q": [e.q.real, e.q.imag]}
-                for e in self.edges
-            ],
-            "marked": [
-                {"vertex": m.vertex, "slot": m.slot, "alpha": m.alpha} for m in self.marked
-            ],
-        }
+
+def _column(obj: dict, section: str, key: str, read, what: str, default=None) -> list:
+    """read(record[key]) for each record in the list obj[section] (default if
+    given and the key is absent); GraphInvalid names a field missing or not ``what``."""
+    records = obj.get(section, [])
+    if not isinstance(records, list):
+        raise GraphInvalid(f"graph field {section}: {records!r} is not a list")
+    out = []
+    for i, record in enumerate(records):
+        where = f"graph field {section}/{i}"
+        if not isinstance(record, dict):
+            raise GraphInvalid(f"{where}: {record!r} is not an object")
+        if key not in record and default is None:
+            raise GraphInvalid(f"{where}/{key}: missing")
+        try:
+            out.append(read(record[key]) if key in record else default)
+        except (TypeError, ValueError):
+            raise GraphInvalid(f"{where}/{key}: {record[key]!r} is not {what}") from None
+    return out
+
+
+def _key(value):
+    """value, if it can name a vertex or slot (TypeError otherwise)."""
+    hash(value)
+    return value
+
+
+def _pair(value) -> tuple:
+    """The two entries, each a vertex or slot key, of a two-entry list."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(value)
+    return _key(value[0]), _key(value[1])
 
 
 @dataclass(frozen=True)
@@ -201,17 +220,12 @@ class Violation:
         return f"vertex {self.vertex}: {self.kind} margin {self.margin:+.6g}"
 
 
-def validate_graph(graph: AdmissibleGraph, params: CftParams) -> list[Violation]:
-    """Seiberg/spectral admissibility of the marked weights: per-vertex
-    sum(alpha) - (2 - b) Q > 0 and every alpha < Q; for closed-surface global
-    data also sum(alpha) + 2Q(g-1) > 0.  Returns a (possibly empty) list of
-    violations, a NaN weight among them; structural problems raise."""
-    return _violations(graph, _plan(graph), params)
-
-
 def _violations(graph: AdmissibleGraph, plan: tuple, params: CftParams) -> list[Violation]:
-    """validate_graph on the graph's plan; each bound is written so that a
-    NaN fails it."""
+    """Seiberg/spectral admissibility of the marked weights on the graph's
+    plan: per-vertex sum(alpha) - (2 - b) Q > 0 and every alpha < Q; for
+    closed-surface global data also sum(alpha) + 2Q(g-1) > 0.  Returns a
+    (possibly empty) list of violations; each bound is written so that a NaN
+    fails it."""
     out: list[Violation] = []
     Q = params.Q
     for vid, vertex in zip(graph.vertex_ids, plan):

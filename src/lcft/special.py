@@ -230,6 +230,13 @@ class UpsilonEvaluator:
         if gap > (self.SHIFT_BUDGET + 1) * (2.0 / self.gamma):
             raise BudgetExceeded(f"more than {self.SHIFT_BUDGET} Upsilon shifts required")
 
+    def _log_step(self, z: complex, step: float) -> complex:
+        """log Upsilon(z + step) - log Upsilon(z), for a step of 2/gamma or gamma/2."""
+        g = self.gamma
+        if step == 2.0 / g:
+            return log_l_ratio(2.0 * z / g) + (4.0 * z / g - 1.0) * math.log(g / 2.0)
+        return log_l_ratio(g * z / 2.0) + (1.0 - g * z) * math.log(g / 2.0)
+
     def log_upsilon(self, z: complex) -> complex:
         """log Upsilon(z); real part -inf encodes a zero of Upsilon."""
         z = complex(z)
@@ -239,27 +246,19 @@ class UpsilonEvaluator:
         ig2 = 2.0 / self.gamma
         band_lo = self.Q / 2.0 - self.gamma / 4.0
         band_hi = self.Q / 2.0 + self.gamma / 4.0
-        log_half_gamma = math.log(g2)
 
-        acc = 0.0 + 0.0j
-        shifts = 0
-        while z.real < band_lo:
-            step = ig2 if band_lo - z.real >= ig2 else g2
-            if step == ig2:
-                acc -= log_l_ratio(2.0 * z / self.gamma) + (4.0 * z / self.gamma - 1.0) * log_half_gamma
+        acc, shifts, down = 0.0 + 0.0j, 0, False
+        # up while below the band, then down while above it (2/gamma unless that crosses band_lo)
+        while (z.real < band_lo and not down) or z.real >= band_hi:
+            down = z.real >= band_hi
+            if down:
+                step = ig2 if z.real - ig2 >= band_lo else g2
+                z -= step
+                acc += self._log_step(z, step)
             else:
-                acc -= log_l_ratio(self.gamma * z / 2.0) + (1.0 - self.gamma * z) * log_half_gamma
-            z += step
-            shifts += 1
-            if shifts > self.SHIFT_BUDGET:
-                raise BudgetExceeded(f"more than {self.SHIFT_BUDGET} Upsilon shifts required")
-        while z.real >= band_hi:
-            step = ig2 if z.real - ig2 >= band_lo else g2
-            z -= step
-            if step == ig2:
-                acc += log_l_ratio(2.0 * z / self.gamma) + (4.0 * z / self.gamma - 1.0) * log_half_gamma
-            else:
-                acc += log_l_ratio(self.gamma * z / 2.0) + (1.0 - self.gamma * z) * log_half_gamma
+                step = ig2 if band_lo - z.real >= ig2 else g2
+                acc -= self._log_step(z, step)
+                z += step
             shifts += 1
             if shifts > self.SHIFT_BUDGET:
                 raise BudgetExceeded(f"more than {self.SHIFT_BUDGET} Upsilon shifts required")

@@ -40,7 +40,6 @@ __all__ = [
     "YoungDiagram",
     "GramMatrix",
     "partitions",
-    "partition_count",
     "conformal_weight",
     "kac_weight",
     "apply_generator_to_word",
@@ -62,14 +61,6 @@ class YoungDiagram:
             raise ValidationError(f"parts must be positive, got {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValidationError(f"parts must be non-increasing, got {parts}")
-
-    @property
-    def level(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def size(self) -> int:
-        return len(self.parts)
 
     def word(self) -> tuple[int, ...]:
         """Ascending operator word (smallest part leftmost/outermost)."""
@@ -94,10 +85,6 @@ def partitions(n: int) -> tuple[YoungDiagram, ...]:
     if n < 0:
         raise ValidationError(f"partition level must be >= 0, got {n}")
     return tuple(YoungDiagram(p) for p in _partition_tuples(n, n if n else 1))
-
-
-def partition_count(n: int) -> int:
-    return len(_partition_tuples(n, n if n else 1))
 
 
 def conformal_weight(alpha: complex, params: CftParams) -> complex:

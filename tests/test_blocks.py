@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -13,21 +14,22 @@ from lcft.blocks import (
     _pant_arrays,
     _radial_arrays,
     _radial_element,
-    graph_block,
     torus_one_point_block,
 )
 from lcft.bootstrap import _sphere_chain, _sphere_scalar, _torus_cycle
-from lcft.errors import DegenerateWeight, DimensionMismatch, DomainError, ValidationError
+from lcft.cli import main
+from lcft.errors import DegenerateWeight, DimensionMismatch, ValidationError
 from lcft.graphs import AdmissibleGraph, EdgeSpec, MarkedPoint
 from lcft.params import CftParams
 from lcft.virasoro import (
     conformal_weight,
     kac_weight,
-    partition_count,
+    partitions,
     shapovalov,
     shapovalov_inverse,
 )
 
+from engine import tuple_block
 from oracles import torus_level1_coeff, vertex_element
 from fractions import Fraction
 
@@ -226,11 +228,11 @@ class TestGramInverses:
     def test_negative_truncation_level_is_a_validation_error(self):
         # every block truncates through the inverses; N = 0 is the edge
         graph = _torus_cycle([1.2], [0.1])
-        assert len(graph_block(graph, [0.5], self.params, N=0).coeffs) == 1
+        assert len(tuple_block(graph, [0.5], self.params, N=0).coeffs) == 1
         calls = (
             lambda N: _gram_inverses(self.spectrum_weights(), self.params.c_L, N),
-            lambda N: torus_one_point_block(1.2, 0.5, 0.1, self.params, N=N),
-            lambda N: graph_block(graph, [0.5], self.params, N=N),
+            lambda N: torus_one_point_block(1.2, 0.5, self.params, N=N),
+            lambda N: tuple_block(graph, [0.5], self.params, N=N),
         )
         for call in calls:
             with pytest.raises(ValidationError, match="N must be >= 0, got -1"):
@@ -240,27 +242,30 @@ class TestGramInverses:
 class TestTorusBlock:
     def test_level_zero_prefactor(self):
         params = CftParams(gamma=math.sqrt(2.0))
-        series = torus_one_point_block(1.2, 1.0, 0.1 + 0.05j, params, N=0)
+        series = torus_one_point_block(1.2, 1.0, params, N=0)
         assert series.coeffs[(0,)] == pytest.approx(1.0)
         # exponent -c_L/24 + Delta_{Q+ip}: c_L = 28, Delta = 1.375 at p = 1
         assert series.exponents[0] == pytest.approx(-28.0 / 24.0 + 1.375, rel=1e-12)
 
     def test_partial_sums_decreasing(self):
         params = CftParams(gamma=1.1)
-        series = torus_one_point_block(1.2, 0.7, 0.3, params, N=8)
+        series = torus_one_point_block(1.2, 0.7, params, N=8)
         incs = [abs(series.coeffs[(n,)] * 0.3**n) for n in range(9)]
         assert all(incs[n + 1] < incs[n] for n in range(1, 8))
 
-    def test_domain_guard(self):
-        params = CftParams(gamma=1.1)
-        with pytest.raises(DomainError):
-            torus_one_point_block(1.2, 0.7, 1.5, params, N=2)
+    def test_domain_guard(self, tmp_path, capsys):
+        # the series does not depend on q; lcft block evaluates it at q, so it
+        # refuses |q| >= 1 as a DomainError (exit 3)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": 1.1, "alpha": [1.2], "p": 0.7, "q": [1.5, 0.0], "N": 2}))
+        assert main(["block", "--config", str(cfg)]) == 3
+        assert "numerical guard: |q| must be < 1, got 1.5" in capsys.readouterr().err
 
     def test_identity_insertion_gives_characters(self):
         params = CftParams(gamma=1.1)
-        series = torus_one_point_block(1e-12, 0.83, 0.2, params, N=6)
+        series = torus_one_point_block(1e-12, 0.83, params, N=6)
         for n in range(7):
-            assert series.coeffs[(n,)].real == pytest.approx(partition_count(n), rel=1e-6)
+            assert series.coeffs[(n,)].real == pytest.approx(len(partitions(n)), rel=1e-6)
 
 
 class TestChainBlock:
@@ -269,8 +274,8 @@ class TestChainBlock:
     def test_torus_k1_equals_one_point(self):
         params = CftParams(gamma=1.3)
         q = 0.12 + 0.07j
-        s1 = graph_block(_torus_cycle([1.1], [q]), [0.9], params, N=4)
-        s2 = torus_one_point_block(1.1, 0.9, q, params, N=4)
+        s1 = tuple_block(_torus_cycle([1.1], [q]), [0.9], params, N=4)
+        s2 = torus_one_point_block(1.1, 0.9, params, N=4)
         for n in range(5):
             assert s1.coeffs[(n,)] == pytest.approx(s2.coeffs[(n,)], rel=1e-12)
         assert s1.exponents == pytest.approx(s2.exponents)
@@ -278,7 +283,7 @@ class TestChainBlock:
     def test_torus_k2_structure(self):
         params = CftParams(gamma=1.3)
         qs = [0.1 + 0.02j, 0.15 - 0.03j]
-        s = graph_block(_torus_cycle([1.0, 1.2], qs), [0.5, 0.8], params, N=3)
+        s = tuple_block(_torus_cycle([1.0, 1.2], qs), [0.5, 0.8], params, N=3)
         assert s.coeffs[(0, 0)] == pytest.approx(1.0)
         val = s.value(qs)
         assert np.isfinite(val.real) and np.isfinite(val.imag)
@@ -287,7 +292,7 @@ class TestChainBlock:
         params = CftParams(gamma=1.2)
         alphas = [1.5, 1.4, 1.3, 1.2]
         g = _sphere_chain(alphas, [0.25])
-        s = graph_block(g, [0.7], params, N=2)
+        s = tuple_block(g, [0.7], params, N=2)
         dm = [complex(conformal_weight(a, params)).real for a in alphas]
         h2 = complex(conformal_weight(params.Q + 0.7j, params)).real
         # |z2|^{-Da2} |z3|^{+Da3} |z2|^{-Da1} |z3|^{+Da4}, squared; |q|^{c_L/12}
@@ -298,12 +303,6 @@ class TestChainBlock:
         assert s.exponents[0] + params.c_L / 24.0 == pytest.approx(h2)
         assert s.coeffs[(0,)] == pytest.approx(1.0)
 
-    def test_dimension_mismatch(self):
-        params = CftParams(gamma=1.3)
-        g = _torus_cycle([1.0, 1.2], [0.1, 0.1])
-        with pytest.raises(DimensionMismatch):
-            graph_block(g, [0.5], params, N=2)
-
 
 class TestGraphBlock:
     def test_self_loop_equals_torus_block(self):
@@ -312,8 +311,8 @@ class TestGraphBlock:
         g = AdmissibleGraph(
             edges=[EdgeSpec((1, 1), (1, 2), q=q)], marked=[MarkedPoint(1, 3, alpha1)]
         )
-        gb = graph_block(g, [p], params, N=4)
-        tb = torus_one_point_block(alpha1, p, q, params, N=4)
+        gb = tuple_block(g, [p], params, N=4)
+        tb = torus_one_point_block(alpha1, p, params, N=4)
         for n in range(5):
             assert gb.coeffs[(n,)] == pytest.approx(tb.coeffs[(n,)], rel=1e-12)
 
@@ -326,7 +325,7 @@ class TestGraphBlock:
                 EdgeSpec((2, 2), (2, 3), q=0.1),
             ]
         )
-        gb = graph_block(g, [0.4, 0.7, 1.1], params, N=2)
+        gb = tuple_block(g, [0.4, 0.7, 1.1], params, N=2)
         assert gb.coeffs[(0, 0, 0)] == pytest.approx(1.0)
 
     def test_cauchy_riemann_in_q1(self):
@@ -339,12 +338,12 @@ class TestGraphBlock:
                 EdgeSpec((2, 2), (2, 3), q=0.1),
             ]
         )
-        gb = graph_block(g, [0.4, 0.7, 1.1], params, N=3)
+        gb = tuple_block(g, [0.4, 0.7, 1.1], params, N=3)
         q0 = [0.1 + 0.02j, 0.09, 0.11]
         h = 1e-5
 
         def s(q1):
-            return gb.series_value([q1, q0[1], q0[2]])
+            return gb._parts([q1, q0[1], q0[2]])[1][0]
 
         d_re = (s(q0[0] + h) - s(q0[0] - h)) / (2 * h)
         d_im = (s(q0[0] + 1j * h) - s(q0[0] - 1j * h)) / (2 * h)
@@ -361,7 +360,7 @@ class TestGraphBlock:
             edges=[EdgeSpec((2, 2), (1, 1), q=qs[0]), EdgeSpec((1, 2), (2, 1), q=qs[1])],
             marked=[MarkedPoint(1, 3, alphas[0]), MarkedPoint(2, 3, alphas[1])],
         )
-        gb = graph_block(g, ps, params, N=N)
+        gb = tuple_block(g, ps, params, N=N)
         h = [complex(conformal_weight(params.Q + 1j * p, params)) for p in ps]
         d = [complex(conformal_weight(a, params)) for a in alphas]
 

@@ -9,7 +9,7 @@ import lcft.bootstrap
 import lcft.dozz
 import lcft.graphs
 from lcft.acceptance import _torus_one_point_hand_coded
-from lcft.blocks import BlockSeries, _contract, _gram_inverses, _level_terms, graph_block
+from lcft.blocks import BlockSeries, _contract, _gram_inverses, _level_terms
 from lcft.bootstrap import (
     ANNULUS_VERTEX_CONSTANT,
     DISK_VERTEX_CONSTANT,
@@ -24,11 +24,13 @@ from lcft.bootstrap import (
     torus_k_point,
     torus_one_point,
 )
-from lcft.dozz import dozz_constant, rho_density
+from lcft.dozz import dozz_constant
 from lcft.errors import CostGuard, GraphInvalid, NearPole, ValidationError
-from lcft.graphs import AdmissibleGraph, EdgeSpec, MarkedPoint, _plan, validate_graph
+from lcft.graphs import AdmissibleGraph, EdgeSpec, MarkedPoint, _plan, _violations
 from lcft.params import CftParams
-from lcft.virasoro import conformal_weight, partition_count
+from lcft.virasoro import conformal_weight, partitions
+
+from engine import tuple_block, tuple_rho
 
 QUAD = Quadrature(p_max=4.0, panel_width=0.5, nodes_per_panel=6)
 S2 = CftParams(gamma=math.sqrt(2.0))
@@ -174,13 +176,12 @@ class TestTorusKPoint:
     def test_reality_at_k2(self, torus_k2):
         assert torus_k2.imag_residual < 1e-8
 
-    def test_cost_guard(self):
+    def test_cost_guard(self, monkeypatch):
         params = CftParams(gamma=1.0)
         quad = Quadrature(p_max=6.0, panel_width=0.5, nodes_per_panel=8)
+        monkeypatch.setattr(lcft.bootstrap, "_NODE_BUDGET", 100)
         with pytest.raises(CostGuard):
-            torus_k_point(
-                [1.0, 1.0, 1.0], [0.0, 1j, 2j], 1j, params, quad, N=1, node_budget=100
-            )
+            torus_k_point([1.0, 1.0, 1.0], [0.0, 1j, 2j], 1j, params, quad, N=1)
 
     def test_ordering_validation(self):
         params = CftParams(gamma=1.0)
@@ -369,9 +370,9 @@ class TestGraphCorrelator:
         with pytest.raises(GraphInvalid):
             g.check_structure()
         with pytest.raises(GraphInvalid):
-            rho_density(g, [0.5, 0.5], S2)
+            tuple_rho(g, [0.5, 0.5], S2)
         with pytest.raises(GraphInvalid):
-            graph_block(g, [0.5, 0.5], S2)
+            tuple_block(g, [0.5, 0.5], S2)
 
     def test_validation_errors_surface(self):
         params = CftParams(gamma=1.0)
@@ -389,12 +390,12 @@ class TestGraphCorrelator:
             graph_correlator(g, S2, quad=quad, N=-1)
 
     def test_three_marked_vertex(self):
-        # rho_density takes a lone pant with three marked points (one DOZZ
+        # the DOZZ product takes a lone pant with three marked points (one DOZZ
         # constant); a block and the spectral integral need an edge to glue
         g = AdmissibleGraph(edges=[], marked=[MarkedPoint(1, k, 2.0) for k in (1, 2, 3)])
-        assert rho_density(g, [], S2) == dozz_constant(2.0, 2.0, 2.0, S2)
+        assert tuple_rho(g, [], S2) == dozz_constant(2.0, 2.0, 2.0, S2)
         with pytest.raises(ValidationError, match="vertex 1 has no edge slots"):
-            graph_block(g, [], S2)
+            tuple_block(g, [], S2)
         with pytest.raises(ValidationError, match="vertex 1 has no edge slots"):
             graph_correlator(g, S2)
 
@@ -486,8 +487,9 @@ def _theta():
 class TestEngineCaches:
     """graph_correlator builds the Gram sets of all nodes in one stack per
     level and each vertex's DOZZ factors and tensors once, over every tuple of
-    its edges' nodes; its values must equal the per-node public path, which
-    is the same engine at one node tuple, bit for bit."""
+    its edges' nodes; its values must equal the per-node path
+    (``engine.tuple_rho``, ``engine.tuple_block``), which is the same engine
+    at one node tuple, bit for bit."""
 
     @pytest.mark.parametrize("case", ["genus2", "sphere5", "torus2", "torus3", "theta"])
     def test_bitwise_equal_to_per_node_path(self, case, request):
@@ -502,8 +504,8 @@ class TestEngineCaches:
         block_abs2 = np.empty((quad.n_nodes,) * L)
         for idx in np.ndindex(*rho.shape):
             ps = [float(quad.nodes[i]) for i in idx]
-            rho[idx] = rho_density(g, ps, S2)
-            block_abs2[idx] = graph_block(g, ps, S2, N).abs2(qs)
+            rho[idx] = tuple_rho(g, ps, S2)
+            block_abs2[idx] = tuple_block(g, ps, S2, N).abs2(qs)
         assert np.array_equal(res.details["rho"], rho)
         assert np.array_equal(res.details["block_abs2"], block_abs2)
 
@@ -529,10 +531,10 @@ class TestEngineCaches:
             return np.ascontiguousarray(a[..., j : j + 1])
 
         tensors = [
-            {lv: noise(*map(partition_count, lv)) for lv in {levels[v] for _degs, levels in terms}}
+            {lv: noise(*(len(partitions(k)) for k in lv)) for lv in {levels[v] for _degs, levels in terms}}
             for v in range(len(plan))
         ]
-        finv = [[noise(partition_count(k), partition_count(k)) for k in range(N + 1)] for _e in range(L)]
+        finv = [[noise(len(partitions(k)), len(partitions(k))) for k in range(N + 1)] for _e in range(L)]
         exps = tuple(rng.normal(size=n) for _e in range(L))
         coeffs = _contract(plan, terms, tensors, finv)
         series = BlockSeries(exps, coeffs, N).abs2_and_last_level(g.q_vector())
@@ -643,14 +645,22 @@ class TestEngineCaches:
     def test_cost_guard_at_its_edge(self, monkeypatch):
         g, _quad, _N = _torus2()
         quad = Quadrature(p_max=1.0, panel_width=0.5, nodes_per_panel=2)
-        assert graph_correlator(g, S2, quad=quad, N=1, node_budget=16).n_evaluations == 16
+        monkeypatch.setattr(lcft.bootstrap, "_NODE_BUDGET", 16)
+        assert graph_correlator(g, S2, quad=quad, N=1).n_evaluations == 16
 
         def unreachable(*args, **kwargs):
             raise AssertionError("DOZZ evaluated before the cost guard")
 
         monkeypatch.setattr(lcft.dozz, "_dozz", unreachable)
+        monkeypatch.setattr(lcft.bootstrap, "_NODE_BUDGET", 15)
         with pytest.raises(CostGuard, match="4\\^2 spectral evaluations exceed budget 15"):
-            graph_correlator(g, S2, quad=quad, N=1, node_budget=15)
+            graph_correlator(g, S2, quad=quad, N=1)
+
+
+def violations(graph, params):
+    """The weight bounds' violations on the graph's plan, as graph_correlator
+    checks them."""
+    return _violations(graph, _plan(graph), params)
 
 
 class TestValidateGraph:
@@ -659,16 +669,16 @@ class TestValidateGraph:
         g = AdmissibleGraph(
             edges=[EdgeSpec((1, 1), (1, 2), q=0.1)], marked=[MarkedPoint(1, 3, 0.5)]
         )
-        assert validate_graph(g, params) == []
+        assert violations(g, params) == []
         g_bad = AdmissibleGraph(
             edges=[EdgeSpec((1, 1), (1, 2), q=0.1)], marked=[MarkedPoint(1, 3, -0.1)]
         )
-        bad = validate_graph(g_bad, params)
+        bad = violations(g_bad, params)
         assert len(bad) >= 1 and "spectral" in bad[0].kind
 
     def test_genus2_always_admissible(self):
         params = CftParams(gamma=1.5)
-        assert validate_graph(theta_graph(), params) == []
+        assert violations(theta_graph(), params) == []
 
     def test_one_hole_sphere_needs_charge(self):
         # b = 1 vertex with two marked points: alpha2 + alpha3 > Q
@@ -682,7 +692,7 @@ class TestValidateGraph:
                 MarkedPoint(2, 3, 0.8),
             ],
         )
-        out = validate_graph(g, params)
+        out = violations(g, params)
         assert any(v.vertex == 2 for v in out)  # 0.4 + 0.8 - 2.5 < 0
         assert all(v.vertex != 1 for v in out if "spectral" in v.kind)
 
@@ -693,11 +703,11 @@ class TestValidateGraph:
             vertex_ids=[1],
         )
         with pytest.raises(GraphInvalid, match=r"vertices \[3\]"):
-            validate_graph(g, S2)
+            violations(g, S2)
 
     def test_nan_weight_violates_every_bound(self):
         g = AdmissibleGraph(edges=[EdgeSpec((1, 1), (1, 2), q=0.1)], marked=[MarkedPoint(1, 3, math.nan)])
-        kinds = [v.kind.split(" (")[0] for v in validate_graph(g, S2)]
+        kinds = [v.kind.split(" (")[0] for v in violations(g, S2)]
         assert kinds == ["spectral", "Seiberg", "global Seiberg"]
 
     def test_marked_slot_out_of_range(self):
@@ -705,13 +715,18 @@ class TestValidateGraph:
         # empty and names a slot a pant does not have
         g = AdmissibleGraph(edges=[EdgeSpec((1, 1), (1, 2), q=0.1)], marked=[MarkedPoint(1, 7, 1.2)])
         with pytest.raises(GraphInvalid, match=r"slot index must be 1..3, got \(1, 7\)"):
-            validate_graph(g, S2)
+            violations(g, S2)
         with pytest.raises(GraphInvalid):
             graph_correlator(g, S2, quad=QUAD, N=1)
 
     def test_json_roundtrip(self):
+        # the theta graph's JSON form, as the CLI reads it, gives the graph back
         g = theta_graph(0.2 + 0.05j)
-        blob = json.dumps(g.to_json())
-        g2 = AdmissibleGraph.from_json(blob)
-        assert g2.to_json() == g.to_json()
+        blob = json.dumps({
+            "vertices": [{"id": v, "slots": 3} for v in g.vertex_ids],
+            "edges": [{"from": list(e.v_from), "to": list(e.v_to), "q": [e.q.real, e.q.imag]} for e in g.edges],
+            "marked": [],
+        })
+        g2 = AdmissibleGraph.from_json(json.loads(blob))
+        assert g2 == g
         g2.check_structure()

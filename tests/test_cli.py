@@ -230,6 +230,58 @@ class TestCli:
         assert out.returncode == 2
         assert "slot index must be 1..3, got (1, 7)" in out.stderr
 
+    @pytest.mark.parametrize(
+        "graph, message",
+        [
+            ({"edges": [{"to": [1, 2]}]}, "edges/0/from: missing"),
+            ({"edges": [{"from": [1], "to": [1, 2]}]}, "edges/0/from: [1] is not a [vertex, slot] pair"),
+            ({"edges": [{"from": [1, 1], "to": [1, 2], "q": [0.1]}]}, "edges/0/q: [0.1] is not a [re, im] pair"),
+            ({"edges": [{"from": [1, 1], "to": [1, 2], "q": ["a", 0]}]}, "edges/0/q: ['a', 0] is not"),
+            ({"edges": [{"from": [[1], 1], "to": [1, 2]}]}, "edges/0/from: [[1], 1] is not"),
+            ({"marked": [{"vertex": 1, "slot": 3, "alpha": "x"}]}, "marked/0/alpha: 'x' is not a number"),
+            ({"marked": [{"vertex": 1, "slot": 3}]}, "marked/0/alpha: missing"),
+            ({"vertices": [{"slots": 3}]}, "vertices/0/id: missing"),
+            ({"edges": 5}, "edges: 5 is not a list"),
+            ({"marked": [3]}, "marked/0: 3 is not an object"),
+        ],
+        ids=["no-from", "short-from", "short-q", "text-q", "list-vertex", "text-alpha", "no-alpha",
+             "no-id", "edges-not-list", "mark-not-object"],
+    )
+    def test_malformed_graph_json_exits_2(self, graph, message, tmp_path, capsys):
+        from lcft.cli import main
+
+        good = {
+            "vertices": [{"id": 1, "slots": 3}],
+            "edges": [{"from": [1, 1], "to": [1, 2], "q": [0.1, 0.0]}],
+            "marked": [{"vertex": 1, "slot": 3, "alpha": 1.2}],
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"graph": {**good, **graph}, "p_max": 1.0, "nodes_per_panel": 2, "N": 1}))
+        assert main(["graph", "--config", str(cfg)]) == 2
+        assert f"validation error: graph field {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, key, entries, bad",
+        [
+            ("spherekpt", "z", [[0, 0], [0.5], [2.0, 0.0], None], 1),
+            ("spherekpt", "z", [[0, 0], "a", [2.0, 0.0], None], 1),
+            ("spherekpt", "z", [None, [0.5, 0.0], [2.0, 0.0], None], 0),
+            ("spherekpt", "z", [[0, 0], [0.5, 0.0], [2.0, True], None], 2),
+            ("toruskpt", "x", [[0, 0], [0.5]], 1),
+            ("toruskpt", "x", ["ab", [0.5, 2.0]], 0),
+            ("toruskpt", "x", [0, 1], 0),
+            ("toruskpt", "x", [[0, 0], None], 1),
+        ],
+        ids=["z-short", "z-text", "z-null-first", "z-bool", "x-short", "x-text", "x-numbers", "x-null"],
+    )
+    def test_malformed_point_exits_2(self, command, key, entries, bad, tmp_path, capsys):
+        from lcft.cli import main
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: entries, "p_max": 1.0, "nodes_per_panel": 2, "N": 1}))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert f"validation error: config field {key}/{bad}" in capsys.readouterr().err
+
     def test_shapovalov_command(self, tmp_path):
         out = run_cli("shapovalov", "--level", "3")
         assert out.returncode == 0, out.stderr

@@ -1,12 +1,15 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from lcft.bootstrap import Quadrature, _sphere_chain, _torus_cycle, graph_correlator
-from lcft.dozz import _dozz, _lattice_distance, _upsilon_evaluator, dozz_constant, rho_density
+from lcft.dozz import _dozz, _lattice_distance, _upsilon_evaluator, dozz_constant
 from lcft.errors import DomainError, NearPole
 from lcft.params import CftParams
+
+from engine import tuple_rho
 
 
 class TestDozzConstant:
@@ -121,12 +124,59 @@ class TestDozzConstant:
                 np.abs(z - box).min(), abs=1e-12
             )
 
+    def test_lattice_distance_equals_short_generator_search(self):
+        # the search runs over the 2/gamma generator; the gamma/2 loop it
+        # replaced is the oracle, on random arguments and on lattice points
+        rng = np.random.default_rng(5)
+        for _ in range(3000):
+            gamma = float(rng.choice([math.sqrt(2.0), 1.0, 0.8, rng.uniform(0.05, 1.99)]))
+            Q = gamma / 2 + 2 / gamma
+            z = complex(rng.uniform(-60.0, Q + 60.0), rng.choice([0.0, -0.0, rng.uniform(-3.0, 3.0)]))
+            assert _lattice_distance(z, gamma) == _short_generator_search(z, gamma)
+        for gamma in (0.3, 0.8, 1.0, math.sqrt(2.0), 1.8):
+            Q = gamma / 2 + 2 / gamma
+            for a in range(30):
+                for b in range(8):
+                    for base, sgn in ((0.0, -1.0), (Q, 1.0)):
+                        z = complex(base + sgn * (a * gamma / 2 + b * 2 / gamma), 0.0)
+                        assert _lattice_distance(z, gamma) == _short_generator_search(z, gamma)
+
+    def test_lattice_distance_at_small_gamma_is_short(self):
+        # gamma = 0.02 admits denominators out to Re z = 201 * 2/gamma = 20 100;
+        # the gamma/2 loop took about a second at Re z = 8 000, this search
+        # about 200 steps
+        gamma = 0.02
+        z = complex(8000.3, 0.5)
+        t0 = time.perf_counter()
+        d = _lattice_distance(z, gamma)
+        assert time.perf_counter() - t0 < 0.1
+        # lattice points lie gamma/2 = 0.01 apart there, so the nearest is
+        # within 0.005 along the real axis
+        assert 0.5 <= d <= math.hypot(0.005, 0.5)
+        z = complex(300.3, 0.5)
+        assert _lattice_distance(z, 0.05) == _short_generator_search(z, 0.05)
+
+
+def _short_generator_search(z: complex, gamma: float) -> float:
+    """Distance from z to the zero lattice of Upsilon by the loop over the
+    gamma/2 generator, O(Re z / (gamma/2)) steps: each a, then the floor or
+    ceiling of the rest in steps of 2/gamma."""
+    Q = gamma / 2.0 + 2.0 / gamma
+    best = math.inf
+    for base, sgn in ((0.0, -1.0), (Q, 1.0)):
+        t = max(sgn * (z.real - base), 0.0)
+        for a in range(int(t / (gamma / 2.0)) + 2):
+            rem = (t - a * gamma / 2.0) / (2.0 / gamma)
+            for b in (max(math.floor(rem), 0), max(math.ceil(rem), 0)):
+                best = min(best, abs(z - (base + sgn * (a * gamma / 2.0 + b * 2.0 / gamma))))
+    return best
+
 
 class TestRhoDensity:
     def test_torus_one_point_form(self):
         params = CftParams(gamma=1.2)
         p = 0.8
-        rho = rho_density(_torus_cycle([1.1], [0.1]), [p], params)
+        rho = tuple_rho(_torus_cycle([1.1], [0.1]), [p], params)
         expect = dozz_constant(params.Q + 1j * p, 1.1, params.Q - 1j * p, params)
         assert isinstance(rho, complex)
         assert abs(rho.imag) <= 1e-10 * abs(rho)
@@ -135,7 +185,7 @@ class TestRhoDensity:
     def test_torus_one_point_real_positive(self):
         params = CftParams(gamma=math.sqrt(2.0))
         for p in np.linspace(0.05, 8.0, 40):
-            rho = rho_density(_torus_cycle([1.2], [0.1]), [float(p)], params)
+            rho = tuple_rho(_torus_cycle([1.2], [0.1]), [float(p)], params)
             assert isinstance(rho, complex)
             assert rho.real > 0
             assert abs(rho.imag) <= 1e-10 * abs(rho)
@@ -146,7 +196,7 @@ class TestRhoDensity:
         alphas = [1.5, 1.4, 1.3, 1.2]
         p2 = 0.6
         g = _sphere_chain(alphas, [0.25])
-        rho = rho_density(g, [p2], params)
+        rho = tuple_rho(g, [p2], params)
         expect = dozz_constant(1.5, 1.4, Q - 1j * p2, params) * dozz_constant(
             1.2, 1.3, Q + 1j * p2, params
         )
@@ -160,7 +210,7 @@ class TestRhoDensity:
         g = _torus_cycle([1.1], [0.1])
         quad = Quadrature(p_max=1.0, panel_width=0.5, nodes_per_panel=2)
         r = graph_correlator(g, params, quad=quad, N=1)
-        rho = rho_density(g, [float(quad.nodes[0])], params)
+        rho = tuple_rho(g, [float(quad.nodes[0])], params)
         assert r.details["rho"][0] == pytest.approx(rho, rel=1e-14)
 
     def test_genus2_graph_case(self):
@@ -176,7 +226,7 @@ class TestRhoDensity:
             ]
         )
         ps = [0.5, 0.9, 1.3]
-        rho = rho_density(g, ps, params)
+        rho = tuple_rho(g, ps, params)
         expect = dozz_constant(Q - 1j * ps[0], Q - 1j * ps[1], Q + 1j * ps[1], params)
         expect *= dozz_constant(Q + 1j * ps[0], Q - 1j * ps[2], Q + 1j * ps[2], params)
         assert isinstance(rho, complex)

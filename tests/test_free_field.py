@@ -52,7 +52,7 @@ class TestPoissonDN:
 
 class TestFreeAnnulus:
     def test_zero_fields(self):
-        f = BoundaryField.zero(5)
+        f = BoundaryField(0.0, np.zeros(5), np.zeros(5))
         assert free_annulus_amplitude(0.3, f, f) == pytest.approx(1.0)
 
     def test_zero_mode_gaussian(self):
@@ -63,7 +63,7 @@ class TestFreeAnnulus:
         assert free_annulus_amplitude(0.4, f, fp) == pytest.approx(expect, rel=1e-14)
 
     def test_domain(self):
-        f = BoundaryField.zero(2)
+        f = BoundaryField(0.0, np.zeros(2), np.zeros(2))
         with pytest.raises(DomainError):
             free_annulus_amplitude(1.2, f, f)
 
@@ -90,7 +90,7 @@ class TestFreeAnnulus:
 class TestHeatKernel:
     def test_prefactor_at_zero_fields(self):
         params = CftParams(gamma=1.0)
-        f = BoundaryField.zero(6)
+        f = BoundaryField(0.0, np.zeros(6), np.zeros(6))
         got = heat_kernel_K0(1.0, f, f, params)
         expect = math.exp(-params.Q**2 / 2.0) / math.sqrt(2 * math.pi)
         expect /= float(np.prod(1.0 - np.exp(-2.0 * np.arange(1, 7))))
@@ -165,7 +165,7 @@ class TestHeatKernel:
 
     def test_domain(self):
         params = CftParams(gamma=1.0)
-        f = BoundaryField.zero(2)
+        f = BoundaryField(0.0, np.zeros(2), np.zeros(2))
         with pytest.raises(DomainError):
             heat_kernel_K0(-1.0, f, f, params)
 

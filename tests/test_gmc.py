@@ -12,18 +12,33 @@ from lcft.gmc import (
     det_prime_torus_closed,
     det_prime_torus_zeta,
     fit_w_constant,
-    gmc_mass,
     green_constant,
     mc_torus_one_point,
     mc_torus_one_point_many,
-    sample_gff,
     torus_det_prefactor,
     torus_green,
+    wick_variance,
 )
 from lcft.params import CftParams
 from lcft.special import dedekind_eta
 
 GEOM = TorusGeometry(tau=1j, n_grid=64)
+
+
+def draw_gff(geom, rng, batch):
+    """``batch`` GFF samples from the estimator's kernel, all in one chunk."""
+    buf = gmc._GffBuffers(geom, batch)
+    for _ in gmc._fill_gff(buf, rng, batch):
+        pass
+    return buf.X
+
+
+def wick_mass(X, geom, params):
+    """Each sample's Wick-ordered lattice GMC mass
+    sum_x e^{gamma X(x) - (gamma^2/2) E[X^2]} cell, as the direct estimator
+    sums it; its mean is v_g exactly."""
+    g = params.gamma
+    return np.sum(np.exp(X * g - 0.5 * g * g * wick_variance(geom)), axis=(-2, -1)) * geom.cell_area
 
 
 class TestGreenFunction:
@@ -81,19 +96,19 @@ class TestGreenFunction:
 class TestSampling:
     def test_spatial_mean_exactly_zero(self):
         rng = np.random.default_rng(0)
-        X = sample_gff(GEOM, rng, batch=8)
+        X = draw_gff(GEOM, rng, batch=8)
         assert np.abs(X.mean(axis=(1, 2))).max() < 1e-13
 
     def test_pointwise_mean_within_3_stderr(self):
         rng = np.random.default_rng(1)
-        X = sample_gff(GEOM, rng, batch=10_000)
+        X = draw_gff(GEOM, rng, batch=10_000)
         m = X[:, 7, 9].mean()
         se = X[:, 7, 9].std() / math.sqrt(len(X))
         assert abs(m) < 3 * se + 1e-12
 
     def test_covariance_matches_truncated_oracle(self):
         rng = np.random.default_rng(2)
-        X = sample_gff(GEOM, rng, batch=12_000)
+        X = draw_gff(GEOM, rng, batch=12_000)
         C = GEOM.truncated_covariance()
         for (i, j) in ((3, 5), (20, 40)):
             prod = X[:, 0, 0] * X[:, i, j]
@@ -193,7 +208,7 @@ class TestBitwiseThreadedSampler:
     )
     def test_sample_gff(self, n, batch):
         geom = TorusGeometry(tau=0.3 + 1.1j, n_grid=n)
-        X = sample_gff(geom, np.random.default_rng(4), batch=batch)
+        X = draw_gff(geom, np.random.default_rng(4), batch=batch)
         ref = _reference_sample_gff(geom, np.random.default_rng(4), batch)
         assert np.array_equal(X, ref)
 
@@ -230,21 +245,21 @@ class TestGmcMass:
     def test_wick_mean_is_area(self):
         params = CftParams(gamma=math.sqrt(2.0))
         rng = np.random.default_rng(3)
-        X = sample_gff(GEOM, rng, batch=10_000)
-        M = gmc_mass(X, GEOM, params)
+        X = draw_gff(GEOM, rng, batch=10_000)
+        M = wick_mass(X, GEOM, params)
         se = M.std() / math.sqrt(len(M))
         assert abs(M.mean() - GEOM.area) < 3 * se
 
     def test_positive(self):
         params = CftParams(gamma=1.5)
         rng = np.random.default_rng(4)
-        M = gmc_mass(sample_gff(GEOM, rng, batch=100), GEOM, params)
+        M = wick_mass(draw_gff(GEOM, rng, batch=100), GEOM, params)
         assert np.all(M > 0)
 
     def test_small_gamma_limit(self):
         params = CftParams(gamma=1e-6)
         rng = np.random.default_rng(5)
-        M = gmc_mass(sample_gff(GEOM, rng, batch=10), GEOM, params)
+        M = wick_mass(draw_gff(GEOM, rng, batch=10), GEOM, params)
         assert M == pytest.approx(np.full(10, GEOM.area), rel=1e-4)
 
 

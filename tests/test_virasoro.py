@@ -14,7 +14,6 @@ from lcft.virasoro import (
     apply_generator_to_word,
     conformal_weight,
     kac_weight,
-    partition_count,
     partitions,
     shapovalov,
     shapovalov_inverse,
@@ -33,8 +32,8 @@ class TestPartitions:
     def test_counts_exhaustive(self):
         # brute-force enumeration oracle
         for n in range(9):
-            assert partition_count(n) == len(exact_partitions(n))
-        assert partition_count(4) == 5
+            assert len(partitions(n)) == len(exact_partitions(n))
+        assert len(partitions(4)) == 5
 
     def test_basis_built_once_and_negative_level_rejected(self):
         assert partitions(5) is partitions(5)
@@ -47,7 +46,7 @@ class TestPartitions:
 
     def test_young_diagram_invariants(self):
         nu = YoungDiagram((3, 2, 2, 1))
-        assert nu.level == 8 and nu.size == 4
+        assert nu.parts == (3, 2, 2, 1) and nu.word() == (1, 2, 2, 3)
         with pytest.raises(ValidationError):
             YoungDiagram((1, 2))
         with pytest.raises(ValidationError):
