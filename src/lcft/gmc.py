@@ -20,17 +20,26 @@ turns the estimate into
 
 A direct estimator (numeric c-integral, explicit vertex weight, no Girsanov)
 is kept alongside so the reduction is verified numerically, never assumed.
-Sampling is batch-indexed: batch b uses a Philox stream keyed (seed, b).
-The batches run on a thread pool, one thread per CPU the process may use
-(``taskset`` caps it) and never more than there are batches; thread w takes
-batches w, w + threads, ...  numpy releases the interpreter lock in the
-Philox fill, the FFTs, ``exp`` and ``einsum``, so the threads overlap.  A
-batch's draws, arithmetic and reductions depend only on (seed, b) and the
-fixed 256-sample chunking, and its mean lands in its own slot, so the
-results are bit-identical for a fixed seed at any thread count.  Each thread
-draws into buffers it allocates once: a chunk's normals and field, and the
-spectrum of a 4-sample sub-chunk small enough to stay in cache through the
-inverse FFTs.
+
+Each field sample is used at four insertion points, the half-period grid
+shifts (0, 0), (n/2, 0), (0, n/2) and (n/2, n/2), and the four values are
+averaged.  A grid shift multiplies every Fourier mode by a unit phase (+-1 on
+the self-conjugate modes), so the lattice field's law is shift-invariant and
+the average is exactly unbiased.  At gamma = sqrt(2) on 128^2 it lowers the
+variance of Z^{-alpha/gamma} about 1.9x at alpha = 1.2 and 1.25x at
+alpha = 0.8.
+
+Sampling is batch-indexed: batch b draws from its own SFC64 stream, seeded by
+``SeedSequence(seed, spawn_key=(b,))``.  The batches run on a thread pool,
+one thread per CPU the process may use (``taskset`` caps it) and never more
+than there are batches; thread w takes batches w, w + threads, ...  numpy
+releases the interpreter lock in the normal fill, the FFTs, ``exp`` and
+``einsum``, so the threads overlap.  A batch's draws, arithmetic and
+reductions depend only on (seed, b) and the fixed 32-sample chunking, and its
+mean lands in its own slot, so the results are bit-identical for a fixed seed
+at any thread count.  Each thread draws into buffers it allocates once: a
+chunk's normals and field (about 8 MiB at 128^2), and the spectrum of a
+4-sample sub-chunk small enough to stay in cache through the inverse FFTs.
 """
 
 from __future__ import annotations
@@ -158,7 +167,7 @@ def wick_variance(geom: TorusGeometry) -> float:
 
 #: Samples whose normals are drawn in one call: the unit of the random stream's
 #: layout, so it fixes which normals feed which sample.
-_CHUNK = 256
+_CHUNK = 32
 #: Samples per sub-chunk: its spectrum, column ifft and field slice (about
 #: 1.6 MB at 128^2) stay in a 4 MiB L2 cache through the FFTs and the Wick step.
 _SUB = 4
@@ -346,6 +355,10 @@ class McConfig:
     method: str = "reduced"  # or "direct" (numeric c-integral, no Girsanov)
 
     def __post_init__(self) -> None:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.n_batches < 20:
             raise ValidationError("need at least 20 batches for the error bars")
         if self.n_samples < self.n_batches:
@@ -397,6 +410,19 @@ def _vertex_weight_table(geom: TorusGeometry, alpha: float, params: CftParams) -
     return table
 
 
+def _half_period_shifts(n: int) -> tuple:
+    """Grid shifts (0, 0), (n/2, 0), (0, n/2), (n/2, n/2) of the insertion
+    point's four half-period translates."""
+    h = n // 2
+    return ((0, 0), (h, 0), (0, h), (h, h))
+
+
+def _translate_stack(table: np.ndarray, shifts) -> np.ndarray:
+    """The vertex-weight table seen from each translate y of the insertion,
+    w(x - y), stacked in the order of ``shifts``."""
+    return np.stack([np.roll(table, y, axis=(0, 1)) for y in shifts])
+
+
 def _thread_count() -> int:
     """CPUs this process may run on; ``taskset`` lowers it."""
     try:
@@ -419,10 +445,11 @@ def mc_torus_one_point_many(
     """Monte Carlo estimates of <V_alpha(0)> for several weights at once.
 
     All weights share the same field samples (the Wick factor is
-    alpha-independent), so the marginal cost per extra weight is one weighted
-    grid sum per sample.  The random stream depends only on (seed, batch), so
-    each returned estimate is bit-identical to a single-weight run with the
-    same configuration; estimates are statistically correlated across weights.
+    alpha-independent), so the marginal cost per extra weight is four weighted
+    grid sums per sample, one per translate.  The random stream depends only
+    on (seed, batch), so each returned estimate is bit-identical to a
+    single-weight run with the same configuration; estimates are statistically
+    correlated across weights.
     """
     cfg = cfg or McConfig()
     g = params.gamma
@@ -440,14 +467,16 @@ def mc_torus_one_point_many(
     pref = torus_det_prefactor(geom)
     s_of = [a / g for a in alphas]
 
+    shifts = _half_period_shifts(geom.n_grid)
     vw = []
     const = []
     for alpha1, s in zip(alphas, s_of):
         if cfg.method == "reduced":
             if cfg.green_mode == "continuum":
-                vw.append(_vertex_weight_table(geom, alpha1, params))
+                table = _vertex_weight_table(geom, alpha1, params)
             else:
-                vw.append(np.exp(alpha1 * g * geom.truncated_covariance()) * geom.cell_area)
+                table = np.exp(alpha1 * g * geom.truncated_covariance()) * geom.cell_area
+            vw.append(_translate_stack(table, shifts))
             # exact c-integral + Girsanov: E[Z^{-s}] carries all randomness
             const.append(
                 pref
@@ -474,33 +503,36 @@ def mc_torus_one_point_many(
         # batches first, first + threads, ...; only private kernels run here,
         # never a public function a caller may have wrapped
         buf = _GffBuffers(geom, chunk)
-        x00 = np.empty(chunk)
+        x_at = np.empty((chunk, len(shifts)))
+        rows, cols = zip(*shifts)
         for b in range(first, cfg.n_batches, threads):
             size = sizes[b]
-            rng = np.random.Generator(np.random.Philox(key=[cfg.seed, b]))
+            rng = np.random.Generator(
+                np.random.SFC64(np.random.SeedSequence(cfg.seed, spawn_key=(b,)))
+            )
             done = 0
             acc = np.zeros(n_alpha)
             while done < size:
                 nb = min(size - done, _CHUNK)
                 wick = buf.X[:nb]
                 for sl in _fill_gff(buf, rng, nb):
-                    # the field at the insertion, for the direct estimator
-                    x00[sl] = wick[sl, 0, 0]
+                    # the field at the insertions, for the direct estimator
+                    x_at[sl] = wick[sl, rows, cols]
                     w = wick[sl]
                     w *= g
                     w -= shift
                     np.exp(w, out=w)
                 if cfg.method == "reduced":
                     for j, s in enumerate(s_of):
-                        Z = np.einsum("bij,ij->b", wick, vw[j])
-                        acc[j] += float(np.sum(Z ** (-s)))
+                        Z = np.einsum("bij,kij->bk", wick, vw[j])
+                        acc[j] += float(np.sum(Z ** (-s))) / len(shifts)
                 else:
                     M_phys = (
                         math.exp(0.5 * g * g * W) * np.sum(wick, axis=(-2, -1)) * geom.cell_area
                     )
                     for j, (alpha1, s) in enumerate(zip(alphas, s_of)):
-                        vertex = np.exp(alpha1 * x00[:nb] - 0.5 * alpha1 * alpha1 * s2)
-                        acc[j] += float(np.sum(vertex * M_phys ** (-s)))
+                        vertex = np.exp(alpha1 * x_at[:nb] - 0.5 * alpha1 * alpha1 * s2)
+                        acc[j] += float(np.sum(vertex * (M_phys ** (-s))[:, None])) / len(shifts)
                 done += nb
             batch_means[:, b] = acc / size
 
@@ -530,6 +562,8 @@ def mc_torus_one_point_many(
                     "W": W,
                     "wick_variance": s2,
                     "threads": threads,
+                    "bit_generator": "SFC64",
+                    "translates": len(shifts),
                 },
                 error_blown=bool(blown),
             )

@@ -59,7 +59,7 @@ class AdmissibleGraph:
                 ids.add(e.v_to[0])
             for m in self.marked:
                 ids.add(m.vertex)
-            self.vertex_ids = sorted(ids)
+            self.vertex_ids = _sorted_ids(ids)
 
     # -- structure -----------------------------------------------------------
 
@@ -72,7 +72,7 @@ class AdmissibleGraph:
             if end[1] not in (1, 2, 3):
                 raise GraphInvalid(f"slot index must be 1..3, got {end}")
             used.add(end)
-        unlisted = sorted({v for v, _k in used} - set(self.vertex_ids))
+        unlisted = _sorted_ids({v for v, _k in used} - set(self.vertex_ids))
         if unlisted:
             raise GraphInvalid(f"vertices {unlisted} hold an edge end or marked point but are not listed")
         for vid in self.vertex_ids:
@@ -145,6 +145,15 @@ def _column(obj: dict, section: str, key: str, read, what: str, default=None) ->
         except (TypeError, ValueError):
             raise GraphInvalid(f"{where}/{key}: {record[key]!r} is not {what}") from None
     return out
+
+
+def _sorted_ids(ids) -> list:
+    """The vertex ids in order; GraphInvalid if their types do not compare."""
+    try:
+        return sorted(ids)
+    except TypeError:
+        names = ", ".join(sorted(map(repr, ids)))
+        raise GraphInvalid(f"vertex ids {names} mix types that do not order") from None
 
 
 def _key(value):

@@ -705,6 +705,14 @@ class TestValidateGraph:
         with pytest.raises(GraphInvalid, match=r"vertices \[3\]"):
             violations(g, S2)
 
+    def test_mixed_type_vertex_ids(self):
+        # derived ids are sorted in __post_init__, unlisted ones in check_structure
+        with pytest.raises(GraphInvalid, match="vertex ids 'a', 1 mix types"):
+            AdmissibleGraph.from_json({"edges": [{"from": [1, 1], "to": ["a", 1]}]})
+        g = AdmissibleGraph.from_json({"vertices": [{"id": 2}], "edges": [{"from": [1, 1], "to": ["a", 1]}]})
+        with pytest.raises(GraphInvalid, match="vertex ids 'a', 1 mix types"):
+            g.check_structure()
+
     def test_nan_weight_violates_every_bound(self):
         g = AdmissibleGraph(edges=[EdgeSpec((1, 1), (1, 2), q=0.1)], marked=[MarkedPoint(1, 3, math.nan)])
         kinds = [v.kind.split(" (")[0] for v in violations(g, S2)]

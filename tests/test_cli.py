@@ -75,6 +75,8 @@ class TestCli:
         assert ra["result"]["stderr"] == rb["result"]["stderr"]
         threads = ra["result"]["mc_config"]["threads"]
         assert threads == min(len(os.sched_getaffinity(0)), ra["config"]["batches"])
+        assert ra["result"]["mc_config"]["bit_generator"] == "SFC64"
+        assert ra["result"]["mc_config"]["translates"] == 4
 
     def test_output_artifacts(self, tmp_path):
         out = run_cli("torus1pt", "--alpha", "1.2", "--N", "3", "--p-max", "3",
@@ -229,6 +231,14 @@ class TestCli:
         out = run_cli("graph", "--config", str(cfg))
         assert out.returncode == 2
         assert "slot index must be 1..3, got (1, 7)" in out.stderr
+
+    def test_graph_with_mixed_type_vertex_ids_exits_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        graph = {"edges": [{"from": [1, 1], "to": ["a", 1]}]}
+        cfg.write_text(json.dumps({"graph": graph, "p_max": 1.0, "nodes_per_panel": 2, "N": 1}))
+        out = run_cli("graph", "--config", str(cfg))
+        assert out.returncode == 2
+        assert "validation error: vertex ids 'a', 1 mix types that do not order" in out.stderr
 
     @pytest.mark.parametrize(
         "graph, message",

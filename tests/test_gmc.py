@@ -148,19 +148,23 @@ def _reference_sample_gff(geom, rng, batch):
 
 def _reference_batch_means(alphas, geom, params, cfg):
     """Scaled batch means of mc_torus_one_point_many as first written: one
-    thread, batches in order, chunks of 256 samples from the reference sampler."""
+    thread, batches in order, chunks of 32 samples from the reference sampler,
+    each sample's estimator averaged over the four half-period translates."""
     g = params.gamma
     W = gmc.fit_w_constant(geom)
     s2 = gmc.wick_variance(geom)
     pref = gmc.torus_det_prefactor(geom)
     s_of = [a / g for a in alphas]
+    h = geom.n_grid // 2
+    shifts = [(0, 0), (h, 0), (0, h), (h, h)]
     vw, const = [], []
     for alpha1, s in zip(alphas, s_of):
         if cfg.method == "reduced":
             if cfg.green_mode == "continuum":
-                vw.append(gmc._vertex_weight_table(geom, alpha1, params))
+                table = gmc._vertex_weight_table(geom, alpha1, params)
             else:
-                vw.append(np.exp(alpha1 * g * geom.truncated_covariance()) * geom.cell_area)
+                table = np.exp(alpha1 * g * geom.truncated_covariance()) * geom.cell_area
+            vw.append(np.stack([np.roll(table, y, axis=(0, 1)) for y in shifts]))
             const.append(
                 pref
                 * math.exp(math.lgamma(s)) / g
@@ -176,22 +180,23 @@ def _reference_batch_means(alphas, geom, params, cfg):
     means = np.empty((len(alphas), cfg.n_batches))
     for b in range(cfg.n_batches):
         size = base + (1 if b < extra else 0)
-        rng = np.random.Generator(np.random.Philox(key=[cfg.seed, b]))
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(cfg.seed, spawn_key=(b,))))
         done = 0
         acc = np.zeros(len(alphas))
         while done < size:
-            nb = min(size - done, 256)
+            nb = min(size - done, 32)
             X = _reference_sample_gff(geom, rng, nb)
             wick = np.exp(g * X - 0.5 * g * g * s2)
             if cfg.method == "reduced":
                 for j, s in enumerate(s_of):
-                    Z = np.einsum("bij,ij->b", wick, vw[j])
-                    acc[j] += float(np.sum(Z ** (-s)))
+                    Z = np.einsum("bij,kij->bk", wick, vw[j])
+                    acc[j] += float(np.sum(Z ** (-s))) / 4
             else:
                 M_phys = math.exp(0.5 * g * g * W) * np.sum(wick, axis=(-2, -1)) * geom.cell_area
                 for j, (alpha1, s) in enumerate(zip(alphas, s_of)):
-                    vertex = np.exp(alpha1 * X[:, 0, 0] - 0.5 * alpha1 * alpha1 * s2)
-                    acc[j] += float(np.sum(vertex * M_phys ** (-s)))
+                    x_at = np.stack([X[:, i, k] for i, k in shifts], axis=1)
+                    vertex = np.exp(alpha1 * x_at - 0.5 * alpha1 * alpha1 * s2)
+                    acc[j] += float(np.sum(vertex * (M_phys ** (-s))[:, None])) / 4
             done += nb
         means[:, b] = acc / size
     return np.array([c * m for c, m in zip(const, means)])
@@ -216,8 +221,8 @@ class TestBitwiseThreadedSampler:
     @pytest.mark.parametrize(
         "cfg",
         [
-            # batches of 258 and 257 samples: two chunks each, sizes not a
-            # multiple of the sub-chunk
+            # batches of 258 and 257 samples: nine chunks each, sizes not a
+            # multiple of the chunk or the sub-chunk
             McConfig(n_samples=20 * 257 + 5, n_batches=20, seed=7),
             McConfig(n_samples=150, n_batches=21, seed=3, green_mode="truncated"),
             McConfig(n_samples=130, n_batches=20, seed=5, method="direct"),
@@ -239,6 +244,32 @@ class TestBitwiseThreadedSampler:
         for j, est in enumerate(ests):
             assert est.config["threads"] == min(threads, cfg.n_batches)
             assert np.array_equal(est.batch_means, ref[j])
+
+
+class TestTranslates:
+    PARAMS = CftParams(gamma=math.sqrt(2.0), mu=1.0)
+
+    @pytest.mark.parametrize("green_mode", ["continuum", "truncated"])
+    def test_roll_direction(self, green_mode):
+        # each translate's Z is Z_0 of the field shifted back by the translate;
+        # (1, 3) is off the half periods, where the roll direction shows
+        geom = TorusGeometry(tau=0.2 + 1.05j, n_grid=16)
+        g, alpha = self.PARAMS.gamma, 1.2
+        if green_mode == "continuum":
+            table = gmc._vertex_weight_table(geom, alpha, self.PARAMS)
+        else:
+            table = np.exp(alpha * g * geom.truncated_covariance()) * geom.cell_area
+        shifts = gmc._half_period_shifts(geom.n_grid) + ((1, 3),)
+        X = draw_gff(geom, np.random.default_rng(6), batch=1)
+        wick = np.exp(g * X - 0.5 * g * g * wick_variance(geom))
+        Z = np.einsum("bij,kij->bk", wick, gmc._translate_stack(table, shifts))[0]
+        for k, (a, c) in enumerate(shifts):
+            rolled = np.roll(X[0], (-a, -c), axis=(0, 1))
+            z0 = np.sum(np.exp(g * rolled - 0.5 * g * g * wick_variance(geom)) * table)
+            assert Z[k] == pytest.approx(z0, rel=1e-13, abs=0)
+
+    def test_half_period_shifts(self):
+        assert gmc._half_period_shifts(16) == ((0, 0), (8, 0), (0, 8), (8, 8))
 
 
 class TestGmcMass:
@@ -332,6 +363,17 @@ class TestEstimator:
         with pytest.raises(ValidationError):
             McConfig(n_samples=100, n_batches=10)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", True, None])
+    def test_bad_seed(self, seed):
+        with pytest.raises(ValidationError, match="seed must be"):
+            McConfig(n_samples=100, n_batches=20, seed=seed)
+
+    def test_numpy_integer_seed(self):
+        geom = TorusGeometry(tau=1j, n_grid=8)
+        a = mc_torus_one_point(1.2, geom, self.PARAMS, McConfig(n_samples=40, n_batches=20, seed=np.int64(3)))
+        b = mc_torus_one_point(1.2, geom, self.PARAMS, McConfig(n_samples=40, n_batches=20, seed=3))
+        assert np.array_equal(a.batch_means, b.batch_means)
+
     def test_grid_consistency_64_vs_32(self):
         cfg = McConfig(n_samples=6000, n_batches=20, seed=13)
         e32 = mc_torus_one_point(1.2, TorusGeometry(tau=1j, n_grid=32), self.PARAMS, cfg)
@@ -346,3 +388,5 @@ class TestEstimator:
         assert len(est.batch_means) == 20
         assert not est.error_blown
         assert est.config["green_mode"] == "continuum"
+        assert est.config["bit_generator"] == "SFC64"
+        assert est.config["translates"] == 4
