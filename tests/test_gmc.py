@@ -268,9 +268,6 @@ class TestTranslates:
             z0 = np.sum(np.exp(g * rolled - 0.5 * g * g * wick_variance(geom)) * table)
             assert Z[k] == pytest.approx(z0, rel=1e-13, abs=0)
 
-    def test_half_period_shifts(self):
-        assert gmc._half_period_shifts(16) == ((0, 0), (8, 0), (0, 8), (8, 8))
-
 
 class TestGmcMass:
     def test_wick_mean_is_area(self):
