@@ -18,7 +18,7 @@ from .blocks import _pant_arrays, _radial_arrays, torus_one_point_block
 from .bootstrap import Quadrature, graph_correlator, torus_one_point
 from .dozz import dozz_constant
 from .free_field import BoundaryField, annulus_partition, free_annulus_amplitude, heat_kernel_K0
-from .gmc import McConfig, TorusGeometry
+from .gmc import McConfig, TorusGeometry, mc_torus_one_point_many
 from .graphs import AdmissibleGraph, EdgeSpec, MarkedPoint
 from .params import CftParams
 from .special import UpsilonEvaluator, l_ratio, upsilon
@@ -405,7 +405,6 @@ def criterion_9(n_samples: int = 200_000) -> CriterionResult:
     params = CftParams(gamma=math.sqrt(2.0), mu=1.0)
     quad = Quadrature(p_max=6.0, panel_width=0.5, nodes_per_panel=8)
     alphas = (0.8, 1.2)
-    from .gmc import mc_torus_one_point_many
 
     g128 = TorusGeometry(tau=1j, n_grid=128)
     g64 = TorusGeometry(tau=1j, n_grid=64)

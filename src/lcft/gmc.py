@@ -18,8 +18,9 @@ turns the estimate into
                     * E[ Z^{-alpha/gamma} ],
     Z = sum_grid e^{alpha gamma G(x,0)} e^{gamma X(x) - (gamma^2/2) E[X^2]} cell.
 
-A direct estimator (numeric c-integral, explicit vertex weight, no Girsanov)
-is kept alongside so the reduction is verified numerically, never assumed.
+The tests verify the reduction numerically, never assume it: a direct
+estimator there (numeric c-integral, explicit vertex weight, no Girsanov)
+must agree with this one run on the lattice-exact vertex table.
 
 Each field sample is used at four insertion points, the half-period grid
 shifts (0, 0), (n/2, 0), (0, n/2) and (n/2, n/2), and the four values are
@@ -71,6 +72,12 @@ __all__ = [
 ]
 
 
+def _require_int(name: str, value) -> None:
+    """Reject bools and non-integers; numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class TorusGeometry:
     """Flat torus C/(2 pi Z + 2 pi tau Z) with an n x n sampling grid.
@@ -85,6 +92,7 @@ class TorusGeometry:
         self.tau = complex(self.tau)
         if self.tau.imag <= 0:
             raise ValidationError(f"Im tau must be positive, got {self.tau}")
+        _require_int("n_grid", self.n_grid)
         if self.n_grid < 4 or self.n_grid % 2:
             raise ValidationError("n_grid must be an even integer >= 4")
         self._tables: dict = {}
@@ -351,22 +359,16 @@ class McConfig:
     n_samples: int = 200_000
     n_batches: int = 50
     seed: int = 1
-    green_mode: str = "continuum"  # or "truncated" (lattice-exact Girsanov check)
-    method: str = "reduced"  # or "direct" (numeric c-integral, no Girsanov)
 
     def __post_init__(self) -> None:
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
+        for name in ("n_samples", "n_batches", "seed"):
+            _require_int(name, getattr(self, name))
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.n_batches < 20:
             raise ValidationError("need at least 20 batches for the error bars")
         if self.n_samples < self.n_batches:
             raise ValidationError("need at least one sample per batch")
-        if self.green_mode not in ("continuum", "truncated"):
-            raise ValidationError(f"unknown green_mode {self.green_mode!r}")
-        if self.method not in ("reduced", "direct"):
-            raise ValidationError(f"unknown method {self.method!r}")
 
 
 @dataclass
@@ -398,7 +400,7 @@ def _cell_polar_integral(geom: TorusGeometry, power: float) -> float:
 def _vertex_weight_table(geom: TorusGeometry, alpha: float, params: CftParams) -> np.ndarray:
     """e^{alpha gamma G(x, 0)} * cell over the grid; the singular cell at the
     origin is integrated by local polar quadrature of the |x|^{-alpha gamma}
-    profile (continuum mode only)."""
+    profile."""
     g = params.gamma
     zs = geom.grid_points()
     table = np.empty(zs.shape)
@@ -451,7 +453,6 @@ def mc_torus_one_point_many(
     single-weight run with the same configuration; estimates are statistically
     correlated across weights.
     """
-    cfg = cfg or McConfig()
     g = params.gamma
     alphas = [float(a) for a in alphas]
     for alpha1 in alphas:
@@ -462,35 +463,36 @@ def mc_torus_one_point_many(
                 f"alpha*gamma = {alpha1 * g:.3f} >= 2: the |x|^(-alpha gamma) vertex profile "
                 "is not grid-representable (shifted mass integral diverges at grid scale)"
             )
+    tables = [_vertex_weight_table(geom, alpha1, params) for alpha1 in alphas]
+    return _estimate(alphas, tables, geom, params, cfg or McConfig())
+
+
+def _estimate(
+    alphas: list[float],
+    tables: list[np.ndarray],
+    geom: TorusGeometry,
+    params: CftParams,
+    cfg: McConfig,
+) -> list[McEstimate]:
+    """The estimator loop: E[Z^{-alpha/gamma}] with Z summed against each
+    weight's vertex table ``tables[j]`` (e^{alpha gamma G(x, 0)} * cell over
+    the grid), times the exact c-integral and Girsanov constant."""
+    g = params.gamma
     W = fit_w_constant(geom)
     s2 = wick_variance(geom)
     pref = torus_det_prefactor(geom)
     s_of = [a / g for a in alphas]
 
     shifts = _half_period_shifts(geom.n_grid)
-    vw = []
-    const = []
-    for alpha1, s in zip(alphas, s_of):
-        if cfg.method == "reduced":
-            if cfg.green_mode == "continuum":
-                table = _vertex_weight_table(geom, alpha1, params)
-            else:
-                table = np.exp(alpha1 * g * geom.truncated_covariance()) * geom.cell_area
-            vw.append(_translate_stack(table, shifts))
-            # exact c-integral + Girsanov: E[Z^{-s}] carries all randomness
-            const.append(
-                pref
-                * math.exp(math.lgamma(s)) / g
-                * (params.mu * math.exp(0.5 * g * g * W)) ** (-s)
-                * math.exp(0.5 * alpha1 * alpha1 * W)
-            )
-        else:
-            # numeric c-integral J = int e^{alpha d} e^{-s e^{gamma d}} dd, so that
-            # int e^{alpha c} e^{-mu e^{gamma c} M} dc = (s / (mu M))^s J
-            dd = np.linspace(-30.0 / alpha1 - 5.0, 12.0 / g, 4001)
-            J = float(np.trapezoid(np.exp(alpha1 * dd - s * np.exp(g * dd)), dd))
-            vw.append(None)
-            const.append(pref * math.exp(0.5 * alpha1 * alpha1 * W) * J * (s / params.mu) ** s)
+    vw = [_translate_stack(table, shifts) for table in tables]
+    # exact c-integral + Girsanov: E[Z^{-s}] carries all randomness
+    const = [
+        pref
+        * math.exp(math.lgamma(s)) / g
+        * (params.mu * math.exp(0.5 * g * g * W)) ** (-s)
+        * math.exp(0.5 * alpha1 * alpha1 * W)
+        for alpha1, s in zip(alphas, s_of)
+    ]
 
     n_alpha = len(alphas)
     sizes = _batch_sizes(cfg)
@@ -503,8 +505,6 @@ def mc_torus_one_point_many(
         # batches first, first + threads, ...; only private kernels run here,
         # never a public function a caller may have wrapped
         buf = _GffBuffers(geom, chunk)
-        x_at = np.empty((chunk, len(shifts)))
-        rows, cols = zip(*shifts)
         for b in range(first, cfg.n_batches, threads):
             size = sizes[b]
             rng = np.random.Generator(
@@ -516,23 +516,13 @@ def mc_torus_one_point_many(
                 nb = min(size - done, _CHUNK)
                 wick = buf.X[:nb]
                 for sl in _fill_gff(buf, rng, nb):
-                    # the field at the insertions, for the direct estimator
-                    x_at[sl] = wick[sl, rows, cols]
                     w = wick[sl]
                     w *= g
                     w -= shift
                     np.exp(w, out=w)
-                if cfg.method == "reduced":
-                    for j, s in enumerate(s_of):
-                        Z = np.einsum("bij,kij->bk", wick, vw[j])
-                        acc[j] += float(np.sum(Z ** (-s))) / len(shifts)
-                else:
-                    M_phys = (
-                        math.exp(0.5 * g * g * W) * np.sum(wick, axis=(-2, -1)) * geom.cell_area
-                    )
-                    for j, (alpha1, s) in enumerate(zip(alphas, s_of)):
-                        vertex = np.exp(alpha1 * x_at[:nb] - 0.5 * alpha1 * alpha1 * s2)
-                        acc[j] += float(np.sum(vertex * (M_phys ** (-s))[:, None])) / len(shifts)
+                for j, s in enumerate(s_of):
+                    Z = np.einsum("bij,kij->bk", wick, vw[j])
+                    acc[j] += float(np.sum(Z ** (-s))) / len(shifts)
                 done += nb
             batch_means[:, b] = acc / size
 
@@ -557,8 +547,6 @@ def mc_torus_one_point_many(
                     "mu": params.mu,
                     "seed": cfg.seed,
                     "n_batches": cfg.n_batches,
-                    "green_mode": cfg.green_mode,
-                    "method": cfg.method,
                     "W": W,
                     "wick_variance": s2,
                     "threads": threads,

@@ -41,6 +41,12 @@ def wick_mass(X, geom, params):
     return np.sum(np.exp(X * g - 0.5 * g * g * wick_variance(geom)), axis=(-2, -1)) * geom.cell_area
 
 
+def lattice_table(geom, alpha, params):
+    """The lattice-exact vertex table e^{alpha gamma C_K(x, 0)} * cell, with
+    which the estimator's Girsanov reduction is exact on the lattice."""
+    return np.exp(alpha * params.gamma * geom.truncated_covariance()) * geom.cell_area
+
+
 class TestGreenFunction:
     def test_zero_mean_grid_quadrature(self):
         zs = GEOM.grid_points()
@@ -146,10 +152,10 @@ def _reference_sample_gff(geom, rng, batch):
     return np.fft.irfft2(C, s=(n, n), axes=(1, 2))
 
 
-def _reference_batch_means(alphas, geom, params, cfg):
-    """Scaled batch means of mc_torus_one_point_many as first written: one
-    thread, batches in order, chunks of 32 samples from the reference sampler,
-    each sample's estimator averaged over the four half-period translates."""
+def _reference_batch_means(alphas, tables, geom, params, cfg):
+    """Scaled batch means of gmc._estimate as first written: one thread,
+    batches in order, chunks of 32 samples from the reference sampler, each
+    sample's estimator averaged over the four half-period translates."""
     g = params.gamma
     W = gmc.fit_w_constant(geom)
     s2 = gmc.wick_variance(geom)
@@ -157,25 +163,14 @@ def _reference_batch_means(alphas, geom, params, cfg):
     s_of = [a / g for a in alphas]
     h = geom.n_grid // 2
     shifts = [(0, 0), (h, 0), (0, h), (h, h)]
-    vw, const = [], []
-    for alpha1, s in zip(alphas, s_of):
-        if cfg.method == "reduced":
-            if cfg.green_mode == "continuum":
-                table = gmc._vertex_weight_table(geom, alpha1, params)
-            else:
-                table = np.exp(alpha1 * g * geom.truncated_covariance()) * geom.cell_area
-            vw.append(np.stack([np.roll(table, y, axis=(0, 1)) for y in shifts]))
-            const.append(
-                pref
-                * math.exp(math.lgamma(s)) / g
-                * (params.mu * math.exp(0.5 * g * g * W)) ** (-s)
-                * math.exp(0.5 * alpha1 * alpha1 * W)
-            )
-        else:
-            dd = np.linspace(-30.0 / alpha1 - 5.0, 12.0 / g, 4001)
-            J = float(np.trapezoid(np.exp(alpha1 * dd - s * np.exp(g * dd)), dd))
-            vw.append(None)
-            const.append(pref * math.exp(0.5 * alpha1 * alpha1 * W) * J * (s / params.mu) ** s)
+    vw = [np.stack([np.roll(table, y, axis=(0, 1)) for y in shifts]) for table in tables]
+    const = [
+        pref
+        * math.exp(math.lgamma(s)) / g
+        * (params.mu * math.exp(0.5 * g * g * W)) ** (-s)
+        * math.exp(0.5 * alpha1 * alpha1 * W)
+        for alpha1, s in zip(alphas, s_of)
+    ]
     base, extra = divmod(cfg.n_samples, cfg.n_batches)
     means = np.empty((len(alphas), cfg.n_batches))
     for b in range(cfg.n_batches):
@@ -187,19 +182,50 @@ def _reference_batch_means(alphas, geom, params, cfg):
             nb = min(size - done, 32)
             X = _reference_sample_gff(geom, rng, nb)
             wick = np.exp(g * X - 0.5 * g * g * s2)
-            if cfg.method == "reduced":
-                for j, s in enumerate(s_of):
-                    Z = np.einsum("bij,kij->bk", wick, vw[j])
-                    acc[j] += float(np.sum(Z ** (-s))) / 4
-            else:
-                M_phys = math.exp(0.5 * g * g * W) * np.sum(wick, axis=(-2, -1)) * geom.cell_area
-                for j, (alpha1, s) in enumerate(zip(alphas, s_of)):
-                    x_at = np.stack([X[:, i, k] for i, k in shifts], axis=1)
-                    vertex = np.exp(alpha1 * x_at - 0.5 * alpha1 * alpha1 * s2)
-                    acc[j] += float(np.sum(vertex * (M_phys ** (-s))[:, None])) / 4
+            for j, s in enumerate(s_of):
+                Z = np.einsum("bij,kij->bk", wick, vw[j])
+                acc[j] += float(np.sum(Z ** (-s))) / 4
             done += nb
         means[:, b] = acc / size
     return np.array([c * m for c, m in zip(const, means)])
+
+
+def _direct_batch_means(alpha1, geom, params, cfg):
+    """Scaled batch means of the literal path-integral transcription of
+    <V_alpha1(0)>, with no Girsanov shift and no exact c-integral: the
+    c-integral is done numerically, and the vertex e^{alpha X - (alpha^2/2)
+    E[X^2]} is read off the field at the four half-period translates.  One
+    thread, the estimator's sampler and its (seed, batch) streams."""
+    g = params.gamma
+    W = gmc.fit_w_constant(geom)
+    s2 = gmc.wick_variance(geom)
+    s = alpha1 / g
+    # numeric c-integral J = int e^{alpha d} e^{-s e^{gamma d}} dd, so that
+    # int e^{alpha c} e^{-mu e^{gamma c} M} dc = (s / (mu M))^s J
+    dd = np.linspace(-30.0 / alpha1 - 5.0, 12.0 / g, 4001)
+    J = float(np.trapezoid(np.exp(alpha1 * dd - s * np.exp(g * dd)), dd))
+    pref = gmc.torus_det_prefactor(geom)
+    const = pref * math.exp(0.5 * alpha1 * alpha1 * W) * J * (s / params.mu) ** s
+    rows, cols = zip(*gmc._half_period_shifts(geom.n_grid))
+    buf = gmc._GffBuffers(geom, gmc._CHUNK)
+    means = np.empty(cfg.n_batches)
+    for b, size in enumerate(gmc._batch_sizes(cfg)):
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(cfg.seed, spawn_key=(b,))))
+        done = 0
+        acc = 0.0
+        while done < size:
+            nb = min(size - done, gmc._CHUNK)
+            x_at = np.empty((nb, len(rows)))
+            wick = buf.X[:nb]
+            for sl in gmc._fill_gff(buf, rng, nb):
+                x_at[sl] = wick[sl, rows, cols]
+                np.exp(wick[sl] * g - 0.5 * g * g * s2, out=wick[sl])
+            M_phys = math.exp(0.5 * g * g * W) * np.sum(wick, axis=(-2, -1)) * geom.cell_area
+            vertex = np.exp(alpha1 * x_at - 0.5 * alpha1 * alpha1 * s2)
+            acc += float(np.sum(vertex * (M_phys ** (-s))[:, None])) / len(rows)
+            done += nb
+        means[b] = acc / size
+    return const * means
 
 
 class TestBitwiseThreadedSampler:
@@ -219,28 +245,33 @@ class TestBitwiseThreadedSampler:
 
     @pytest.mark.parametrize("threads", [1, 2, 25])
     @pytest.mark.parametrize(
-        "cfg",
+        "lattice_exact, cfg",
         [
             # batches of 258 and 257 samples: nine chunks each, sizes not a
             # multiple of the chunk or the sub-chunk
-            McConfig(n_samples=20 * 257 + 5, n_batches=20, seed=7),
-            McConfig(n_samples=150, n_batches=21, seed=3, green_mode="truncated"),
-            McConfig(n_samples=130, n_batches=20, seed=5, method="direct"),
+            pytest.param(
+                False, McConfig(n_samples=20 * 257 + 5, n_batches=20, seed=7), id="continuum"
+            ),
+            pytest.param(True, McConfig(n_samples=150, n_batches=21, seed=3), id="truncated"),
         ],
-        ids=["continuum", "truncated", "direct"],
     )
-    def test_batch_means(self, monkeypatch, cfg, threads):
+    def test_batch_means(self, monkeypatch, lattice_exact, cfg, threads):
         monkeypatch.setattr(gmc, "_thread_count", lambda: threads)
         geom = TorusGeometry(tau=0.2 + 1.05j, n_grid=16)
-        alphas = (0.8, 1.2)
+        alphas = [0.8, 1.2]
         # frequent thread switches, so a lost or misplaced batch mean would show
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            ests = mc_torus_one_point_many(alphas, geom, self.PARAMS, cfg)
+            if lattice_exact:
+                tables = [lattice_table(geom, a, self.PARAMS) for a in alphas]
+                ests = gmc._estimate(alphas, tables, geom, self.PARAMS, cfg)
+            else:
+                tables = [gmc._vertex_weight_table(geom, a, self.PARAMS) for a in alphas]
+                ests = mc_torus_one_point_many(alphas, geom, self.PARAMS, cfg)
         finally:
             sys.setswitchinterval(interval)
-        ref = _reference_batch_means(alphas, geom, self.PARAMS, cfg)
+        ref = _reference_batch_means(alphas, tables, geom, self.PARAMS, cfg)
         for j, est in enumerate(ests):
             assert est.config["threads"] == min(threads, cfg.n_batches)
             assert np.array_equal(est.batch_means, ref[j])
@@ -249,16 +280,16 @@ class TestBitwiseThreadedSampler:
 class TestTranslates:
     PARAMS = CftParams(gamma=math.sqrt(2.0), mu=1.0)
 
-    @pytest.mark.parametrize("green_mode", ["continuum", "truncated"])
-    def test_roll_direction(self, green_mode):
+    @pytest.mark.parametrize("lattice_exact", [False, True], ids=["continuum", "truncated"])
+    def test_roll_direction(self, lattice_exact):
         # each translate's Z is Z_0 of the field shifted back by the translate;
         # (1, 3) is off the half periods, where the roll direction shows
         geom = TorusGeometry(tau=0.2 + 1.05j, n_grid=16)
         g, alpha = self.PARAMS.gamma, 1.2
-        if green_mode == "continuum":
-            table = gmc._vertex_weight_table(geom, alpha, self.PARAMS)
+        if lattice_exact:
+            table = lattice_table(geom, alpha, self.PARAMS)
         else:
-            table = np.exp(alpha * g * geom.truncated_covariance()) * geom.cell_area
+            table = gmc._vertex_weight_table(geom, alpha, self.PARAMS)
         shifts = gmc._half_period_shifts(geom.n_grid) + ((1, 3),)
         X = draw_gff(geom, np.random.default_rng(6), batch=1)
         wick = np.exp(g * X - 0.5 * g * g * wick_variance(geom))
@@ -332,15 +363,13 @@ class TestEstimator:
     def test_direct_equals_reduced_with_truncated_green(self):
         # Girsanov + exact c-integral vs the literal path-integral transcription
         geom = TorusGeometry(tau=1j, n_grid=32)
-        red = mc_torus_one_point(
-            1.2, geom, self.PARAMS,
-            McConfig(n_samples=12000, n_batches=20, seed=3, green_mode="truncated"),
-        )
-        dire = mc_torus_one_point(
-            1.2, geom, self.PARAMS, McConfig(n_samples=12000, n_batches=20, seed=3, method="direct")
-        )
-        sigma = math.hypot(red.stderr, dire.stderr)
-        assert abs(red.mean - dire.mean) < 3.5 * sigma
+        cfg = McConfig(n_samples=12000, n_batches=20, seed=3)
+        table = lattice_table(geom, 1.2, self.PARAMS)
+        (red,) = gmc._estimate([1.2], [table], geom, self.PARAMS, cfg)
+        dire = _direct_batch_means(1.2, geom, self.PARAMS, cfg)
+        dire_stderr = np.std(dire, ddof=1) / math.sqrt(cfg.n_batches)
+        sigma = math.hypot(red.stderr, dire_stderr)
+        assert abs(red.mean - np.mean(dire)) < 3.5 * sigma
 
     def test_mu_scaling_analytic(self):
         geom = TorusGeometry(tau=1j, n_grid=32)
@@ -365,9 +394,36 @@ class TestEstimator:
         with pytest.raises(ValidationError, match="seed must be"):
             McConfig(n_samples=100, n_batches=20, seed=seed)
 
+    @pytest.mark.parametrize(
+        "n_samples, n_batches",
+        [(40.5, 20), (40, 20.0), (40.0, 20), (True, 20), (40, "20"), (40, None)],
+    )
+    def test_bad_sizes(self, n_samples, n_batches):
+        with pytest.raises(ValidationError, match="(n_samples|n_batches) must be an integer"):
+            McConfig(n_samples=n_samples, n_batches=n_batches)
+
+    @pytest.mark.parametrize("n_grid", [8.0, 8.5, True, "8", None])
+    def test_bad_grid(self, n_grid):
+        with pytest.raises(ValidationError, match="n_grid must be an integer"):
+            TorusGeometry(tau=1j, n_grid=n_grid)
+
+    def test_many_equals_one(self):
+        # each weight of a joint run is bit-identical to its own run
+        geom = TorusGeometry(tau=1j, n_grid=16)
+        cfg = McConfig(n_samples=200, n_batches=20, seed=11)
+        ests = mc_torus_one_point_many([0.8, 1.2], geom, self.PARAMS, cfg)
+        for alpha, est in zip([0.8, 1.2], ests):
+            one = mc_torus_one_point(alpha, geom, self.PARAMS, cfg)
+            assert est.mean == one.mean
+            assert np.array_equal(est.batch_means, one.batch_means)
+
     def test_numpy_integer_seed(self):
+        # numpy integers pass for the seed, the sizes and the grid alike
+        a = mc_torus_one_point(
+            1.2, TorusGeometry(tau=1j, n_grid=np.int64(8)), self.PARAMS,
+            McConfig(n_samples=np.int64(40), n_batches=np.int32(20), seed=np.int64(3)),
+        )
         geom = TorusGeometry(tau=1j, n_grid=8)
-        a = mc_torus_one_point(1.2, geom, self.PARAMS, McConfig(n_samples=40, n_batches=20, seed=np.int64(3)))
         b = mc_torus_one_point(1.2, geom, self.PARAMS, McConfig(n_samples=40, n_batches=20, seed=3))
         assert np.array_equal(a.batch_means, b.batch_means)
 
@@ -384,6 +440,5 @@ class TestEstimator:
         assert est.n_samples == 400
         assert len(est.batch_means) == 20
         assert not est.error_blown
-        assert est.config["green_mode"] == "continuum"
         assert est.config["bit_generator"] == "SFC64"
         assert est.config["translates"] == 4
