@@ -30,6 +30,15 @@ the average is exactly unbiased.  At gamma = sqrt(2) on 128^2 it lowers the
 variance of Z^{-alpha/gamma} about 1.9x at alpha = 1.2 and 1.25x at
 alpha = 0.8.
 
+Control variates remove what the field's lowest modes explain.  Each of the
+12 half-spectrum modes (m, k) with max(|m|, k) <= 2 has a standard complex
+normal xi of its own, so Q = |xi|^2 / 2 - 1 has E[Q] = 0 and Cov(Q) = I
+exactly, and the coefficient of y = Z^{-alpha/gamma} on Q is beta = Cov(Q, y).
+The batches of one parity take beta from those of the other (cross-fitting),
+so the adjusted batch means ybar_b - beta . Qbar_b, from which the mean and
+stderr come, are exactly unbiased.  At gamma = sqrt(2) on 128^2 this cuts the
+variance about 1.8x at alpha = 1.2 and 1.9x at alpha = 0.8.
+
 Sampling is batch-indexed: batch b draws from its own SFC64 stream, seeded by
 ``SeedSequence(seed, spawn_key=(b,))``.  The batches run on a thread pool,
 one thread per CPU the process may use (``taskset`` caps it) and never more
@@ -181,15 +190,25 @@ _CHUNK = 32
 _SUB = 4
 
 
+def _control_modes(n: int) -> tuple:
+    """Half-spectrum indices (m, k) of the controls: columns k = 1, 2 at |m| <= 2,
+    then (1, 0) and (2, 0), where 1, 2 < n/2 (12 modes from 6^2 up, 5 on 4^2)."""
+    rows = np.flatnonzero(np.abs(np.fft.fftfreq(n, d=1.0 / n)) <= 2)
+    low = range(1, min(3, n // 2))
+    modes = [(m, k) for k in low for m in rows] + [(m, 0) for m in low]
+    return tuple(np.array(c) for c in zip(*modes))
+
+
 class _GffBuffers:
     """One thread's buffers for up to ``chunk`` GFF samples: the chunk's
-    normals and field, the spectrum and column ifft of one sub-chunk, and the
-    per-mode standard deviations that scale the normals."""
+    normals, field and controls, the spectrum and column ifft of one
+    sub-chunk, and the per-mode standard deviations that scale the normals."""
 
     def __init__(self, geom: TorusGeometry, chunk: int) -> None:
         n = geom.n_grid
         half = n // 2
         v = geom.mode_variances()
+        self.modes = _control_modes(n)
         self.n = n
         self.sd_interior = np.sqrt(v[:, 1:half] / 2.0)
         self.sd_edges = [
@@ -200,6 +219,7 @@ class _GffBuffers:
         self.X = np.empty((chunk, n, n))
         self.C = np.empty((_SUB, n, half + 1), dtype=complex)
         self.F = np.empty_like(self.C)
+        self.Q = np.empty((chunk, len(self.modes[0])))
 
 
 def _fill_gff(buf: _GffBuffers, rng: np.random.Generator, nb: int):
@@ -213,7 +233,8 @@ def _fill_gff(buf: _GffBuffers, rng: np.random.Generator, nb: int):
     interior columns 1..half-1 as (nb, n, half-1, 2), then, for k = 0 and
     k = half, the Hermitian column's (nb, half-1, 2) block and its row-0 and
     row-half normals (nb each).  A normal pair read as one complex number is
-    xi[..., 0] + 1j xi[..., 1] bit for bit.
+    xi[..., 0] + 1j xi[..., 1] bit for bit.  Each control mode's
+    Q = |xi|^2 / 2 - 1 goes to ``buf.Q[:nb]``, in the order of ``buf.modes``.
     """
     n = buf.n
     half = n // 2
@@ -226,6 +247,10 @@ def _fill_gff(buf: _GffBuffers, rng: np.random.Generator, nb: int):
         (block.reshape(nb, half - 1, 2).view(complex)[..., 0], row0, rowh)
         for block, row0, rowh in (parts[1:4], parts[4:7])
     ]
+    m, k = buf.modes
+    inner = k > 0
+    xi = np.hstack([interior[:, m[inner], k[inner] - 1], edges[0][0][:, m[~inner] - 1]])
+    buf.Q[:nb] = 0.5 * (xi.real**2 + xi.imag**2) - 1.0
     for i in range(0, nb, _SUB):
         e = min(i + _SUB, nb)
         C = buf.C[: e - i]
@@ -499,7 +524,11 @@ def _estimate(
     chunk = min(max(sizes), _CHUNK)
     threads = min(_thread_count(), cfg.n_batches)
     shift = 0.5 * g * g * s2
-    batch_means = np.empty((n_alpha, cfg.n_batches))
+    d = len(_control_modes(geom.n_grid)[0])
+    # per-batch sums of y = Z^{-s} (the translates' mean), of the controls Q and of Q y
+    ysum = np.zeros((n_alpha, cfg.n_batches))
+    qsum = np.zeros((cfg.n_batches, d))
+    qysum = np.zeros((n_alpha, cfg.n_batches, d))
 
     def run_batches(first: int) -> None:
         # batches first, first + threads, ...; only private kernels run here,
@@ -511,7 +540,6 @@ def _estimate(
                 np.random.SFC64(np.random.SeedSequence(cfg.seed, spawn_key=(b,)))
             )
             done = 0
-            acc = np.zeros(n_alpha)
             while done < size:
                 nb = min(size - done, _CHUNK)
                 wick = buf.X[:nb]
@@ -520,25 +548,39 @@ def _estimate(
                     w *= g
                     w -= shift
                     np.exp(w, out=w)
+                Q = buf.Q[:nb]
+                qsum[b] += Q.sum(axis=0)
                 for j, s in enumerate(s_of):
                     Z = np.einsum("bij,kij->bk", wick, vw[j])
-                    acc[j] += float(np.sum(Z ** (-s))) / len(shifts)
+                    y = np.mean(Z ** (-s), axis=1)
+                    ysum[j, b] += y.sum()
+                    qysum[j, b] += np.einsum("b,bi->i", y, Q)
                 done += nb
-            batch_means[:, b] = acc / size
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(run_batches, range(threads)))
+    n_of = np.array(sizes, dtype=float)
     out = []
     for j, alpha1 in enumerate(alphas):
-        mean = const[j] * float(np.mean(batch_means[j]))
-        stderr = const[j] * float(np.std(batch_means[j], ddof=1) / math.sqrt(cfg.n_batches))
+        plain = ysum[j] / n_of
+        # cross-fit by batch parity: each fold's beta = Cov(Q, y) (Cov(Q) = I)
+        # comes from the other fold, so the adjusted batch means stay unbiased
+        batch_means = np.empty(cfg.n_batches)
+        for f in (0, 1):
+            o = slice(1 - f, None, 2)
+            y_o = ysum[j, o].sum() / n_of[o].sum()
+            beta = (qysum[j, o].sum(axis=0) - y_o * qsum[o].sum(axis=0)) / n_of[o].sum()
+            batch_means[f::2] = plain[f::2] - (qsum[f::2] / n_of[f::2, None] * beta).sum(axis=1)
+        mean = const[j] * float(np.mean(batch_means))
+        stderr = const[j] * float(np.std(batch_means, ddof=1) / math.sqrt(cfg.n_batches))
+        ratio = float(np.var(plain, ddof=1) / np.var(batch_means, ddof=1))
         blown = stderr > 0.5 * abs(mean) if mean else True
         out.append(
             McEstimate(
                 mean=mean,
                 stderr=stderr,
                 n_samples=cfg.n_samples,
-                batch_means=const[j] * batch_means[j],
+                batch_means=const[j] * batch_means,
                 config={
                     "alpha1": alpha1,
                     "tau": [geom.tau.real, geom.tau.imag],
@@ -552,6 +594,9 @@ def _estimate(
                     "threads": threads,
                     "bit_generator": "SFC64",
                     "translates": len(shifts),
+                    "controls": d,
+                    "plain_stderr": stderr * math.sqrt(ratio),
+                    "variance_ratio": ratio,
                 },
                 error_blown=bool(blown),
             )

@@ -78,6 +78,18 @@ class TestCli:
         assert ra["result"]["mc_config"]["bit_generator"] == "SFC64"
         assert ra["result"]["mc_config"]["translates"] == 4
 
+    def test_mc_batches_reproduce_mean_and_stderr(self, tmp_path):
+        # the batch-means CSV holds the control-adjusted batch means
+        out = run_cli("mc-torus1pt", "--alpha", "1.2", "--samples", "400", "--grid", "32",
+                      "--seed", "11", "--p-max", "3", "--out", str(tmp_path))
+        assert out.returncode == 0, out.stderr
+        res = json.loads((tmp_path / "mc-torus1pt.json").read_text())["result"]
+        batches = np.loadtxt(tmp_path / "mc_batches.csv", delimiter=",", skiprows=1)[:, 1]
+        assert batches.mean() == pytest.approx(res["mean"], rel=1e-12)
+        stderr = batches.std(ddof=1) / math.sqrt(len(batches))
+        assert stderr == pytest.approx(res["stderr"], rel=1e-12)
+        assert res["mc_config"]["controls"] == 12
+
     def test_output_artifacts(self, tmp_path):
         out = run_cli("torus1pt", "--alpha", "1.2", "--N", "3", "--p-max", "3",
                       "--out", str(tmp_path))

@@ -133,13 +133,19 @@ class TestSampling:
 
 def _reference_sample_gff(geom, rng, batch):
     """The sampler as first written: one chunk's normals drawn per block,
-    the spectrum assembled in full, one irfft2."""
+    the spectrum assembled in full, one irfft2.  Returns the fields and the
+    controls Q = |xi|^2 / 2 - 1 of the half-spectrum modes with
+    max(|m|, k) <= 2 that have a complex normal of their own: columns
+    k = 1, 2 (below n/2) at |m| <= 2, then (1, 0) and (2, 0) (below n/2)."""
     n = geom.n_grid
     half = n // 2
     v = geom.mode_variances()
+    low = range(1, min(3, half))
+    rows = [m for m in range(n) if min(m, n - m) <= 2]
     C = np.zeros((batch, n, half + 1), dtype=complex)
     xi = rng.standard_normal((batch, n, half - 1, 2))
     C[:, :, 1:half] = np.sqrt(v[None, :, 1:half] / 2.0) * (xi[..., 0] + 1j * xi[..., 1])
+    pairs = [xi[:, m, k - 1] for k in low for m in rows]
     for k in (0, half):
         xi2 = rng.standard_normal((batch, half - 1, 2))
         block = np.sqrt(v[None, 1:half, k] / 2.0) * (xi2[..., 0] + 1j * xi2[..., 1])
@@ -147,15 +153,21 @@ def _reference_sample_gff(geom, rng, batch):
         C[:, n - 1 : half : -1, k] = np.conj(block)
         C[:, 0, k] = np.sqrt(v[0, k]) * rng.standard_normal(batch)
         C[:, half, k] = np.sqrt(v[half, k]) * rng.standard_normal(batch)
+        if k == 0:
+            pairs += [xi2[:, m - 1] for m in low]
     C[:, 0, 0] = 0.0
     C *= n * n
-    return np.fft.irfft2(C, s=(n, n), axes=(1, 2))
+    pairs = np.stack(pairs, axis=1)
+    Q = 0.5 * (pairs[..., 0] ** 2 + pairs[..., 1] ** 2) - 1.0
+    return np.fft.irfft2(C, s=(n, n), axes=(1, 2)), Q
 
 
 def _reference_batch_means(alphas, tables, geom, params, cfg):
     """Scaled batch means of gmc._estimate as first written: one thread,
     batches in order, chunks of 32 samples from the reference sampler, each
-    sample's estimator averaged over the four half-period translates."""
+    sample's y = Z^{-s} averaged over the four half-period translates.  Each
+    batch mean is then adjusted by the controls Q of the reference's normals,
+    with beta = mean of Q (y - ybar) over the batches of the other parity."""
     g = params.gamma
     W = gmc.fit_w_constant(geom)
     s2 = gmc.wick_variance(geom)
@@ -172,21 +184,35 @@ def _reference_batch_means(alphas, tables, geom, params, cfg):
         for alpha1, s in zip(alphas, s_of)
     ]
     base, extra = divmod(cfg.n_samples, cfg.n_batches)
-    means = np.empty((len(alphas), cfg.n_batches))
+    sizes = np.array([base + (1 if b < extra else 0) for b in range(cfg.n_batches)], dtype=float)
+    ysum, qysum, qsum = [], [], []
     for b in range(cfg.n_batches):
-        size = base + (1 if b < extra else 0)
         rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(cfg.seed, spawn_key=(b,))))
         done = 0
-        acc = np.zeros(len(alphas))
-        while done < size:
-            nb = min(size - done, 32)
-            X = _reference_sample_gff(geom, rng, nb)
+        y_b, qy_b, q_b = 0.0, 0.0, 0.0
+        while done < sizes[b]:
+            nb = min(int(sizes[b]) - done, 32)
+            X, Q = _reference_sample_gff(geom, rng, nb)
             wick = np.exp(g * X - 0.5 * g * g * s2)
-            for j, s in enumerate(s_of):
-                Z = np.einsum("bij,kij->bk", wick, vw[j])
-                acc[j] += float(np.sum(Z ** (-s))) / 4
+            ys = [np.mean(np.einsum("bij,kij->bk", wick, vw[j]) ** (-s), axis=1)
+                  for j, s in enumerate(s_of)]
+            y_b = y_b + np.array([y.sum() for y in ys])
+            qy_b = qy_b + np.array([np.einsum("b,bi->i", y, Q) for y in ys])
+            q_b = q_b + Q.sum(axis=0)
             done += nb
-        means[:, b] = acc / size
+        ysum.append(y_b)
+        qysum.append(qy_b)
+        qsum.append(q_b)
+    # one contiguous row per weight, as the estimator lays them out
+    ysum, qysum = np.array(ysum).T.copy(), np.array(qysum).transpose(1, 0, 2).copy()
+    qsum = np.array(qsum)
+    means = ysum / sizes
+    for m, y, qy in zip(means, ysum, qysum):
+        for f in (0, 1):
+            o = slice(1 - f, None, 2)
+            y_o = y[o].sum() / sizes[o].sum()
+            beta = (qy[o].sum(axis=0) - y_o * qsum[o].sum(axis=0)) / sizes[o].sum()
+            m[f::2] -= (qsum[f::2] / sizes[f::2, None] * beta).sum(axis=1)
     return np.array([c * m for c, m in zip(const, means)])
 
 
@@ -240,7 +266,7 @@ class TestBitwiseThreadedSampler:
     def test_sample_gff(self, n, batch):
         geom = TorusGeometry(tau=0.3 + 1.1j, n_grid=n)
         X = draw_gff(geom, np.random.default_rng(4), batch=batch)
-        ref = _reference_sample_gff(geom, np.random.default_rng(4), batch)
+        ref, _ = _reference_sample_gff(geom, np.random.default_rng(4), batch)
         assert np.array_equal(X, ref)
 
     @pytest.mark.parametrize("threads", [1, 2, 25])
@@ -275,6 +301,59 @@ class TestBitwiseThreadedSampler:
         for j, est in enumerate(ests):
             assert est.config["threads"] == min(threads, cfg.n_batches)
             assert np.array_equal(est.batch_means, ref[j])
+
+
+class TestControls:
+    """The control variates: Q = |xi|^2 / 2 - 1 of the field's lowest modes,
+    read from the normals, with E[Q] = 0 and Cov(Q) = I exactly."""
+
+    PARAMS = CftParams(gamma=math.sqrt(2.0), mu=1.0)
+
+    @staticmethod
+    def _modes_and_energies(n):
+        """The control modes of one 7-sample chunk, its Q from the normal
+        buffer, and |rfft2(X)[m, k]|^2 / (n^4 var_{m,k}) - 1 from its field."""
+        geom = TorusGeometry(tau=0.3 + 1.1j, n_grid=n)
+        buf = gmc._GffBuffers(geom, 7)
+        for _ in gmc._fill_gff(buf, np.random.default_rng(9), 7):
+            pass
+        m, k = buf.modes
+        C = np.fft.rfft2(buf.X[:7])
+        energies = np.abs(C[:, m, k]) ** 2 / (n**4 * geom.mode_variances()[m, k]) - 1.0
+        return set(zip(m.tolist(), k.tolist())), buf.Q[:7], energies
+
+    @pytest.mark.parametrize("n", [64, 12, 8])
+    def test_layout(self, n):
+        # max(|m|, k) <= 2, k >= 0, m > 0 when k = 0: 12 modes
+        modes, Q, energies = self._modes_and_energies(n)
+        assert modes == {(a % n, b) for b in range(3) for a in range(-2, 3) if b > 0 or a > 0}
+        assert np.allclose(Q, energies, rtol=0, atol=1e-12)
+
+    def test_reduced_count_on_4(self):
+        # 4^2 has the column k = 1 at m = 0, 1, -2, -1 and the mode (1, 0);
+        # (2, 0) is a real normal there, and k = 2 is the Nyquist column
+        modes, Q, energies = self._modes_and_energies(4)
+        assert modes == {(0, 1), (1, 1), (2, 1), (3, 1), (1, 0)}
+        assert np.allclose(Q, energies, rtol=0, atol=1e-12)
+
+    def test_stderr_is_honest(self):
+        # 20 seeds: the spread of the estimates matches their reported stderr
+        # within the chi-square scatter of 20 seeds, and their mean agrees with
+        # a 10x longer run
+        from scipy.stats import chi2
+
+        geom = TorusGeometry(tau=1j, n_grid=32)
+        ests = [
+            mc_torus_one_point(1.2, geom, self.PARAMS, McConfig(n_samples=2000, n_batches=20, seed=seed))
+            for seed in range(1, 21)
+        ]
+        means = np.array([e.mean for e in ests])
+        stderr = np.mean([e.stderr for e in ests])
+        spread = np.std(means, ddof=1)
+        lo, hi = np.sqrt(chi2.ppf([0.001, 0.999], df=19) / 19)
+        assert lo < spread / stderr < hi
+        long = mc_torus_one_point(1.2, geom, self.PARAMS, McConfig(n_samples=20000, n_batches=20, seed=100))
+        assert abs(means.mean() - long.mean) < 4.0 * math.hypot(stderr / math.sqrt(20), long.stderr)
 
 
 class TestTranslates:
@@ -442,3 +521,7 @@ class TestEstimator:
         assert not est.error_blown
         assert est.config["bit_generator"] == "SFC64"
         assert est.config["translates"] == 4
+        assert est.config["controls"] == 12
+        assert est.config["variance_ratio"] > 1.0
+        ratio = (est.config["plain_stderr"] / est.stderr) ** 2
+        assert est.config["variance_ratio"] == pytest.approx(ratio, rel=1e-12)
