@@ -437,7 +437,6 @@ def main(argv=None) -> int:
         errors.DegenerateWeight,
         errors.BudgetExceeded,
         errors.CostGuard,
-        errors.ConsistencyError,
         errors.DomainError,
         errors.PoleError,
         errors.SingularPoint,

@@ -17,10 +17,6 @@ class BudgetExceeded(LcftError):
     """An iteration/shift budget was exhausted before convergence."""
 
 
-class ConsistencyError(LcftError):
-    """Two independent evaluation routes disagree beyond tolerance."""
-
-
 class NearPole(LcftError):
     """A structure-constant argument is within the proximity threshold of a pole."""
 

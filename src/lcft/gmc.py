@@ -8,8 +8,8 @@ against the conformal-bootstrap evaluation.  The chain of exact reductions:
                       = gamma^{-1} Gamma(alpha/gamma) (mu M)^{-alpha/gamma};
   2. the Girsanov shift X -> X + alpha G(., 0) absorbing the vertex insertion;
   3. Wick ordering of the spectrally truncated field, with the metric constant
-     W = lim_eps (E[X_eps^2] + ln eps) restoring the circle-average
-     normalization,
+     W = lim_eps (E[X_eps^2] + ln eps) = lim_{x -> 0} (G(x, 0) + ln|x|)
+     restoring the circle-average normalization,
 
 turns the estimate into
 
@@ -17,6 +17,14 @@ turns the estimate into
                     (mu e^{(gamma^2/2) W})^{-alpha/gamma} e^{(alpha^2/2) W}
                     * E[ Z^{-alpha/gamma} ],
     Z = sum_grid e^{alpha gamma G(x,0)} e^{gamma X(x) - (gamma^2/2) E[X^2]} cell.
+
+All three constants of the flat torus are closed forms in Dedekind eta.  The
+zero-mean (Arakelov) Green function has c0 = ln|eta(tau)| (Faltings,
+"Calculus on arithmetic surfaces", Ann. Math. 119, 1984); theta1'(0) =
+2 pi eta^3 then gives W = c0 - 3 ln|eta| = -2 ln|eta|; and det' Delta =
+(2 pi)^2 (Im tau)^2 |eta|^4 (Ray-Singer, "Analytic torsion for complex
+manifolds", Ann. Math. 98, 1973), so (v_g / det' Delta)^{1/2} =
+(Im tau)^{-1/2} |eta|^{-2}.
 
 The tests verify the reduction numerically, never assume it: a direct
 estimator there (numeric c-integral, explicit vertex weight, no Girsanov)
@@ -61,9 +69,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConsistencyError, SingularPoint, ValidationError
+from .errors import SingularPoint, ValidationError
 from .params import CftParams
-from .special import _panel_rule, dedekind_eta, theta1
+from .special import dedekind_eta, theta1
 
 __all__ = [
     "TorusGeometry",
@@ -72,11 +80,10 @@ __all__ = [
     "torus_green",
     "green_constant",
     "wick_variance",
-    "fit_w_constant",
+    "w_constant",
     "mc_torus_one_point",
     "mc_torus_one_point_many",
     "torus_det_prefactor",
-    "det_prime_torus_zeta",
     "det_prime_torus_closed",
 ]
 
@@ -153,8 +160,9 @@ class TorusGeometry:
 
 
 def torus_green(z, geom: TorusGeometry) -> float | np.ndarray:
-    """Green function G(z, 0) = -ln|theta1(z/2pi, tau)| + (Im z)^2/(4 pi Im tau) + c0,
-    with c0 fixed by the zero-mean condition (grid quadrature, cached)."""
+    """Green function G(z, 0) = -ln|theta1(z/2pi, tau)| + (Im z)^2/(4 pi Im tau) + c0:
+    -Delta G = 2 pi (delta_0 - 1/v_g), and c0 = ln|eta(tau)| makes its torus
+    mean zero (see ``green_constant``)."""
     z_arr = np.asarray(z, dtype=complex)
     th = theta1(z_arr / (2.0 * math.pi), geom.tau)
     mag = np.abs(np.asarray(th))
@@ -165,16 +173,15 @@ def torus_green(z, geom: TorusGeometry) -> float | np.ndarray:
 
 
 def green_constant(geom: TorusGeometry) -> float:
-    """c0(tau): minus the 256^2 midpoint-grid average of the other two terms."""
-    key = "c0"
-    if key not in geom._tables:
-        u = (np.arange(256) + 0.5)[:, None] / 256
-        v = (np.arange(256) + 0.5)[None, :] / 256
-        z = 2.0 * math.pi * (u + v * geom.tau)
-        th = theta1(z / (2.0 * math.pi), geom.tau)
-        vals = -np.log(np.abs(th)) + (z.imag**2) / (4.0 * math.pi * geom.tau.imag)
-        geom._tables[key] = -float(np.mean(vals))
-    return geom._tables[key]
+    """c0(tau) = ln|eta(tau)|: the Arakelov normalization, under which the
+    torus average of ln|theta1(u + v tau)| - pi (Im tau) v^2 is ln|eta|."""
+    return math.log(abs(dedekind_eta(geom.tau)))
+
+
+def w_constant(geom: TorusGeometry) -> float:
+    """W = lim_{x -> 0} (G(x, 0) + ln|x|) = c0 - 3 ln|eta| = -2 ln|eta(tau)|,
+    since theta1(z/2pi) = eta^3 z + O(z^3) by theta1'(0) = 2 pi eta^3."""
+    return -2.0 * green_constant(geom)
 
 
 def wick_variance(geom: TorusGeometry) -> float:
@@ -269,109 +276,22 @@ def _fill_gff(buf: _GffBuffers, rng: np.random.Generator, nb: int):
         yield slice(i, e)
 
 
-def fit_w_constant(geom: TorusGeometry) -> float:
-    """W = lim (E[X_eps^2] + ln eps): fit of G(x,0) + ln|x| over the annulus
-    |x| in [4h, 16h] (h the grid spacing), extrapolated to 0 by dropping the
-    fitted quadratic terms."""
-    key = "Wfit"
-    if key in geom._tables:
-        return geom._tables[key]
-    h = 2.0 * math.pi / geom.n_grid
-    # recenter to the origin-symmetric copy of the fundamental domain
-    n = geom.n_grid
-    u = (np.fft.fftfreq(n, d=1.0 / n))[:, None] / n
-    v = (np.fft.fftfreq(n, d=1.0 / n))[None, :] / n
-    z = 2.0 * math.pi * (u + v * geom.tau)
-    r = np.abs(z)
-    mask = (r >= 4.0 * h) & (r <= 16.0 * h)
-    if mask.sum() < 8:
-        raise ValidationError("grid too coarse for the W annulus fit")
-    vals = torus_green(z[mask], geom) + np.log(r[mask])
-    x, y = z[mask].real, z[mask].imag
-    basis = np.stack([np.ones_like(x), x * x - y * y, x * y, x * x + y * y], axis=1)
-    coef, *_ = np.linalg.lstsq(basis, vals, rcond=None)
-    geom._tables[key] = float(coef[0])
-    return geom._tables[key]
-
-
 # ---------------------------------------------------------------------------
 # determinant prefactor
 # ---------------------------------------------------------------------------
 
 
 def det_prime_torus_closed(tau: complex) -> float:
-    """Candidate closed form det' Delta = R^2 (Im tau)^2 |eta(tau)|^4 for the
-    torus C/(R Z + R tau Z), R = 2 pi."""
+    """det' Delta = R^2 (Im tau)^2 |eta(tau)|^4 of the torus C/(R Z + R tau Z),
+    R = 2 pi (Ray-Singer)."""
     tau = complex(tau)
     return (2.0 * math.pi) ** 2 * tau.imag**2 * abs(dedekind_eta(tau)) ** 4
 
 
-def _heat_trace(t: float, tau: complex, radius: float) -> float:
-    """theta(t) = sum over the frequency lattice of e^{-t lambda}; for small t
-    the Poisson-dual form theta = (A/t) sum_{a,b} e^{-pi^2 |a tau + b|^2 scale / t}
-    is used (A = area/(4 pi))."""
-    tau = complex(tau)
-    scale = (2.0 * math.pi / radius) ** 2
-    area = radius**2 * tau.imag
-    A = area / (4.0 * math.pi)
-    if t < 1.0:
-        # dual sum: theta(t) = (A/t) * sum e^{-pi^2 |a tau + b|^2 / (t*scale)}
-        tt = t * scale
-        B = int(math.ceil(math.sqrt(tt * 45.0) / (math.pi * min(1.0, tau.imag)))) + 2
-        a = np.arange(-B, B + 1)
-        total = np.sum(np.exp(-math.pi**2 * np.abs(a[:, None] * tau + a[None, :]) ** 2 / tt))
-        return (A / t) * float(total)
-    lam_unit = scale / tau.imag**2
-    B = int(math.ceil(math.sqrt(45.0 / (t * lam_unit)) * (1 + abs(tau)))) + 2
-    m = np.arange(-B, B + 1)
-    lam = scale * np.abs(m[None, :] - m[:, None] * tau) ** 2 / tau.imag**2
-    return float(np.sum(np.exp(-t * lam[t * lam < 45.0])))
-
-
-def det_prime_torus_zeta(tau: complex, radius: float = 2.0 * math.pi) -> float:
-    """det' Delta by direct zeta regularization: with theta(t) the heat trace
-    and A = area/(4 pi),
-
-        zeta'(0) = int_0^1 (theta - A/t) dt/t + int_1^oo (theta - 1) dt/t
-                   - A - euler_gamma,
-        det' = exp(-zeta'(0)).
-    """
-    tau = complex(tau)
-    area = radius**2 * tau.imag
-    A = area / (4.0 * math.pi)
-    # I0 on (0, 1): substitute t = s^2 to soften the t -> 0 end
-    s, ws = _panel_rule(1.0, 1.0, 200)
-    I0 = float(np.sum(ws * 2.0 * s * np.array(
-        [(_heat_trace(si**2, tau, radius) - A / si**2) / si**2 for si in s]
-    )))
-    # I1 on (1, 1 + span]: integrand decays like e^{-lambda_min t}
-    scale = (2.0 * math.pi / radius) ** 2
-    lam_min = scale * min(
-        abs(n - m * tau) ** 2 / tau.imag**2
-        for m in range(-2, 3)
-        for n in range(-2, 3)
-        if (m, n) != (0, 0)
-    )
-    span = 45.0 / lam_min
-    tt, wt = _panel_rule(span, span, 200)
-    I1 = float(np.sum(wt * np.array([(_heat_trace(ti, tau, radius) - 1.0) / ti for ti in 1.0 + tt])))
-    zeta_prime_0 = I0 + I1 - A - float(np.euler_gamma)
-    return math.exp(-zeta_prime_0)
-
-
 def torus_det_prefactor(geom: TorusGeometry) -> float:
-    """(v_g / det' Delta)^{1/2} = (Im tau)^{-1/2} |eta(tau)|^{-2}, the closed
-    form checked to 1% against the spectral-zeta continuation at construction."""
-    key = "detpref"
-    if key not in geom._tables:
-        closed = det_prime_torus_closed(geom.tau)
-        zeta_val = det_prime_torus_zeta(geom.tau)
-        if abs(zeta_val - closed) > 0.01 * abs(closed):
-            raise ConsistencyError(
-                f"torus det': closed form {closed} vs zeta continuation {zeta_val}"
-            )
-        geom._tables[key] = math.sqrt(geom.area / closed)
-    return geom._tables[key]
+    """(v_g / det' Delta)^{1/2} = (Im tau)^{-1/2} |eta(tau)|^{-2}, from
+    v_g = (2 pi)^2 Im tau and the Ray-Singer det' Delta above."""
+    return math.sqrt(geom.area / det_prime_torus_closed(geom.tau))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +352,7 @@ def _vertex_weight_table(geom: TorusGeometry, alpha: float, params: CftParams) -
     mask = np.ones(zs.shape, dtype=bool)
     mask[0, 0] = False
     table[mask] = np.exp(alpha * g * torus_green(zs[mask], geom)) * geom.cell_area
-    W = fit_w_constant(geom)
+    W = w_constant(geom)
     table[0, 0] = math.exp(alpha * g * W) * _cell_polar_integral(geom, alpha * g)
     return table
 
@@ -503,7 +423,7 @@ def _estimate(
     weight's vertex table ``tables[j]`` (e^{alpha gamma G(x, 0)} * cell over
     the grid), times the exact c-integral and Girsanov constant."""
     g = params.gamma
-    W = fit_w_constant(geom)
+    W = w_constant(geom)
     s2 = wick_variance(geom)
     pref = torus_det_prefactor(geom)
     s_of = [a / g for a in alphas]

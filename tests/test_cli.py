@@ -90,6 +90,14 @@ class TestCli:
         assert stderr == pytest.approx(res["stderr"], rel=1e-12)
         assert res["mc_config"]["controls"] == 12
 
+    @pytest.mark.parametrize("grid", ["4", "6"])
+    def test_mc_runs_on_the_smallest_grids(self, grid):
+        # every grid the schema accepts runs, 4^2 and 6^2 included
+        out = run_cli("mc-torus1pt", "--alpha", "1.2", "--samples", "40", "--batches", "20",
+                      "--grid", grid, "--p-max", "3")
+        assert out.returncode == 0, out.stderr
+        assert math.isfinite(json.loads(out.stdout)["result"]["mean"])
+
     def test_output_artifacts(self, tmp_path):
         out = run_cli("torus1pt", "--alpha", "1.2", "--N", "3", "--p-max", "3",
                       "--out", str(tmp_path))

@@ -10,19 +10,20 @@ from lcft.gmc import (
     McConfig,
     TorusGeometry,
     det_prime_torus_closed,
-    det_prime_torus_zeta,
-    fit_w_constant,
-    green_constant,
     mc_torus_one_point,
     mc_torus_one_point_many,
     torus_det_prefactor,
     torus_green,
+    w_constant,
     wick_variance,
 )
 from lcft.params import CftParams
 from lcft.special import dedekind_eta
+from oracles import det_prime_torus_zeta
 
 GEOM = TorusGeometry(tau=1j, n_grid=64)
+TAUS = [1j, 0.3 + 1.1j, -0.45 + 0.8j]
+TAU_IDS = ["i", "0.3+1.1i", "-0.45+0.8i"]
 
 
 def draw_gff(geom, rng, batch):
@@ -57,13 +58,20 @@ class TestGreenFunction:
         # carries a small O(h^2 log h) quadrature remainder
         assert abs(np.mean(vals)) < 5e-3
 
-    def test_constant_matches_eta_closed_form(self):
-        # derived oracle: c0(tau) = ln|eta(tau)|
-        for tau in (1j, 0.3 + 1.2j, 2j):
-            geom = TorusGeometry(tau=tau, n_grid=32)
-            assert green_constant(geom) == pytest.approx(
-                math.log(abs(dedekind_eta(tau))), abs=2e-5
-            )
+    @pytest.mark.parametrize("tau", TAUS, ids=TAU_IDS)
+    def test_zero_mean_converges_at_second_order(self, tau):
+        # the midpoint rule for the torus mean of G, whose closed-form c0 makes
+        # it zero, has an O(h^2) remainder: 4x smaller per halving of h
+        geom = TorusGeometry(tau=tau, n_grid=8)
+
+        def midpoint_mean(n):
+            u = (np.arange(n) + 0.5)[:, None] / n
+            v = (np.arange(n) + 0.5)[None, :] / n
+            return abs(float(np.mean(torus_green(2.0 * math.pi * (u + v * tau), geom))))
+
+        coarse, fine = midpoint_mean(256), midpoint_mean(512)
+        assert coarse < 6e-6 and fine < 1.5e-6
+        assert coarse / fine == pytest.approx(4.0, abs=0.2)
 
     def test_evenness(self):
         z = 1.0 + 0.5j
@@ -92,11 +100,14 @@ class TestGreenFunction:
         for idx in ((32, 32), (16, 8), (5, 3)):
             assert C[idx] == pytest.approx(torus_green(zs[idx], GEOM), abs=2e-4)
 
-    def test_w_fit_matches_eta_closed_form(self):
-        # derived oracle: W = -2 ln|eta(tau)|
-        assert fit_w_constant(GEOM) == pytest.approx(
-            -2.0 * math.log(abs(dedekind_eta(1j))), abs=2e-4
-        )
+    @pytest.mark.parametrize("tau", TAUS, ids=TAU_IDS)
+    def test_w_is_the_limit_of_green_plus_log(self, tau):
+        # G(x, 0) + ln|x| - W vanishes like |x|^2 as x -> 0
+        geom = TorusGeometry(tau=tau, n_grid=8)
+        x = np.exp(0.7j) * np.array([1e-2, 1e-3])
+        gap = np.abs(torus_green(x, geom) + np.log(np.abs(x)) - w_constant(geom))
+        assert gap[1] < 1e-7
+        assert gap[0] > 50.0 * gap[1]
 
 
 class TestSampling:
@@ -169,7 +180,7 @@ def _reference_batch_means(alphas, tables, geom, params, cfg):
     batch mean is then adjusted by the controls Q of the reference's normals,
     with beta = mean of Q (y - ybar) over the batches of the other parity."""
     g = params.gamma
-    W = gmc.fit_w_constant(geom)
+    W = gmc.w_constant(geom)
     s2 = gmc.wick_variance(geom)
     pref = gmc.torus_det_prefactor(geom)
     s_of = [a / g for a in alphas]
@@ -223,7 +234,7 @@ def _direct_batch_means(alpha1, geom, params, cfg):
     E[X^2]} is read off the field at the four half-period translates.  One
     thread, the estimator's sampler and its (seed, batch) streams."""
     g = params.gamma
-    W = gmc.fit_w_constant(geom)
+    W = gmc.w_constant(geom)
     s2 = gmc.wick_variance(geom)
     s = alpha1 / g
     # numeric c-integral J = int e^{alpha d} e^{-s e^{gamma d}} dd, so that
@@ -522,6 +533,7 @@ class TestEstimator:
         assert est.config["bit_generator"] == "SFC64"
         assert est.config["translates"] == 4
         assert est.config["controls"] == 12
+        assert est.config["W"] == -2.0 * math.log(abs(dedekind_eta(1j)))
         assert est.config["variance_ratio"] > 1.0
         ratio = (est.config["plain_stderr"] / est.stderr) ** 2
         assert est.config["variance_ratio"] == pytest.approx(ratio, rel=1e-12)
