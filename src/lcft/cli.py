@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: upsilon, dozz, shapovalov, block, torus1pt, toruskpt, spherekpt,
-graph, mc-torus1pt, selftest.  Configuration comes from flags or a JSON file
-(--config), is checked against CONFIG_SCHEMA, and every JSON result embeds the
-resolved configuration plus its SHA-256 hash so outputs are self-describing.
+Subcommands: selftest and the keys of COMMANDS, which gives each its handler
+and the keys it reads.  Configuration comes from those keys' flags or a JSON
+file (--config), is checked against CONFIG_SCHEMA cut down to them, and every
+JSON result embeds the resolved configuration plus its SHA-256 hash so
+outputs are self-describing.
 
 Exit codes: 0 success, 2 validation/config error, 3 numerical guard tripped.
 """
@@ -123,30 +124,15 @@ def _check_schema(schema: dict, value, path: tuple = ()) -> None:
                 _check_schema(sub, value[key], (*path, key))
 
 
-DEFAULTS = {
-    "gamma": math.sqrt(2.0),
-    "mu": 1.0,
-    "p_max": 6.0,
-    "panel_width": 0.5,
-    "nodes_per_panel": 8,
-    "N": 4,
-    "seed": 1,
-    "samples": 20000,
-    "batches": 20,
-    "grid": 64,
-    "level": 2,
-    "c": 26.0,
-    "p": 0.7,
-}
-
-
-def _load_config(args) -> dict:
-    """DEFAULTS, then the --config file, then every parsed flag named in
-    CONFIG_SCHEMA (an unset flag, None or an empty --alpha, changes nothing);
-    the merged config is then checked for NaN and infinite numbers (flags and
-    json read both, and NaN passes the schema's bounds) and against
-    CONFIG_SCHEMA once."""
-    cfg = dict(DEFAULTS)
+def _load_config(args, defaults: dict) -> dict:
+    """The command's defaults (a key whose default is None has none), then the
+    --config file, then the given flags; an empty list, in the file or as an
+    --alpha with no values, changes nothing.  The merged config is then
+    checked for NaN and infinite numbers (flags and json read both, and NaN
+    passes the schema's bounds) and once against CONFIG_SCHEMA cut down to
+    the command's keys."""
+    cfg = {key: val for key, val in defaults.items() if val is not None}
+    user = {}
     config_path = getattr(args, "config", None)
     if config_path:
         try:
@@ -158,16 +144,16 @@ def _load_config(args) -> dict:
             raise errors.ValidationError(f"config file {config_path} is not valid JSON: {exc}") from exc
         if not isinstance(user, dict):
             raise errors.ValidationError("config file must hold a JSON object")
-        cfg.update(user)
-    for key, val in vars(args).items():
-        if key in CONFIG_SCHEMA["properties"] and val not in (None, []):
-            cfg[key] = val
+    flags = {key: val for key, val in vars(args).items() if key not in ("command", "config", "out")}
+    for given in (user, flags):
+        cfg.update((key, val) for key, val in given.items() if val != [])
     for key, val in cfg.items():
         try:
             json.dumps(val, allow_nan=False)
         except ValueError:
             raise errors.ValidationError(f"config field {key}: holds a number that is not finite") from None
-    _check_schema(CONFIG_SCHEMA, cfg)
+    properties = {key: CONFIG_SCHEMA["properties"][key] for key in defaults}
+    _check_schema({**CONFIG_SCHEMA, "properties": properties}, cfg)
     return cfg
 
 
@@ -214,16 +200,15 @@ def _quad(cfg) -> Quadrature:
 
 
 def _one_alpha(cfg) -> float:
-    """The weight of a one-insertion command; unset or empty means 1.2."""
-    a = cfg.get("alpha") or [1.2]
+    """The weight of a one-insertion command."""
+    a = cfg["alpha"]
     if len(a) != 1:
         raise errors.ValidationError(f"{cfg['command']} needs one weight in 'alpha', got {len(a)}")
     return a[0]
 
 
-def _tau(cfg) -> complex:
-    t = cfg.get("tau") or [0.0, 1.0]
-    return complex(t[0], t[1])
+def _complex(pair) -> complex:
+    return complex(pair[0], pair[1])
 
 
 #: The spectral engine's work counters, copied from ``details`` into each record.
@@ -245,13 +230,13 @@ def _correlator_payload(res) -> dict:
 
 def cmd_upsilon(cfg) -> dict:
     ev = UpsilonEvaluator(float(cfg["gamma"]))
-    z = complex(cfg["zarg"][0], cfg["zarg"][1]) if cfg.get("zarg") else complex(cfg["p"])
+    z = _complex(cfg["zarg"]) if "zarg" in cfg else complex(cfg["p"])
     val = upsilon(z, ev)
     return {"z": [z.real, z.imag], "value": {"re": val.real, "im": val.imag}}
 
 
 def cmd_dozz(cfg) -> dict:
-    a = cfg.get("alpha") or [0.3, 0.5, 0.9]
+    a = cfg["alpha"]
     if len(a) != 3:
         raise errors.ValidationError("dozz needs exactly three weights in 'alpha'")
     val = dozz_constant(a[0], a[1], a[2], _cparams(cfg))
@@ -259,8 +244,7 @@ def cmd_dozz(cfg) -> dict:
 
 
 def cmd_shapovalov(cfg) -> dict:
-    d = complex(cfg["delta"][0], cfg["delta"][1]) if cfg.get("delta") else 0.5 + 0.0j
-    F = shapovalov(d, float(cfg["c"]), int(cfg["level"]))
+    F = shapovalov(_complex(cfg["delta"]), float(cfg["c"]), int(cfg["level"]))
     inv = shapovalov_inverse(F)
     return {
         "level": F.level,
@@ -273,12 +257,12 @@ def cmd_shapovalov(cfg) -> dict:
 
 
 def cmd_block(cfg) -> tuple[dict, list, str, str]:
-    params = _cparams(cfg)
     a = _one_alpha(cfg)
-    q = complex(cfg["q"][0], cfg["q"][1]) if cfg.get("q") else 0.3 + 0.0j
-    if abs(q) >= 1.0:
-        raise errors.DomainError(f"|q| must be < 1, got {abs(q)}")
-    series = torus_one_point_block(a, float(cfg["p"]), params, int(cfg["N"]))
+    q = _complex(cfg["q"])
+    if not 0 < abs(q) < 1:
+        raise errors.ValidationError(f"block needs 0 < |q| < 1, got |q| = {abs(q)}")
+    # the block does not depend on mu
+    series = torus_one_point_block(a, float(cfg["p"]), CftParams(float(cfg["gamma"])), int(cfg["N"]))
     rows = [(n[0], series.coeffs[n].real, series.coeffs[n].imag) for n in sorted(series.coeffs)]
     payload = {
         "alpha1": a,
@@ -295,33 +279,34 @@ def cmd_torus1pt(cfg) -> tuple[dict, list, str, str]:
     params = _cparams(cfg)
     a = _one_alpha(cfg)
     quad = _quad(cfg)
-    res = torus_one_point(a, _tau(cfg), params, quad, int(cfg["N"]))
+    tau = _complex(cfg["tau"])
+    res = torus_one_point(a, tau, params, quad, int(cfg["N"]))
     rows = [
         (p, rho, f2, rho * f2)
         for p, rho, f2 in zip(
             quad.nodes.tolist(), res.details["rho"].tolist(), res.details["block_abs2"].tolist()
         )
     ]
-    payload = {"alpha1": a, "tau": [_tau(cfg).real, _tau(cfg).imag], **_correlator_payload(res)}
+    payload = {"alpha1": a, "tau": [tau.real, tau.imag], **_correlator_payload(res)}
     return payload, rows, "torus1pt_density.csv", "p,rho,block_abs2,integrand"
 
 
 def cmd_toruskpt(cfg) -> dict:
     params = _cparams(cfg)
-    a = cfg.get("alpha") or [0.8, 1.2]
-    xs = [complex(x[0], x[1]) for x in (cfg.get("x") or [[0, 0], [0.5, 2.0]])]
-    res = torus_k_point(a, xs, _tau(cfg), params, _quad(cfg), int(cfg["N"]))
+    a = cfg["alpha"]
+    xs = [_complex(x) for x in cfg["x"]]
+    res = torus_k_point(a, xs, _complex(cfg["tau"]), params, _quad(cfg), int(cfg["N"]))
     return {"alpha": list(a), **_correlator_payload(res)}
 
 
 def cmd_spherekpt(cfg) -> dict:
     params = _cparams(cfg)
-    a = cfg.get("alpha") or [1.5, 1.4, 1.3, 1.2]
-    zs = cfg.get("z") or [[0, 0], [0.5, 0.0], [2.0, 0.0], None]
+    a = cfg["alpha"]
+    zs = cfg["z"]
     # the schema cannot say "a pair, or null last" (the point at infinity)
     for i, z in enumerate(zs[:-1] if zs[-1] is None else zs):
         _check_schema(_PAIR, z, ("z", i))
-    zs = [None if z is None else complex(z[0], z[1]) for z in zs]
+    zs = [None if z is None else _complex(z) for z in zs]
     res = sphere_k_point(a, zs, params, _quad(cfg), int(cfg["N"]))
     return {"alpha": list(a), **_correlator_payload(res)}
 
@@ -338,12 +323,13 @@ def cmd_graph(cfg) -> dict:
 def cmd_mc_torus1pt(cfg) -> tuple[dict, list, str, str]:
     params = _cparams(cfg)
     a = _one_alpha(cfg)
-    geom = TorusGeometry(tau=_tau(cfg), n_grid=int(cfg["grid"]))
+    tau = _complex(cfg["tau"])
+    geom = TorusGeometry(tau=tau, n_grid=int(cfg["grid"]))
     mc = McConfig(
         n_samples=int(cfg["samples"]), n_batches=int(cfg["batches"]), seed=int(cfg["seed"])
     )
     est = mc_torus_one_point(a, geom, params, mc)
-    boot = torus_one_point(a, _tau(cfg), params, _quad(cfg), int(cfg["N"]))
+    boot = torus_one_point(a, tau, params, _quad(cfg), int(cfg["N"]))
     rows = [(i, m) for i, m in enumerate(est.batch_means)]
     payload = {
         "alpha1": a,
@@ -358,38 +344,60 @@ def cmd_mc_torus1pt(cfg) -> tuple[dict, list, str, str]:
     return payload, rows, "mc_batches.csv", "batch,mean"
 
 
+_LIOUVILLE = {"gamma": math.sqrt(2.0), "mu": 1.0}
+_SPECTRAL = {"p_max": 6.0, "panel_width": 0.5, "nodes_per_panel": 8, "N": 4}
+_TAU = {"tau": [0.0, 1.0]}
+
+#: Each subcommand's handler, and the defaults of the config keys that can
+#: change its result (None: the key has no default).  These keys are all the
+#: command takes, flags and config file alike, and all its record holds.
+COMMANDS = {
+    "upsilon": (cmd_upsilon, {"gamma": _LIOUVILLE["gamma"], "p": 0.7, "zarg": None}),
+    "dozz": (cmd_dozz, {**_LIOUVILLE, "alpha": [0.3, 0.5, 0.9]}),
+    "shapovalov": (cmd_shapovalov, {"delta": [0.5, 0.0], "c": 26.0, "level": 2}),
+    "block": (cmd_block, {"gamma": _LIOUVILLE["gamma"], "alpha": [1.2], "p": 0.7, "q": [0.3, 0.0],
+                          "N": _SPECTRAL["N"]}),
+    "torus1pt": (cmd_torus1pt, {**_LIOUVILLE, "alpha": [1.2], **_TAU, **_SPECTRAL}),
+    "toruskpt": (cmd_toruskpt, {**_LIOUVILLE, "alpha": [0.8, 1.2], **_TAU, "x": [[0, 0], [0.5, 2.0]],
+                                **_SPECTRAL}),
+    "spherekpt": (cmd_spherekpt, {**_LIOUVILLE, "alpha": [1.5, 1.4, 1.3, 1.2],
+                                  "z": [[0, 0], [0.5, 0.0], [2.0, 0.0], None], **_SPECTRAL}),
+    "graph": (cmd_graph, {**_LIOUVILLE, "graph": None, **_SPECTRAL}),
+    "mc-torus1pt": (cmd_mc_torus1pt, {**_LIOUVILLE, "alpha": [1.2], **_TAU, "grid": 64, "samples": 20000,
+                                      "batches": 20, "seed": 1, **_SPECTRAL}),
+}
+
+#: The keys that have a flag, and its argparse settings.
+_FLAGS = {
+    **dict.fromkeys(("gamma", "mu", "p_max", "panel_width", "p"), {"type": float}),
+    **dict.fromkeys(("nodes_per_panel", "N", "samples", "batches", "grid", "level", "seed"), {"type": int}),
+    "alpha": {"type": float, "nargs": "*"},
+    "tau": {"type": float, "nargs": 2},
+}
+
+
 def main(argv=None) -> int:
-    # SUPPRESS: a subcommand's parser must not reset a flag given before it
+    # SUPPRESS: a subcommand's parser must not reset a flag given before it,
+    # nor put an unset one in the config
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--out", help="output directory for JSON/CSV artifacts")
-    common.add_argument("--seed", type=int, help="RNG seed override")
 
     parser = argparse.ArgumentParser(
         prog="lcft",
         description="Liouville CFT correlators: conformal bootstrap plus GMC Monte Carlo.",
         parents=[common],
     )
+    # read by mc-torus1pt, and refused by every other command
+    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="RNG seed (mc-torus1pt)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in (
-        "upsilon", "dozz", "shapovalov", "block", "torus1pt",
-        "toruskpt", "spherekpt", "graph", "mc-torus1pt",
-    ):
-        p = sub.add_parser(name, parents=[common])
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--mu", type=float)
-        p.add_argument("--alpha", type=float, nargs="*")
-        p.add_argument("--N", type=int, dest="N")
-        p.add_argument("--p-max", type=float, dest="p_max")
-        p.add_argument("--nodes-per-panel", type=int, dest="nodes_per_panel")
-        p.add_argument("--panel-width", type=float, dest="panel_width")
-        p.add_argument("--samples", type=int)
-        p.add_argument("--batches", type=int)
-        p.add_argument("--grid", type=int)
-        p.add_argument("--level", type=int)
-        p.add_argument("--p", type=float)
-        p.add_argument("--tau", type=float, nargs=2)
+    for name, (_, defaults) in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], argument_default=argparse.SUPPRESS)
+        for key in defaults:
+            if key in _FLAGS:
+                p.add_argument(f"--{key.replace('_', '-')}", dest=key, help=f"default {defaults[key]}",
+                               **_FLAGS[key])
 
     st = sub.add_parser("selftest", help="run the acceptance battery")
     st.add_argument("--only", nargs="*", help="criterion ids to run (default: all)")
@@ -409,20 +417,10 @@ def main(argv=None) -> int:
         return 0 if all(r.passed for r in results) else 1
 
     try:
-        cfg = _load_config(args)
+        handler, defaults = COMMANDS[args.command]
+        cfg = _load_config(args, defaults)
         cfg["command"] = args.command
-        handlers = {
-            "upsilon": cmd_upsilon,
-            "dozz": cmd_dozz,
-            "shapovalov": cmd_shapovalov,
-            "block": cmd_block,
-            "torus1pt": cmd_torus1pt,
-            "toruskpt": cmd_toruskpt,
-            "spherekpt": cmd_spherekpt,
-            "graph": cmd_graph,
-            "mc-torus1pt": cmd_mc_torus1pt,
-        }
-        out = handlers[args.command](cfg)
+        out = handler(cfg)
         if isinstance(out, tuple):
             payload, rows, csv_name, csv_header = out
             _emit(args, cfg, payload, rows, csv_name, csv_header)

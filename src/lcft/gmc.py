@@ -111,7 +111,6 @@ class TorusGeometry:
         _require_int("n_grid", self.n_grid)
         if self.n_grid < 4 or self.n_grid % 2:
             raise ValidationError("n_grid must be an even integer >= 4")
-        self._tables: dict = {}
 
     @property
     def area(self) -> float:
@@ -128,35 +127,16 @@ class TorusGeometry:
         v = np.arange(n)[None, :] / n
         return 2.0 * math.pi * (u + v * self.tau)
 
-    def eigenvalues(self) -> np.ndarray:
-        """Laplacian eigenvalues |n - m tau|^2 / (Im tau)^2 on the FFT box,
-        indexed [m, n] in FFT layout; the (0,0) entry is 0."""
-        if "eig" not in self._tables:
-            n = self.n_grid
-            freq = np.fft.fftfreq(n, d=1.0 / n)  # 0, 1, ..., -1 layout
-            m = freq[:, None]
-            k = freq[None, :]
-            lam = (np.abs(k - m * self.tau) / self.tau.imag) ** 2
-            self._tables["eig"] = lam
-        return self._tables["eig"]
-
     def mode_variances(self) -> np.ndarray:
-        """Per-mode variance 2 pi / (v_g lambda_k); zero at the zero mode."""
-        if "var" not in self._tables:
-            lam = self.eigenvalues()
-            var = np.zeros_like(lam)
-            nz = lam > 0
-            var[nz] = 2.0 * math.pi / (self.area * lam[nz])
-            self._tables["var"] = var
-        return self._tables["var"]
-
-    def truncated_covariance(self) -> np.ndarray:
-        """C_K(x, 0) of the truncated field on the grid (exact FFT sum)."""
-        if "cov" not in self._tables:
-            var = self.mode_variances()
-            n = self.n_grid
-            self._tables["cov"] = np.real(np.fft.ifft2(var)) * n * n
-        return self._tables["cov"]
+        """Per-mode variance 2 pi / (v_g lambda_k) of the Laplacian eigenvalues
+        lambda = |k - m tau|^2 / (Im tau)^2 on the FFT box, indexed [m, k] in
+        FFT layout; zero at the zero mode."""
+        freq = np.fft.fftfreq(self.n_grid, d=1.0 / self.n_grid)  # 0, 1, ..., -1 layout
+        lam = (np.abs(freq[None, :] - freq[:, None] * self.tau) / self.tau.imag) ** 2
+        var = np.zeros_like(lam)
+        nz = lam > 0
+        var[nz] = 2.0 * math.pi / (self.area * lam[nz])
+        return var
 
 
 def torus_green(z, geom: TorusGeometry) -> float | np.ndarray:

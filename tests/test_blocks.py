@@ -1,4 +1,3 @@
-import json
 import math
 import re
 
@@ -17,7 +16,6 @@ from lcft.blocks import (
     torus_one_point_block,
 )
 from lcft.bootstrap import _sphere_chain, _sphere_scalar, _torus_cycle
-from lcft.cli import main
 from lcft.errors import DegenerateWeight, DimensionMismatch, ValidationError
 from lcft.graphs import AdmissibleGraph, EdgeSpec, MarkedPoint
 from lcft.params import CftParams
@@ -252,14 +250,6 @@ class TestTorusBlock:
         series = torus_one_point_block(1.2, 0.7, params, N=8)
         incs = [abs(series.coeffs[(n,)] * 0.3**n) for n in range(9)]
         assert all(incs[n + 1] < incs[n] for n in range(1, 8))
-
-    def test_domain_guard(self, tmp_path, capsys):
-        # the series does not depend on q; lcft block evaluates it at q, so it
-        # refuses |q| >= 1 as a DomainError (exit 3)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"gamma": 1.1, "alpha": [1.2], "p": 0.7, "q": [1.5, 0.0], "N": 2}))
-        assert main(["block", "--config", str(cfg)]) == 3
-        assert "numerical guard: |q| must be < 1, got 1.5" in capsys.readouterr().err
 
     def test_identity_insertion_gives_characters(self):
         params = CftParams(gamma=1.1)

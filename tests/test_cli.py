@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +47,34 @@ def _config_battery(schema, validator):
         if i % 2:
             picks.append(entries[rng.integers(len(entries))])
         yield dict(picks)
+
+
+#: Quadrature and truncation settings that make a spectral command quick.
+CHEAP_SPECTRAL = {"N": 1, "p_max": 1.0, "nodes_per_panel": 2}
+
+#: The config keys each subcommand takes and records.
+COMMAND_KEYS = {
+    "upsilon": {"gamma", "p", "zarg"},
+    "dozz": {"gamma", "mu", "alpha"},
+    "shapovalov": {"delta", "c", "level"},
+    "block": {"gamma", "alpha", "p", "q", "N"},
+    "torus1pt": {"gamma", "mu", "alpha", "tau", "p_max", "panel_width", "nodes_per_panel", "N"},
+    "toruskpt": {"gamma", "mu", "alpha", "tau", "x", "p_max", "panel_width", "nodes_per_panel", "N"},
+    "spherekpt": {"gamma", "mu", "alpha", "z", "p_max", "panel_width", "nodes_per_panel", "N"},
+    "graph": {"gamma", "mu", "graph", "p_max", "panel_width", "nodes_per_panel", "N"},
+    "mc-torus1pt": {"gamma", "mu", "alpha", "tau", "grid", "samples", "batches", "seed",
+                    "p_max", "panel_width", "nodes_per_panel", "N"},
+}
+
+
+def main_code(argv) -> int:
+    """lcft.cli.main's exit code, an argparse error's included."""
+    from lcft.cli import main
+
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def run_cli(*args):
@@ -119,11 +148,12 @@ class TestCli:
         assert "gamma" in out.stderr
 
     def test_common_flags_before_subcommand(self, tmp_path):
+        # mc-torus1pt is the one command that reads a seed
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"gamma": 1.1}))
-        out = run_cli("--out", str(tmp_path / "out"), "--config", str(cfg), "--seed", "7", "dozz")
+        cfg.write_text(json.dumps({"gamma": 1.1, "samples": 40, "grid": 8, **CHEAP_SPECTRAL}))
+        out = run_cli("--out", str(tmp_path / "out"), "--config", str(cfg), "--seed", "7", "mc-torus1pt")
         assert out.returncode == 0, out.stderr
-        rec = json.loads((tmp_path / "out" / "dozz.json").read_text())
+        rec = json.loads((tmp_path / "out" / "mc-torus1pt.json").read_text())
         assert rec["config"]["gamma"] == 1.1
         assert rec["config"]["seed"] == 7
 
@@ -460,3 +490,76 @@ class TestCli:
         assert out.returncode == 0
         rec = json.loads(out.stdout)
         assert rec["result"]["value"]["re"] == 1.0  # Q/2 = 1.25 at gamma = 1
+
+    def test_command_table_lists_each_command_keys(self):
+        from lcft.cli import COMMANDS
+
+        assert {name: set(defaults) for name, (_, defaults) in COMMANDS.items()} == COMMAND_KEYS
+        assert sum(map(len, COMMAND_KEYS.values())) == 58
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
+    def test_record_holds_exactly_the_command_keys(self, command, tmp_path, capsys):
+        from lcft.cli import COMMANDS
+
+        keys = COMMAND_KEYS[command]
+        given = {key: val for key, val in {**CHEAP_SPECTRAL, "samples": 40, "grid": 8}.items() if key in keys}
+        given |= {"graph": GENUS2} if command == "graph" else {"zarg": [0.3, 0.1]} if command == "upsilon" else {}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(given))
+        assert main_code([command, "--config", str(cfg)]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        defaults = {key: val for key, val in COMMANDS[command][1].items() if val is not None}
+        assert config == {**defaults, **given, "command": command}
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["shapovalov", "--gamma", "1.0"], "--gamma"),
+            (["dozz", "--samples", "5"], "--samples"),
+            (["torus1pt", "--p", "0.5"], "--p"),  # not taken for --p-max
+            (["graph", "--seed", "3"], "--seed"),
+            (["--seed", "3", "dozz"], "'seed'"),
+            (["dozz", "--config", "{grid}"], "'grid'"),
+        ],
+        ids=["shapovalov-gamma", "dozz-samples", "torus1pt-p", "graph-seed", "seed-before-dozz", "dozz-grid-file"],
+    )
+    def test_key_the_command_does_not_read_exits_2(self, argv, key, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": 64}))
+        assert main_code([arg.format(grid=cfg) for arg in argv]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_defaults_and_their_values_give_one_hash(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": []}))
+        records = []
+        for argv in (["dozz"], ["dozz", "--alpha", "0.3", "0.5", "0.9"], ["dozz", "--config", str(cfg)]):
+            assert main_code(argv) == 0
+            records.append(json.loads(capsys.readouterr().out))
+        assert len({rec["config_hash"] for rec in records}) == 1
+        assert records[2]["result"]["alpha"] == [0.3, 0.5, 0.9]  # a file's empty alpha is unset
+
+    @pytest.mark.parametrize("q, modulus", [([0, 0], "0.0"), ([1.5, 0.0], "1.5")], ids=["zero", "outside"])
+    def test_block_needs_q_in_the_punctured_unit_disk(self, q, modulus, tmp_path, capsys):
+        # the series does not depend on q; lcft block evaluates it at q, so it
+        # refuses q outside 0 < |q| < 1, as graph refuses such a modulus
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": 1.1, "alpha": [1.2], "p": 0.1, "q": q, "N": 2}))
+        assert main_code(["block", "--config", str(cfg)]) == 2
+        assert f"validation error: block needs 0 < |q| < 1, got |q| = {modulus}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("minimal", [True, False], ids=["setup-call", "measured-call"])
+    def test_benchmark_workloads_pass_their_command_keys(self, minimal, tmp_path, monkeypatch):
+        # each workload config, with the flags the benchmark harness adds,
+        # loads under its command's keys; the handler is stubbed out
+        import lcft.cli
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import harness
+
+        for w in harness.WORKLOADS.values():
+            loaded = []
+            defaults = lcft.cli.COMMANDS[w.command][1]
+            monkeypatch.setitem(lcft.cli.COMMANDS, w.command, (lambda cfg: loaded.append(cfg) or {}, defaults))
+            assert main_code(w.argv(str(tmp_path / w.name), seed=1, minimal=minimal)) == 0, w.name
+            assert loaded[0].keys() == COMMAND_KEYS[w.command] | {"command"}, w.name
