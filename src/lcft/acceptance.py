@@ -24,7 +24,10 @@ from .params import CftParams
 from .special import UpsilonEvaluator, l_ratio, upsilon
 from .virasoro import conformal_weight, kac_weight, shapovalov, shapovalov_inverse
 
-__all__ = ["CriterionResult", "run_battery", "CRITERIA"]
+__all__ = ["CriterionResult", "run_battery", "CRITERIA", "MC_BATCHES"]
+
+#: Criterion 9's batch count per Monte Carlo run, so its least sample count.
+MC_BATCHES = 40
 
 
 @dataclass
@@ -409,10 +412,11 @@ def criterion_9(n_samples: int = 200_000) -> CriterionResult:
     g128 = TorusGeometry(tau=1j, n_grid=128)
     g64 = TorusGeometry(tau=1j, n_grid=64)
     ests = mc_torus_one_point_many(
-        alphas, g128, params, McConfig(n_samples=n_samples, n_batches=40, seed=9)
+        alphas, g128, params, McConfig(n_samples=n_samples, n_batches=MC_BATCHES, seed=9)
     )
     ests64 = mc_torus_one_point_many(
-        alphas, g64, params, McConfig(n_samples=max(n_samples // 2, 40), n_batches=40, seed=10)
+        alphas, g64, params,
+        McConfig(n_samples=max(n_samples // 2, MC_BATCHES), n_batches=MC_BATCHES, seed=10),
     )
     lines = []
     ok = True

@@ -406,12 +406,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "selftest":
-        given = [f"--{key}" for key in ("config", "out", "seed") if hasattr(args, key)]
-        if given:
-            print(f"validation error: selftest takes no {', '.join(given)}", file=sys.stderr)
-            return 2
-        from .acceptance import run_battery
+        from .acceptance import CRITERIA, MC_BATCHES, run_battery
 
+        given = [f"--{key}" for key in ("config", "out", "seed") if hasattr(args, key)]
+        unknown = [cid for cid in args.only or () if cid not in CRITERIA]
+        problem = None
+        if given:
+            problem = f"selftest takes no {', '.join(given)}"
+        elif unknown:
+            problem = (f"selftest --only: unknown criterion id {', '.join(unknown)} "
+                       f"(ids: {', '.join(CRITERIA)})")
+        elif args.mc_samples < MC_BATCHES:
+            problem = (f"selftest --mc-samples must be at least {MC_BATCHES}, criterion 9's "
+                       f"batch count, got {args.mc_samples}")
+        if problem:
+            print(f"validation error: {problem}", file=sys.stderr)
+            return 2
         results = run_battery(only=set(args.only) if args.only else None,
                               mc_samples=args.mc_samples)
         return 0 if all(r.passed for r in results) else 1

@@ -253,6 +253,31 @@ class TestCli:
         assert out.returncode == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "args, words",
+        [
+            (("--mc-samples", "0"), "--mc-samples must be at least 40"),
+            (("--only", "5", "--mc-samples", "39"), "--mc-samples must be at least 40"),
+            (("--only", "99"), "unknown criterion id 99"),
+            (("--only", "5", "99"), "unknown criterion id 99"),
+        ],
+    )
+    def test_selftest_rejects_bad_values(self, args, words):
+        out = run_cli("selftest", *args)
+        assert out.returncode == 2
+        assert words in out.stderr and "Traceback" not in out.stderr
+        assert "criterion" not in out.stdout
+
+    def test_readme_graph_example(self, tmp_path):
+        # the README's graph block, as a config file's graph, runs at the defaults
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = tmp_path / "graph.json"
+        cfg.write_text(json.dumps({"graph": json.loads(block)}))
+        out = run_cli("graph", "--config", str(cfg))
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["result"]["genus"] == 1
+
     def test_graph_command(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"graph": GENUS2, "p_max": 1.0, "nodes_per_panel": 2, "N": 1}))

@@ -182,9 +182,12 @@ def _reference_sample_gff(geom, rng, batch):
 def _reference_batch_means(alphas, tables, geom, params, cfg):
     """Scaled batch means of gmc._estimate as first written: one thread,
     batches in order, chunks of 32 samples from the reference sampler, each
-    sample's y = Z^{-s} averaged over the four half-period translates.  Each
-    batch mean is then adjusted by the controls Q of the reference's normals,
-    with beta = mean of Q (y - ybar) over the batches of the other parity."""
+    sample's y = (y+ + y-) / 2 the mean of Z^{-s} at X and at -X, each
+    averaged over the four half-period translates.  As in the estimator, y+
+    comes first for every weight, then the mirror field e^{-2 shift} / wick,
+    then y-.  Each batch mean is then adjusted by the controls Q of the
+    reference's normals, with beta = mean of Q (y - ybar) over the batches of
+    the other parity."""
     g = params.gamma
     W = gmc.w_constant(geom)
     s2 = gmc.wick_variance(geom)
@@ -211,8 +214,11 @@ def _reference_batch_means(alphas, tables, geom, params, cfg):
             nb = min(int(sizes[b]) - done, 32)
             X, Q = _reference_sample_gff(geom, rng, nb)
             wick = np.exp(g * X - 0.5 * g * g * s2)
-            ys = [np.mean(np.einsum("bij,kij->bk", wick, vw[j]) ** (-s), axis=1)
-                  for j, s in enumerate(s_of)]
+            plus = [np.mean(np.einsum("bij,kij->bk", wick, vw[j]) ** (-s), axis=1)
+                    for j, s in enumerate(s_of)]
+            wick = math.exp(-2.0 * (0.5 * g * g * s2)) / wick
+            ys = [0.5 * (yp + np.mean(np.einsum("bij,kij->bk", wick, vw[j]) ** (-s), axis=1))
+                  for yp, (j, s) in zip(plus, enumerate(s_of))]
             y_b = y_b + np.array([y.sum() for y in ys])
             qy_b = qy_b + np.array([np.einsum("b,bi->i", y, Q) for y in ys])
             q_b = q_b + Q.sum(axis=0)
@@ -371,6 +377,50 @@ class TestControls:
         assert lo < spread / stderr < hi
         long = mc_torus_one_point(1.2, geom, self.PARAMS, McConfig(n_samples=20000, n_batches=20, seed=100))
         assert abs(means.mean() - long.mean) < 4.0 * math.hypot(stderr / math.sqrt(20), long.stderr)
+
+
+class TestAntithetic:
+    """The antithetic pair: each field draw X is used at X and at -X, whose
+    Wick field is the mirror e^{-2 shift} / e^{gamma X - shift}."""
+
+    PARAMS = CftParams(gamma=math.sqrt(2.0), mu=1.0)
+    ALPHAS = [0.8, 1.2]
+
+    def _chunk(self):
+        """One 7-sample chunk of the reference sampler on 16^2, its Wick
+        fields as the estimator forms them, the shift and the translate stacks."""
+        geom = TorusGeometry(tau=0.2 + 1.05j, n_grid=16)
+        g = self.PARAMS.gamma
+        X, _ = _reference_sample_gff(geom, np.random.default_rng(12), 7)
+        shift = 0.5 * g * g * wick_variance(geom)
+        shifts = gmc._half_period_shifts(geom.n_grid)
+        stacks = [
+            gmc._translate_stack(gmc._vertex_weight_table(geom, a, self.PARAMS), shifts)
+            for a in self.ALPHAS
+        ]
+        return X, np.exp(g * X - shift), shift, stacks
+
+    def test_mirror_field(self):
+        X, wick, shift, stacks = self._chunk()
+        s_of = [a / self.PARAMS.gamma for a in self.ALPHAS]
+        gmc._pair_y(wick, stacks, s_of, math.exp(-2.0 * shift))
+        expected = np.exp(-self.PARAMS.gamma * X - shift)
+        assert np.allclose(wick, expected, rtol=1e-13, atol=0)
+
+    def test_pair_mean(self):
+        # y = (y(X) + y(-X)) / 2, each y the translates' mean of Z^{-s}
+        X, wick, shift, stacks = self._chunk()
+        g = self.PARAMS.gamma
+        s_of = [a / g for a in self.ALPHAS]
+        plus, pairs = gmc._pair_y(wick, stacks, s_of, math.exp(-2.0 * shift))
+        for yp, y, vw, s in zip(plus, pairs, stacks, s_of):
+            at = [
+                np.mean(np.einsum("bij,kij->bk", np.exp(sign * g * X - shift), vw) ** (-s), axis=1)
+                for sign in (1.0, -1.0)
+            ]
+            assert np.array_equal(yp, at[0])
+            assert np.allclose(y, 0.5 * (at[0] + at[1]), rtol=1e-13, atol=0)
+            assert not np.allclose(at[0], at[1], rtol=1e-3)
 
 
 class TestTranslates:
@@ -541,5 +591,6 @@ class TestEstimator:
         assert est.config["controls"] == 12
         assert est.config["W"] == -2.0 * math.log(abs(dedekind_eta(1j)))
         assert est.config["variance_ratio"] > 1.0
+        assert est.config["antithetic_ratio"] > 1.0
         ratio = (est.config["plain_stderr"] / est.stderr) ** 2
         assert est.config["variance_ratio"] == pytest.approx(ratio, rel=1e-12)
