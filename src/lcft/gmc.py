@@ -68,9 +68,10 @@ releases the interpreter lock in the normal fill, the FFTs, ``exp``, the
 mirror's division and ``einsum``, so the threads overlap.  A batch's draws,
 arithmetic and reductions depend only on (seed, b) and the fixed 32-sample
 chunking, and its mean lands in its own slot, so the results are
-bit-identical for a fixed seed at any thread count.  Each thread draws into buffers it allocates once: a
-chunk's normals and field (about 8 MiB at 128^2), and the spectrum of a
-4-sample sub-chunk small enough to stay in cache through the inverse FFTs.
+bit-identical for a fixed seed at any thread count.  Each thread draws into
+buffers it allocates once: a chunk's normals and field (about 8 MiB at
+128^2), and the spectrum of a 4-sample sub-chunk small enough to stay in
+cache through the inverse FFTs.
 """
 
 from __future__ import annotations
