@@ -24,16 +24,16 @@ its z-monomials only while slot 3 is primary, where the derivatives act on
 them; they are summed at ``ZHAT`` before slot 3's transport, which only
 multiplies by powers of z13 and z23.
 
-``_block_series`` is the spectral engine's block at an array of node tuples,
-from one plan of the graph (``graphs._plan``: each vertex's slots in order,
-as (edge index, orientation sign) or (None, alpha); ``dozz`` reads its DOZZ
-arguments from the same records).  It builds one inverse Gram stack per level
-over the nodes, and each vertex's tensors over the distinct projections of
-the tuples onto its own edges (``graphs._projections``).  ``_contract`` sums
-each multidegree's products of tensor and inverse entries over the basis
+``_block_series`` is the spectral engine's block on n nodes per edge, from
+one plan of the graph (``graphs._plan``: each vertex's slots in order, as
+(edge index, orientation sign) or (None, alpha); ``dozz`` reads its DOZZ
+arguments from the same records).  Its arrays have one node axis per edge:
+each edge's inverse Gram stacks lie on its axis, and each vertex's tensors,
+built on the grid of its own edges' nodes, on theirs.  ``_contract`` sums each
+multidegree's broadcast products of tensor and inverse entries over the basis
 indices, and ``BlockSeries`` turns the coefficient arrays into |F|^2 and the
-last-level share.  Every step is an out-of-place elementwise operation along
-the nodes or tuples, so an entry has the same bits at any array length.
+last-level share.  Every step is an out-of-place elementwise operation, so an
+entry has the same bits at any array shape.
 ``torus_one_point_block`` is the torus one-point series at one p, apart from
 the engine, for ``lcft block`` and the acceptance battery's transcription.
 """
@@ -280,9 +280,9 @@ class BlockSeries:
     ``coeffs`` maps multidegrees to holomorphic series coefficients; the
     modulus-dependent prefactor exponents stay symbolic in |q| so callers can
     form |F|^2 without cancellation.  Coefficients and exponents are scalars,
-    or arrays over node tuples in the spectral engine; the methods run on 1-D
-    arrays out of place, so an entry has the same bits at any number of
-    tuples, and return scalars for a scalar series.
+    or arrays that broadcast over node tuples in the spectral engine; the
+    methods run out of place on arrays of at least one axis, so an entry has
+    the same bits at any shape, and return scalars for a scalar series.
     """
 
     exponents: tuple
@@ -297,9 +297,9 @@ class BlockSeries:
             raise DimensionMismatch(f"expected {len(self.exponents)} moduli, got {len(qs)}")
         pref, total, top = 1.0, 0.0 + 0.0j, 0.0 + 0.0j
         for q, e in zip(qs, self.exponents):
-            pref = pref * abs(q) ** np.reshape(e, -1)
+            pref = pref * abs(q) ** np.atleast_1d(e)
         for degs, co in self.coeffs.items():
-            term = np.reshape(co, -1)
+            term = np.atleast_1d(co)
             for q, n in zip(qs, degs):
                 if n:
                     term = term * q**n
@@ -392,11 +392,12 @@ def _contract(plan: tuple, terms: list, tensors: list, finv: list) -> dict:
 
     ``terms`` comes from _level_terms; ``tensors`` holds each vertex's
     {levels: array} and ``finv`` each edge's inverse Gram matrices at levels
-    0..N, all with the tuples on their last, contiguous axis.  A coefficient
-    sums, over every assignment of basis indices to the edge ends, the
-    product of one entry of each operand, out of place and in an order fixed
-    by the plan, so a tuple's coefficient has the same bits at any number of
-    tuples (np.einsum's order depends on the operand shapes)."""
+    0..N, all with their basis axes first, then one node axis per edge
+    (length 1 off the operand's own edges).  A coefficient sums, over every
+    assignment of basis indices to the edge ends, the broadcast product of one
+    entry of each operand, out of place and in an order fixed by the plan, so
+    a tuple's coefficient has the same bits at any number of tuples
+    (np.einsum's order depends on the operand shapes)."""
     coeffs = {}
     for degs, levels in terms:
         operands = [(t[lv], vertex.ends) for t, lv, vertex in zip(tensors, levels, plan)]
@@ -413,24 +414,27 @@ def _contract(plan: tuple, terms: list, tensors: list, finv: list) -> dict:
     return coeffs
 
 
-def _block_series(
-    plan: tuple, ps, tuples: np.ndarray, projections: list, params: CftParams, N: int
-) -> tuple:
-    """The engine's block at node tuples, as one BlockSeries of arrays over
-    the columns of the (L, n) array ``tuples`` (indices into the edges' p
-    values ``ps``; ``projections`` from graphs._projections), and the number
-    of vertex tensors built."""
-    c = params.c_L
-    hs = np.array([complex(conformal_weight(params.Q + 1j * p, params)) for p in ps])
-    terms = _level_terms(plan, N, len(tuples))
-    tensors, built = [], 0
-    for v, (vertex, (own, distinct, rows)) in enumerate(zip(plan, projections)):
-        weights = [hs[distinct[own.index(e)]] for e in vertex.edges]
-        arrays = _vertex_tensors(vertex, {lv[v] for _degs, lv in terms}, weights, params)
-        built += distinct.shape[1] * len(arrays)
-        tensors.append({lv: np.ascontiguousarray(np.moveaxis(a[rows], 0, -1)) for lv, a in arrays.items()})
-    stacks = _gram_inverses(hs, c, N)
-    finv = [[np.ascontiguousarray(np.moveaxis(F[node], 0, -1)) for F in stacks] for node in tuples]
-    exps = tuple(-c / 24.0 + hs[node].real for node in tuples)
-    return BlockSeries(exponents=exps, coeffs=_contract(plan, terms, tensors, finv), N=N), built
+def _on_axes(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """A view of ``a`` with its node axis 0 moved last and laid out as ``shape``."""
+    return np.moveaxis(a, 0, -1).reshape(*a.shape[1:], *shape)
 
+
+def _block_series(plan: tuple, ps, L: int, params: CftParams, N: int) -> tuple:
+    """The engine's block on the grid of the nodes ``ps`` on each of the L
+    edges, as one BlockSeries of arrays that broadcast to shape (n,) * L, and
+    the number of vertex tensors built."""
+    c, n = params.c_L, len(ps)
+    hs = np.array([complex(conformal_weight(params.Q + 1j * p, params)) for p in ps])
+    terms = _level_terms(plan, N, L)
+    tensors, built = [], 0
+    for v, vertex in enumerate(plan):
+        own, grid, shape = vertex.grid(n, L)
+        weights = [hs[grid[own.index(e)]] for e in vertex.edges]
+        arrays = _vertex_tensors(vertex, {lv[v] for _degs, lv in terms}, weights, params)
+        built += grid.shape[1] * len(arrays)
+        tensors.append({lv: _on_axes(a, shape) for lv, a in arrays.items()})
+    stacks = _gram_inverses(hs, c, N)
+    axes = [tuple(n if a == e else 1 for a in range(L)) for e in range(L)]  # edge e's own axis
+    finv = [[_on_axes(F, shape) for F in stacks] for shape in axes]
+    exps = tuple((-c / 24.0 + hs.real).reshape(shape) for shape in axes)
+    return BlockSeries(exponents=exps, coeffs=_contract(plan, terms, tensors, finv), N=N), built

@@ -28,15 +28,15 @@ alpha_{k-1} + alpha_k > Q at the two disk vertices and sum(alpha) > 2Q.
 
 The graph is read once into ``graphs._plan``, whose vertex records give each
 vertex's weight bounds, DOZZ arguments, tensors, edge ends, metric constant
-and share of the mu-exponent.  The integrand is one array computation over
-all n^L node tuples: ``dozz._rho`` and ``blocks._block_series`` build each
-vertex's DOZZ factors and tensors over the distinct projections of the tuples
-onto its own edges (``graphs._projections``, taken once per call), and one
-inverse Gram stack per level over the n nodes.  ``_rho`` makes one
-``dozz._dozz`` call over every vertex's argument triples, which evaluates
-each distinct log-Upsilon argument (and its pole distance) once.  Nothing is
-kept between calls, and a rule whose n^L tuples exceed ``_NODE_BUDGET`` raises
-CostGuard before any of them is evaluated.
+and share of the mu-exponent.  The integrand is one array computation with
+one node axis per edge: ``dozz._rho`` and ``blocks._block_series`` build each
+vertex's DOZZ factors and tensors on the grid of its own edges' nodes, and
+one inverse Gram stack per level over the n nodes, and broadcasting spans the
+n^L node tuples only in their products.  ``_rho`` makes one ``dozz._dozz``
+call over every vertex's argument triples, which evaluates each distinct
+log-Upsilon argument (and its pole distance) once.  Nothing is kept between
+calls, and a rule whose n^L tuples exceed ``_NODE_BUDGET`` raises CostGuard
+before any of them is evaluated.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import numpy as np
 from .blocks import _block_series, _require_edge_slots
 from .dozz import _rho
 from .errors import CostGuard, DimensionMismatch, ValidationError
-from .graphs import AdmissibleGraph, EdgeSpec, MarkedPoint, _plan, _projections, _violations
+from .graphs import AdmissibleGraph, EdgeSpec, MarkedPoint, _plan, _violations
 from .params import CftParams
 from .special import _panel_rule
 from .virasoro import conformal_weight
@@ -321,18 +321,14 @@ def graph_correlator(
         raise CostGuard(f"{quad.n_nodes}^{L} spectral evaluations exceed budget {_NODE_BUDGET}")
     _require_edge_slots(graph, plan)
     ps = [float(p) for p in quad.nodes]
-    shape = (quad.n_nodes,) * L
-    tuples = np.indices(shape).reshape(L, -1)  # every L-tuple of nodes, in C order
-    projections = _projections(plan, tuples)
-    rho, dozz_factors, upsilon_evals = _rho(plan, ps, projections, params)
-    series, vertex_tensors = _block_series(plan, ps, tuples, projections, params, N)
+    rho, dozz_factors, upsilon_evals = _rho(plan, ps, L, params)
+    series, vertex_tensors = _block_series(plan, ps, L, params, N)
     block_abs2, last_level = series.abs2_and_last_level(q_vector)
-    rho, block_abs2 = rho.reshape(shape), block_abs2.reshape(shape)
     weights = math.prod(np.ix_(*[quad.weights] * L))  # outer product over the edges
     weighted = weights * rho * block_abs2
     total = complex(weighted.sum())
     # nodes with any edge's p in the last panel: their largest node index is in it
-    largest_index = functools.reduce(np.maximum, np.indices(shape, sparse=True))
+    largest_index = functools.reduce(np.maximum, np.indices(block_abs2.shape, sparse=True))
     tail = complex(weighted[largest_index >= quad.last_panel_slice().start].sum())
     pref = 2.0 ** (L / 2.0) / (2.0 * math.pi) ** (2 * L - 1) * math.prod(
         _VERTEX_CONSTANTS[len(vertex.edges)] for vertex in plan

@@ -224,13 +224,17 @@ def _correlator_payload(res) -> dict:
         "last_level_fraction": res.last_level_fraction,
         "mu_exponent": res.mu_exponent,
         "n_evaluations": res.n_evaluations,
+        "prefactor": res.details["prefactor"],
         **{key: res.details[key] for key in _ENGINE_COUNTERS},
     }
 
 
 def cmd_upsilon(cfg) -> dict:
+    """Upsilon at zarg, or else at p (0.7 unless given), which the record holds."""
+    if "zarg" in cfg and "p" in cfg:
+        raise errors.ValidationError("upsilon takes 'p' or 'zarg', not both")
     ev = UpsilonEvaluator(float(cfg["gamma"]))
-    z = _complex(cfg["zarg"]) if "zarg" in cfg else complex(cfg["p"])
+    z = _complex(cfg["zarg"]) if "zarg" in cfg else complex(cfg.setdefault("p", 0.7))
     val = upsilon(z, ev)
     return {"z": [z.real, z.imag], "value": {"re": val.real, "im": val.imag}}
 
@@ -352,7 +356,7 @@ _TAU = {"tau": [0.0, 1.0]}
 #: change its result (None: the key has no default).  These keys are all the
 #: command takes, flags and config file alike, and all its record holds.
 COMMANDS = {
-    "upsilon": (cmd_upsilon, {"gamma": _LIOUVILLE["gamma"], "p": 0.7, "zarg": None}),
+    "upsilon": (cmd_upsilon, {"gamma": _LIOUVILLE["gamma"], "p": None, "zarg": None}),
     "dozz": (cmd_dozz, {**_LIOUVILLE, "alpha": [0.3, 0.5, 0.9]}),
     "shapovalov": (cmd_shapovalov, {"delta": [0.5, 0.0], "c": 26.0, "level": 2}),
     "block": (cmd_block, {"gamma": _LIOUVILLE["gamma"], "alpha": [1.2], "p": 0.7, "q": [0.3, 0.0],
@@ -396,8 +400,8 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, parents=[common], argument_default=argparse.SUPPRESS)
         for key in defaults:
             if key in _FLAGS:
-                p.add_argument(f"--{key.replace('_', '-')}", dest=key, help=f"default {defaults[key]}",
-                               **_FLAGS[key])
+                help_text = None if defaults[key] is None else f"default {defaults[key]}"
+                p.add_argument(f"--{key.replace('_', '-')}", dest=key, help=help_text, **_FLAGS[key])
 
     st = sub.add_parser("selftest", help="run the acceptance battery")
     st.add_argument("--only", nargs="*", help="criterion ids to run (default: all)")

@@ -15,11 +15,11 @@ arrays in one pass.  One dedupe over the arguments' bit patterns (signed zeros
 kept apart, as log Gamma's branch cut does) gives each distinct argument one
 log Upsilon and each distinct denominator one pole distance, every pole check
 first; constants that share arguments (the same edge node at many vertices or
-node tuples) share those evaluations, and each constant keeps the bits it has
+grid points) share those evaluations, and each constant keeps the bits it has
 alone.  ``dozz_constant`` is the kernel at one triple, and ``_rho`` makes one
 kernel call per spectral call, with each vertex's arguments read from the
-graph's plan and projections (``graphs._plan``, ``graphs._projections``);
-nothing is kept between calls.
+graph's plan (``graphs._plan``) on the grid of its own edges' nodes; nothing
+is kept between calls.
 """
 
 from __future__ import annotations
@@ -137,23 +137,23 @@ def _dozz(args, params: CftParams) -> tuple:
     return np.where(zero, 0.0, np.exp(np.where(zero, 0.0, log_c))), len(first)
 
 
-def _rho(plan, ps, projections: list, params: CftParams) -> tuple:
-    """The engine's bare DOZZ product at node tuples, as an array over the
-    tuples that ``projections`` (from graphs._projections) projects onto each
-    vertex's edges, the number of vertex factors and the number of distinct
-    log Upsilon arguments.  ``ps`` holds the edges' p values.  Each vertex's
-    factors are taken over its distinct projections: Q + i sigma p on its edge
-    slots and alpha on its marked slots, in slot order, all in one _dozz call."""
+def _rho(plan, ps, L: int, params: CftParams) -> tuple:
+    """The engine's bare DOZZ product with the nodes ``ps`` on each of the L
+    edges, as an array that broadcasts to shape (n,) * L, the number of vertex
+    factors and the number of distinct log Upsilon arguments.  Each vertex's
+    factors are taken on the grid of its own edges' nodes and laid on their
+    axes: Q + i sigma p on its edge slots and alpha on its marked slots, in
+    slot order, all in one _dozz call."""
     ps = np.asarray(ps, dtype=float)
-    slot_args, gathers, built = ([], [], []), [], 0
-    for vertex, (own, distinct, rows) in zip(plan, projections):
+    slot_args, views, built = ([], [], []), [], 0
+    for vertex in plan:
+        own, grid, shape = vertex.grid(len(ps), L)
         for column, (eidx, x) in zip(slot_args, vertex.slots):
             if eidx is None:
-                column.append(np.full(distinct.shape[1], x, dtype=complex))
+                column.append(np.full(grid.shape[1], x, dtype=complex))
             else:
-                column.append(params.Q + 1j * x * ps[distinct[own.index(eidx)]])
-        gathers.append(built + rows)
-        built += distinct.shape[1]
+                column.append(params.Q + 1j * x * ps[grid[own.index(eidx)]])
+        views.append((built, grid.shape[1], shape))
+        built += grid.shape[1]
     factors, evals = _dozz([np.concatenate(column) for column in slot_args], params)
-    return functools.reduce(np.multiply, (factors[g] for g in gathers)), built, evals
-
+    return functools.reduce(np.multiply, (factors[b : b + k].reshape(s) for b, k, s in views)), built, evals

@@ -16,7 +16,7 @@ Slots are numbered 1..3.  Edge orientation runs from "from" (outgoing, sign
 DOZZ factor.
 
 ``_plan`` is the one reader of the slots: the weight bounds, the DOZZ factors,
-the block and the spectral integral read its vertex records.
+the block and the spectral integral read its vertex records and their grids.
 """
 
 from __future__ import annotations
@@ -193,6 +193,14 @@ class _Vertex:
         """The weight of each marked slot."""
         return tuple(x for e, x in self.slots if e is None)
 
+    def grid(self, n: int, L: int) -> tuple:
+        """With n nodes on each of L edges: the own edges, sorted; the (k, n^k)
+        index array of every tuple of their nodes, in C order; and the shape
+        that lays those tuples on the own edges' axes of (n,) * L."""
+        own = sorted(set(self.edges))
+        shape = tuple(n if e in own else 1 for e in range(L))
+        return own, np.indices((n,) * len(own)).reshape(len(own), n ** len(own)), shape
+
 
 def _plan(graph: AdmissibleGraph) -> tuple:
     """The graph's vertices, in ``graph.vertex_ids`` order: its structure is
@@ -205,18 +213,6 @@ def _plan(graph: AdmissibleGraph) -> tuple:
     for m in graph.marked:
         slots[m.vertex].append((m.slot, None, m.alpha))
     return tuple(_Vertex(tuple(s[1:] for s in sorted(v, key=lambda s: s[0]))) for v in slots.values())
-
-
-def _projections(plan: tuple, tuples: np.ndarray) -> list:
-    """For each vertex: its own edges (sorted), the distinct projections onto
-    them of the node tuples (the columns of the (L, n) index array
-    ``tuples``), in C order, and each tuple's column among them."""
-    out = []
-    for vertex in plan:
-        own = sorted(set(vertex.edges))
-        distinct, rows = np.unique(tuples[own], axis=1, return_inverse=True)
-        out.append((own, distinct, rows.reshape(-1)))
-    return out
 
 
 @dataclass

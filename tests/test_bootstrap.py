@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -622,9 +623,9 @@ class TestEngineCaches:
             graph_correlator(_torus_cycle([0.99 * edge], [0.01]), S2, quad=quad, N=1)
 
     def test_graph_read_once_per_call(self, monkeypatch):
-        # one structure check and one projection of the node tuples serve the
-        # weight bounds, the DOZZ factors and the block
-        calls = {"check_structure": 0, "_projections": 0}
+        # one structure check serves the weight bounds, the DOZZ factors and
+        # the block
+        calls = {"check_structure": 0}
 
         def counted(name, original):
             def wrapper(*args):
@@ -635,12 +636,29 @@ class TestEngineCaches:
 
         original = AdmissibleGraph.check_structure
         monkeypatch.setattr(AdmissibleGraph, "check_structure", counted("check_structure", original))
-        for module in (lcft.bootstrap, lcft.blocks, lcft.dozz, lcft.graphs):
-            if hasattr(module, "_projections"):
-                monkeypatch.setattr(module, "_projections", counted("_projections", module._projections))
         g, quad, N = _torus3()
         graph_correlator(g, S2, quad=quad, N=N)
-        assert calls == {"check_structure": 1, "_projections": 1}
+        assert calls == {"check_structure": 1}
+
+    def test_memory_stays_on_own_grids(self):
+        # each annulus of the 3-cycle builds its 18 radial entries (the 10
+        # level pairs with total <= 3) on its own 12^2 node pairs; the 20
+        # multidegree coefficients and a few work arrays span the 12^3 tuples.
+        # Tensors gathered onto every tuple would alone take 3 * 18 * 12^3
+        # complex entries (1.5 MB), above the bound
+        args = ([0.8, 1.0, 1.2], [0, 0.3 + 1.5j, 0.6 + 3.5j], 1j, S2, Quadrature(2.0, 0.5, 3))
+        torus_k_point(*args, N=3)  # warm: the Upsilon evaluator and its rules
+        tracemalloc.start()
+        try:
+            torus_k_point(*args, N=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, complex_bytes = 12, 16
+        tensors = 3 * 18 * n**2 * complex_bytes
+        coefficients = 20 * n**3 * complex_bytes
+        work = 16 * n**3 * complex_bytes
+        assert peak < tensors + coefficients + work  # 1.12 MB
 
     def test_cost_guard_at_its_edge(self, monkeypatch):
         g, _quad, _N = _torus2()

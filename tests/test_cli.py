@@ -137,6 +137,16 @@ class TestCli:
         assert csv[0] == "p,rho,block_abs2,integrand"
         assert len(csv) > 10
 
+    def test_density_and_prefactor_reproduce_value(self, tmp_path):
+        from lcft.bootstrap import Quadrature
+
+        assert main_code(["torus1pt", "--N", "3", "--p-max", "3", "--out", str(tmp_path)]) == 0
+        rec = json.loads((tmp_path / "torus1pt.json").read_text())
+        cfg, result = rec["config"], rec["result"]
+        weights = Quadrature(cfg["p_max"], cfg["panel_width"], cfg["nodes_per_panel"]).weights
+        integrand = np.loadtxt(tmp_path / "torus1pt_density.csv", delimiter=",", skiprows=1)[:, 3]
+        assert result["prefactor"] * np.dot(weights, integrand) == pytest.approx(result["value"], rel=1e-12)
+
     def test_config_file_and_schema(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"gamma": 1.1, "alpha": [0.4, 0.6, 1.1]}))
@@ -393,6 +403,7 @@ class TestCli:
         for key in ("gram_sets", "dozz_factors", "vertex_tensors", "upsilon_evals"):
             assert isinstance(result[key], int) and result[key] > 0, key
         assert result["gram_sets"] == 4  # one Gram-inverse set per quadrature node
+        assert 0 < result["prefactor"] < math.inf
         assert math.isfinite(result["value"])
 
     @pytest.mark.parametrize(
@@ -515,6 +526,27 @@ class TestCli:
         assert out.returncode == 0
         rec = json.loads(out.stdout)
         assert rec["result"]["value"]["re"] == 1.0  # Q/2 = 1.25 at gamma = 1
+
+    def test_upsilon_records_p_only_without_zarg(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"zarg": [0.3, 0.2]}))
+        records = []
+        for argv in (["upsilon", "--config", str(cfg)], ["upsilon"]):
+            assert main_code(argv) == 0
+            records.append(json.loads(capsys.readouterr().out))
+        assert "p" not in records[0]["config"] and records[0]["result"]["z"] == [0.3, 0.2]
+        assert records[1]["config"]["p"] == 0.7 and records[1]["result"]["z"] == [0.7, 0.0]
+
+    @pytest.mark.parametrize(
+        "flags, given", [([], {"p": 0.5, "zarg": [0.3, 0.2]}), (["--p", "0.5"], {"zarg": [0.3, 0.2]})],
+        ids=["file", "flag"],
+    )
+    def test_upsilon_p_beside_zarg_exits_2(self, flags, given, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(given))
+        assert main_code(["upsilon", "--config", str(cfg), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "'p'" in err and "'zarg'" in err
 
     def test_command_table_lists_each_command_keys(self):
         from lcft.cli import COMMANDS
