@@ -21,7 +21,6 @@ from .free_field import (
     annulus_partition,
     free_annulus_amplitude,
     heat_kernel_K0,
-    poisson_dn_disk,
 )
 from .graphs import AdmissibleGraph, EdgeSpec, MarkedPoint
 from .bootstrap import (

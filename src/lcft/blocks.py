@@ -16,7 +16,9 @@ Three ingredients:
   torus chains and sphere chains are pants graphs).
 
 Both descendant recursions are ring-agnostic and memoised on their words in a
-dict that lives for one call.  ``_radial_arrays`` and ``_pant_arrays`` run
+dict that lives for one call; the same dict holds the Virasoro generator
+memo of the weight they expand on (h_in for a radial element, one per slot
+for a pant bracket).  ``_radial_arrays`` and ``_pant_arrays`` run
 them with the weights as complex arrays and c as a float, so each family (the
 radial elements of a level pair, the pant brackets of a level triple) comes
 out as one array whose axis 0 runs along the weights.  A pant bracket keeps
@@ -114,14 +116,6 @@ def _binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _generator(n: int, word: tuple, slot: int, weights, c, memo: dict) -> dict:
-    """L_n on a word of the given slot, memoised in a bracket memo."""
-    key = ("L", n, word, slot)
-    if key not in memo:
-        memo[key] = apply_generator_to_word(n, word, weights[slot], c)
-    return memo[key]
-
-
 def _bracket_h(w1: tuple, w2: tuple, weights, c, memo: dict) -> dict:
     """Normalized pant-frame bracket of two descendant slots and a primary
     third, as the rational multiple of H {(a, b, d): coeff}.
@@ -130,7 +124,8 @@ def _bracket_h(w1: tuple, w2: tuple, weights, c, memo: dict) -> dict:
     (D1, D2, D3).  Slot 2 reduces via the differential term on the primary
     slot 3 plus transport onto slot 1, then slot 1 as a pure differential
     word acting on H.  Memoised in ``memo``, which must serve one (weights,
-    c) only.
+    c) only; its entry ("L", slot) is the generator memo at that slot's
+    weight.
     """
     key = ("H", w1, w2)
     if key in memo:
@@ -145,12 +140,13 @@ def _bracket_h(w1: tuple, w2: tuple, weights, c, memo: dict) -> dict:
         if m > 1:
             _zf_add(out, lower, (0, 0, -m), weights[2] * ((m - 1) * sgn_m))
         # operator transport onto slot 1: powers of (z1 - z2) = z12
+        gens = memo.setdefault(("L", 0), {})
         for k in range(0, sum(w1) + 2):
             cb = _binom(m + k - 2, k)
             if cb == 0:
                 continue
             sgn = -1 if k % 2 == 0 else 1
-            for w1_new, coeff in _generator(k - 1, w1, 0, weights, c, memo).items():
+            for w1_new, coeff in apply_generator_to_word(k - 1, w1, weights[0], c, gens).items():
                 sub = _bracket_h(w1_new, rest2, weights, c, memo)
                 _zf_add(out, sub, (1 - m - k, 0, 0), coeff * (sgn * cb))
     elif w1:
@@ -176,7 +172,8 @@ def _bracket(w1: tuple, w2: tuple, w3: tuple, weights, c, zhat, memo: dict):
     Slot 3 reduces via operator transport onto slots 1 and 2, which
     multiplies a bracket by powers of z13 or z23; a primary slot 3 leaves
     ``_bracket_h`` summed at the points.  Memoised in ``memo``, which must
-    serve one (weights, c, zhat) only.
+    serve one (weights, c, zhat) only, with the generator memos of
+    ``_bracket_h``.
     """
     key = ("B", w1, w2, w3)
     if key in memo:
@@ -190,12 +187,13 @@ def _bracket(w1: tuple, w2: tuple, w3: tuple, weights, c, zhat, memo: dict):
         words = (w1, w2)
         out = 0
         for r, z in ((0, z1 - z3), (1, z2 - z3)):  # slots 1 and 2
-            for k in range(0, sum(words[r]) + 2):
+            word, weight, gens = words[r], weights[r], memo.setdefault(("L", r), {})
+            for k in range(0, sum(word) + 2):
                 cb = _binom(m + k - 2, k)
                 if cb == 0:
                     continue
                 sgn = -1 if k % 2 == 0 else 1  # (-1)^(k-1)
-                for wr_new, coeff in _generator(k - 1, words[r], r, weights, c, memo).items():
+                for wr_new, coeff in apply_generator_to_word(k - 1, word, weight, c, gens).items():
                     pair = (wr_new, w2) if r == 0 else (w1, wr_new)
                     sub = _bracket(*pair, rest3, weights, c, zhat, memo)
                     out = out + sub * (coeff * (sgn * cb * z ** (1 - m - k)))
@@ -215,7 +213,8 @@ def _radial_element(a: tuple, b: tuple, weights, c, memo: dict):
     [L_m, V(z)] = z^m (z d/dz + (m+1) Delta) V(z) at z = 1, using that the
     matrix element between L0-eigenstates of weights (h_out + |a|, h_in + |b|)
     scales as z^(h_out + |a| - h_in - |b| - Delta).  Memoised in ``memo``,
-    which must serve one (weights, c) only.
+    which must serve one (weights, c) only; its entry "L" is the generator
+    memo at h_in.
     """
     if (a, b) in memo:
         return memo[(a, b)]
@@ -224,7 +223,7 @@ def _radial_element(a: tuple, b: tuple, weights, c, memo: dict):
         m, rest = a[0], a[1:]
         grading = h_out + sum(rest) - h_in - sum(b) - d_mid
         out = _radial_element(rest, b, weights, c, memo) * (grading + (m + 1) * d_mid)
-        for w2, coeff in apply_generator_to_word(m, b, h_in, c).items():
+        for w2, coeff in apply_generator_to_word(m, b, h_in, c, memo.setdefault("L", {})).items():
             out = out + _radial_element(rest, w2, weights, c, memo) * coeff
     elif b:
         m, rest = b[0], b[1:]
@@ -335,8 +334,9 @@ def _gram_inverses(hs: np.ndarray, c: float, N: int) -> list:
     block truncates through it, so it rejects N < 0."""
     if N < 0:
         raise ValidationError(f"truncation level N must be >= 0, got {N}")
+    memo: dict = {}  # the levels share hs, so one generator memo serves them all
     return [np.ones((len(hs), 1, 1), dtype=complex)] + [
-        _invert_stack(_gram_stack(hs, c, n), n, hs)[0] for n in range(1, N + 1)
+        _invert_stack(_gram_stack(hs, c, n, memo), n, hs)[0] for n in range(1, N + 1)
     ]
 
 

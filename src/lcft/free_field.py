@@ -22,7 +22,6 @@ from .params import CftParams
 
 __all__ = [
     "BoundaryField",
-    "poisson_dn_disk",
     "free_annulus_amplitude",
     "heat_kernel_K0",
     "annulus_partition",
@@ -57,7 +56,7 @@ class BoundaryField:
         return cls(float(rng.normal()), rng.normal(size=M), rng.normal(size=M))
 
 
-def poisson_dn_disk(f: BoundaryField):
+def _poisson_dn_disk(f: BoundaryField):
     """Harmonic extension into the unit disk and the Dirichlet-to-Neumann image.
 
     P f(z) = c + sum_{n>0} (phi_n z^n + conj(phi_n) conj(z)^n); the DN map is

@@ -19,11 +19,14 @@ or any objects supporting +, *, and division by small integers.  Production
 runs it once per call on complex arrays of weights (one entry per quadrature
 node or node tuple) with c a float, so every descendant coefficient (Gram
 entries here, radial elements and pant brackets in ``blocks``) comes out as
-an array over the nodes.  Every operation is out-of-place and elementwise, so
-an entry has the same bits at any array length (numpy 2.4's in-place complex
-``*=`` does not: on one-element arrays it differs from ``a * b`` in 310 of 720
-products).  At dyadic-rational weights every product and partial sum is exact,
-which is what makes the bit-for-bit oracle comparison in the tests meaningful.
+an array over the nodes.  Its recursion is memoised on (n, word) in one dict
+per weight array and call (the Gram stacks of all levels share one; ``blocks``
+keeps one per radial build and pant slot), whose expansions no caller mutates.
+Every operation is out-of-place and elementwise, so an entry has the same bits
+at any array length (numpy 2.4's in-place complex ``*=`` does not: on
+one-element arrays it differs from ``a * b`` in 310 of 720 products).  At
+dyadic-rational weights every product and partial sum is exact, which is what
+makes the bit-for-bit oracle comparison in the tests meaningful.
 """
 
 from __future__ import annotations
@@ -111,38 +114,48 @@ def _accumulate(target: dict, word: tuple[int, ...], coeff) -> None:
         target[word] = coeff
 
 
-def apply_generator_to_word(n: int, word: tuple[int, ...], delta, c) -> dict:
+def apply_generator_to_word(
+    n: int, word: tuple[int, ...], delta, c, memo: dict | None = None
+) -> dict:
     """L_n applied to the canonical word (ascending tuple); returns
-    {word: coefficient} in canonical form.  Ring-agnostic in (delta, c)."""
+    {word: coefficient} in canonical form.  Ring-agnostic in (delta, c).
+    Every expansion, the recursion's own included, is kept in ``memo`` under
+    (n, word): one memo per (delta, c), fresh when None.  Callers share the
+    returned dicts, so none may mutate them."""
+    memo = {} if memo is None else memo
+    key = (n, word)
+    if key in memo:
+        return memo[key]
     if n == 0:
-        return {word: delta + sum(word)}
-    if n < 0:
+        out = {word: delta + sum(word)}
+    elif n < 0:
         m = -n
         if not word or m <= word[0]:
-            return {(m,) + word: 1}
+            out = {(m,) + word: 1}
+        else:
+            m1, rest = word[0], word[1:]
+            out = {}
+            # L_{-m} L_{-m1} = L_{-m1} L_{-m} + (m1 - m) L_{-(m+m1)}
+            for w2, co in apply_generator_to_word(n, rest, delta, c, memo).items():
+                for w3, co3 in apply_generator_to_word(-m1, w2, delta, c, memo).items():
+                    _accumulate(out, w3, co * co3)
+            for w2, co in apply_generator_to_word(-(m + m1), rest, delta, c, memo).items():
+                _accumulate(out, w2, co * (m1 - m))
+    elif not word:
+        out = {}
+    else:
         m1, rest = word[0], word[1:]
-        out: dict = {}
-        # L_{-m} L_{-m1} = L_{-m1} L_{-m} + (m1 - m) L_{-(m+m1)}
-        for w2, co in apply_generator_to_word(n, rest, delta, c).items():
-            for w3, co3 in apply_generator_to_word(-m1, w2, delta, c).items():
+        out = {}
+        # L_n L_{-m1} = L_{-m1} L_n + (n + m1) L_{n - m1} + delta_{n,m1} (c/12)(n^3 - n)
+        for w2, co in apply_generator_to_word(n, rest, delta, c, memo).items():
+            for w3, co3 in apply_generator_to_word(-m1, w2, delta, c, memo).items():
                 _accumulate(out, w3, co * co3)
-        for w2, co in apply_generator_to_word(-(m + m1), rest, delta, c).items():
-            _accumulate(out, w2, co * (m1 - m))
-        return out
-    # n > 0
-    if not word:
-        return {}
-    m1, rest = word[0], word[1:]
-    out = {}
-    # L_n L_{-m1} = L_{-m1} L_n + (n + m1) L_{n - m1} + delta_{n,m1} (c/12)(n^3 - n)
-    for w2, co in apply_generator_to_word(n, rest, delta, c).items():
-        for w3, co3 in apply_generator_to_word(-m1, w2, delta, c).items():
-            _accumulate(out, w3, co * co3)
-    for w2, co in apply_generator_to_word(n - m1, rest, delta, c).items():
-        _accumulate(out, w2, co * (n + m1))
-    if n == m1 and n > 1:
-        central = (c * ((n**3 - n) // 6)) / 2
-        _accumulate(out, rest, central)
+        for w2, co in apply_generator_to_word(n - m1, rest, delta, c, memo).items():
+            _accumulate(out, w2, co * (n + m1))
+        if n == m1 and n > 1:
+            central = (c * ((n**3 - n) // 6)) / 2
+            _accumulate(out, rest, central)
+    memo[key] = out
     return out
 
 
@@ -164,13 +177,14 @@ class GramMatrix:
     method: str | None = None
 
 
-def _pairing(word_bra: tuple[int, ...], word_ket: tuple[int, ...], delta, c):
-    """< L_{-bra} D , L_{-ket} D >  with adjoint L_n^dag = L_{-n}."""
+def _pairing(word_bra: tuple[int, ...], word_ket: tuple[int, ...], delta, c, memo=None):
+    """< L_{-bra} D , L_{-ket} D >  with adjoint L_n^dag = L_{-n}; ``memo``
+    is the generator memo at (delta, c)."""
     state = {word_ket: 1}
     for m in word_bra:  # rightmost raising operator of the bra acts first
         nxt: dict = {}
         for w, co in state.items():
-            for w2, co2 in apply_generator_to_word(m, w, delta, c).items():
+            for w2, co2 in apply_generator_to_word(m, w, delta, c, memo).items():
                 _accumulate(nxt, w2, co * co2)
         state = nxt
         if not state:
@@ -178,15 +192,17 @@ def _pairing(word_bra: tuple[int, ...], word_ket: tuple[int, ...], delta, c):
     return state.get((), 0)
 
 
-def _gram_stack(deltas: np.ndarray, c, n: int) -> np.ndarray:
+def _gram_stack(deltas: np.ndarray, c, n: int, memo: dict | None = None) -> np.ndarray:
     """Level-n Gram matrices at every weight of the complex array ``deltas``,
     shape (len(deltas), p(n), p(n)): the upper triangle from ``_pairing`` on
-    the whole array, mirrored, so each matrix is exactly symmetric."""
+    the whole array, mirrored, so each matrix is exactly symmetric.  The
+    entries share the generator memo at (deltas, c), fresh when None."""
+    memo = {} if memo is None else memo
     words = [nu.word() for nu in partitions(n)]
     F = np.empty((len(deltas), len(words), len(words)), dtype=complex)
     for i, wi in enumerate(words):
         for j in range(i, len(words)):
-            F[:, i, j] = F[:, j, i] = _pairing(wi, words[j], deltas, c)
+            F[:, i, j] = F[:, j, i] = _pairing(wi, words[j], deltas, c, memo)
     return F
 
 

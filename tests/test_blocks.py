@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -20,6 +21,8 @@ from lcft.errors import DegenerateWeight, DimensionMismatch, ValidationError
 from lcft.graphs import AdmissibleGraph, EdgeSpec, MarkedPoint
 from lcft.params import CftParams
 from lcft.virasoro import (
+    _gram_stack,
+    _pairing,
     conformal_weight,
     kac_weight,
     partitions,
@@ -199,6 +202,51 @@ class TestCoeffTensors:
         w1 = radial_matrix(2, 2, h, 0.9, h, p1.c_L)
         w2 = radial_matrix(2, 2, h, 0.9, h, p2.c_L)
         assert np.array_equal(w1, w2)
+
+
+class TestSharedMemos:
+    """One generator memo serves every entry of a build at one weight array:
+    each Gram stack of levels 1..8 and each radial and pant array at levels
+    <= 6 must equal, bit for bit, entries built each with a fresh memo, so no
+    caller may mutate an expansion the memo hands out."""
+
+    c = 26.3
+
+    @staticmethod
+    def weights(seed, k, n=4):
+        """k random complex weight arrays of n entries."""
+        rng = np.random.default_rng(seed)
+        return [rng.uniform(0.2, 3.0, n) + 1j * rng.uniform(-2.0, 2.0, n) for _ in range(k)]
+
+    @staticmethod
+    def assert_entries(arrays, element):
+        for levels, arr in arrays.items():
+            bases = [[nu.word() for nu in partitions(k)] for k in levels]
+            for idx in np.ndindex(*arr.shape[1:]):
+                alone = element(*(b[i] for b, i in zip(bases, idx)))
+                assert np.array_equal(arr[(slice(None), *idx)], np.broadcast_to(alone, arr.shape[:1]))
+
+    def test_gram_stacks_across_levels(self):
+        (hs,), memo = self.weights(1, 1), {}
+        for n in range(1, 9):
+            F = _gram_stack(hs, self.c, n, memo)
+            words = [nu.word() for nu in partitions(n)]
+            for i, j in itertools.combinations_with_replacement(range(len(words)), 2):
+                alone = _pairing(words[i], words[j], hs, self.c)
+                assert np.array_equal(F[:, i, j], alone) and np.array_equal(F[:, j, i], alone)
+
+    def test_radial_arrays(self):
+        h_out, d_mid, h_in = self.weights(2, 3)
+        weights = (h_out, d_mid[0], h_in)
+        levels = set(itertools.product(range(7), repeat=2))
+        arrays = _radial_arrays(levels, weights, self.c)
+        self.assert_entries(arrays, lambda a, b: _radial_element(a, b, weights, self.c, {}))
+
+    def test_pant_arrays(self):
+        weights = tuple(self.weights(3, 3))
+        levels = {lv for lv in itertools.product(range(7), repeat=3) if sum(lv) <= 6}
+        arrays = _pant_arrays(levels, weights, self.c)
+        self.assert_entries(arrays, lambda *w: _bracket(*w, weights, self.c, ZHAT, {}))
 
 
 class TestGramInverses:

@@ -9,6 +9,7 @@ import lcft.blocks
 import lcft.bootstrap
 import lcft.dozz
 import lcft.graphs
+import lcft.virasoro
 from lcft.acceptance import _torus_one_point_hand_coded
 from lcft.blocks import BlockSeries, _contract, _gram_inverses, _level_terms
 from lcft.bootstrap import (
@@ -611,6 +612,27 @@ class TestEngineCaches:
         second = graph_correlator(g, S2, quad=quad, N=N)
         assert first.details["upsilon_evals"] == second.details["upsilon_evals"] == 72
         assert np.array_equal(first.details["rho"], second.details["rho"])
+
+    def test_generator_expanded_once_per_memo(self, monkeypatch):
+        # the Gram stacks of levels 1..6 share one generator memo and the
+        # annulus's radial elements keep another at h_in, so each (n, word)
+        # is expanded once in each; neither count depends on the nodes
+        counts = {"calls": 0, "expansions": 0}
+        original = lcft.virasoro.apply_generator_to_word
+
+        def counting(*args):
+            n, word, _delta, _c, memo = (*args, None)[:5]
+            counts["calls"] += 1
+            counts["expansions"] += memo is None or (n, word) not in memo
+            return original(*args)
+
+        # the recursion calls its module global, the radial elements blocks'
+        monkeypatch.setattr(lcft.virasoro, "apply_generator_to_word", counting)
+        monkeypatch.setattr(lcft.blocks, "apply_generator_to_word", counting)
+        for quad in (Quadrature(1.0, 0.5, 2), Quadrature(2.0, 0.5, 3)):
+            counts.update(calls=0, expansions=0)
+            torus_one_point(1.2, 1j, S2, quad, N=6)
+            assert counts == {"calls": 1774, "expansions": 403}
 
     def test_near_pole_at_its_edge(self):
         # the self-loop's constant denominator argument abar/2 - Q = alpha/2

@@ -10,8 +10,8 @@ from lcft.free_field import (
     annulus_partition,
     free_annulus_amplitude,
     heat_kernel_K0,
-    poisson_dn_disk,
 )
+from lcft.free_field import _poisson_dn_disk as poisson_dn_disk
 from lcft.params import CftParams
 
 from oracles import gauss_integral
