@@ -11,15 +11,17 @@ zero lattice of the denominator Upsilons; arguments closer than 1e-6 to that
 lattice raise NearPole.  One Upsilon evaluator per gamma serves every call.
 
 ``_dozz`` evaluates the constant at every argument triple of three complex
-arrays in one pass.  One dedupe over the arguments' bit patterns (signed zeros
-kept apart, as log Gamma's branch cut does) gives each distinct argument one
-log Upsilon and each distinct denominator one pole distance, every pole check
-first; constants that share arguments (the same edge node at many vertices or
-grid points) share those evaluations, and each constant keeps the bits it has
-alone.  ``dozz_constant`` is the kernel at one triple, and ``_rho`` makes one
-kernel call per spectral call, with each vertex's arguments read from the
-graph's plan (``graphs._plan``) on the grid of its own edges' nodes; nothing
-is kept between calls.
+arrays in one pass.  One lexsort of the arguments' bit patterns (signed zeros
+kept apart, as log Gamma's branch cut does) leaves the distinct arguments.
+The shift-budget check and the pole distance run once over the array of
+distinct denominators, and then log Upsilon once over the array of all
+distinct arguments, so every pole check comes first.  Constants that share
+arguments (the same edge node at many vertices or grid points) share those
+evaluations, and each constant keeps the bits it has alone.
+``dozz_constant`` is the kernel at one triple, and ``_rho`` makes one kernel
+call per spectral call, with each vertex's arguments read from the graph's
+plan (``graphs._plan``) on the grid of its own edges' nodes; nothing is kept
+between calls.
 """
 
 from __future__ import annotations
@@ -39,25 +41,45 @@ __all__ = ["dozz_constant"]
 _POLE_DISTANCE = 1e-6
 
 
-def _lattice_distance(z: complex, gamma: float) -> float:
-    """Distance from z to the zero lattice of Upsilon,
-    (-g/2 N - 2/g N) union (Q + g/2 N + 2/g N).
+def _lattice_distance(z, gamma: float):
+    """Distance from every entry of a complex array to the zero lattice of
+    Upsilon, (-g/2 N - 2/g N) union (Q + g/2 N + 2/g N).
 
     The lattice is real, so on each ray the nearest point is the lattice value
     nearest Re z: with t >= 0 the distance of Re z from the ray's base, b runs
     over the steps of the longer generator 2/g up to t/(2/g) + 1 and a is the
-    floor or ceiling of the rest."""
+    floor or ceiling of the rest.  Each distance is the hypot of its real and
+    imaginary parts, as a complex scalar's abs takes it."""
+    z = np.asarray(z, dtype=complex)
+    x, y = z.real, z.imag
     Q = gamma / 2.0 + 2.0 / gamma
-    best = math.inf
+    best = np.full(z.shape, math.inf)
     for base, sgn in ((0.0, -1.0), (Q, 1.0)):
         # lattice points base + sgn*(a*g/2 + b*2/g), a,b >= 0
-        t = max(sgn * (z.real - base), 0.0)
-        for b in range(int(t / (2.0 / gamma)) + 2):
+        t = np.maximum(sgn * (x - base), 0.0)
+        steps = (t / (2.0 / gamma)).astype(np.int64) + 2
+        for b in range(int(steps.max(initial=0))):
             rem = (t - b * 2.0 / gamma) / (gamma / 2.0)
-            for a in (max(math.floor(rem), 0), max(math.ceil(rem), 0)):
+            for a in (np.maximum(np.floor(rem), 0.0), np.maximum(np.ceil(rem), 0.0)):
                 pt = base + sgn * (a * gamma / 2.0 + b * 2.0 / gamma)
-                best = min(best, abs(z - pt))
-    return best
+                best = np.where(b < steps, np.minimum(best, np.hypot(x - pt, y)), best)
+    return best[()]
+
+
+def _distinct(z: np.ndarray) -> tuple:
+    """The index of the first entry of each distinct bit pattern of a complex
+    array, in ascending (real, imaginary) bit order as np.unique(axis=0) sorts
+    them, and the index of each entry's pattern among them."""
+    bits = z.view(np.uint64).reshape(-1, 2)
+    order = np.lexsort((bits[:, 1], bits[:, 0]))
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for k in (0, 1):
+        word = bits[order, k]
+        new[1:] |= word[1:] != word[:-1]
+    ids = np.empty(order.size, dtype=np.intp)
+    ids[order] = np.cumsum(new) - 1
+    return order[new], ids
 
 
 @functools.lru_cache(maxsize=None)
@@ -82,11 +104,11 @@ def _dozz(args, params: CftParams) -> tuple:
     """C^DOZZ at the triples (args[0][i], args[1][i], args[2][i]) of three
     complex arrays, and the number of distinct log Upsilon arguments.
 
-    A non-finite weight raises DomainError, and a denominator that log
-    Upsilon could not shift into its band within its budget raises
-    BudgetExceeded before that denominator's pole distance is sought.  Any
-    denominator near the zero lattice raises NearPole before the first log
-    Upsilon.  The log sum runs in a lone constant's order, so each entry has
+    The guards run in this order, over the whole batch: a non-finite weight
+    raises DomainError; any denominator that log Upsilon could not shift
+    into its band within its budget raises BudgetExceeded before any pole
+    distance is sought; any denominator near the zero lattice raises
+    NearPole before the first log Upsilon.  The log sum runs in a lone constant's order, so each entry has
     the bits it has alone; a zero of a numerator Upsilon gives 0 and an exact
     pole raises NearPole."""
     gamma = params.gamma
@@ -99,24 +121,23 @@ def _dozz(args, params: CftParams) -> tuple:
     # columns: the numerators alpha_i, then the denominators abar/2 - Q, abar/2 - alpha_i
     cols = np.stack([*alphas, abar / 2.0 - params.Q, *(abar / 2.0 - a for a in alphas)], axis=1)
     flat = cols.ravel()
-    _bits, first, ids = np.unique(
-        flat.view(np.uint64).reshape(-1, 2), axis=0, return_index=True, return_inverse=True
-    )
+    first, ids = _distinct(flat)
     ids = ids.reshape(cols.shape)
-    distance = np.full(len(first), math.inf)
-    # the distinct denominators in ascending id order; a bare np.unique would
-    # import numpy.ma
-    for i in np.flatnonzero(np.bincount(ids[:, 3:].ravel(), minlength=len(first))):
-        z = complex(flat[first[i]])
-        ev.check_shift_budget(z)
-        distance[i] = _lattice_distance(z, gamma)
+    denominator = np.zeros(first.size, dtype=bool)
+    denominator[ids[:, 3:]] = True
+    z = flat[first[denominator]]
+    ev.check_shift_budget(z)
+    distance = np.full(first.size, math.inf)
+    distance[denominator] = _lattice_distance(z, gamma)
     near = distance[ids[:, 3:]] < _POLE_DISTANCE
     if near.any():
         raise NearPole(
             f"DOZZ denominator argument {cols[:, 3:][near][0]} within {_POLE_DISTANCE} "
             "of the Upsilon zero lattice"
         )
-    terms = np.array([ev.log_upsilon(z) for z in flat[first].tolist()])[ids]
+    # the flat kernel: perfbench's tracer keys each log_upsilon call by its
+    # hashed arguments, which an array is not
+    terms = ev._log_upsilon(flat[first])[ids]
     base = (
         math.log(math.pi * params.mu)
         + log_l_ratio(gamma**2 / 4.0).real

@@ -14,6 +14,11 @@ extended to the whole plane by the functional relations
 
 with l(z) = Gamma(z)/Gamma(1 - z).  All prefactors are accumulated in log
 domain; zeros of Upsilon are reached exactly through poles/zeros of l.
+
+log Gamma, log l and log Upsilon are array kernels: each takes a complex array
+(a scalar is its one-element case) and treats every entry on its own, with
+elementwise numpy operations and per-entry sums only, so an entry has the same
+bits in any batch.
 """
 
 from __future__ import annotations
@@ -45,57 +50,73 @@ _POS_INF = complex(math.inf, 0.0)
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400)
 
 
-def _log_gamma(z: complex) -> complex:
-    """log Gamma(z), continued analytically off the positive reals and cut along
-    the negative real axis (x + 0j and x - 0j lie on either side of the cut).
-    Below Re z = -7 the reflection Gamma(z) Gamma(1 - z) = pi / sin(pi z) is
-    used; otherwise the recurrence lifts Re z to at least 7, subtracting the
-    principal log of each factor, and the 8-term Stirling series ends it."""
-    x, y = z.real, z.imag
-    if x < -7.0:
+def _complex(re, im) -> np.ndarray:
+    """The complex array re + i im, each zero keeping its sign (re + 1j * im
+    would turn an imaginary -0.0 into +0.0)."""
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _log_gamma(z):
+    """log Gamma at every entry of a complex array, continued analytically off
+    the positive reals and cut along the negative real axis (x + 0j and x - 0j
+    lie on either side of the cut).  Below Re z = -7 the reflection
+    Gamma(z) Gamma(1 - z) = pi / sin(pi z) is used; otherwise the recurrence
+    lifts Re z to at least 7, subtracting the principal log of each factor,
+    and the 8-term Stirling series ends it."""
+    z = np.asarray(z, dtype=complex)
+    flat = z.ravel()
+    x, y = flat.real, flat.imag
+    reflect = x < -7.0
+    # the recurrence and the series run at 1 - z on the reflected entries
+    xs, ys = np.where(reflect, 1.0 - x, x), np.where(reflect, -y, y)
+    acc = np.zeros(flat.shape, dtype=complex)
+    low = xs < 7.0
+    while low.any():
+        acc[low] = acc[low] - np.log(_complex(xs[low], ys[low]))
+        xs = np.where(low, xs + 1.0, xs)
+        low = xs < 7.0
+    w = _complex(xs, ys)
+    inv2 = 1.0 / (w * w)
+    series = _STIRLING[-1]
+    for c in reversed(_STIRLING[:-1]):
+        series = series * inv2 + c
+    out = acc + (w - 0.5) * np.log(w) - w + 0.5 * math.log(2.0 * math.pi) + series / w
+    if reflect.any():
         # sin(pi z) e^{-pi |y|} / 2 with x reduced to r = x - n exactly; the
         # 2 pi i multiple moves its principal log to the recurrence's branch
-        n = round(x)
-        r, s, e = x - n, (-1.0) ** (n % 2), -2.0 * math.pi * abs(y)
-        sin_scaled = complex(
-            s * math.sin(math.pi * r) * (1.0 + math.exp(e)),
-            s * math.copysign(1.0, y) * math.cos(math.pi * r) * -math.expm1(e),
+        x, y = x[reflect], y[reflect]
+        n = np.round(x)
+        r, s, e = x - n, 1.0 - 2.0 * np.mod(n, 2.0), -2.0 * math.pi * np.abs(y)
+        sin_scaled = _complex(
+            s * np.sin(math.pi * r) * (1.0 + np.exp(e)),
+            s * np.copysign(1.0, y) * np.cos(math.pi * r) * -np.expm1(e),
         )
-        log_sin = cmath.log(sin_scaled) + (math.pi * abs(y) - math.log(2.0))
-        turns = math.copysign(2.0 * math.pi, y) * math.floor(0.5 * x + 0.25)
-        return complex(math.log(math.pi), turns) - log_sin - _log_gamma(complex(1.0 - x, -y))
-    acc = 0j
-    while x < 7.0:
-        acc -= cmath.log(complex(x, y))  # complex(), not z + 1, keeps the sign of a zero y
-        x += 1.0
-    w = complex(x, y)
-    inv2 = 1.0 / (w * w)
-    series = 0j
-    for c in reversed(_STIRLING):
-        series = series * inv2 + c
-    return acc + (w - 0.5) * cmath.log(w) - w + 0.5 * math.log(2.0 * math.pi) + series / w
+        log_sin = np.log(sin_scaled) + (math.pi * np.abs(y) - math.log(2.0))
+        turns = np.copysign(2.0 * math.pi, y) * np.floor(0.5 * x + 0.25)
+        out[reflect] = _complex(math.log(math.pi), turns) - log_sin - out[reflect]
+    return out.reshape(z.shape)[()]
 
 
-def _is_exact_integer(z: complex) -> bool:
-    return z.imag == 0.0 and z.real == round(z.real)
-
-
-def log_l_ratio(z: complex) -> complex:
-    """log of l(z) = Gamma(z)/Gamma(1-z).
+def log_l_ratio(z):
+    """log of l(z) = Gamma(z)/Gamma(1-z) at every entry of a complex array.
 
     Returns complex +inf at poles (z a nonpositive integer) and complex -inf
     at zeros (z a positive integer), so that exp() of the result carries the
     correct limit.  Exact float comparison is used: near misses flow through
-    _log_gamma and stay finite.  A non-finite z raises DomainError.
+    _log_gamma and stay finite.  A non-finite entry raises DomainError.
     """
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError(f"l(z) needs a finite argument, got {z}")
-    if _is_exact_integer(z):
-        if z.real <= 0.0:
-            return _POS_INF
-        return _NEG_INF
-    return _log_gamma(z) - _log_gamma(1.0 - z)
+    z = np.asarray(z, dtype=complex)
+    flat = z.ravel()
+    finite = np.isfinite(flat)
+    if not finite.all():
+        raise DomainError(f"l(z) needs a finite argument, got {flat[~finite][0]}")
+    x = flat.real
+    out = np.where(x <= 0.0, _POS_INF, _NEG_INF)
+    rest = (flat.imag != 0.0) | (x != np.round(x))
+    out[rest] = _log_gamma(flat[rest]) - _log_gamma(1.0 - flat[rest])
+    return out.reshape(z.shape)[()]
 
 
 def l_ratio(z: complex) -> complex:
@@ -157,27 +178,44 @@ def _panel_rule(length: float, panel_width: float, nodes_per_panel: int) -> tupl
 class UpsilonEvaluator:
     """Upsilon_{gamma/2} at one gamma.
 
-    Arguments are first reduced into the band |Re z - Q/2| <= gamma/4 by the
-    functional relations (coarse 2/gamma steps first, then gamma/2 steps, at
-    most ``SHIFT_BUDGET`` of them).  There, with w = Q/2 - z, the integrand
-    decays like e^{-min(1, 1/gamma) t} and oscillates at frequency |Im w|, so
-    the t-integral is cut at T = 37 max(1, gamma) + 5, where the tail is below
+    ``log_upsilon`` takes a complex array and reduces every entry into the
+    band |Re z - Q/2| <= gamma/4 by the functional relations (coarse 2/gamma
+    steps first, then gamma/2 steps, at most ``SHIFT_BUDGET`` of them).  The
+    chain of real parts runs first, in masked array steps; one log l call
+    then takes the factors of all steps, and each entry adds up its own in
+    chain order.
+
+    In the band, with w = Q/2 - z, the integrand decays like
+    e^{-min(1, 1/gamma) t} and oscillates at frequency |Im w|, so the
+    t-integral is cut at T = 37 max(1, gamma) + 5, where the tail is below
     1e-16, and taken with composite Gauss-Legendre panels of
     ``NODES_PER_PANEL`` nodes.  The panels are at most 2.5 wide, and at most
     8 gamma below gamma = 0.3125, where the poles of 1/sinh(t/gamma) at
     t = +-i pi gamma close in on the first panel.  Their number doubles until
     one panel holds at most 17.5 radians of the oscillation.  This holds the
     band integral to about 3e-14 of max(1, |value|) up to |Im w| = 40, with
-    460 nodes at gamma = sqrt(2) and |Im w| <= 7.  A rule depends only on gamma
-    and its panel count, so every argument keeps the bits it has alone; each
-    is built once per evaluator, with its z-independent factors, the first
-    time it is needed, and one of more than 2^18 nodes raises BudgetExceeded.
+    460 nodes at gamma = sqrt(2) and |Im w| <= 7.  A rule depends only on
+    gamma and its panel count; each is built once per evaluator, with its
+    z-independent factors, the first time it is needed, and one of more than
+    2^18 nodes raises BudgetExceeded.
+
+    The entries that share a rule and the bits of Re w share the sinh and
+    cosh of Re w t at every node.  Each entry is summed over its own row
+    only, at most ``_CHUNK_NODES`` nodes a chunk, so it keeps the bits it has
+    alone.  On the first panel, where the integrand's two parts cancel most,
+    sinh(w t/2)^2 is taken from the sinh and cosh of Re w t/2 and the phase
+    e^{i Im w t/2} of each node.  On the others it is (cosh(w t) - 1)/2, and
+    the phase e^{i Im w t} at t = c_p + h x_j (panel centre c_p, half-width h,
+    Gauss-Legendre node x_j) is e^{i Im w c_p} e^{i Im w h x_j}: one complex
+    exponential, which costs a sin and a cos, per panel and per node instead
+    of one per quadrature node.
     """
 
     NODES_PER_PANEL: ClassVar[int] = 20
     SHIFT_BUDGET: ClassVar[int] = 200
     _MAX_PHASE: ClassVar[float] = 17.5
     _NODE_BUDGET: ClassVar[int] = 2**18
+    _CHUNK_NODES: ClassVar[int] = 6144
 
     gamma: float
     Q: float = field(init=False)
@@ -197,14 +235,23 @@ class UpsilonEvaluator:
 
     # -- integral on the central band ------------------------------------
 
-    def _band_rule(self, im_w: float) -> tuple:
-        panels, max_panels = self._panels, self._NODE_BUDGET // self.NODES_PER_PANEL
-        while im_w * self._cut > self._MAX_PHASE * panels and panels <= max_panels:
-            panels *= 2
-        if panels > max_panels:
+    def _panel_counts(self, im_w):
+        """The band rule's panel count at every |Im w| of a real array."""
+        im_w = np.asarray(im_w, dtype=float)
+        panels, max_panels = np.full(im_w.shape, self._panels), self._NODE_BUDGET // self.NODES_PER_PANEL
+        grow = im_w * self._cut > self._MAX_PHASE * panels
+        while grow.any():
+            panels = np.where(grow, 2 * panels, panels)
+            grow = (im_w * self._cut > self._MAX_PHASE * panels) & (panels <= max_panels)
+        over = panels > max_panels
+        if over.any():
             raise BudgetExceeded(
-                f"log Upsilon at |Im w| = {im_w} needs more than {self._NODE_BUDGET} quadrature nodes"
+                f"log Upsilon at |Im w| = {im_w[over][0]} needs more than "
+                f"{self._NODE_BUDGET} quadrature nodes"
             )
+        return panels[()]
+
+    def _rule(self, panels: int) -> tuple:
         rule = self._rules.get(panels)
         if rule is None:
             t, weights = _panel_rule(self._cut, self._cut / panels, self.NODES_PER_PANEL)
@@ -213,64 +260,143 @@ class UpsilonEvaluator:
             rule = self._rules[panels] = (t, kernel, float(np.dot(weights, np.exp(-t) / t)))
         return rule
 
-    def _log_upsilon_band(self, z: complex) -> complex:
-        w = complex(self.Q / 2.0) - z
-        t, kernel, c = self._band_rule(abs(w.imag))
-        s = np.sinh((0.5 * w) * t)
-        s *= s
-        return w * w * c - complex(kernel @ s)
+    def _band_group(self, panels: int, re_w: float, im_w: np.ndarray) -> np.ndarray:
+        """The band integral at w = re_w + i im_w for every entry of a real
+        array, all on the rule of ``panels`` panels, one entry per row."""
+        t, kernel, c = self._rule(panels)
+        n = self.NODES_PER_PANEL
+        # first panel: sinh(w t/2)^2 = sinh^2 cos^2 - cosh^2 sin^2
+        # + 2i sinh cosh cos sin, at Re w t/2 and Im w t/2
+        half_re = (0.5 * re_w) * t[:n]
+        sinh_re, cosh_re = np.sinh(half_re), np.cosh(half_re)
+        k_sinh2, k_cosh2 = kernel[:n] * sinh_re * sinh_re, kernel[:n] * cosh_re * cosh_re
+        k_sinh_cosh2 = 2.0 * kernel[:n] * sinh_re * cosh_re
+        # other panels: sinh(w t/2)^2 = (cosh(Re w t) cos(Im w t) - 1)/2
+        # + i sinh(Re w t) sin(Im w t)/2
+        k_cosh = 0.5 * kernel[n:] * np.cosh(re_w * t[n:])
+        k_sinh = 0.5 * kernel[n:] * np.sinh(re_w * t[n:])
+        half_k = 0.5 * np.sum(kernel[n:])
+        # phase angles per unit Im w: the first panel's t/2, then the other
+        # panels' centres and the node offsets within a panel
+        width = self._cut / panels
+        angles = np.concatenate(
+            [0.5 * t[:n], width * (np.arange(1, panels) + 0.5), 0.5 * width * _gauss_legendre(n)[0]]
+        )
+        rows = max(1, min(im_w.size, self._CHUNK_NODES // t.size))
+        buffers = [np.empty((rows, panels - 1, n)) for _ in range(2)]
+        total = np.empty(im_w.shape, dtype=complex)
+        for lo in range(0, im_w.size, rows):
+            phase = np.exp(1j * (im_w[lo : lo + rows, None] * angles))
+            m = phase.shape[0]
+            cos0, sin0 = phase[:, :n].real, phase[:, :n].imag
+            centre, offset = phase[:, n : n + panels - 1, None], phase[:, None, n + panels - 1 :]
+            trig, work = (a[:m] for a in buffers)
+            terms = trig.reshape(m, -1)
+            # cos(Im w t), then sin(Im w t), from the centre's and the offset's phases
+            np.multiply(centre.real, offset.real, out=trig)
+            trig -= np.multiply(centre.imag, offset.imag, out=work)
+            terms *= k_cosh
+            total.real[lo : lo + m] = np.sum(k_sinh2 * cos0 * cos0 - k_cosh2 * sin0 * sin0, axis=1) + (
+                np.sum(terms, axis=1) - half_k
+            )
+            np.multiply(centre.imag, offset.real, out=trig)
+            trig += np.multiply(centre.real, offset.imag, out=work)
+            terms *= k_sinh
+            total.imag[lo : lo + m] = np.sum(k_sinh_cosh2 * cos0 * sin0, axis=1) + np.sum(terms, axis=1)
+        w = _complex(re_w, im_w)
+        return w * w * c - total
+
+    def _log_upsilon_band(self, z):
+        """The band integral at every entry of a complex array in the band
+        |Re z - Q/2| <= gamma/4, one group per rule and bits of Re w."""
+        z = np.asarray(z, dtype=complex)
+        flat = z.ravel()
+        re_w, im_w = self.Q / 2.0 - flat.real, 0.0 - flat.imag
+        panels = self._panel_counts(np.abs(im_w))
+        re_bits = re_w.view(np.uint64)
+        order = np.lexsort((re_bits, panels))
+        p, r = panels[order], re_bits[order]
+        out = np.empty(flat.shape, dtype=complex)
+        for group in np.split(order, np.flatnonzero((p[1:] != p[:-1]) | (r[1:] != r[:-1])) + 1):
+            if group.size:
+                out[group] = self._band_group(int(panels[group[0]]), re_w[group[0]], im_w[group])
+        return out.reshape(z.shape)[()]
 
     # -- shift reduction ---------------------------------------------------
 
-    def check_shift_budget(self, z: complex) -> None:
-        """Raise log_upsilon's BudgetExceeded, without its shifts, when z lies
-        so far from the band that SHIFT_BUDGET + 1 steps of the longest shift,
-        2/gamma, cannot reach it."""
-        gap = abs(z.real - self.Q / 2.0) - self.gamma / 4.0
-        if gap > (self.SHIFT_BUDGET + 1) * (2.0 / self.gamma):
+    def check_shift_budget(self, z) -> None:
+        """Raise log_upsilon's BudgetExceeded, without its shifts, when an
+        entry of a complex array lies so far from the band that
+        SHIFT_BUDGET + 1 steps of the longest shift, 2/gamma, cannot reach it."""
+        gap = np.abs(np.asarray(z, dtype=complex).real - self.Q / 2.0) - self.gamma / 4.0
+        if np.any(gap > (self.SHIFT_BUDGET + 1) * (2.0 / self.gamma)):
             raise BudgetExceeded(f"more than {self.SHIFT_BUDGET} Upsilon shifts required")
 
-    def _log_step(self, z: complex, step: float) -> complex:
-        """log Upsilon(z + step) - log Upsilon(z), for a step of 2/gamma or gamma/2."""
-        g = self.gamma
-        if step == 2.0 / g:
-            return log_l_ratio(2.0 * z / g) + (4.0 * z / g - 1.0) * math.log(g / 2.0)
-        return log_l_ratio(g * z / 2.0) + (1.0 - g * z) * math.log(g / 2.0)
+    def _log_step(self, x: np.ndarray, y: np.ndarray, coarse: np.ndarray) -> np.ndarray:
+        """log Upsilon(z + step) - log Upsilon(z) at z = x + iy, for a step of
+        2/gamma where ``coarse`` and of gamma/2 elsewhere."""
+        g, log_g2 = self.gamma, math.log(self.gamma / 2.0)
+        arg = _complex(np.where(coarse, 2.0 * x / g, g * x / 2.0), np.where(coarse, 2.0 * y / g, g * y / 2.0))
+        power = _complex(
+            np.where(coarse, 4.0 * x / g - 1.0, 1.0 - g * x) * log_g2,
+            np.where(coarse, 4.0 * y / g, 0.0 - g * y) * log_g2,
+        )
+        return log_l_ratio(arg) + power
 
-    def log_upsilon(self, z: complex) -> complex:
-        """log Upsilon(z); real part -inf encodes a zero of Upsilon."""
-        z = complex(z)
-        if not cmath.isfinite(z):
-            raise DomainError(f"Upsilon needs a finite argument, got {z}")
+    def log_upsilon(self, z):
+        """log Upsilon at every entry of a complex array (a complex at a
+        scalar); real part -inf encodes a zero of Upsilon."""
+        z = np.asarray(z, dtype=complex)
+        return self._log_upsilon(z.ravel()).reshape(z.shape)[()]
+
+    def _log_upsilon(self, z: np.ndarray) -> np.ndarray:
+        """log_upsilon on a flat complex array."""
+        finite = np.isfinite(z)
+        if not finite.all():
+            raise DomainError(f"Upsilon needs a finite argument, got {z[~finite][0]}")
         g2 = self.gamma / 2.0
         ig2 = 2.0 / self.gamma
         band_lo = self.Q / 2.0 - self.gamma / 4.0
         band_hi = self.Q / 2.0 + self.gamma / 4.0
 
-        acc, shifts, down = 0.0 + 0.0j, 0, False
-        # up while below the band, then down while above it (2/gamma unless that crosses band_lo)
-        while (z.real < band_lo and not down) or z.real >= band_hi:
-            down = z.real >= band_hi
-            if down:
-                step = ig2 if z.real - ig2 >= band_lo else g2
-                z -= step
-                acc += self._log_step(z, step)
-            else:
-                step = ig2 if band_lo - z.real >= ig2 else g2
-                acc -= self._log_step(z, step)
-                z += step
-            shifts += 1
-            if shifts > self.SHIFT_BUDGET:
+        # up while below the band, then down while above it (2/gamma unless
+        # that crosses band_lo); per step: the entries it moves, the real part
+        # where each factor is taken, its length and its direction
+        x, y = z.real.copy(), z.imag
+        down, steps = np.zeros(z.shape, dtype=bool), []
+        for shifts in range(self.SHIFT_BUDGET + 1):
+            moving = np.flatnonzero(((x < band_lo) & ~down) | (x >= band_hi))
+            if not moving.size:
+                break
+            if shifts == self.SHIFT_BUDGET:
                 raise BudgetExceeded(f"more than {self.SHIFT_BUDGET} Upsilon shifts required")
+            x0 = x[moving]
+            is_down = down[moving] = x0 >= band_hi
+            coarse = np.where(is_down, x0 - ig2 >= band_lo, band_lo - x0 >= ig2)
+            step = np.where(coarse, ig2, g2)
+            # down: z - step, then its factor; up: the factor at z, then z + step
+            x[moving] = np.where(is_down, x0 - step, x0 + step)
+            steps.append((moving, np.where(is_down, x[moving], x0), coarse, is_down))
 
-        if acc.real == math.inf:
+        acc = np.zeros(z.shape, dtype=complex)
+        if steps:
+            moved, at, coarse, is_down = (np.concatenate(a) for a in zip(*steps))
+            factors = self._log_step(at, y[moved], coarse)
+            lo = 0
+            for moving, *_ in steps:
+                f, d = factors[lo : lo + moving.size], is_down[lo : lo + moving.size]
+                acc[moving] = np.where(d, acc[moving] + f, acc[moving] - f)
+                lo += moving.size
+
+        if np.any(acc.real == math.inf):
             raise PoleError(
                 "Upsilon shift chain accumulated an uncancelled pole of l; "
                 "this indicates evaluation on the zero lattice from an inconsistent direction"
             )
-        if acc.real == -math.inf:
-            return _NEG_INF
-        return acc + self._log_upsilon_band(z)
+        out = np.full(z.shape, _NEG_INF)
+        live = acc.real != -math.inf
+        out[live] = acc[live] + self._log_upsilon_band(_complex(x[live], y[live]))
+        return out
 
 
 def upsilon(z: complex, ev: UpsilonEvaluator) -> complex:

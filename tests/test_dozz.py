@@ -1,13 +1,16 @@
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
+import lcft.dozz
 from lcft.bootstrap import Quadrature, _sphere_chain, _torus_cycle, graph_correlator
 from lcft.dozz import _dozz, _lattice_distance, _upsilon_evaluator, dozz_constant
-from lcft.errors import DomainError, NearPole
+from lcft.errors import BudgetExceeded, DomainError, NearPole
 from lcft.params import CftParams
+from lcft.special import UpsilonEvaluator
 
 from engine import tuple_rho
 
@@ -64,7 +67,7 @@ class TestDozzConstant:
         # p = 30 and 12 put |Im w| of their arguments in other panel counts of
         # the log Upsilon band rule than p = 0.3 and 0.7
         ev, _ = _upsilon_evaluator(params.gamma)
-        assert len({ev._band_rule(p)[0].size for p in (0.7, 12.0, 30.0)}) == 3
+        assert len({int(ev._panel_counts(p)) for p in (0.7, 12.0, 30.0)}) == 3
         triples = [(Q + 1j * p, 1.2, Q - 1j * p) for p in (0.3, 30.0, 0.7, 0.3, 12.0)]
         consts, evals = _dozz(list(zip(*triples)), params)
         alone = np.array([dozz_constant(*args, params) for args in triples])
@@ -156,6 +159,27 @@ class TestDozzConstant:
         z = complex(300.3, 0.5)
         assert _lattice_distance(z, 0.05) == _short_generator_search(z, 0.05)
 
+    def test_lattice_distance_on_arrays(self):
+        # every entry of an array, of any shape, equals the scalar search
+        rng = np.random.default_rng(7)
+        for gamma in (0.3, 0.8, 1.0, math.sqrt(2.0), 1.8):
+            Q = gamma / 2 + 2 / gamma
+            lattice = [
+                base + sgn * (a * gamma / 2 + b * 2 / gamma)
+                for a in range(12)
+                for b in range(4)
+                for base, sgn in ((0.0, -1.0), (Q, 1.0))
+            ]
+            re = np.concatenate([rng.uniform(-40.0, Q + 40.0, 200), lattice])
+            on_axis = rng.random(re.size) < 0.5
+            im = np.where(on_axis, rng.choice([0.0, -0.0, 1e-7], re.size), rng.uniform(-3.0, 3.0, re.size))
+            zs = re + 0j
+            zs.imag = im
+            distances = _lattice_distance(zs.reshape(-1, 2), gamma)
+            assert distances.shape == (zs.size // 2, 2)
+            for z, d in zip(zs, distances.ravel()):
+                assert d == _short_generator_search(complex(z), gamma), (gamma, z)
+
 
 def _short_generator_search(z: complex, gamma: float) -> float:
     """Distance from z to the zero lattice of Upsilon by the loop over the
@@ -231,3 +255,97 @@ class TestRhoDensity:
         expect *= dozz_constant(Q + 1j * ps[0], Q - 1j * ps[2], Q + 1j * ps[2], params)
         assert isinstance(rho, complex)
         assert rho == pytest.approx(expect, rel=1e-12)
+
+
+class TestDozzGuards:
+    """_dozz's guards come in one order, whatever else the batch holds: a
+    non-finite weight raises DomainError, then any denominator out of the
+    shift budget's reach raises BudgetExceeded, then one near the zero
+    lattice raises NearPole, and only then is log Upsilon evaluated."""
+
+    def test_guard_order(self, monkeypatch):
+        params = CftParams(gamma=1.0)
+        Q = params.Q
+        _upsilon_evaluator(params.gamma)  # log Upsilon'(0), before the patch
+        fine = (0.3, 0.5, 0.9)
+        near = (Q, Q / 2, Q / 2)  # abar/2 - Q = 0
+        far = (1e7, 1.0, 1.2)  # abar/2 - alpha_2 and abar/2 - alpha_3 out of reach
+        bad = (1.0, complex(1.2, math.nan), 0.9)
+
+        def batch(*triples):
+            return list(zip(*triples))
+
+        def no_log_upsilon(self, z):
+            raise AssertionError("log Upsilon evaluated before the guards")
+
+        search, searched = lcft.dozz._lattice_distance, []
+
+        def recording(z, gamma):
+            searched.append(np.size(z))
+            return search(z, gamma)
+
+        monkeypatch.setattr(UpsilonEvaluator, "_log_upsilon", no_log_upsilon)
+        monkeypatch.setattr(lcft.dozz, "_lattice_distance", recording)
+        with pytest.raises(DomainError, match="DOZZ needs finite weights"):
+            _dozz(batch(near, far, fine, bad), params)
+        with pytest.raises(BudgetExceeded, match="more than 200 Upsilon shifts required"):
+            _dozz(batch(near, fine, far), params)
+        assert searched == []
+        with pytest.raises(NearPole, match="within 1e-06 of the Upsilon zero lattice"):
+            _dozz(batch(fine, near, fine), params)
+        assert searched == [6]  # the six distinct denominators of both triples, in one search
+        monkeypatch.undo()
+        assert _dozz(batch(fine), params)[0][0] == dozz_constant(*fine, params)
+
+
+class TestDozzShiftEquation:
+    """Teschner's shift equation (hep-th/9507109).  Upsilon(x + g/2) =
+    S(x) Upsilon(x), with S(x) = l(g x / 2) (g/2)^{1 - g x}, turns
+
+        C(a1 + g/2, a2, a3) / C(a1 - g/2, a2, a3)
+            = S(a1 - g/2) S(a1) S(h - a1 - g/4)
+              / [A S(h - Q - g/4) S(h - a2 - g/4) S(h - a3 - g/4)],
+
+    h = (a1 + a2 + a3)/2 and A = pi mu l(g^2/4) (g/2)^{2 - g^2/2}, into
+    Gamma functions.  Here l is taken from mpmath's log Gamma, so the oracle
+    shares no code with the kernel."""
+
+    def test_random_complex_arguments(self):
+        mpmath.mp.dps = 30
+        rng = np.random.default_rng(17)
+
+        def log_l(x):
+            return mpmath.loggamma(x) - mpmath.loggamma(1 - x)
+
+        checked = out_of_band = 0
+        while checked < 24:
+            gamma, mu = float(rng.uniform(0.6, 1.9)), float(rng.uniform(0.5, 2.0))
+            params = CftParams(gamma=gamma, mu=mu)
+            Q = params.Q
+            a = rng.uniform(-0.5, Q + 0.5, 3) + 1j * rng.uniform(-2.0, 2.0, 3)
+            h = a.sum() / 2
+            if min(abs(np.imag([*a, h, *(h - a)]))) < 0.1:
+                continue  # away from the real zero lattice of every Upsilon
+            checked += 1
+            plus, minus = _dozz(([a[0] + gamma / 2, a[0] - gamma / 2], [a[1]] * 2, [a[2]] * 2), params)[0]
+            for shift in (gamma / 2, -gamma / 2):
+                b = a + [shift, 0.0, 0.0]
+                args = [*b, b.sum() / 2 - Q, *(b.sum() / 2 - b)]
+                out_of_band += sum(abs(z.real - Q / 2) > gamma / 4 for z in args)
+
+            g, Qm = mpmath.mpf(gamma), mpmath.mpf(Q)
+            a1, a2, a3 = (mpmath.mpc(x.real, x.imag) for x in a)
+            hm = (a1 + a2 + a3) / 2
+
+            def log_s(x):
+                return log_l(g * x / 2) + (1 - g * x) * mpmath.log(g / 2)
+
+            log_a = mpmath.log(mpmath.pi * mu) + log_l(g**2 / 4) + (2 - g**2 / 2) * mpmath.log(g / 2)
+            ratio = complex(
+                mpmath.exp(
+                    log_s(a1 - g / 2) + log_s(a1) + log_s(hm - a1 - g / 4)
+                    - log_a - log_s(hm - Qm - g / 4) - log_s(hm - a2 - g / 4) - log_s(hm - a3 - g / 4)
+                )
+            )
+            assert plus / minus == pytest.approx(ratio, rel=1e-12), (gamma, mu, a)
+        assert out_of_band > 100  # of 24 * 2 * 7 arguments: the shift chain runs

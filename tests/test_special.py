@@ -212,6 +212,85 @@ class TestLogUpsilonOracle:
             assert _rel_to_ref(ev.log_upsilon(z), _mp_log_upsilon(gamma, complex(z))) <= 1e-13, z
 
 
+def _mod_2pi_i(d):
+    """d reduced by the multiple of 2 pi i nearest its imaginary part."""
+    return d - 2j * math.pi * round(d.imag / (2.0 * math.pi))
+
+
+class TestArrayKernels:
+    """log Gamma, log l and log Upsilon over one array: every entry has the
+    bits of its own one-element evaluation."""
+
+    def test_log_gamma_and_log_l_entries_equal_their_own_evaluation(self):
+        rng = np.random.default_rng(11)
+        zs = rng.uniform(-30.0, 30.0, 200) + 1j * rng.uniform(-20.0, 20.0, 200)
+        zs = np.concatenate([zs, [complex(-7.5, 0.0), complex(-7.5, -0.0), 0.25 + 0j, 1e-300j]])
+        # log l takes its pole and zero at integers apart from log Gamma
+        for f, args in ((_log_gamma, zs), (log_l_ratio, np.concatenate([zs, [-12.0, 3.0]]))):
+            batch = f(args)
+            assert batch.tobytes() == np.array([f(z) for z in args]).tobytes()
+            assert f(args.reshape(2, -1)).tobytes() == batch.tobytes()
+        assert log_l_ratio(np.array([-12.0, 3.0])).tolist() == [complex(math.inf), complex(-math.inf)]
+
+    def test_log_upsilon_random_batch_is_entrywise(self):
+        # about 40 entries in each group of one rule and one Re w, where a
+        # step that depends on the batch would change the bits of some
+        gamma = math.sqrt(2.0)
+        ev = UpsilonEvaluator(gamma)
+        rng = np.random.default_rng(5)
+        zs = rng.choice([0.9, 1.2, -2.3, 4.9, ev.Q / 2.0], 400) + 1j * rng.uniform(-12.0, 12.0, 400)
+        batch = ev.log_upsilon(zs)
+        assert batch.tobytes() == np.array([ev.log_upsilon(z) for z in zs]).tobytes()
+
+    def test_log_upsilon_entries_equal_their_own_evaluation_and_mpmath(self, monkeypatch):
+        gamma = math.sqrt(2.0)
+        ev = UpsilonEvaluator(gamma)
+        Q = ev.Q
+        # the band is 0.71 <= Re z < 1.41; the shifts are 0.71 and 1.41 long
+        shifted = [
+            -2.3 + 0.4j,  # up: 2/gamma, then gamma/2
+            0.3 + 1.1j,  # up: gamma/2
+            4.9 - 0.6j,  # down: 2/gamma, then gamma/2
+            1.6 + 0.2j,  # down: gamma/2
+            -6.1 + 0.35j,  # up, with l at Re < -7: log Gamma's reflection
+            13.3 - 0.2j,  # down, with l at Re > 8: the reflection at 1 - z
+            -1.9 - 9.5j,
+            3.7 + 16.0j,
+        ]
+        band = [
+            Q / 2.0 + 0.1 - 3.0j,  # |Im w| = 3, 10 and 20: 23, 46 and 92 panels
+            Q / 2.0 - 0.2 + 10.0j,
+            Q / 2.0 + 0.3 + 20.0j,
+            1.2 + 1.0j,
+            *(0.9 + 1j * np.array([1.0, -2.0, 2.5, 0.3, -0.7, 4.1, -5.5])),  # one Re w
+        ]
+        signed = [complex(0.7, 0.0), complex(0.7, -0.0), complex(-3.3, 0.0), complex(-3.3, -0.0)]
+        zeros = [0.0, complex(-0.0, 0.0), complex(0.0, -0.0), -gamma / 2.0, -2.0 / gamma]
+        zs = np.array(shifted + band + signed + zeros)
+
+        log_gamma, real_parts = lcft.special._log_gamma, []
+
+        def recording(z):
+            real_parts.append(np.min(np.real(z)))
+            return log_gamma(z)
+
+        monkeypatch.setattr(lcft.special, "_log_gamma", recording)
+        batch = ev.log_upsilon(zs)
+        monkeypatch.undo()
+        assert min(real_parts) < -7.0
+        assert sorted(int(ev._panel_counts(abs(z.imag))) for z in band[:3]) == [23, 46, 92]
+
+        assert batch.tobytes() == np.array([ev.log_upsilon(z) for z in zs]).tobytes()
+        assert ev.log_upsilon(zs.reshape(4, -1)).tobytes() == batch.tobytes()
+        assert np.all(batch[-len(zeros) :] == complex(-math.inf, 0.0))
+        # x + 0j and x - 0j lie on either side of the cut: conjugate values
+        at = len(shifted) + len(band)
+        assert batch[at + 1] == batch[at].conjugate() and batch[at + 3] == batch[at + 2].conjugate()
+        for z, value in zip(zs[: -len(zeros)], batch[: -len(zeros)]):
+            ref = _mp_log_upsilon(gamma, complex(z))
+            assert abs(_mod_2pi_i(value - ref)) <= 1e-13 * max(1.0, abs(ref)), z
+
+
 class TestUpsilon:
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_strip_center_is_one(self, gamma):
