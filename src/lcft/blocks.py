@@ -31,7 +31,11 @@ one plan of the graph (``graphs._plan``: each vertex's slots in order, as
 (edge index, orientation sign) or (None, alpha); ``dozz`` reads its DOZZ
 arguments from the same records).  Its arrays have one node axis per edge:
 each edge's inverse Gram stacks lie on its axis, and each vertex's tensors,
-built on the grid of its own edges' nodes, on theirs.  ``_contract`` sums each
+taken on the grid of its own edges' nodes, on theirs.  The vertices of one
+kind (number of edge slots and marked weights) make one ``_vertex_tensors``
+call over the distinct weight rows of all of them, as ``dozz._rho`` makes
+one ``_dozz`` call: two pants with the same weight triples share one build,
+and each vertex gathers its rows back.  ``_contract`` sums each
 multidegree's broadcast products of tensor and inverse entries over the basis
 indices, and ``BlockSeries`` turns the coefficient arrays into |F|^2 and the
 last-level share.  Every step is an out-of-place elementwise operation, so an
@@ -48,6 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dozz import _distinct
 from .errors import DimensionMismatch, ValidationError
 from .params import CftParams
 from .virasoro import (
@@ -372,13 +377,12 @@ def _level_terms(plan: tuple, N: int, L: int) -> list:
     ]
 
 
-def _vertex_tensors(vertex, levels, weights, params: CftParams) -> dict:
+def _vertex_tensors(marks: tuple, levels, weights, c) -> dict:
     """Pant arrays, annulus matrices or disk vectors (by the number of edge
-    slots) of one vertex, keyed by each of the given distinct level tuples on
-    its edge slots; ``weights`` holds one complex array per edge slot, and
-    axis 0 of every tensor runs along them."""
-    c = params.c_L
-    marks = [complex(conformal_weight(x, params)) for x in vertex.alphas]
+    slots) of a vertex kind with the marked weights ``marks``, keyed by each
+    of the given distinct level tuples on its edge slots; ``weights`` holds
+    one complex array per edge slot, and axis 0 of every tensor runs along
+    them."""
     if len(weights) == 3:
         return _pant_arrays(levels, weights, c)
     if len(weights) == 2:
@@ -422,17 +426,38 @@ def _on_axes(a: np.ndarray, shape: tuple) -> np.ndarray:
 def _block_series(plan: tuple, ps, L: int, params: CftParams, N: int) -> tuple:
     """The engine's block on the grid of the nodes ``ps`` on each of the L
     edges, as one BlockSeries of arrays that broadcast to shape (n,) * L, and
-    the number of vertex tensors built."""
+    the number of vertex tensors built.
+
+    The vertices of one kind (number of edge slots and marked weights, by
+    their bits) share one _vertex_tensors call: their weight rows, one
+    column per edge slot, are stacked and, for two or more vertices, cut to
+    the distinct rows, at the union of their level tuples; each vertex takes
+    its rows back and lays them on its own edges' axes."""
     c, n = params.c_L, len(ps)
     hs = np.array([complex(conformal_weight(params.Q + 1j * p, params)) for p in ps])
     terms = _level_terms(plan, N, L)
-    tensors, built = [], 0
+    kinds: dict = {}  # kind -> (marks, [(vertex index, axes shape, weight columns)])
     for v, vertex in enumerate(plan):
         own, grid, shape = vertex.grid(n, L)
-        weights = [hs[grid[own.index(e)]] for e in vertex.edges]
-        arrays = _vertex_tensors(vertex, {lv[v] for _degs, lv in terms}, weights, params)
-        built += grid.shape[1] * len(arrays)
-        tensors.append({lv: _on_axes(a, shape) for lv, a in arrays.items()})
+        marks = np.array([conformal_weight(x, params) for x in vertex.alphas], dtype=complex)
+        kind = kinds.setdefault((len(vertex.edges), marks.tobytes()), (tuple(marks.tolist()), []))
+        kind[1].append((v, shape, hs[grid[[own.index(e) for e in vertex.edges]]]))
+    tensors, built = [None] * len(plan), 0
+    for marks, members in kinds.values():
+        cols = np.concatenate([w for _v, _shape, w in members], axis=1)
+        index = None
+        if len(members) > 1:
+            first, index = _distinct(cols.T)
+            cols = cols[:, first]
+        levels = {lv[v] for _degs, lv in terms for v, _shape, _w in members}
+        arrays = _vertex_tensors(marks, levels, list(cols), c)
+        built += cols.shape[1] * len(arrays)
+        start = 0
+        for v, shape, w in members:
+            end = start + w.shape[1]
+            pick = slice(start, end) if index is None else index[start:end]
+            tensors[v] = {lv: _on_axes(a[pick], shape) for lv, a in arrays.items()}
+            start = end
     stacks = _gram_inverses(hs, c, N)
     axes = [tuple(n if a == e else 1 for a in range(L)) for e in range(L)]  # edge e's own axis
     finv = [[_on_axes(F, shape) for F in stacks] for shape in axes]

@@ -29,12 +29,14 @@ alpha_{k-1} + alpha_k > Q at the two disk vertices and sum(alpha) > 2Q.
 The graph is read once into ``graphs._plan``, whose vertex records give each
 vertex's weight bounds, DOZZ arguments, tensors, edge ends, metric constant
 and share of the mu-exponent.  The integrand is one array computation with
-one node axis per edge: ``dozz._rho`` and ``blocks._block_series`` build each
+one node axis per edge: ``dozz._rho`` and ``blocks._block_series`` take each
 vertex's DOZZ factors and tensors on the grid of its own edges' nodes, and
 one inverse Gram stack per level over the n nodes, and broadcasting spans the
 n^L node tuples only in their products.  ``_rho`` makes one ``dozz._dozz``
 call over every vertex's argument triples, which evaluates each distinct
-log-Upsilon argument (and its pole distance) once.  Nothing is kept between
+log-Upsilon argument (and its pole distance) once, and ``_block_series`` one
+tensor build per vertex kind over the distinct weight rows of its vertices,
+with the same bit-pattern dedupe (``dozz._distinct``).  Nothing is kept between
 calls, and a rule whose n^L tuples exceed ``_NODE_BUDGET`` raises CostGuard
 before any of them is evaluated.
 """
@@ -305,8 +307,9 @@ def graph_correlator(
     ``details["block_abs2"]`` hold the integrand's factors at every node, as
     arrays of shape (n_nodes,) * L.  ``details["gram_sets"]``,
     ``["dozz_factors"]``, ``["vertex_tensors"]`` and ``["upsilon_evals"]``
-    count the Gram-inverse sets, vertex DOZZ factors, vertex tensors and
-    distinct log-Upsilon arguments evaluated.  ``tail_fraction`` is
+    count the Gram-inverse sets, vertex DOZZ factors, distinct vertex tensors
+    (vertices of one kind with the same weights share them) and distinct
+    log-Upsilon arguments evaluated.  ``tail_fraction`` is
     the share of the integral from nodes with any edge's p in the last panel."""
     q_vector = [complex(q) for q in graph.q_vector()]
     plan = _plan(graph)

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 validation/config error, 3 numerical guard tripped.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -380,7 +381,10 @@ _FLAGS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: a parse reads it and
+    returns a new namespace, which holds only the flags given to it."""
     # SUPPRESS: a subcommand's parser must not reset a flag given before it,
     # nor put an unset one in the config
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
@@ -406,8 +410,11 @@ def main(argv=None) -> int:
     st = sub.add_parser("selftest", help="run the acceptance battery")
     st.add_argument("--only", nargs="*", help="criterion ids to run (default: all)")
     st.add_argument("--mc-samples", type=int, default=200_000, dest="mc_samples")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "selftest":
         from .acceptance import CRITERIA, MC_BATCHES, run_battery

@@ -66,17 +66,17 @@ def _lattice_distance(z, gamma: float):
     return best[()]
 
 
-def _distinct(z: np.ndarray) -> tuple:
-    """The index of the first entry of each distinct bit pattern of a complex
-    array, in ascending (real, imaginary) bit order as np.unique(axis=0) sorts
-    them, and the index of each entry's pattern among them."""
-    bits = z.view(np.uint64).reshape(-1, 2)
-    order = np.lexsort((bits[:, 1], bits[:, 0]))
-    new = np.zeros(order.size, dtype=bool)
-    new[:1] = True
-    for k in (0, 1):
-        word = bits[order, k]
-        new[1:] |= word[1:] != word[:-1]
+def _distinct(rows: np.ndarray) -> tuple:
+    """The index of the first row of each distinct bit pattern among the rows
+    of an (m, k) complex array, in ascending order of the words (real,
+    imaginary) of column 0, then of column 1 and so on, as unsigned integers;
+    and the index of each row's pattern among them.  Signed zeros stay apart,
+    which np.unique would merge."""
+    bits = np.ascontiguousarray(rows).view(np.uint64).reshape(len(rows), -1)
+    order = np.lexsort(bits.T[::-1])
+    ranked = bits[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
     ids = np.empty(order.size, dtype=np.intp)
     ids[order] = np.cumsum(new) - 1
     return order[new], ids
@@ -121,7 +121,7 @@ def _dozz(args, params: CftParams) -> tuple:
     # columns: the numerators alpha_i, then the denominators abar/2 - Q, abar/2 - alpha_i
     cols = np.stack([*alphas, abar / 2.0 - params.Q, *(abar / 2.0 - a for a in alphas)], axis=1)
     flat = cols.ravel()
-    first, ids = _distinct(flat)
+    first, ids = _distinct(flat[:, None])
     ids = ids.reshape(cols.shape)
     denominator = np.zeros(first.size, dtype=bool)
     denominator[ids[:, 3:]] = True

@@ -480,6 +480,13 @@ def _torus3():
     return g, Quadrature(1.0, 0.5, 2), 2
 
 
+def _torus3_equal():
+    """The 3-cycle of _torus3 with one weight on every annulus: the three
+    vertices are one kind, and their node pairs the same 16 weight rows."""
+    g = _torus_cycle([1.0, 1.0, 1.0], [0.1 + 0.02j, 0.12 - 0.01j, 0.08 + 0.03j])
+    return g, Quadrature(1.0, 0.5, 2), 2
+
+
 def _theta():
     """Two pants joined by three distinct edges: each pant is on every edge."""
     g = AdmissibleGraph(edges=[EdgeSpec((1, k), (2, k)) for k in (1, 2, 3)])
@@ -488,17 +495,19 @@ def _theta():
 
 class TestEngineCaches:
     """graph_correlator builds the Gram sets of all nodes in one stack per
-    level and each vertex's DOZZ factors and tensors once, over every tuple of
-    its edges' nodes; its values must equal the per-node path
+    level, each vertex's DOZZ factors once over every tuple of its edges'
+    nodes, and each vertex kind's tensors once over the distinct weight rows
+    of its vertices; its values must equal the per-node path
     (``engine.tuple_rho``, ``engine.tuple_block``), which is the same engine
     at one node tuple, bit for bit."""
 
-    @pytest.mark.parametrize("case", ["genus2", "sphere5", "torus2", "torus3", "theta"])
+    @pytest.mark.parametrize("case", ["genus2", "sphere5", "torus2", "torus3", "torus3_equal", "theta"])
     def test_bitwise_equal_to_per_node_path(self, case, request):
         if case == "genus2":
             g, quad, N, res, _builds = request.getfixturevalue("genus2_run")
         else:
-            cases = {"sphere5": _sphere5, "torus2": _torus2, "torus3": _torus3, "theta": _theta}
+            cases = {"sphere5": _sphere5, "torus2": _torus2, "torus3": _torus3,
+                     "torus3_equal": _torus3_equal, "theta": _theta}
             g, quad, N = cases[case]()
             res = graph_correlator(g, S2, quad=quad, N=N)
         L, qs = len(g.edges), g.q_vector()
@@ -554,11 +563,12 @@ class TestEngineCaches:
         *_g, res, builds = genus2_run
         # one Gram stack over the 9 nodes per level 1..3; each pant misses one
         # loop: 81 node pairs, and 10 level pairs (n1, n_loop) with
-        # n1 + n_loop <= 3 at N = 3
+        # n1 + n_loop <= 3 at N = 3; both pants hold the same 81 weight rows
+        # (h(p_0), h(p_loop), h(p_loop)), so their tensors are built once
         assert builds == 3
         assert res.details["gram_sets"] == 9
         assert res.details["dozz_factors"] == 2 * 81
-        assert res.details["vertex_tensors"] == 2 * 81 * 10
+        assert res.details["vertex_tensors"] == 81 * 10
         # 18 numerator arguments Q +- ip and 133 distinct denominators
         # Q/2 + i(+-a/2) and Q/2 + i(+-a/2 +- b): many of the node-pair values
         # coincide exactly, as the 9 nodes sit on an arithmetic grid
@@ -595,14 +605,24 @@ class TestEngineCaches:
         # denominators (alpha/2 and Q - alpha/2 at equal nodes among them)
         assert res.details["upsilon_evals"] == 8 + 3 + 90
 
+    def test_torus3_equal_counts(self):
+        # with one weight the three annuli are one kind whose node pairs are
+        # the same 16 weight rows: one tensor at each of them and of the 6
+        # level pairs, where distinct weights build three
+        g, quad, N = _torus3_equal()
+        res = graph_correlator(g, S2, quad=quad, N=N)
+        assert res.details["dozz_factors"] == 3 * 4**2
+        assert res.details["vertex_tensors"] == 4**2 * 6
+
     def test_theta_counts(self):
-        # both pants build a factor at each of the 4^3 node triples, and a
-        # tensor there at each of the 10 level triples with total <= 2
+        # both pants build a factor at each of the 4^3 node triples; they hold
+        # the same weight rows, so one tensor is built there at each of the
+        # 10 level triples with total <= 2
         g, quad, N = _theta()
         res = graph_correlator(g, S2, quad=quad, N=N)
         assert res.details["gram_sets"] == 4
         assert res.details["dozz_factors"] == 2 * 4**3
-        assert res.details["vertex_tensors"] == 2 * 4**3 * 10
+        assert res.details["vertex_tensors"] == 4**3 * 10
         # 8 numerator arguments Q +- ip and 64 distinct denominators
         assert res.details["upsilon_evals"] == 8 + 64
 

@@ -157,6 +157,27 @@ class TestCli:
         assert out.returncode == 2
         assert "gamma" in out.stderr
 
+    def test_in_process_calls_match_separate_calls(self, tmp_path):
+        # one parser serves every call in a process: the flags given to the
+        # first call (a weight torus1pt reads, gamma and mu) must not reach
+        # the second, which reads all three
+        calls = [
+            ["torus1pt", "--gamma", "1.1", "--mu", "0.5", "--alpha", "1.0", "--N", "1",
+             "--p-max", "1.0", "--nodes-per-panel", "2"],
+            ["dozz"],
+        ]
+        for i, argv in enumerate(calls):
+            assert main_code([*argv, "--out", str(tmp_path / "in" / str(i))]) == 0
+            out = run_cli(*argv, "--out", str(tmp_path / "apart" / str(i)))
+            assert out.returncode == 0, out.stderr
+        written = sorted(p.relative_to(tmp_path / "in") for p in (tmp_path / "in").rglob("*.*"))
+        assert [p.name for p in written] == ["torus1pt.json", "torus1pt_density.csv", "dozz.json"]
+        for path in written:
+            assert (tmp_path / "in" / path).read_text() == (tmp_path / "apart" / path).read_text()
+        assert json.loads((tmp_path / "in" / "1" / "dozz.json").read_text())["config"] == {
+            "gamma": math.sqrt(2.0), "mu": 1.0, "alpha": [0.3, 0.5, 0.9], "command": "dozz"
+        }
+
     def test_common_flags_before_subcommand(self, tmp_path):
         # mc-torus1pt is the one command that reads a seed
         cfg = tmp_path / "cfg.json"

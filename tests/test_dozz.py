@@ -7,7 +7,7 @@ import pytest
 
 import lcft.dozz
 from lcft.bootstrap import Quadrature, _sphere_chain, _torus_cycle, graph_correlator
-from lcft.dozz import _dozz, _lattice_distance, _upsilon_evaluator, dozz_constant
+from lcft.dozz import _distinct, _dozz, _lattice_distance, _upsilon_evaluator, dozz_constant
 from lcft.errors import BudgetExceeded, DomainError, NearPole
 from lcft.params import CftParams
 from lcft.special import UpsilonEvaluator
@@ -87,6 +87,27 @@ class TestDozzConstant:
         assert consts.tobytes() == np.array(
             [dozz_constant(plus, 1.0, 1.2, params), dozz_constant(minus, 1.0, 1.2, params)]
         ).tobytes()
+
+    def test_distinct_rows_keep_bit_patterns(self):
+        # rows equal but for the sign of one zero, or for one word of one
+        # column, stay apart; each row maps back to the first with its bits
+        a, b = complex(0.7, 0.0), complex(1.2, 0.5)
+        rows = np.array([
+            [a, b],
+            [complex(0.7, -0.0), b],
+            [a, b],
+            [a, complex(math.nextafter(1.2, 2.0), 0.5)],
+            [complex(0.7, -0.0), b],
+            [0j, b],
+            [complex(-0.0, 0.0), b],
+        ])
+        first, ids = _distinct(rows)
+        assert sorted(first.tolist()) == [0, 1, 3, 5, 6]
+        assert first[ids].tolist() == [0, 1, 0, 3, 1, 5, 6]
+        assert rows[first][ids].tobytes() == rows.tobytes()
+        words = [tuple(w) for w in rows[first].view(np.uint64)]
+        assert words == sorted(words)
+        assert len(np.unique(rows, axis=0)) == 3  # which merges signed zeros
 
     @pytest.mark.parametrize(
         "weight", [math.inf, -math.inf, math.nan, complex(1.0, math.inf), complex(math.inf, -math.inf)]
