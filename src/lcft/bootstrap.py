@@ -36,9 +36,9 @@ n^L node tuples only in their products.  ``_rho`` makes one ``dozz._dozz``
 call over every vertex's argument triples, which evaluates each distinct
 log-Upsilon argument (and its pole distance) once, and ``_block_series`` one
 tensor build per vertex kind over the distinct weight rows of its vertices,
-with the same bit-pattern dedupe (``dozz._distinct``).  Nothing is kept between
-calls, and a rule whose n^L tuples exceed ``_NODE_BUDGET`` raises CostGuard
-before any of them is evaluated.
+with the same bit-pattern dedupe (``dozz._distinct``).  Nothing is kept
+between calls, and a rule whose n^L tuples exceed ``_NODE_BUDGET`` raises
+CostGuard before any of them is evaluated.
 """
 
 from __future__ import annotations
