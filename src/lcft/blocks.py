@@ -21,10 +21,10 @@ memo of the weight they expand on (h_in for a radial element, one per slot
 for a pant bracket).  ``_radial_arrays`` and ``_pant_arrays`` run
 them with the weights as complex arrays and c as a float, so each family (the
 radial elements of a level pair, the pant brackets of a level triple) comes
-out as one array whose axis 0 runs along the weights.  A pant bracket keeps
-its z-monomials only while slot 3 is primary, where the derivatives act on
-them; they are summed at ``ZHAT`` before slot 3's transport, which only
-multiplies by powers of z13 and z23.
+out as one array whose axis 0 runs along the weights.  A pant bracket is one
+numeric recursion at the points ``ZHAT``: it moves each mode L_{-m}, m >= 2,
+onto the other two slots and takes each L_{-1} from the global Ward
+identities, so no step leaves the ring of the weights.
 
 ``_block_series`` is the spectral engine's block on n nodes per edge, from
 one plan of the graph (``graphs._plan``: each vertex's slots in order, as
@@ -56,7 +56,6 @@ from .dozz import _distinct
 from .errors import DimensionMismatch, ValidationError
 from .params import CftParams
 from .virasoro import (
-    _accumulate,
     _gram_stack,
     _invert_stack,
     apply_generator_to_word,
@@ -75,134 +74,58 @@ ZHAT = (-0.5 + 0.0j, 0.5 + 0.0j, 0.0 + 1j * math.sqrt(3.0) / 2.0)
 
 
 # ---------------------------------------------------------------------------
-# rational multiples of H = z12^E12 z13^E13 z23^E23:
-# dict[(a, b, d)] -> coefficient  (z12^a z13^b z23^d * H)
+# pant-frame brackets  <V_{D1,w1}(z1) V_{D2,w2}(z2) V_{D3,w3}(z3)> / H
 # ---------------------------------------------------------------------------
-
-
-def _zf_add(out: dict, x: dict, shift: tuple, s=None) -> None:
-    """Add x, times s unless s is None, into ``out`` with its z-monomials
-    shifted by ``shift``."""
-    da, db, dd = shift
-    for (a, b, d), p in x.items():
-        _accumulate(out, (a + da, b + db, d + dd), p if s is None else p * s)
-
-
-# dz_i of z12, z13, z23: (sign, exponent slot, unit monomial) of the two
-# factors holding z_i
-_DZ = {
-    1: ((1, 0, (1, 0, 0)), (1, 1, (0, 1, 0))),
-    2: ((-1, 0, (1, 0, 0)), (1, 2, (0, 0, 1))),
-    3: ((-1, 1, (0, 1, 0)), (-1, 2, (0, 0, 1))),
-}
-
-
-def _zf_dz(x: dict, i: int, weights, s: int) -> dict:
-    """s times d/dz_i of (sum z-monomials * coefficient) * H, in the same form;
-    the exponents of H follow from the slot weights (D1, D2, D3)."""
-    d1, d2, d3 = weights
-    exps = (d3 - d1 - d2, d2 - d1 - d3, d1 - d2 - d3)  # of z12, z13, z23 in H
-    factors: dict = {}  # s * sign * (monomial exponent + exponent in H)
-    out: dict = {}
-    for mono, p in x.items():
-        for sign, slot, (ua, ub, ud) in _DZ[i]:
-            key = (slot, mono[slot])
-            if key not in factors:
-                factors[key] = (exps[slot] + mono[slot]) * (sign * s)
-            _accumulate(out, (mono[0] - ua, mono[1] - ub, mono[2] - ud), p * factors[key])
-    return out
-
-
-def _binom(n: int, k: int) -> int:
-    if k == 0:
-        return 1
-    if n < k:
-        return 0
-    return math.comb(n, k)
-
-
-def _bracket_h(w1: tuple, w2: tuple, weights, c, memo: dict) -> dict:
-    """Normalized pant-frame bracket of two descendant slots and a primary
-    third, as the rational multiple of H {(a, b, d): coeff}.
-
-    ``w_i`` are ascending operator words and ``weights`` the slot weights
-    (D1, D2, D3).  Slot 2 reduces via the differential term on the primary
-    slot 3 plus transport onto slot 1, then slot 1 as a pure differential
-    word acting on H.  Memoised in ``memo``, which must serve one (weights,
-    c) only; its entry ("L", slot) is the generator memo at that slot's
-    weight.
-    """
-    key = ("H", w1, w2)
-    if key in memo:
-        return memo[key]
-    out: dict = {}
-    if w2:
-        m, rest2 = w2[0], w2[1:]
-        lower = _bracket_h(w1, rest2, weights, c, memo)
-        sgn_m = (-1) ** m
-        # differential piece on the primary slot 3: (z3-z2) = -z23
-        _zf_add(out, _zf_dz(lower, 3, weights, sgn_m), (0, 0, 1 - m))
-        if m > 1:
-            _zf_add(out, lower, (0, 0, -m), weights[2] * ((m - 1) * sgn_m))
-        # operator transport onto slot 1: powers of (z1 - z2) = z12
-        gens = memo.setdefault(("L", 0), {})
-        for k in range(0, sum(w1) + 2):
-            cb = _binom(m + k - 2, k)
-            if cb == 0:
-                continue
-            sgn = -1 if k % 2 == 0 else 1
-            for w1_new, coeff in apply_generator_to_word(k - 1, w1, weights[0], c, gens).items():
-                sub = _bracket_h(w1_new, rest2, weights, c, memo)
-                _zf_add(out, sub, (1 - m - k, 0, 0), coeff * (sgn * cb))
-    elif w1:
-        m, rest1 = w1[0], w1[1:]
-        lower = _bracket_h(rest1, (), weights, c, memo)
-        sgn_m = (-1) ** m
-        # D_m on slots {2,3}: (z2-z1) = -z12, (z3-z1) = -z13
-        _zf_add(out, _zf_dz(lower, 2, weights, sgn_m), (1 - m, 0, 0))
-        _zf_add(out, _zf_dz(lower, 3, weights, sgn_m), (0, 1 - m, 0))
-        if m > 1:
-            _zf_add(out, lower, (-m, 0, 0), weights[1] * ((m - 1) * sgn_m))
-            _zf_add(out, lower, (0, -m, 0), weights[2] * ((m - 1) * sgn_m))
-    else:
-        out[(0, 0, 0)] = 1
-    memo[key] = out
-    return out
 
 
 def _bracket(w1: tuple, w2: tuple, w3: tuple, weights, c, zhat, memo: dict):
     """Normalized pant-frame bracket of three descendant slots divided by H,
     at the insertion points zhat.
 
-    Slot 3 reduces via operator transport onto slots 1 and 2, which
-    multiplies a bracket by powers of z13 or z23; a primary slot 3 leaves
-    ``_bracket_h`` summed at the points.  Memoised in ``memo``, which must
-    serve one (weights, c, zhat) only, with the generator memos of
-    ``_bracket_h``.
+    The outermost mode L_{-m} of the last slot r that holds a word goes
+    first.  For m >= 2 it moves onto the other two slots j as
+    -sum_k C(1-m, k) (z_j - z_r)^(1-m-k) L_{k-1}.  L_{-1} is d_r = d/dz_r,
+    which the three global Ward identities sum_i (z_i^n d_i + n z_i^(n-1) h_i
+    + C(n, 2) L_1 on slot i) = 0, n = 0, 1, 2, fix from the brackets one
+    level lower (h_i: the weight plus level of slot i).  Either way the
+    total level falls.  Memoised in ``memo``, which must serve one (weights,
+    c, zhat) only; its entry ("L", slot) is the generator memo at that
+    slot's weight.
     """
-    key = ("B", w1, w2, w3)
-    if key in memo:
-        return memo[key]
-    z1, z2, z3 = zhat
-    if not w3:
-        out = sum(p * ((z1 - z2) ** a * (z1 - z3) ** b * (z2 - z3) ** d)
-                  for (a, b, d), p in _bracket_h(w1, w2, weights, c, memo).items())
+    words = (w1, w2, w3)
+    if words in memo:
+        return memo[words]
+    r = max((i for i in range(3) if words[i]), default=None)
+    if r is None:
+        return 1
+    m, rest = words[r][0], words[r][1:]
+    words = tuple(rest if i == r else w for i, w in enumerate(words))
+
+    def terms(j, n):
+        """(bracket, coefficient) of L_n applied to slot j of ``words``."""
+        gens = memo.setdefault(("L", j), {})
+        for new, coeff in apply_generator_to_word(n, words[j], weights[j], c, gens).items():
+            yield _bracket(*words[:j], new, *words[j + 1:], weights, c, zhat, memo), coeff
+
+    s, t = (j for j in range(3) if j != r)
+    zr, zs, zt = zhat[r], zhat[s], zhat[t]
+    if m == 1:  # d_r = (b_2 - (z_s + z_t) b_1) / ((z_r - z_s)(z_r - z_t)), b_n = sum_i z_i^n d_i
+        h = [weights[i] + sum(words[i]) for i in range(3)]
+        out = _bracket(*words, weights, c, zhat, memo) * (
+            h[r] * (zs + zt - 2 * zr) + (h[s] - h[t]) * (zt - zs))
+        for j in range(3):
+            for sub, coeff in terms(j, 1):
+                out = out - sub * coeff
+        out = out / ((zr - zs) * (zr - zt))
     else:
-        m, rest3 = w3[0], w3[1:]
-        words = (w1, w2)
         out = 0
-        for r, z in ((0, z1 - z3), (1, z2 - z3)):  # slots 1 and 2
-            word, weight, gens = words[r], weights[r], memo.setdefault(("L", r), {})
-            for k in range(0, sum(word) + 2):
-                cb = _binom(m + k - 2, k)
-                if cb == 0:
-                    continue
+        for j, z in ((s, zs - zr), (t, zt - zr)):
+            for k in range(sum(words[j]) + 2):
                 sgn = -1 if k % 2 == 0 else 1  # (-1)^(k-1)
-                for wr_new, coeff in apply_generator_to_word(k - 1, word, weight, c, gens).items():
-                    pair = (wr_new, w2) if r == 0 else (w1, wr_new)
-                    sub = _bracket(*pair, rest3, weights, c, zhat, memo)
-                    out = out + sub * (coeff * (sgn * cb * z ** (1 - m - k)))
-    memo[key] = out
+                scale = sgn * math.comb(m + k - 2, k) * z ** (1 - m - k)
+                for sub, coeff in terms(j, k - 1):
+                    out = out + sub * (coeff * scale)
+    memo[(w1, w2, w3)] = out
     return out
 
 
@@ -267,7 +190,9 @@ def _radial_arrays(levels, weights, c) -> dict:
 
 def _pant_arrays(levels, weights, c) -> dict:
     """Pant brackets of every partition triple at each level triple in
-    ``levels``, at slot weights (D1, D2, D3) and the points ZHAT."""
+    ``levels``, at slot weights (D1, D2, D3) and the points ZHAT, all from
+    one ``_bracket`` memo: a bracket's lower-level brackets are kept as
+    arrays over the weights until the build ends."""
     memo: dict = {}
     return _fill(levels, weights, lambda *w: _bracket(*w, weights, c, ZHAT, memo))
 

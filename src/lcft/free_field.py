@@ -46,37 +46,9 @@ class BoundaryField:
     def M(self) -> int:
         return len(self.xs)
 
-    def modes(self) -> np.ndarray:
-        """phi_n for n = 1..M."""
-        n = np.arange(1, self.M + 1)
-        return (self.xs + 1j * self.ys) / (2.0 * np.sqrt(n))
-
     @classmethod
     def sample(cls, M: int, rng: np.random.Generator) -> "BoundaryField":
         return cls(float(rng.normal()), rng.normal(size=M), rng.normal(size=M))
-
-
-def _poisson_dn_disk(f: BoundaryField):
-    """Harmonic extension into the unit disk and the Dirichlet-to-Neumann image.
-
-    P f(z) = c + sum_{n>0} (phi_n z^n + conj(phi_n) conj(z)^n); the DN map is
-    the Fourier multiplier |n| (zero on constants), so the image has mode
-    pairs (n x_n, n y_n) and zero mean.
-    """
-    modes = f.modes()
-
-    def interior(z):
-        z = np.asarray(z, dtype=complex)
-        out = np.full(z.shape, f.c, dtype=complex)
-        zp = np.ones_like(z)
-        for n in range(1, f.M + 1):
-            zp = zp * z
-            out = out + modes[n - 1] * zp + np.conj(modes[n - 1] * zp)
-        return out if out.ndim else complex(out)
-
-    n = np.arange(1, f.M + 1)
-    dn = BoundaryField(0.0, n * f.xs, n * f.ys)
-    return interior, dn
 
 
 def _mode_exponent(x: np.ndarray, xp: np.ndarray, a: np.ndarray) -> float:

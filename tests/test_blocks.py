@@ -84,28 +84,33 @@ class TestRulesEngine:
         got = three_point_descendant(0.31, 0.77, 1.13, (1,), (), ())
         assert got == pytest.approx(expect, rel=1e-12)
 
-    @pytest.mark.parametrize("nu", [(2,), (1, 1), (2, 1), (3,)])
-    def test_slot1_words_vs_sympy(self, nu):
-        # iterated rule (3): D_m words acting on H, computed symbolically
+    @pytest.mark.parametrize(
+        "nu,slot",
+        [
+            pytest.param(nu, slot, id=f"nu{i}" if slot == 1 else f"nu{i}-slot{slot}")
+            for slot in (1, 2, 3)
+            for i, nu in enumerate([(2,), (1, 1), (2, 1), (3,)])
+        ],
+    )
+    def test_slot1_words_vs_sympy(self, nu, slot):
+        # iterated rule (3): D_m words on one slot acting on H, computed
+        # symbolically; slot 3's L_{-1} is the one the Ward identities reduce
         H, zs, ds = sympy_h_and_points()
         vals = {ds[0]: 0.45, ds[1]: 0.81, ds[2]: 1.27}
-        expr = H
-        for m in sorted(nu):  # innermost largest part applied first
-            pass
-        # Apply outermost-last: D_{word[0]} is applied last; build up from inside
+        r = slot - 1
         word = tuple(reversed(tuple(sorted(nu, reverse=True))))  # ascending
         cur = H
         for m in reversed(word):  # innermost first
-            d2m = -(zs[1] - zs[0]) ** (1 - m) * sympy.diff(cur, zs[1]) + (m - 1) * (
-                zs[1] - zs[0]
-            ) ** (-m) * ds[1] * cur
-            d3m = -(zs[2] - zs[0]) ** (1 - m) * sympy.diff(cur, zs[2]) + (m - 1) * (
-                zs[2] - zs[0]
-            ) ** (-m) * ds[2] * cur
-            cur = d2m + d3m
+            cur = sum(
+                -((zs[j] - zs[r]) ** (1 - m)) * sympy.diff(cur, zs[j])
+                + (m - 1) * (zs[j] - zs[r]) ** (-m) * ds[j] * cur
+                for j in range(3)
+                if j != r
+            )
         subs = dict(zip(zs, ZHAT))
         expect = complex((cur / H).subs({**subs, **vals}).simplify().evalf(20))
-        got = three_point_descendant(0.45, 0.81, 1.27, nu, (), ())
+        nus = [() if j != r else nu for j in range(3)]
+        got = three_point_descendant(0.45, 0.81, 1.27, *nus)
         assert got == pytest.approx(expect, rel=1e-10)
 
     def test_path_independence_rule4_vs_rule5(self):
@@ -129,6 +134,50 @@ class TestRulesEngine:
                 d[0], d[2], d[1], (1,), (2, 1), (), c=25.0, zhat=(zh[0], zh[2], zh[1])
             )
             assert a == pytest.approx(b, rel=1e-9)
+
+    def test_exact_path_independence(self):
+        # Fraction weights, c and points run the recursion exactly: every word
+        # triple up to total level 4 must give the same Fraction whichever
+        # slot the recursion reduces first (the last slot holding a word)
+        d = (Fraction(3, 7), Fraction(-5, 4), Fraction(11, 6))
+        c, zs = Fraction(127, 5), (Fraction(-1, 2), Fraction(1, 2), Fraction(3))
+        base, memo = {}, {}
+        for lv in itertools.product(range(5), repeat=3):
+            if sum(lv) <= 4:
+                for words in itertools.product(*([nu.word() for nu in partitions(n)] for n in lv)):
+                    base[words] = _bracket(*words, d, c, zs, memo)
+                    assert isinstance(base[words], (int, Fraction))
+        for perm in list(itertools.permutations(range(3)))[1:]:
+            memo = {}
+            for words, value in base.items():
+                got = _bracket(
+                    *(words[i] for i in perm), tuple(d[i] for i in perm), c,
+                    tuple(zs[i] for i in perm), memo,
+                )
+                assert got == value, (perm, words)
+
+    # values of the former recursion, which differentiated z-monomials of H,
+    # at total levels 5 and 6: weights (0.7+0.4j, 1.3-0.9j, 2.1+0.2j),
+    # c = 27.3, ZHAT; each within 1.5e-15 of a 40-digit mpmath run
+    DEEP = [
+        (((), (), (6,)), 14.100000000000003 - 2.8000000000000025j),
+        (((), (), (3, 2, 1)), 152.2471143630535 - 70.92084132646825j),
+        (((1, 1, 1, 1, 1, 1), (), ()), -5134.663197157151 + 7374.993394533616j),
+        (((), (4, 2), ()), 63.335005551444176 + 7.969992598074481j),
+        (((2,), (2,), (2,)), -80.1536584566998 + 17.004425962246824j),
+        (((1,), (2,), (3,)), -77.81691205185281 - 187.89574713080006j),
+        (((3,), (1, 1), (1,)), 49.75373822715733 + 153.96682279081088j),
+        (((5,), (), ()), 13.060769515458675 + 6.111920087683933j),
+        (((), (2, 2, 1), ()), -27.14566050290923 + 95.42745759479867j),
+        (((1,), (1,), (4,)), 117.87679570545927 - 7.2069552591621004j),
+        (((2, 1), (2,), ()), 142.0312149767954 - 64.2569316624415j),
+        (((), (3,), (2, 1)), -878.3790593748347 - 26.590159073503912j),
+    ]
+
+    @pytest.mark.parametrize("nus,expect", DEEP)
+    def test_deep_levels_frozen(self, nus, expect):
+        got = three_point_descendant(0.7 + 0.4j, 1.3 - 0.9j, 2.1 + 0.2j, *nus, c=27.3)
+        assert got == pytest.approx(expect, rel=1e-12)
 
     def test_memoized_recursion_deterministic(self):
         a = three_point_descendant(0.4, 0.8, 1.2, (2, 1), (), (1,), c=26.5)

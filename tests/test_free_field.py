@@ -11,43 +11,9 @@ from lcft.free_field import (
     free_annulus_amplitude,
     heat_kernel_K0,
 )
-from lcft.free_field import _poisson_dn_disk as poisson_dn_disk
 from lcft.params import CftParams
 
 from oracles import gauss_integral
-
-
-class TestPoissonDN:
-    def test_constant_field(self):
-        f = BoundaryField(2.5, np.zeros(4), np.zeros(4))
-        interior, dn = poisson_dn_disk(f)
-        assert interior(0.3 + 0.2j) == pytest.approx(2.5)
-        assert dn.c == 0.0 and np.all(dn.xs == 0.0) and np.all(dn.ys == 0.0)
-
-    def test_first_mode(self):
-        # x_1 = 2 encodes phi_1 = 1, i.e. f = 2 cos(theta); the extension is
-        # phi_1 z + conj = 2 Re z and the DN multiplier is |n| = 1
-        f = BoundaryField(0.0, np.array([2.0]), np.array([0.0]))
-        interior, dn = poisson_dn_disk(f)
-        z = 0.4 + 0.1j
-        assert interior(z) == pytest.approx(2 * z.real)
-        assert np.allclose(dn.xs, [2.0]) and np.allclose(dn.ys, [0.0])
-
-    def test_multiplier_three(self):
-        f = BoundaryField(0.0, np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 0.0]))
-        _interior, dn = poisson_dn_disk(f)
-        assert dn.xs[2] == pytest.approx(3.0)
-
-    def test_boundary_limit(self):
-        rng = np.random.default_rng(0)
-        f = BoundaryField.sample(6, rng)
-        interior, _dn = poisson_dn_disk(f)
-        theta = 1.234
-        modes = f.modes()
-        boundary = f.c + sum(
-            (modes[n - 1] * np.exp(1j * n * theta)).real * 2 for n in range(1, 7)
-        )
-        assert interior(np.exp(1j * theta)) == pytest.approx(boundary, rel=1e-12)
 
 
 class TestFreeAnnulus:
