@@ -24,7 +24,8 @@ radial elements of a level pair, the pant brackets of a level triple) comes
 out as one array whose axis 0 runs along the weights.  A pant bracket is one
 numeric recursion at the points ``ZHAT``: it moves each mode L_{-m}, m >= 2,
 onto the other two slots and takes each L_{-1} from the global Ward
-identities, so no step leaves the ring of the weights.
+identities, so every intermediate is a value at the points, not a
+polynomial in them.
 
 ``_block_series`` is the spectral engine's block on n nodes per edge, from
 one plan of the graph (``graphs._plan``: each vertex's slots in order, as
