@@ -12,8 +12,8 @@ Three ingredients:
   of the annulus and disk vertices;
 
 * block-series assembly: the torus one-point block and general pants-graph
-  contractions with inverse Gram matrices across each glued edge (cyclic
-  torus chains and sphere chains are pants graphs).
+  contractions, one orthonormal basis index per glued edge (cyclic torus
+  chains and sphere chains are pants graphs).
 
 Both descendant recursions are ring-agnostic and memoised on their words in a
 dict that lives for one call; the same dict holds the Virasoro generator
@@ -30,17 +30,18 @@ polynomial in them.
 ``_block_series`` is the spectral engine's block on n nodes per edge, from
 one plan of the graph (``graphs._plan``: each vertex's slots in order, as
 (edge index, orientation sign) or (None, alpha); ``dozz`` reads its DOZZ
-arguments from the same records).  Its arrays have one node axis per edge:
-each edge's inverse Gram stacks lie on its axis, and each vertex's tensors,
-taken on the grid of its own edges' nodes, on theirs.  The vertices of one
-kind (number of edge slots and marked weights) make one ``_vertex_tensors``
-call over the distinct weight rows of all of them, as ``dozz._rho`` makes
-one ``_dozz`` call: two pants with the same weight triples share one build,
-and each vertex gathers its rows back.  ``_contract`` sums each
-multidegree's broadcast products of tensor and inverse entries over the basis
-indices, and ``BlockSeries`` turns the coefficient arrays into |F|^2 and the
-last-level share.  Every step is an out-of-place elementwise operation, so an
-entry has the same bits at any array shape.
+arguments from the same records).  Its arrays have one node axis per edge,
+and each vertex's tensors, taken on the grid of its own edges' nodes, lie on
+theirs.  The vertices of one kind (number of edge slots and marked weights)
+make one ``_vertex_tensors`` call over the distinct weight rows of all of
+them, as ``dozz._rho`` makes one ``_dozz`` call: two pants with the same
+weight triples share one build.  ``_fold`` takes each edge slot of a row
+into the Cholesky factor C, F^{-1} = C C^T, of its node's Gram matrix, and
+each vertex gathers its rows back; ``_contract`` sums each multidegree's
+products of tensor entries over one basis index per edge, and
+``BlockSeries`` turns the coefficient arrays into |F|^2 and the last-level
+share.  Every step is an out-of-place elementwise operation, so an entry has
+the same bits at any array shape.
 ``torus_one_point_block`` is the torus one-point series at one p, apart from
 the engine, for ``lcft block`` and the acceptance battery's transcription.
 """
@@ -317,31 +318,40 @@ def _vertex_tensors(marks: tuple, levels, weights, c) -> dict:
     return {(n,): arr[:, :, 0] for (n, _zero), arr in disks.items()}
 
 
-def _contract(plan: tuple, terms: list, tensors: list, finv: list) -> dict:
+def _contract(plan: tuple, terms: list, tensors: list) -> dict:
     """Each multidegree's block coefficient, as an array over node tuples.
 
-    ``terms`` comes from _level_terms; ``tensors`` holds each vertex's
-    {levels: array} and ``finv`` each edge's inverse Gram matrices at levels
-    0..N, all with their basis axes first, then one node axis per edge
-    (length 1 off the operand's own edges).  A coefficient sums, over every
-    assignment of basis indices to the edge ends, the broadcast product of one
-    entry of each operand, out of place and in an order fixed by the plan, so
-    a tuple's coefficient has the same bits at any number of tuples
-    (np.einsum's order depends on the operand shapes)."""
+    ``terms`` comes from _level_terms; ``tensors`` holds each vertex's folded
+    {levels: array} (_fold), basis axes first, then one node axis per edge.
+    A coefficient sums, over every assignment of one basis index to each
+    edge, the broadcast product of one entry of each tensor, out of place and
+    in an order fixed by the plan, so a tuple's coefficient has the same bits
+    at any number of tuples (np.einsum's order depends on the shapes)."""
     coeffs = {}
     for degs, levels in terms:
-        operands = [(t[lv], vertex.ends) for t, lv, vertex in zip(tensors, levels, plan)]
-        operands += [(f[n], (2 * e, 2 * e + 1)) for e, (f, n) in enumerate(zip(finv, degs))]
-        sizes = [len(f[n]) for f, n in zip(finv, degs) for _end in (0, 1)]
+        operands = [(t[lv], vertex.edges) for t, lv, vertex in zip(tensors, levels, plan)]
         total = None
-        for idx in itertools.product(*map(range, sizes)):
+        for idx in itertools.product(*(range(len(partitions(n))) for n in degs)):
             term = None
-            for arr, ends in operands:
-                entry = arr[tuple(idx[end] for end in ends)]
+            for arr, edges in operands:
+                entry = arr[tuple(idx[e] for e in edges)]
                 term = entry if term is None else term * entry
             total = term if total is None else total + term
         coeffs[degs] = total
     return coeffs
+
+
+def _fold(t: np.ndarray, lv: tuple, nodes: np.ndarray, stacks: list) -> np.ndarray:
+    """``t`` (rows on axis 0, then one basis axis per edge slot, at levels
+    ``lv``) with slot k's index i taken into C = stacks[lv[k]][nodes[k, row]]:
+    entry j is the running sum, in i order, of entry i times C[i, j]."""
+    for k, n in enumerate(lv):
+        t, acc = np.moveaxis(t, k + 1, 1), None
+        for i in range(t.shape[1]):
+            term = np.expand_dims(stacks[n][nodes[k], i], tuple(range(2, len(lv) + 1))) * t[:, i, None]
+            acc = term if acc is None else acc + term
+        t = np.moveaxis(acc, 1, k + 1)
+    return t
 
 
 def _on_axes(a: np.ndarray, shape: tuple) -> np.ndarray:
@@ -357,35 +367,38 @@ def _block_series(plan: tuple, ps, L: int, params: CftParams, N: int) -> tuple:
     The vertices of one kind (number of edge slots and marked weights, by
     their bits) share one _vertex_tensors call: their weight rows, one
     column per edge slot, are stacked and, for two or more vertices, cut to
-    the distinct rows, at the union of their level tuples; each vertex takes
-    its rows back and lays them on its own edges' axes."""
+    the distinct rows, at the union of their level tuples, and folded into
+    the Gram factors (_fold); each vertex takes its rows back and lays them
+    on its own edges' axes."""
     c, n = params.c_L, len(ps)
     hs = np.array([complex(conformal_weight(params.Q + 1j * p, params)) for p in ps])
     terms = _level_terms(plan, N, L)
-    kinds: dict = {}  # kind -> (marks, [(vertex index, axes shape, weight columns)])
+    # F^{-1} = C C^T, C lower Cholesky, each matrix alone: F is real positive definite on the spectrum line
+    stacks = [np.linalg.cholesky(F.real) for F in _gram_inverses(hs, c, N)]
+    kinds: dict = {}  # kind -> (marks, [(vertex index, axes shape, node columns)])
     for v, vertex in enumerate(plan):
         own, grid, shape = vertex.grid(n, L)
         marks = np.array([conformal_weight(x, params) for x in vertex.alphas], dtype=complex)
         kind = kinds.setdefault((len(vertex.edges), marks.tobytes()), (tuple(marks.tolist()), []))
-        kind[1].append((v, shape, hs[grid[[own.index(e) for e in vertex.edges]]]))
+        kind[1].append((v, shape, grid[[own.index(e) for e in vertex.edges]]))
     tensors, built = [None] * len(plan), 0
     for marks, members in kinds.values():
         cols = np.concatenate([w for _v, _shape, w in members], axis=1)
         index = None
         if len(members) > 1:
-            first, index = _distinct(cols.T)
+            first, index = _distinct(hs[cols].T)
             cols = cols[:, first]
         levels = {lv[v] for _degs, lv in terms for v, _shape, _w in members}
-        arrays = _vertex_tensors(marks, levels, list(cols), c)
+        arrays = _vertex_tensors(marks, levels, list(hs[cols]), c)
         built += cols.shape[1] * len(arrays)
+        for lv in arrays:
+            arrays[lv] = _fold(arrays[lv], lv, cols, stacks)
         start = 0
         for v, shape, w in members:
             end = start + w.shape[1]
             pick = slice(start, end) if index is None else index[start:end]
             tensors[v] = {lv: _on_axes(a[pick], shape) for lv, a in arrays.items()}
             start = end
-    stacks = _gram_inverses(hs, c, N)
     axes = [tuple(n if a == e else 1 for a in range(L)) for e in range(L)]  # edge e's own axis
-    finv = [[_on_axes(F, shape) for F in stacks] for shape in axes]
     exps = tuple((-c / 24.0 + hs.real).reshape(shape) for shape in axes)
-    return BlockSeries(exponents=exps, coeffs=_contract(plan, terms, tensors, finv), N=N), built
+    return BlockSeries(exponents=exps, coeffs=_contract(plan, terms, tensors), N=N), built

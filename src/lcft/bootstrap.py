@@ -27,12 +27,13 @@ vertex, alpha < Q everywhere, and for the sphere chain alpha_1 + alpha_2 > Q,
 alpha_{k-1} + alpha_k > Q at the two disk vertices and sum(alpha) > 2Q.
 
 The graph is read once into ``graphs._plan``, whose vertex records give each
-vertex's weight bounds, DOZZ arguments, tensors, edge ends, metric constant
-and share of the mu-exponent.  The integrand is one array computation with
-one node axis per edge: ``dozz._rho`` and ``blocks._block_series`` take each
-vertex's DOZZ factors and tensors on the grid of its own edges' nodes, and
-one inverse Gram stack per level over the n nodes, and broadcasting spans the
-n^L node tuples only in their products.  ``_rho`` makes one ``dozz._dozz``
+vertex's weight bounds, DOZZ arguments, tensors, the edge of each tensor
+slot, metric constant and share of the mu-exponent.  The integrand is one
+array computation with one node axis per edge: ``dozz._rho`` and
+``blocks._block_series`` take each vertex's DOZZ factors and tensors on the
+grid of its own edges' nodes, the tensors' edge slots folded into one Gram
+factor stack per level over the n nodes, and broadcasting spans the n^L node
+tuples only in their products.  ``_rho`` makes one ``dozz._dozz``
 call over every vertex's argument triples, which evaluates each distinct
 log-Upsilon argument (and its pole distance) once, and ``_block_series`` one
 tensor build per vertex kind over the distinct weight rows of its vertices,

@@ -183,12 +183,6 @@ class _Vertex:
         return tuple(e for e, _sign in self.slots if e is not None)
 
     @property
-    def ends(self) -> tuple:
-        """The edge end of each edge slot, 2 e outgoing or 2 e + 1 incoming;
-        the edge's inverse Gram matrix joins its two ends."""
-        return tuple(2 * e + (sign > 0) for e, sign in self.slots if e is not None)
-
-    @property
     def alphas(self) -> tuple:
         """The weight of each marked slot."""
         return tuple(x for e, x in self.slots if e is None)

@@ -440,26 +440,28 @@ class TestGraphBlock:
     def test_level_agreement_with_chain_on_torus_graph(self):
         # 2-cycle vs the hand-written cyclic trace
         # Tr(F^-1_{p2,n2} W2_{n2 n1} F^-1_{p1,n1} W1_{n1 n2}), W_j = w^A(p_j, alpha_j, p_{j-1})
+        # at N = 4 and at N = 6, whose levels 5 and 6 no exact-rational oracle reaches
         params = CftParams(gamma=1.25)
-        c, N = params.c_L, 4
+        c = params.c_L
         alphas, ps, qs = [0.9, 1.3], [1.1, 0.6], [0.05 + 0.01j, 0.07 - 0.02j]
         g = AdmissibleGraph(
             edges=[EdgeSpec((2, 2), (1, 1), q=qs[0]), EdgeSpec((1, 2), (2, 1), q=qs[1])],
             marked=[MarkedPoint(1, 3, alphas[0]), MarkedPoint(2, 3, alphas[1])],
         )
-        gb = tuple_block(g, ps, params, N=N)
         h = [complex(conformal_weight(params.Q + 1j * p, params)) for p in ps]
         d = [complex(conformal_weight(a, params)) for a in alphas]
 
         def finv(j, n):
             return np.eye(1) if n == 0 else shapovalov_inverse(shapovalov(h[j], c, n)).entries
 
-        for (n1, n2), co in gb.coeffs.items():
-            w1 = radial_matrix(n1, n2, h[0], d[0], h[1], c)
-            w2 = radial_matrix(n2, n1, h[1], d[1], h[0], c)
-            expect = complex(np.trace(finv(1, n2) @ w2 @ finv(0, n1) @ w1))
-            assert co == pytest.approx(expect, rel=1e-12)
-        assert len(gb.coeffs) == (N + 1) * (N + 2) // 2
+        for N in (4, 6):
+            gb = tuple_block(g, ps, params, N=N)
+            for (n1, n2), co in gb.coeffs.items():
+                w1 = radial_matrix(n1, n2, h[0], d[0], h[1], c)
+                w2 = radial_matrix(n2, n1, h[1], d[1], h[0], c)
+                expect = complex(np.trace(finv(1, n2) @ w2 @ finv(0, n1) @ w1))
+                assert co == pytest.approx(expect, rel=1e-12)
+            assert len(gb.coeffs) == (N + 1) * (N + 2) // 2
 
 
 class TestBlockSeries:

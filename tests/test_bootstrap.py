@@ -10,8 +10,8 @@ import lcft.bootstrap
 import lcft.dozz
 import lcft.graphs
 import lcft.virasoro
-from lcft.acceptance import _torus_one_point_hand_coded
-from lcft.blocks import BlockSeries, _contract, _gram_inverses, _level_terms
+from lcft.acceptance import _genus2_hand_coded, _torus_one_point_hand_coded
+from lcft.blocks import BlockSeries, _contract, _fold, _gram_inverses, _level_terms
 from lcft.bootstrap import (
     ANNULUS_VERTEX_CONSTANT,
     DISK_VERTEX_CONSTANT,
@@ -27,7 +27,7 @@ from lcft.bootstrap import (
     torus_one_point,
 )
 from lcft.dozz import dozz_constant
-from lcft.errors import CostGuard, GraphInvalid, NearPole, ValidationError
+from lcft.errors import CostGuard, DegenerateWeight, GraphInvalid, NearPole, ValidationError
 from lcft.graphs import AdmissibleGraph, EdgeSpec, MarkedPoint, _plan, _violations
 from lcft.params import CftParams
 from lcft.virasoro import conformal_weight, partitions
@@ -431,6 +431,15 @@ class TestGraphCorrelator:
         assert r_graph.value == pytest.approx(hand, rel=1e-10)
         assert r_torus.value == pytest.approx(hand, rel=1e-10)
 
+    def test_genus2_at_level_7_against_hand_coded(self):
+        # the acceptance transcription inverts each Gram matrix alone and
+        # contracts with np.einsum, sharing no factor or contraction code with
+        # the engine; N = 7 reaches levels no exact-rational oracle covers
+        quad = Quadrature(p_max=1.5, panel_width=0.5, nodes_per_panel=2)
+        g = genus2_graph()
+        res = graph_correlator(g, S2, quad=quad, N=7)
+        assert res.value == pytest.approx(_genus2_hand_coded(quad, g.q_vector(), S2, 7), rel=1e-10)
+
 
 def genus2_graph():
     """The acceptance criterion-7 genus-2 graph."""
@@ -522,36 +531,59 @@ class TestEngineCaches:
 
     @pytest.mark.parametrize("case", ["genus2", "sphere5"])
     def test_kernels_keep_bits_at_any_tuple_count(self, case):
-        # the Gram inverses, the contraction and the series pass give each of
-        # n nodes or node tuples the bits of its one-element slice
+        # the Gram inverses and their Cholesky factors, the per-slot fold, the
+        # contraction and the series pass give each of n nodes or node tuples
+        # the bits of its one-element slice
         g, quad, N = (genus2_graph(), Quadrature(1.5, 0.5, 3), 3) if case == "genus2" else _sphere5()
         hs = np.array([complex(conformal_weight(S2.Q + 1j * p, S2)) for p in quad.nodes])
-        stacks = _gram_inverses(hs, S2.c_L, N)
+
+        def factored(stacks):
+            return stacks + [np.linalg.cholesky(F.real) for F in stacks]
+
+        stacks = factored(_gram_inverses(hs, S2.c_L, N))
         for i in range(len(hs)):
-            for full, alone in zip(stacks, _gram_inverses(hs[i : i + 1], S2.c_L, N)):
+            for full, alone in zip(stacks, factored(_gram_inverses(hs[i : i + 1], S2.c_L, N))):
                 assert np.array_equal(full[i : i + 1], alone)
 
         plan, L, n = _plan(g), len(g.edges), 40
         terms = _level_terms(plan, N, L)
         rng = np.random.default_rng(7)
 
+        def cnoise(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
         def noise(*shape):
-            return rng.normal(size=(*shape, n)) + 1j * rng.normal(size=(*shape, n))
+            return cnoise(*shape, n)
 
         def one(a, j):  # tuple j alone, as a contiguous one-element last axis
             return np.ascontiguousarray(a[..., j : j + 1])
+
+        # the fold over every node tuple of each vertex's grid, against each
+        # tuple alone with its own nodes' factors; each genus-2 pant holds a
+        # self-loop, whose factor it takes on both slots
+        m = 3
+        stacks_m = [rng.normal(size=(m, len(partitions(k)), len(partitions(k)))) for k in range(N + 1)]
+        for v, vertex in enumerate(plan):
+            own, grid, _shape = vertex.grid(m, L)
+            nodes = grid[[own.index(e) for e in vertex.edges]]
+            for lv in {levels[v] for _degs, levels in terms}:
+                t = cnoise(nodes.shape[1], *(len(partitions(k)) for k in lv))
+                folded = _fold(t, lv, nodes, stacks_m)
+                for r in range(nodes.shape[1]):
+                    alone = [S[nodes[:, r]] for S in stacks_m]
+                    one_row = _fold(t[r : r + 1].copy(), lv, np.arange(len(lv))[:, None], alone)
+                    assert np.array_equal(folded[r : r + 1], one_row)
 
         tensors = [
             {lv: noise(*(len(partitions(k)) for k in lv)) for lv in {levels[v] for _degs, levels in terms}}
             for v in range(len(plan))
         ]
-        finv = [[noise(len(partitions(k)), len(partitions(k))) for k in range(N + 1)] for _e in range(L)]
         exps = tuple(rng.normal(size=n) for _e in range(L))
-        coeffs = _contract(plan, terms, tensors, finv)
+        coeffs = _contract(plan, terms, tensors)
         series = BlockSeries(exps, coeffs, N).abs2_and_last_level(g.q_vector())
         for j in range(n):
             tensors_j = [{lv: one(a, j) for lv, a in t.items()} for t in tensors]
-            coeffs_j = _contract(plan, terms, tensors_j, [[one(f, j) for f in fs] for fs in finv])
+            coeffs_j = _contract(plan, terms, tensors_j)
             for degs, co in coeffs.items():
                 assert np.array_equal(co[j : j + 1], coeffs_j[degs])
             exps_j = tuple(one(e, j) for e in exps)
@@ -663,6 +695,16 @@ class TestEngineCaches:
         assert math.isfinite(res.value)
         with pytest.raises(NearPole, match="within 1e-06 of the Upsilon zero lattice"):
             graph_correlator(_torus_cycle([0.99 * edge], [0.01]), S2, quad=quad, N=1)
+
+    def test_degenerate_weight_at_its_edge(self):
+        # the first node (p ~ 0.106) keeps its Gram matrices within the
+        # equilibrated condition guard through level 10; at level 11 its
+        # condition is 3.3e10
+        quad = Quadrature(0.5, 0.5, 2)
+        res = torus_one_point(1.2, 1j, S2, quad, N=10)
+        assert res.value == pytest.approx(0.008133194850499832, rel=1e-12)
+        with pytest.raises(DegenerateWeight, match="level 11"):
+            torus_one_point(1.2, 1j, S2, quad, N=11)
 
     def test_graph_read_once_per_call(self, monkeypatch):
         # one structure check serves the weight bounds, the DOZZ factors and

@@ -271,6 +271,14 @@ class TestCli:
         assert out.returncode == 3
         assert "guard" in out.stderr
 
+    def test_gram_guard_exit_code(self, capsys):
+        # level 11 at the first node (p ~ 0.106) trips the Gram condition guard
+        from lcft.cli import main
+
+        argv = ["torus1pt", "--N", "11", "--p-max", "0.5", "--panel-width", "0.5", "--nodes-per-panel", "2"]
+        assert main(argv) == 3
+        assert "numerical guard: Gram matrix at level 11" in capsys.readouterr().err
+
     def test_selftest_single_criterion(self):
         out = run_cli("selftest", "--only", "5")
         assert out.returncode == 0
