@@ -213,12 +213,7 @@ def _genus2_hand_coded(quad, qs, params: CftParams, N: int) -> float:
     q1, q2, q3 = (complex(q) for q in qs)
     Q, c = params.Q, params.c_L
     hs = [complex(conformal_weight(Q + 1j * p, params)) for p in quad.nodes]
-    finv = []
-    for hh in hs:
-        per = [np.eye(1, dtype=complex)]
-        for n in range(1, N + 1):
-            per.append(shapovalov_inverse(shapovalov(hh, c, n)).entries)
-        finv.append(per)
+    finv = [[shapovalov_inverse(shapovalov(hh, c, n)).entries for n in range(N + 1)] for hh in hs]
     pair_h = np.array(hs)[np.indices((n_nodes, n_nodes)).reshape(2, -1)]
     levels = {(n1, n2, n2) for n1 in range(N + 1) for n2 in range(N + 1 - n1)}
     pant = _pant_arrays(levels, (pair_h[0], pair_h[1], pair_h[1]), c)

@@ -35,15 +35,15 @@ and each vertex's tensors, taken on the grid of its own edges' nodes, lie on
 theirs.  The vertices of one kind (number of edge slots and marked weights)
 make one ``_vertex_tensors`` call over the distinct weight rows of all of
 them, as ``dozz._rho`` makes one ``_dozz`` call: two pants with the same
-weight triples share one build.  ``_fold`` takes each edge slot of a row
-into the Cholesky factor C, F^{-1} = C C^T, of its node's Gram matrix, and
-each vertex gathers its rows back; ``_contract`` sums each multidegree's
-products of tensor entries over one basis index per edge, and
-``BlockSeries`` turns the coefficient arrays into |F|^2 and the last-level
-share.  Every step is an out-of-place elementwise operation, so an entry has
-the same bits at any array shape.
-``torus_one_point_block`` is the torus one-point series at one p, apart from
-the engine, for ``lcft block`` and the acceptance battery's transcription.
+weight triples share one build.  An edge glues through F^{-1} = R^-T R^-1,
+R the lower Cholesky factor of F: ``_fold`` solves each edge slot of a row
+against its node's R, each vertex gathers its rows back, and ``_contract``
+sums each multidegree's products of tensor entries over one basis index per
+edge; ``BlockSeries`` turns the coefficient arrays into |F|^2 and the
+last-level share.  Every step is an out-of-place elementwise operation, so
+an entry has the same bits at any array shape.  ``torus_one_point_block`` is
+the torus one-point series at one p, apart from the engine (an explicit
+F^{-1} per level), for ``lcft block`` and the acceptance transcriptions.
 """
 
 from __future__ import annotations
@@ -59,10 +59,12 @@ from .errors import DimensionMismatch, ValidationError
 from .params import CftParams
 from .virasoro import (
     _gram_stack,
-    _invert_stack,
+    _guard,
     apply_generator_to_word,
     conformal_weight,
     partitions,
+    shapovalov,
+    shapovalov_inverse,
 )
 
 __all__ = [
@@ -260,29 +262,33 @@ class BlockSeries:
         return self.abs2_and_last_level(qs)[0]
 
 
-def _gram_inverses(hs: np.ndarray, c: float, N: int) -> list:
-    """Inverse Gram matrices at levels 0..N for every weight of the complex
-    array ``hs``: one stack per level, shape (len(hs), p(n), p(n)).  Every
-    block truncates through it, so it rejects N < 0."""
+def _gram_factors(hs: np.ndarray, c: float, N: int) -> list:
+    """Lower Cholesky factors R, F = R R^T, of the Gram matrices at levels
+    0..N at every weight of ``hs`` (on the spectrum line, F is real positive
+    definite), one stack per level of shape (len(hs), p(n), p(n)), each level
+    past ``_guard`` before any is factored.  Rejects N < 0."""
     if N < 0:
         raise ValidationError(f"truncation level N must be >= 0, got {N}")
     memo: dict = {}  # the levels share hs, so one generator memo serves them all
-    return [np.ones((len(hs), 1, 1), dtype=complex)] + [
-        _invert_stack(_gram_stack(hs, c, n, memo), n, hs)[0] for n in range(1, N + 1)
-    ]
+    grams = [_gram_stack(hs, c, n, memo) for n in range(1, N + 1)]
+    for n, F in enumerate(grams, 1):
+        _guard(F, n, hs)
+    return [np.ones((len(hs), 1, 1))] + [np.linalg.cholesky(F.real) for F in grams]
 
 
 def torus_one_point_block(alpha1: complex, p: float, params: CftParams, N: int = 6) -> BlockSeries:
     """One-point block on the torus: |q|^{-c_L/24 + Delta_{Q+ip}} sum_n q^n
     Tr(F^{-1}_{Q+ip,n} w^A_n(alpha1, p, p)), for the caller to evaluate at
     a modulus 0 < |q| < 1."""
+    if N < 0:
+        raise ValidationError(f"truncation level N must be >= 0, got {N}")
     h = complex(conformal_weight(params.Q + 1j * p, params))
     d_mark = complex(conformal_weight(alpha1, params))
     c = params.c_L
     hs = np.array([h])
-    finv = _gram_inverses(hs, c, N)
     W = _radial_arrays({(n, n) for n in range(N + 1)}, (hs, d_mark, hs), c)
-    coeffs = {(n,): complex(np.trace(finv[n][0] @ W[(n, n)][0])) for n in range(N + 1)}
+    finv = [shapovalov_inverse(shapovalov(h, c, n)).entries for n in range(N + 1)]
+    coeffs = {(n,): complex(np.trace(finv[n] @ W[(n, n)][0])) for n in range(N + 1)}
     return BlockSeries(exponents=(-c / 24.0 + h.real,), coeffs=coeffs, N=N)
 
 
@@ -342,15 +348,18 @@ def _contract(plan: tuple, terms: list, tensors: list) -> dict:
 
 
 def _fold(t: np.ndarray, lv: tuple, nodes: np.ndarray, stacks: list) -> np.ndarray:
-    """``t`` (rows on axis 0, then one basis axis per edge slot, at levels
-    ``lv``) with slot k's index i taken into C = stacks[lv[k]][nodes[k, row]]:
-    entry j is the running sum, in i order, of entry i times C[i, j]."""
+    """``t`` (rows on axis 0, then one basis axis per edge slot, at levels ``lv``)
+    with slot k solved against R = stacks[lv[k]][nodes[k, row]] by forward
+    substitution: x_j = (t_j - sum_{i<j} R[j, i] x_i) / R[j, j], i ascending."""
     for k, n in enumerate(lv):
-        t, acc = np.moveaxis(t, k + 1, 1), None
-        for i in range(t.shape[1]):
-            term = np.expand_dims(stacks[n][nodes[k], i], tuple(range(2, len(lv) + 1))) * t[:, i, None]
-            acc = term if acc is None else acc + term
-        t = np.moveaxis(acc, 1, k + 1)
+        t, xs = np.moveaxis(t, k + 1, 1), []
+        R = np.expand_dims(stacks[n][nodes[k]], tuple(range(3, len(lv) + 2)))  # R[:, j, i] on t[:, j]
+        for j in range(t.shape[1]):
+            acc = t[:, j]
+            for i in range(j):
+                acc = acc - R[:, j, i] * xs[i]
+            xs.append(acc / R[:, j, j])
+        t = np.moveaxis(np.stack(xs, 1), 1, k + 1)
     return t
 
 
@@ -367,14 +376,13 @@ def _block_series(plan: tuple, ps, L: int, params: CftParams, N: int) -> tuple:
     The vertices of one kind (number of edge slots and marked weights, by
     their bits) share one _vertex_tensors call: their weight rows, one
     column per edge slot, are stacked and, for two or more vertices, cut to
-    the distinct rows, at the union of their level tuples, and folded into
-    the Gram factors (_fold); each vertex takes its rows back and lays them
-    on its own edges' axes."""
+    the distinct rows, at the union of their level tuples, and solved against
+    the Gram factors (_fold); each vertex takes its rows back and lays them on
+    its own edges' axes."""
     c, n = params.c_L, len(ps)
     hs = np.array([complex(conformal_weight(params.Q + 1j * p, params)) for p in ps])
     terms = _level_terms(plan, N, L)
-    # F^{-1} = C C^T, C lower Cholesky, each matrix alone: F is real positive definite on the spectrum line
-    stacks = [np.linalg.cholesky(F.real) for F in _gram_inverses(hs, c, N)]
+    stacks = _gram_factors(hs, c, N)
     kinds: dict = {}  # kind -> (marks, [(vertex index, axes shape, node columns)])
     for v, vertex in enumerate(plan):
         own, grid, shape = vertex.grid(n, L)

@@ -31,7 +31,7 @@ vertex's weight bounds, DOZZ arguments, tensors, the edge of each tensor
 slot, metric constant and share of the mu-exponent.  The integrand is one
 array computation with one node axis per edge: ``dozz._rho`` and
 ``blocks._block_series`` take each vertex's DOZZ factors and tensors on the
-grid of its own edges' nodes, the tensors' edge slots folded into one Gram
+grid of its own edges' nodes, the tensors' edge slots solved against one Gram
 factor stack per level over the n nodes, and broadcasting spans the n^L node
 tuples only in their products.  ``_rho`` makes one ``dozz._dozz``
 call over every vertex's argument triples, which evaluates each distinct
@@ -308,7 +308,7 @@ def graph_correlator(
     ``details["block_abs2"]`` hold the integrand's factors at every node, as
     arrays of shape (n_nodes,) * L.  ``details["gram_sets"]``,
     ``["dozz_factors"]``, ``["vertex_tensors"]`` and ``["upsilon_evals"]``
-    count the Gram-inverse sets, vertex DOZZ factors, distinct vertex tensors
+    count the Gram sets, vertex DOZZ factors, distinct vertex tensors
     (vertices of one kind with the same weights share them) and distinct
     log-Upsilon arguments evaluated.  ``tail_fraction`` is
     the share of the integral from nodes with any edge's p in the last panel."""

@@ -26,7 +26,9 @@ Every operation is out-of-place and elementwise, so an entry has the same bits
 at any array length (numpy 2.4's in-place complex ``*=`` does not: on
 one-element arrays it differs from ``a * b`` in 310 of 720 products).  At
 dyadic-rational weights every product and partial sum is exact, which is what
-makes the bit-for-bit oracle comparison in the tests meaningful.
+makes the bit-for-bit oracle comparison in the tests meaningful.  ``_guard``
+checks a Gram stack for DegenerateWeight before ``blocks`` factors it or
+``shapovalov_inverse`` inverts its one matrix; no stack is inverted.
 """
 
 from __future__ import annotations
@@ -219,17 +221,12 @@ def shapovalov(delta, c, n: int) -> GramMatrix:
 _COND_GUARD = 1e10
 
 
-def _invert_stack(F: np.ndarray, level: int, deltas) -> tuple[np.ndarray, str]:
-    """Inverses of the level-``level`` Gram matrices F, shape (n, p, p), at the
-    weights ``deltas``, and the method used.  A vanishing diagonal entry or an
-    equilibrated condition beyond ``_COND_GUARD`` raises DegenerateWeight
-    naming the weight (near a Kac zero).  A real stack (the spectrum line,
-    where F is positive definite) takes Cholesky, any other stack or one
-    Cholesky rejects takes LU; numpy runs both one matrix at a time, so each
-    inverse has the bits it would have alone."""
-    # scale-invariant condition estimate: symmetric diagonal equilibration
-    # separates genuine Kac-zero proximity from the harmless entry-scale
-    # spread that high levels and large weights produce
+def _guard(F: np.ndarray, level: int, deltas) -> None:
+    """Raise DegenerateWeight, naming the weight, where a level-``level`` Gram
+    matrix of the stack F, shape (n, p, p), at the weights ``deltas`` has a
+    vanishing diagonal entry or a condition over ``_COND_GUARD`` after
+    symmetric diagonal equilibration, which separates Kac-zero proximity from
+    the harmless entry-scale spread of high levels and large weights."""
     diag = np.abs(np.diagonal(F, axis1=1, axis2=2))
     vanishing = (diag == 0.0).any(axis=1)
     if vanishing.any():
@@ -246,21 +243,21 @@ def _invert_stack(F: np.ndarray, level: int, deltas) -> tuple[np.ndarray, str]:
             f"Gram matrix at level {level}, Delta = {deltas[i]} has equilibrated condition "
             f"{cond[i]:.3e} > guard {_COND_GUARD:.1e} (weight near a Kac zero?)"
         )
-    ident = np.eye(F.shape[-1])
-    if not F.imag.any():
-        try:
-            cf = np.linalg.cholesky(F.real)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            inv = np.linalg.solve(np.swapaxes(cf, 1, 2), np.linalg.solve(cf, ident))
-            return inv.astype(complex), "cholesky"
-    return np.linalg.solve(F, ident.astype(complex)), "lu"
 
 
 def shapovalov_inverse(F: GramMatrix) -> GramMatrix:
-    """F^{-1} by ``_invert_stack`` on the one matrix, with its residual
-    max |F F^{-1} - I|."""
-    inv, method = _invert_stack(F.entries[None], F.level, [F.delta])
-    residual = float(np.max(np.abs(F.entries @ inv[0] - np.eye(len(inv[0])))))
-    return GramMatrix(F.level, F.delta, F.c, inv[0], F.basis, residual=residual, method=method)
+    """F^{-1} past ``_guard``, with its residual max |F F^{-1} - I|: Cholesky
+    where F is real positive definite (the spectrum line), LU otherwise."""
+    _guard(F.entries[None], F.level, [F.delta])
+    ident, inv = np.eye(len(F.entries)), None
+    if not F.entries.imag.any():
+        try:
+            cf = np.linalg.cholesky(F.entries.real)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            inv, method = np.linalg.solve(cf.T, np.linalg.solve(cf, ident)).astype(complex), "cholesky"
+    if inv is None:
+        inv, method = np.linalg.solve(F.entries, ident.astype(complex)), "lu"
+    residual = float(np.max(np.abs(F.entries @ inv - ident)))
+    return GramMatrix(F.level, F.delta, F.c, inv, F.basis, residual=residual, method=method)

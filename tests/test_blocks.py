@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -10,7 +11,7 @@ from lcft.blocks import (
     ZHAT,
     BlockSeries,
     _bracket,
-    _gram_inverses,
+    _gram_factors,
     _pant_arrays,
     _radial_arrays,
     _radial_element,
@@ -299,7 +300,7 @@ class TestSharedMemos:
 
 
 class TestGramInverses:
-    """The DegenerateWeight guard on the stacked inverses, at its edge."""
+    """The DegenerateWeight guard on the engine's stacked Gram factors, at its edge."""
 
     params = CftParams(gamma=math.sqrt(2.0))
 
@@ -311,21 +312,21 @@ class TestGramInverses:
         near = complex(conformal_weight(kac_weight(2, 1, self.params), self.params)) + 1e-13
         hs = np.append(self.spectrum_weights(), near)
         with pytest.raises(DegenerateWeight, match=re.escape(f"level 2, Delta = {hs[-1]} has equilibrated")):
-            _gram_inverses(hs, self.params.c_L, 2)
-        stacks = _gram_inverses(hs[:-1], self.params.c_L, 2)
+            _gram_factors(hs, self.params.c_L, 2)
+        stacks = _gram_factors(hs[:-1], self.params.c_L, 2)
         assert [s.shape for s in stacks] == [(12, 1, 1), (12, 1, 1), (12, 2, 2)]
 
     def test_zero_weight_has_vanishing_diagonal_at_level_1(self):
         hs = np.append(self.spectrum_weights(), 0.0)
         with pytest.raises(DegenerateWeight, match=r"level 1, Delta = 0j has a vanishing diagonal norm"):
-            _gram_inverses(hs, self.params.c_L, 1)
+            _gram_factors(hs, self.params.c_L, 1)
 
     def test_negative_truncation_level_is_a_validation_error(self):
-        # every block truncates through the inverses; N = 0 is the edge
+        # every block truncates through the Gram factors; N = 0 is the edge
         graph = _torus_cycle([1.2], [0.1])
         assert len(tuple_block(graph, [0.5], self.params, N=0).coeffs) == 1
         calls = (
-            lambda N: _gram_inverses(self.spectrum_weights(), self.params.c_L, N),
+            lambda N: _gram_factors(self.spectrum_weights(), self.params.c_L, N),
             lambda N: torus_one_point_block(1.2, 0.5, self.params, N=N),
             lambda N: tuple_block(graph, [0.5], self.params, N=N),
         )
@@ -393,15 +394,43 @@ class TestChainBlock:
 
 class TestGraphBlock:
     def test_self_loop_equals_torus_block(self):
+        # the engine's substitution fold against the reference's explicit F^-1;
+        # folding through a Cholesky factor of a computed F^-1 was 5e-7 off
+        # at level 10
         params = CftParams(gamma=1.1)
         alpha1, p, q = 1.2, 0.83, 0.08 + 0.03j
         g = AdmissibleGraph(
             edges=[EdgeSpec((1, 1), (1, 2), q=q)], marked=[MarkedPoint(1, 3, alpha1)]
         )
-        gb = tuple_block(g, [p], params, N=4)
-        tb = torus_one_point_block(alpha1, p, params, N=4)
-        for n in range(5):
-            assert gb.coeffs[(n,)] == pytest.approx(tb.coeffs[(n,)], rel=1e-12)
+        for N, rel in ((4, 1e-12), (10, 1e-9)):
+            gb = tuple_block(g, [p], params, N=N)
+            tb = torus_one_point_block(alpha1, p, params, N=N)
+            for n in range(N + 1):
+                assert gb.coeffs[(n,)] == pytest.approx(tb.coeffs[(n,)], rel=rel), (N, n)
+
+    @pytest.mark.parametrize("p", [0.3, 1.0])
+    def test_self_loop_level_8_against_mpmath(self, p):
+        # Tr(F^-1 W) at level 8 from the same ring-agnostic recursions on
+        # 30-digit weights, with mpmath's inverse: about 0.2 s per p.  The
+        # engine keeps ~2e-13 here; a Cholesky factor of a computed F^-1 was
+        # 5e-10 off at p = 0.3
+        gamma, alpha1 = 1.3, 0.8
+        with mpmath.workdps(30):
+            g = mpmath.mpf(gamma)
+            Q = g / 2 + 2 / g
+            c, h = 1 + 6 * Q**2, (Q**2 + mpmath.mpf(p) ** 2) / 4
+            d = mpmath.mpf(alpha1) / 2 * (Q - mpmath.mpf(alpha1) / 2)
+            words = [nu.word() for nu in partitions(8)]
+            gens, elems = {}, {}
+            F = mpmath.matrix([[_pairing(u, v, h, c, gens) for v in words] for u in words])
+            W = mpmath.matrix([[_radial_element(u, v, (h, d, h), c, elems) for v in words] for u in words])
+            X = mpmath.inverse(F) * W
+            expect = complex(sum(X[i, i] for i in range(len(words))))
+        graph = AdmissibleGraph(
+            edges=[EdgeSpec((1, 1), (1, 2), q=0.1)], marked=[MarkedPoint(1, 3, alpha1)]
+        )
+        got = tuple_block(graph, [p], CftParams(gamma=gamma), N=8).coeffs[(8,)]
+        assert got == pytest.approx(expect, rel=1e-11)
 
     def test_normalization_multidegree_zero(self):
         params = CftParams(gamma=math.sqrt(2.0))

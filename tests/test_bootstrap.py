@@ -11,7 +11,7 @@ import lcft.dozz
 import lcft.graphs
 import lcft.virasoro
 from lcft.acceptance import _genus2_hand_coded, _torus_one_point_hand_coded
-from lcft.blocks import BlockSeries, _contract, _fold, _gram_inverses, _level_terms
+from lcft.blocks import BlockSeries, _contract, _fold, _gram_factors, _level_terms
 from lcft.bootstrap import (
     ANNULUS_VERTEX_CONSTANT,
     DISK_VERTEX_CONSTANT,
@@ -331,6 +331,25 @@ class TestSphereKPoint:
         assert res.mu_exponent == pytest.approx(expect_exp)
         assert res.value == pytest.approx(base.value * 2.0**expect_exp, rel=1e-12)
 
+    def test_crossing_at_half(self):
+        # z -> 1.5 - z swaps z_1 = 0 and z_3 = 1.5 and fixes z_2 = 0.75 (cross
+        # ratio 1/2); in this normalization at infinity it takes the swapped
+        # weights' value to the original's times 1.5^{-4(Delta_1 - Delta_3)}.
+        # The chain's modulus 1/2 makes truncation the error: 4.1e-4 at N = 8,
+        # 1.0e-4 at N = 10 (the N = 10 pair takes about 0.3 s)
+        quad, z = Quadrature(6.0, 0.5, 8), [0, 0.75, 1.5, None]
+        d1, d3 = (complex(conformal_weight(a, S2)).real for a in (1.5, 1.3))
+        expect = 1.5 ** (-4 * (d1 - d3))
+
+        def error(N):
+            plain = sphere_k_point([1.5, 1.4, 1.3, 1.2], z, S2, quad, N=N).value
+            swapped = sphere_k_point([1.3, 1.4, 1.5, 1.2], z, S2, quad, N=N).value
+            return abs(plain / swapped / expect - 1)
+
+        err8, err10 = error(8), error(10)
+        assert err10 <= 2e-4
+        assert err10 <= err8 / 2
+
     def test_seiberg_validation(self):
         # sum(alpha) = 0.6 < 2Q = 4.53
         with pytest.raises(ValidationError, match="global Seiberg"):
@@ -531,18 +550,15 @@ class TestEngineCaches:
 
     @pytest.mark.parametrize("case", ["genus2", "sphere5"])
     def test_kernels_keep_bits_at_any_tuple_count(self, case):
-        # the Gram inverses and their Cholesky factors, the per-slot fold, the
-        # contraction and the series pass give each of n nodes or node tuples
-        # the bits of its one-element slice
+        # the Gram factors, the per-slot substitution fold, the contraction
+        # and the series pass give each of n nodes or node tuples the bits of
+        # its one-element slice
         g, quad, N = (genus2_graph(), Quadrature(1.5, 0.5, 3), 3) if case == "genus2" else _sphere5()
         hs = np.array([complex(conformal_weight(S2.Q + 1j * p, S2)) for p in quad.nodes])
 
-        def factored(stacks):
-            return stacks + [np.linalg.cholesky(F.real) for F in stacks]
-
-        stacks = factored(_gram_inverses(hs, S2.c_L, N))
+        stacks = _gram_factors(hs, S2.c_L, N)
         for i in range(len(hs)):
-            for full, alone in zip(stacks, factored(_gram_inverses(hs[i : i + 1], S2.c_L, N))):
+            for full, alone in zip(stacks, _gram_factors(hs[i : i + 1], S2.c_L, N)):
                 assert np.array_equal(full[i : i + 1], alone)
 
         plan, L, n = _plan(g), len(g.edges), 40
@@ -558,8 +574,18 @@ class TestEngineCaches:
         def one(a, j):  # tuple j alone, as a contiguous one-element last axis
             return np.ascontiguousarray(a[..., j : j + 1])
 
+        def substitute(x, R):  # R^-1 x for one basis vector x, one entry at a time, i ascending
+            out = []
+            for j in range(len(x)):
+                acc = x[j : j + 1]
+                for i in range(j):
+                    acc = acc - R[j, i : i + 1] * out[i]
+                out.append(acc / R[j, j : j + 1])
+            return np.concatenate(out)
+
         # the fold over every node tuple of each vertex's grid, against each
-        # tuple alone with its own nodes' factors; each genus-2 pant holds a
+        # tuple alone with its own nodes' factors and against the substitution
+        # written out, one slot after another; each genus-2 pant holds a
         # self-loop, whose factor it takes on both slots
         m = 3
         stacks_m = [rng.normal(size=(m, len(partitions(k)), len(partitions(k)))) for k in range(N + 1)]
@@ -573,6 +599,10 @@ class TestEngineCaches:
                     alone = [S[nodes[:, r]] for S in stacks_m]
                     one_row = _fold(t[r : r + 1].copy(), lv, np.arange(len(lv))[:, None], alone)
                     assert np.array_equal(folded[r : r + 1], one_row)
+                    expect = t[r]
+                    for k, n_k in enumerate(lv):
+                        expect = np.apply_along_axis(substitute, k, expect, stacks_m[n_k][nodes[k, r]])
+                    assert np.array_equal(folded[r], expect)
 
         tensors = [
             {lv: noise(*(len(partitions(k)) for k in lv)) for lv in {levels[v] for _degs, levels in terms}}

@@ -370,3 +370,46 @@ class TestDozzShiftEquation:
             )
             assert plus / minus == pytest.approx(ratio, rel=1e-12), (gamma, mu, a)
         assert out_of_band > 100  # of 24 * 2 * 7 arguments: the shift chain runs
+
+
+class TestDozzReflection:
+    """Reflection a1 -> 2Q - a1, which keeps Delta_a = (a/2)(Q - a/2).  It
+    permutes the four denominator Upsilons and turns Ups(a1) into
+    Ups(a1 - Q), so two shift equations (Upsilon by g/2 and by 2/g) give
+
+        C(2Q - a1, a2, a3) / C(a1, a2, a3)
+            = A^{2(a1 - Q)/g}
+              / [l(g(a1 - Q)/2) l(2a1/g - 4/g^2) (g/2)^{4a1/g - 8/g^2 - g(a1 - Q)}],
+
+    A = pi mu l(g^2/4) (g/2)^{2 - g^2/2}, free of a2 and a3.  l is taken from
+    mpmath's log Gamma, so the oracle shares no code with the kernel."""
+
+    def test_random_complex_arguments(self):
+        mpmath.mp.dps = 30
+        rng = np.random.default_rng(23)
+
+        def log_l(x):
+            return mpmath.loggamma(x) - mpmath.loggamma(1 - x)
+
+        checked = 0
+        while checked < 24:
+            gamma, mu = float(rng.uniform(0.6, 1.9)), float(rng.uniform(0.5, 2.0))
+            params = CftParams(gamma=gamma, mu=mu)
+            Q = params.Q
+            a = rng.uniform(-0.5, Q + 0.5, 3) + 1j * rng.uniform(-2.0, 2.0, 3)
+            h = a.sum() / 2
+            if min(abs(np.imag([*a, h, *(h - a)]))) < 0.1:
+                continue  # away from the real zero lattice of every Upsilon
+            checked += 1
+            reflected, plain = _dozz(([2 * Q - a[0], a[0]], [a[1]] * 2, [a[2]] * 2), params)[0]
+
+            g, Qm = mpmath.mpf(gamma), mpmath.mpf(Q)
+            a1 = mpmath.mpc(a[0].real, a[0].imag)
+            log_a = mpmath.log(mpmath.pi * mu) + log_l(g**2 / 4) + (2 - g**2 / 2) * mpmath.log(g / 2)
+            ratio = complex(
+                mpmath.exp(
+                    2 * (a1 - Qm) / g * log_a - log_l(g * (a1 - Qm) / 2) - log_l(2 * a1 / g - 4 / g**2)
+                    - (4 * a1 / g - 8 / g**2 - g * (a1 - Qm)) * mpmath.log(g / 2)
+                )
+            )
+            assert reflected / plain == pytest.approx(ratio, rel=1e-12), (gamma, mu, a)
