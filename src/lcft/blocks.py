@@ -266,14 +266,15 @@ def _gram_factors(hs: np.ndarray, c: float, N: int) -> list:
     """Lower Cholesky factors R, F = R R^T, of the Gram matrices at levels
     0..N at every weight of ``hs`` (on the spectrum line, F is real positive
     definite), one stack per level of shape (len(hs), p(n), p(n)), each level
-    past ``_guard`` before any is factored.  Rejects N < 0."""
+    past ``_guard`` before any is factored; both take the real part, so the
+    guard's condition numbers come from real SVDs.  Rejects N < 0."""
     if N < 0:
         raise ValidationError(f"truncation level N must be >= 0, got {N}")
     memo: dict = {}  # the levels share hs, so one generator memo serves them all
-    grams = [_gram_stack(hs, c, n, memo) for n in range(1, N + 1)]
+    grams = [_gram_stack(hs, c, n, memo).real for n in range(1, N + 1)]
     for n, F in enumerate(grams, 1):
         _guard(F, n, hs)
-    return [np.ones((len(hs), 1, 1))] + [np.linalg.cholesky(F.real) for F in grams]
+    return [np.ones((len(hs), 1, 1))] + [np.linalg.cholesky(F) for F in grams]
 
 
 def torus_one_point_block(alpha1: complex, p: float, params: CftParams, N: int = 6) -> BlockSeries:

@@ -13,7 +13,10 @@ extended to the whole plane by the functional relations
     Upsilon(z + 2/gamma) = l(2 z / gamma) (gamma/2)^{4 z / gamma - 1} Upsilon(z),
 
 with l(z) = Gamma(z)/Gamma(1 - z).  All prefactors are accumulated in log
-domain; zeros of Upsilon are reached exactly through poles/zeros of l.
+domain; zeros of Upsilon are reached exactly through poles/zeros of l.  In
+w = Q/2 - z the integrand is real and even, and near t = 0 it is taken as
+(w^2/t) [expm1(-t) - (S(w t/2)^2 R(t) - 1)], S(u) = sinh(u)/u and
+R(t) = 1/(S(gamma t/4) S(t/gamma)), whose two parts do not cancel.
 
 log Gamma, log l and log Upsilon are array kernels: each takes a complex array
 (a scalar is its one-element case) and treats every entry on its own, with
@@ -174,6 +177,22 @@ def _panel_rule(length: float, panel_width: float, nodes_per_panel: int) -> tupl
     return nodes, weights
 
 
+#: 1/(2k + 1)!, k = 9..1: S(u) - 1 = sinh(u)/u - 1 as a series in u^2, to an ulp at |u| <= 1
+_SINHC = tuple(1.0 / math.factorial(2 * k + 1) for k in range(9, 0, -1))
+
+
+def _sinhc_m1(u, sinh_u):
+    """S(u) - 1 = sinh(u)/u - 1 at every entry of an array u, given sinh(u):
+    its series where |u| <= 1, where the quotient would cancel."""
+    v = u * u
+    series = v * _SINHC[0]
+    for coeff in _SINHC[1:]:
+        series += coeff
+        series *= v
+    with np.errstate(invalid="ignore", divide="ignore"):  # u = 0 takes the series
+        return np.where(np.abs(u) <= 1.0, series, sinh_u / u - 1.0)
+
+
 @dataclass
 class UpsilonEvaluator:
     """Upsilon_{gamma/2} at one gamma.
@@ -193,22 +212,22 @@ class UpsilonEvaluator:
     8 gamma below gamma = 0.3125, where the poles of 1/sinh(t/gamma) at
     t = +-i pi gamma close in on the first panel.  Their number doubles until
     one panel holds at most 17.5 radians of the oscillation.  This holds the
-    band integral to about 3e-14 of max(1, |value|) up to |Im w| = 40, with
+    band integral to about 5e-15 of max(1, |value|) up to |Im w| = 40, with
     460 nodes at gamma = sqrt(2) and |Im w| <= 7.  A rule depends only on
     gamma and its panel count; each is built once per evaluator, with its
     z-independent factors, the first time it is needed, and one of more than
     2^18 nodes raises BudgetExceeded.
 
-    The entries that share a rule and the bits of Re w share the sinh and
-    cosh of Re w t at every node.  Each entry is summed over its own row
-    only, at most ``_CHUNK_NODES`` nodes a chunk, so it keeps the bits it has
-    alone.  On the first panel, where the integrand's two parts cancel most,
-    sinh(w t/2)^2 is taken from the sinh and cosh of Re w t/2 and the phase
-    e^{i Im w t/2} of each node.  On the others it is (cosh(w t) - 1)/2, and
-    the phase e^{i Im w t} at t = c_p + h x_j (panel centre c_p, half-width h,
-    Gauss-Legendre node x_j) is e^{i Im w c_p} e^{i Im w h x_j}: one complex
-    exponential, which costs a sin and a cos, per panel and per node instead
-    of one per quadrature node.
+    As the band integral I has I(-w) = I(w) and I(conj w) = conj I(w), each
+    distinct (|Re w|, |Im w|) is summed once, over its own row only, with
+    ``np.sum`` and at most ``_CHUNK_NODES`` nodes a chunk, so it keeps the
+    bits it has alone.  On the first panel S(u) - 1, u = w t/2, comes from
+    its series at |u| <= 1.  On the others sinh(w t/2)^2 = (cosh(w t) - 1)/2,
+    and the nodes c_p +- h x_j (panel centre c_p, half-width h,
+    Gauss-Legendre node x_j) are paired: the phase e^{i Im w t} there is
+    e^{i Im w c_p} e^{+-i Im w h x_j}, a sin and a cos per panel and per
+    pair, and the kernels, built once per rule and |Re w|, enter as sums and
+    differences over each pair.
     """
 
     NODES_PER_PANEL: ClassVar[int] = 20
@@ -222,8 +241,8 @@ class UpsilonEvaluator:
     # the cut T, and the panel count while |Im w| T <= _MAX_PHASE * panels
     _cut: float = field(init=False, repr=False, compare=False)
     _panels: int = field(init=False, repr=False, compare=False)
-    # panel count -> (nodes t, kernel, c): the band integral is
-    # w^2 c - sum_j kernel_j sinh(w t_j / 2)^2
+    # panel count -> (nodes t, first panel's factors, other panels' factors):
+    # the band integral is w^2 (c + first panel) - sum_j kernel_j sinh(w t_j / 2)^2
     _rules: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -254,72 +273,81 @@ class UpsilonEvaluator:
     def _rule(self, panels: int) -> tuple:
         rule = self._rules.get(panels)
         if rule is None:
-            t, weights = _panel_rule(self._cut, self._cut / panels, self.NODES_PER_PANEL)
+            n, width = self.NODES_PER_PANEL, self._cut / panels
+            nodes, weights = _panel_rule(self._cut, width, n)
+            t0, g = nodes[:n], weights[:n] / nodes[:n]
+            s_a, s_b = (_sinhc_m1(x, np.sinh(x)) for x in (self.gamma / 4.0 * t0, t0 / self.gamma))
+            r = 1.0 / ((1.0 + s_a) * (1.0 + s_b))
+            first = (0.5 * t0, g * np.expm1(-t0), g, r, -(s_a + s_b + s_a * s_b) * r)
+            t, weights = nodes[n:].reshape(-1, n), weights[n:].reshape(-1, n)
             with np.errstate(over="ignore"):  # 1/sinh(t/gamma) -> 0 at small gamma
                 kernel = weights / (t * np.sinh(self.gamma / 4.0 * t) * np.sinh(t / self.gamma))
-            rule = self._rules[panels] = (t, kernel, float(np.dot(weights, np.exp(-t) / t)))
+            # i times the phase angles per unit Im w: the centres c_p, then the offsets h x_j < 0
+            offsets = 0.5 * width * _gauss_legendre(n)[0][: n // 2]
+            angles = 1j * np.concatenate([width * (np.arange(1, panels) + 0.5), offsets])
+            c = float(np.sum(weights * np.exp(-t) / t))
+            rule = self._rules[panels] = (nodes, first, (t, kernel, c, angles))
         return rule
 
-    def _band_group(self, panels: int, re_w: float, im_w: np.ndarray) -> np.ndarray:
-        """The band integral at w = re_w + i im_w for every entry of a real
-        array, all on the rule of ``panels`` panels, one entry per row."""
-        t, kernel, c = self._rule(panels)
-        n = self.NODES_PER_PANEL
-        # first panel: sinh(w t/2)^2 = sinh^2 cos^2 - cosh^2 sin^2
-        # + 2i sinh cosh cos sin, at Re w t/2 and Im w t/2
-        half_re = (0.5 * re_w) * t[:n]
-        sinh_re, cosh_re = np.sinh(half_re), np.cosh(half_re)
-        k_sinh2, k_cosh2 = kernel[:n] * sinh_re * sinh_re, kernel[:n] * cosh_re * cosh_re
-        k_sinh_cosh2 = 2.0 * kernel[:n] * sinh_re * cosh_re
-        # other panels: sinh(w t/2)^2 = (cosh(Re w t) cos(Im w t) - 1)/2
-        # + i sinh(Re w t) sin(Im w t)/2
-        k_cosh = 0.5 * kernel[n:] * np.cosh(re_w * t[n:])
-        k_sinh = 0.5 * kernel[n:] * np.sinh(re_w * t[n:])
-        half_k = 0.5 * np.sum(kernel[n:])
-        # phase angles per unit Im w: the first panel's t/2, then the other
-        # panels' centres and the node offsets within a panel
-        width = self._cut / panels
-        angles = np.concatenate(
-            [0.5 * t[:n], width * (np.arange(1, panels) + 0.5), 0.5 * width * _gauss_legendre(n)[0]]
-        )
-        rows = max(1, min(im_w.size, self._CHUNK_NODES // t.size))
-        buffers = [np.empty((rows, panels - 1, n)) for _ in range(2)]
-        total = np.empty(im_w.shape, dtype=complex)
+    def _band_group(self, panels: int, re_w: np.ndarray, im_w: np.ndarray) -> np.ndarray:
+        """The band integral at w = re_w + i im_w for every entry of two real
+        arrays >= 0, entries of equal re_w next to each other, all on the
+        rule of ``panels`` panels, one entry per row."""
+        nodes, (half_t, ge, g, r, r_m1), (t, kernel, c, angles) = self._rule(panels)
+        h, rows = self.NODES_PER_PANEL // 2, self._CHUNK_NODES // self.NODES_PER_PANEL
+        # first panel: (w^2/t) (expm1(-t) - (S(u)^2 R - 1)) at u = w t/2, with
+        # S(u)^2 R - 1 = s (s + 2) R + (R - 1), s = S(u) - 1
+        head = np.empty(im_w.shape, dtype=complex)
         for lo in range(0, im_w.size, rows):
-            phase = np.exp(1j * (im_w[lo : lo + rows, None] * angles))
-            m = phase.shape[0]
-            cos0, sin0 = phase[:, :n].real, phase[:, :n].imag
-            centre, offset = phase[:, n : n + panels - 1, None], phase[:, None, n + panels - 1 :]
-            trig, work = (a[:m] for a in buffers)
-            terms = trig.reshape(m, -1)
-            # cos(Im w t), then sin(Im w t), from the centre's and the offset's phases
-            np.multiply(centre.real, offset.real, out=trig)
-            trig -= np.multiply(centre.imag, offset.imag, out=work)
-            terms *= k_cosh
-            total.real[lo : lo + m] = np.sum(k_sinh2 * cos0 * cos0 - k_cosh2 * sin0 * sin0, axis=1) + (
-                np.sum(terms, axis=1) - half_k
-            )
-            np.multiply(centre.imag, offset.real, out=trig)
-            trig += np.multiply(centre.real, offset.imag, out=work)
-            terms *= k_sinh
-            total.imag[lo : lo + m] = np.sum(k_sinh_cosh2 * cos0 * sin0, axis=1) + np.sum(terms, axis=1)
-        w = _complex(re_w, im_w)
-        return w * w * c - total
+            a, b = re_w[lo : lo + rows, None] * half_t, im_w[lo : lo + rows, None] * half_t
+            s = _sinhc_m1(_complex(a, b), _complex(np.sinh(a) * np.cos(b), np.cosh(a) * np.sin(b)))
+            head[lo : lo + rows] = np.sum(ge - g * (s * (s + 2.0) * r + r_m1), axis=1)
+        w, half_k = _complex(re_w, im_w), 0.5 * np.sum(kernel)
+        total = w * w * (c + head)
+        # other panels: kernel sinh(w t/2)^2 = kc (cos(Im w t) - 1) + i ks sin(Im w t),
+        # kc, ks = kernel cosh(Re w t)/2, kernel sinh(Re w t)/2.  At t = c_p +- h x_j
+        # cos(Im w t) = C_p c_j -+ S_p s_j and sin(Im w t) = S_p c_j +- C_p s_j, so the
+        # pair adds C_p (kc+ + kc-) c_j + S_p (kc- - kc+) s_j + i [S_p (ks+ + ks-) c_j + C_p (ks+ - ks-) s_j]
+        step = max(1, self._CHUNK_NODES // nodes.size)
+        edges = [0, *(np.flatnonzero(re_w[1:] != re_w[:-1]) + 1), re_w.size]
+        j, mirror = np.s_[:, :h], np.s_[:, : h - 1 : -1]
+        for start, stop in zip(edges[:-1], edges[1:]):
+            kc, ks = (0.5 * kernel * f(re_w[start] * t) for f in (np.cosh, np.sinh))
+            # pairs[j, 0, kc or ks, c_j or s_j, p]
+            pairs = np.array([[kc[j] + kc[mirror], kc[mirror] - kc[j]], [ks[j] + ks[mirror], ks[j] - ks[mirror]]])
+            pairs = pairs.transpose(3, 0, 1, 2)[:, None]
+            for lo in range(start, stop, step):
+                at = slice(lo, min(lo + step, stop))
+                phase = np.exp(im_w[at, None] * angles)
+                cos_c, sin_c = phase[:, : panels - 1].real, phase[:, : panels - 1].imag
+                # trig[j, row, 0, c_j or s_j, 0]
+                trig = phase[:, panels - 1 :].view(float).reshape(-1, h, 2).transpose(1, 0, 2)[:, :, None, :, None]
+                # the sum over the pairs runs in order, elementwise over rows
+                a = np.sum(np.multiply(pairs, trig, order="C"), axis=0)
+                total[at] -= _complex(
+                    np.sum(cos_c * a[:, 0, 0] + sin_c * a[:, 0, 1], axis=1) - half_k,
+                    np.sum(sin_c * a[:, 1, 0] + cos_c * a[:, 1, 1], axis=1),
+                )
+        return total
 
     def _log_upsilon_band(self, z):
         """The band integral at every entry of a complex array in the band
-        |Re z - Q/2| <= gamma/4, one group per rule and bits of Re w."""
+        |Re z - Q/2| <= gamma/4.  The integrand is real and even in w, so each
+        distinct (|Re w|, |Im w|) is integrated once, one group per rule, and
+        conjugated back where exactly one of Re w and Im w has its sign bit set."""
         z = np.asarray(z, dtype=complex)
         flat = z.ravel()
         re_w, im_w = self.Q / 2.0 - flat.real, 0.0 - flat.imag
-        panels = self._panel_counts(np.abs(im_w))
-        re_bits = re_w.view(np.uint64)
-        order = np.lexsort((re_bits, panels))
-        p, r = panels[order], re_bits[order]
-        out = np.empty(flat.shape, dtype=complex)
-        for group in np.split(order, np.flatnonzero((p[1:] != p[:-1]) | (r[1:] != r[:-1])) + 1):
-            if group.size:
-                out[group] = self._band_group(int(panels[group[0]]), re_w[group[0]], im_w[group])
+        # sorted by |Re w|, then |Im w|; abs leaves no -0.0, so values part as bits do
+        pairs, pair_of = np.unique(_complex(np.abs(re_w), np.abs(im_w)), return_inverse=True)
+        panels = self._panel_counts(pairs.imag)
+        values = np.empty(pairs.shape, dtype=complex)
+        for p in set(panels.tolist()):  # np.unique here would import numpy.ma
+            rule = panels == p
+            values[rule] = self._band_group(p, pairs.real[rule], pairs.imag[rule])
+        out = values[pair_of]
+        flip = np.signbit(re_w) != np.signbit(im_w)
+        out[flip] = out[flip].conjugate()
         return out.reshape(z.shape)[()]
 
     # -- shift reduction ---------------------------------------------------

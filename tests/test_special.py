@@ -200,6 +200,15 @@ class TestLogUpsilonOracle:
                     worst = max(worst, _rel_to_ref(value, expect))
         assert worst <= 1e-13
 
+    def test_first_panel_does_not_cancel(self):
+        # w^2 c and the first panel's sum used to cancel down to |log Upsilon|,
+        # 3.8e-14, 5.5e-14 and 2.5e-14 off here (torus1pt-deep's alpha/2 - 5.01i
+        # after one shift is the first)
+        gamma = math.sqrt(2.0)
+        ev = UpsilonEvaluator(gamma)
+        for w, bound in ((-0.246 + 5.01j, 5e-15), (-0.35 + 5.9j, 1e-14), (6.9j, 1e-14)):
+            assert abs(ev._log_upsilon_band(ev.Q / 2.0 - w) - _mp_band(gamma, w)) <= bound, w
+
     def test_workload_arguments(self):
         # arguments of the torus1pt-deep, spherekpt-wide and graph-genus2
         # benchmark workloads at gamma = sqrt(2): alpha, alpha/2 - ip, Q - alpha/2
@@ -241,6 +250,33 @@ class TestArrayKernels:
         zs = rng.choice([0.9, 1.2, -2.3, 4.9, ev.Q / 2.0], 400) + 1j * rng.uniform(-12.0, 12.0, 400)
         batch = ev.log_upsilon(zs)
         assert batch.tobytes() == np.array([ev.log_upsilon(z) for z in zs]).tobytes()
+
+    def test_band_fold_is_entrywise_and_exact(self, monkeypatch):
+        ev = UpsilonEvaluator(math.sqrt(2.0))
+        # dyadic Re w, so that Q/2 - (Q/2 - w) is w exactly; |Im w| = 3 and 20
+        # take 23 and 92 panels
+        re_w = np.repeat([0.125, -0.125, 0.25, -0.25, 0.3125, -0.3125, 0.0], 8)
+        im_z = np.tile([3.0, -3.0, 20.0, -20.0, 0.0, -0.0, 1.7, -1.7], 7)
+        zs = lcft.special._complex(ev.Q / 2.0 - re_w, im_z)
+        assert np.array_equal(ev.Q / 2.0 - zs.real, re_w)
+        assert sorted(set(ev._panel_counts(np.abs(im_z)).tolist())) == [23, 92]
+        batch = ev._log_upsilon_band(zs)
+        assert batch.tobytes() == np.array([ev._log_upsilon_band(z) for z in zs]).tobytes()
+        # I(-w) = I(w) and I(conj w) = conj I(w), bit for bit
+        w = ev.Q / 2.0 - zs[(re_w > 0.0) & (im_z > 0.0)]
+        values = [ev._log_upsilon_band(ev.Q / 2.0 - v) for v in (w, -w, w.conjugate(), -w.conjugate())]
+        assert values[1].tobytes() == values[0].tobytes()
+        assert values[2].tobytes() == values[3].tobytes() == values[0].conjugate().tobytes()
+
+        rows, band_group = [], UpsilonEvaluator._band_group
+
+        def recording(self, panels, re, im):
+            rows.append(im.size)
+            return band_group(self, panels, re, im)
+
+        monkeypatch.setattr(UpsilonEvaluator, "_band_group", recording)
+        pairs = ev._log_upsilon_band(np.concatenate([ev.Q / 2.0 - w, ev.Q / 2.0 - w.conjugate()]))
+        assert sum(rows) == w.size and pairs.tobytes() == np.concatenate([values[0], values[2]]).tobytes()
 
     def test_log_upsilon_entries_equal_their_own_evaluation_and_mpmath(self, monkeypatch):
         gamma = math.sqrt(2.0)
