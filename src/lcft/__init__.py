@@ -7,7 +7,6 @@ from .params import CftParams
 from .special import UpsilonEvaluator, dedekind_eta, l_ratio, theta1, upsilon
 from .virasoro import (
     GramMatrix,
-    YoungDiagram,
     conformal_weight,
     kac_weight,
     partitions,

@@ -196,9 +196,7 @@ def criterion_6() -> CriterionResult:
         p = float(rng.uniform(0.15, 3.0))
         dh = complex(conformal_weight(params.Q + 1j * p, params))
         da = complex(conformal_weight(alpha1, params))
-        finv = shapovalov_inverse(shapovalov(dh, params.c_L, 1)).entries
-        w = _radial_arrays({(1, 1)}, (np.array([dh]), da, np.array([dh])), params.c_L)[(1, 1)][0]
-        got = complex(np.trace(finv @ w))
+        got = torus_one_point_block(alpha1, p, params, N=1).coeffs[(1,)]
         oracle = da * (da - 1.0) / (2.0 * dh) + 1.0
         worst = max(worst, abs(got - oracle) / abs(oracle))
     return _result("6", worst < 1e-10, f"worst rel {worst:.2e}", t0)
@@ -247,12 +245,23 @@ def _genus2_hand_coded(quad, qs, params: CftParams, N: int) -> float:
 
 def _torus_one_point_hand_coded(alpha1: float, tau: complex, params: CftParams, quad, N: int) -> float:
     """Independent transcription of the torus one-point formula
-    (1/2e) sum_i w_i C(Q+ip_i, alpha1, Q-ip_i) |F_{p_i}(alpha1, q)|^2."""
+    (1/2e) sum_i w_i C(Q+ip_i, alpha1, Q-ip_i) |F_{p_i}(alpha1, q)|^2, with
+    F_p = |q|^{-c/24 + h} sum_n q^n Tr(F^{-1}_{h,n} w^A_n), h = Delta_{Q+ip}:
+    an explicit F^{-1} per node and level, the annulus matrices from one
+    build over the nodes."""
     q = complex(np.exp(2j * math.pi * tau))
+    c = params.c_L
+    hs = np.array([complex(conformal_weight(params.Q + 1j * p, params)) for p in quad.nodes])
+    da = complex(conformal_weight(alpha1, params))
+    W = _radial_arrays({(n, n) for n in range(N + 1)}, (hs, da, hs), c)
     total = 0.0
-    for p, w in zip(quad.nodes, quad.weights):
+    for i, (p, w) in enumerate(zip(quad.nodes, quad.weights)):
         rho = dozz_constant(params.Q + 1j * p, alpha1, params.Q - 1j * p, params).real
-        total += w * rho * torus_one_point_block(alpha1, float(p), params, N).abs2([q])
+        series = sum(
+            np.trace(shapovalov_inverse(shapovalov(hs[i], c, n)).entries @ W[(n, n)][i]) * q**n
+            for n in range(N + 1)
+        )
+        total += w * rho * abs(q) ** (2.0 * (-c / 24.0 + hs[i].real)) * abs(series) ** 2
     return total / (2.0 * math.e)
 
 

@@ -42,8 +42,7 @@ sums each multidegree's products of tensor entries over one basis index per
 edge; ``BlockSeries`` turns the coefficient arrays into |F|^2 and the
 last-level share.  Every step is an out-of-place elementwise operation, so
 an entry has the same bits at any array shape.  ``torus_one_point_block`` is
-the torus one-point series at one p, apart from the engine (an explicit
-F^{-1} per level), for ``lcft block`` and the acceptance transcriptions.
+the engine's self-loop at one node, read as scalars, for ``lcft block``.
 """
 
 from __future__ import annotations
@@ -56,16 +55,9 @@ import numpy as np
 
 from .dozz import _distinct
 from .errors import DimensionMismatch, ValidationError
+from .graphs import AdmissibleGraph, EdgeSpec, MarkedPoint, _plan
 from .params import CftParams
-from .virasoro import (
-    _gram_stack,
-    _guard,
-    apply_generator_to_word,
-    conformal_weight,
-    partitions,
-    shapovalov,
-    shapovalov_inverse,
-)
+from .virasoro import _gram_stack, _guard, apply_generator_to_word, conformal_weight, partitions
 
 __all__ = [
     "ZHAT",
@@ -178,7 +170,7 @@ def _fill(levels, weights, element) -> dict:
     size = np.broadcast(*weights).size
     out = {}
     for lv in levels:
-        bases = [[nu.word() for nu in partitions(n)] for n in lv]
+        bases = [partitions(n) for n in lv]
         arr = out[lv] = np.empty((size, *(len(b) for b in bases)), dtype=complex)
         for idx in np.ndindex(*arr.shape[1:]):
             arr[(slice(None), *idx)] = element(*(b[i] for b, i in zip(bases, idx)))
@@ -280,17 +272,11 @@ def _gram_factors(hs: np.ndarray, c: float, N: int) -> list:
 def torus_one_point_block(alpha1: complex, p: float, params: CftParams, N: int = 6) -> BlockSeries:
     """One-point block on the torus: |q|^{-c_L/24 + Delta_{Q+ip}} sum_n q^n
     Tr(F^{-1}_{Q+ip,n} w^A_n(alpha1, p, p)), for the caller to evaluate at
-    a modulus 0 < |q| < 1."""
-    if N < 0:
-        raise ValidationError(f"truncation level N must be >= 0, got {N}")
-    h = complex(conformal_weight(params.Q + 1j * p, params))
-    d_mark = complex(conformal_weight(alpha1, params))
-    c = params.c_L
-    hs = np.array([h])
-    W = _radial_arrays({(n, n) for n in range(N + 1)}, (hs, d_mark, hs), c)
-    finv = [shapovalov_inverse(shapovalov(h, c, n)).entries for n in range(N + 1)]
-    coeffs = {(n,): complex(np.trace(finv[n] @ W[(n, n)][0])) for n in range(N + 1)}
-    return BlockSeries(exponents=(-c / 24.0 + h.real,), coeffs=coeffs, N=N)
+    a modulus 0 < |q| < 1: the engine's self-loop at the one node p."""
+    loop = AdmissibleGraph([EdgeSpec((1, 2), (1, 1))], [MarkedPoint(1, 3, alpha1)])
+    series, _built = _block_series(_plan(loop), [p], 1, params, N)
+    coeffs = {degs: complex(co[0]) for degs, co in series.coeffs.items()}
+    return BlockSeries(exponents=(float(series.exponents[0][0]),), coeffs=coeffs, N=N)
 
 
 def _require_edge_slots(graph, plan: tuple) -> None:
@@ -376,10 +362,9 @@ def _block_series(plan: tuple, ps, L: int, params: CftParams, N: int) -> tuple:
 
     The vertices of one kind (number of edge slots and marked weights, by
     their bits) share one _vertex_tensors call: their weight rows, one
-    column per edge slot, are stacked and, for two or more vertices, cut to
-    the distinct rows, at the union of their level tuples, and solved against
-    the Gram factors (_fold); each vertex takes its rows back and lays them on
-    its own edges' axes."""
+    column per edge slot, are stacked and cut to the distinct rows, at the
+    union of their level tuples, and solved against the Gram factors (_fold);
+    each vertex takes its rows back and lays them on its own edges' axes."""
     c, n = params.c_L, len(ps)
     hs = np.array([complex(conformal_weight(params.Q + 1j * p, params)) for p in ps])
     terms = _level_terms(plan, N, L)
@@ -393,10 +378,8 @@ def _block_series(plan: tuple, ps, L: int, params: CftParams, N: int) -> tuple:
     tensors, built = [None] * len(plan), 0
     for marks, members in kinds.values():
         cols = np.concatenate([w for _v, _shape, w in members], axis=1)
-        index = None
-        if len(members) > 1:
-            first, index = _distinct(hs[cols].T)
-            cols = cols[:, first]
+        first, index = _distinct(hs[cols].T)
+        cols = cols[:, first]
         levels = {lv[v] for _degs, lv in terms for v, _shape, _w in members}
         arrays = _vertex_tensors(marks, levels, list(hs[cols]), c)
         built += cols.shape[1] * len(arrays)
@@ -405,8 +388,7 @@ def _block_series(plan: tuple, ps, L: int, params: CftParams, N: int) -> tuple:
         start = 0
         for v, shape, w in members:
             end = start + w.shape[1]
-            pick = slice(start, end) if index is None else index[start:end]
-            tensors[v] = {lv: _on_axes(a[pick], shape) for lv, a in arrays.items()}
+            tensors[v] = {lv: _on_axes(a[index[start:end]], shape) for lv, a in arrays.items()}
             start = end
     axes = [tuple(n if a == e else 1 for a in range(L)) for e in range(L)]  # edge e's own axis
     exps = tuple((-c / 24.0 + hs.real).reshape(shape) for shape in axes)

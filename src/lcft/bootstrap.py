@@ -201,22 +201,13 @@ def torus_one_point(
 
     evaluated as torus_k_point at the one point x_1 = 0: the self-loop graph
     with one annulus vertex.  ``details`` keeps the engine's keys, with ``rho``
-    made real, and adds ``q`` and ``integrand_min``.
+    made real, and adds ``q``.
     """
     tau = complex(tau)
     if tau.imag <= 0:
         raise ValidationError(f"Im tau must be positive, got {tau}")
     res = torus_k_point([alpha1], [0], tau, params, quad, N)
-    rho = res.details["rho"].real
-    return replace(
-        res,
-        details={
-            **res.details,
-            "q": res.details["q"][0],
-            "integrand_min": float((rho * res.details["block_abs2"]).min()),
-            "rho": rho,
-        },
-    )
+    return replace(res, details={**res.details, "q": res.details["q"][0], "rho": res.details["rho"].real})
 
 
 def torus_k_point(

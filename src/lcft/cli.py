@@ -253,7 +253,7 @@ def cmd_shapovalov(cfg) -> dict:
     inv = shapovalov_inverse(F)
     return {
         "level": F.level,
-        "basis": [list(nu.parts) for nu in F.basis],
+        "basis": [list(reversed(w)) for w in F.basis],
         "entries_re": F.entries.real.tolist(),
         "entries_im": F.entries.imag.tolist(),
         "inverse_residual": inv.residual,

@@ -5,9 +5,10 @@ nu = (nu_1 >= nu_2 >= ... >= nu_k) is
 
     |D, nu>  =  L_{-nu_k} ... L_{-nu_1} |D>,
 
-i.e. the largest part acts first on the highest-weight state.  Internally a
-basis state is keyed by its *operator word*: the ascending tuple
-(nu_k, ..., nu_1), read left to right as operators.  The commutation relations
+i.e. the largest part acts first on the highest-weight state.  A basis state
+is keyed by its *operator word*: the ascending tuple (nu_k, ..., nu_1), read
+left to right as operators; ``partitions`` lists the words of a level.  The
+commutation relations
 
     [L_n, L_m] = (n - m) L_{n+m} + (c/12) (n^3 - n) delta_{n,-m}
 
@@ -42,7 +43,6 @@ from .errors import DegenerateWeight, ValidationError
 from .params import CftParams
 
 __all__ = [
-    "YoungDiagram",
     "GramMatrix",
     "partitions",
     "conformal_weight",
@@ -51,25 +51,6 @@ __all__ = [
     "shapovalov",
     "shapovalov_inverse",
 ]
-
-
-@dataclass(frozen=True)
-class YoungDiagram:
-    """A partition: non-increasing positive parts. The empty diagram is valid."""
-
-    parts: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        parts = tuple(int(p) for p in self.parts)
-        object.__setattr__(self, "parts", parts)
-        if any(p <= 0 for p in parts):
-            raise ValidationError(f"parts must be positive, got {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValidationError(f"parts must be non-increasing, got {parts}")
-
-    def word(self) -> tuple[int, ...]:
-        """Ascending operator word (smallest part leftmost/outermost)."""
-        return tuple(reversed(self.parts))
 
 
 @lru_cache(maxsize=None)
@@ -84,12 +65,13 @@ def _partition_tuples(n: int, max_part: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def partitions(n: int) -> tuple[YoungDiagram, ...]:
-    """All partitions of n, largest-part-first (reverse-lexicographic) order.
-    The diagrams are frozen, so one tuple per n serves every Gram build."""
+def partitions(n: int) -> tuple[tuple[int, ...], ...]:
+    """The operator words of all partitions of n, largest-part-first
+    (reverse-lexicographic) order of the partitions; one tuple per n serves
+    every Gram build."""
     if n < 0:
         raise ValidationError(f"partition level must be >= 0, got {n}")
-    return tuple(YoungDiagram(p) for p in _partition_tuples(n, n if n else 1))
+    return tuple(p[::-1] for p in _partition_tuples(n, n if n else 1))
 
 
 def conformal_weight(alpha: complex, params: CftParams) -> complex:
@@ -168,13 +150,13 @@ def apply_generator_to_word(
 
 @dataclass
 class GramMatrix:
-    """Shapovalov form on level-n descendants, indexed by partitions()."""
+    """Shapovalov form on level-n descendants, indexed by the words of partitions()."""
 
     level: int
     delta: complex
     c: complex
     entries: np.ndarray
-    basis: tuple[YoungDiagram, ...]
+    basis: tuple[tuple[int, ...], ...]
     residual: float | None = None  # max |F F^-1 - I| when this is an inverse
     method: str | None = None
 
@@ -200,7 +182,7 @@ def _gram_stack(deltas: np.ndarray, c, n: int, memo: dict | None = None) -> np.n
     the whole array, mirrored, so each matrix is exactly symmetric.  The
     entries share the generator memo at (deltas, c), fresh when None."""
     memo = {} if memo is None else memo
-    words = [nu.word() for nu in partitions(n)]
+    words = partitions(n)
     F = np.empty((len(deltas), len(words), len(words)), dtype=complex)
     for i, wi in enumerate(words):
         for j in range(i, len(words)):

@@ -145,7 +145,7 @@ class TestRulesEngine:
         base, memo = {}, {}
         for lv in itertools.product(range(5), repeat=3):
             if sum(lv) <= 4:
-                for words in itertools.product(*([nu.word() for nu in partitions(n)] for n in lv)):
+                for words in itertools.product(*(partitions(n) for n in lv)):
                     base[words] = _bracket(*words, d, c, zs, memo)
                     assert isinstance(base[words], (int, Fraction))
         for perm in list(itertools.permutations(range(3)))[1:]:
@@ -271,7 +271,7 @@ class TestSharedMemos:
     @staticmethod
     def assert_entries(arrays, element):
         for levels, arr in arrays.items():
-            bases = [[nu.word() for nu in partitions(k)] for k in levels]
+            bases = [partitions(k) for k in levels]
             for idx in np.ndindex(*arr.shape[1:]):
                 alone = element(*(b[i] for b, i in zip(bases, idx)))
                 assert np.array_equal(arr[(slice(None), *idx)], np.broadcast_to(alone, arr.shape[:1]))
@@ -280,7 +280,7 @@ class TestSharedMemos:
         (hs,), memo = self.weights(1, 1), {}
         for n in range(1, 9):
             F = _gram_stack(hs, self.c, n, memo)
-            words = [nu.word() for nu in partitions(n)]
+            words = partitions(n)
             for i, j in itertools.combinations_with_replacement(range(len(words)), 2):
                 alone = _pairing(words[i], words[j], hs, self.c)
                 assert np.array_equal(F[:, i, j], alone) and np.array_equal(F[:, j, i], alone)
@@ -360,13 +360,15 @@ class TestChainBlock:
     """Blocks of the torus k-cycle and sphere chain graphs the adapters build."""
 
     def test_torus_k1_equals_one_point(self):
+        # torus_one_point_block is the engine's self-loop at one node, bit for bit
         params = CftParams(gamma=1.3)
-        q = 0.12 + 0.07j
-        s1 = tuple_block(_torus_cycle([1.1], [q]), [0.9], params, N=4)
-        s2 = torus_one_point_block(1.1, 0.9, params, N=4)
-        for n in range(5):
-            assert s1.coeffs[(n,)] == pytest.approx(s2.coeffs[(n,)], rel=1e-12)
-        assert s1.exponents == pytest.approx(s2.exponents)
+        for alpha1, p, q in ((1.1, 0.9, 0.12 + 0.07j), (0.8, 0.3, 0.1)):
+            graph = _torus_cycle([alpha1], [q])
+            for N in (0, 6, 10):
+                s1 = tuple_block(graph, [p], params, N=N)
+                s2 = torus_one_point_block(alpha1, p, params, N=N)
+                assert s1.exponents == s2.exponents and s1.coeffs == s2.coeffs and s2.N == N
+                assert all(type(co) is complex for co in s2.coeffs.values())
 
     def test_torus_k2_structure(self):
         params = CftParams(gamma=1.3)
@@ -394,19 +396,23 @@ class TestChainBlock:
 
 class TestGraphBlock:
     def test_self_loop_equals_torus_block(self):
-        # the engine's substitution fold against the reference's explicit F^-1;
-        # folding through a Cholesky factor of a computed F^-1 was 5e-7 off
-        # at level 10
+        # the engine's substitution fold against Tr(F^-1 W) with an explicit
+        # F^-1 per level; folding through a Cholesky factor of a computed
+        # F^-1 was 5e-7 off at level 10
         params = CftParams(gamma=1.1)
-        alpha1, p, q = 1.2, 0.83, 0.08 + 0.03j
+        c, alpha1, p, q = params.c_L, 1.2, 0.83, 0.08 + 0.03j
         g = AdmissibleGraph(
             edges=[EdgeSpec((1, 1), (1, 2), q=q)], marked=[MarkedPoint(1, 3, alpha1)]
         )
+        h = complex(conformal_weight(params.Q + 1j * p, params))
+        d = complex(conformal_weight(alpha1, params))
         for N, rel in ((4, 1e-12), (10, 1e-9)):
             gb = tuple_block(g, [p], params, N=N)
-            tb = torus_one_point_block(alpha1, p, params, N=N)
+            W = _radial_arrays({(n, n) for n in range(N + 1)}, (np.array([h]), d, np.array([h])), c)
             for n in range(N + 1):
-                assert gb.coeffs[(n,)] == pytest.approx(tb.coeffs[(n,)], rel=rel), (N, n)
+                finv = shapovalov_inverse(shapovalov(h, c, n)).entries
+                expect = complex(np.trace(finv @ W[(n, n)][0]))
+                assert gb.coeffs[(n,)] == pytest.approx(expect, rel=rel), (N, n)
 
     @pytest.mark.parametrize("p", [0.3, 1.0])
     def test_self_loop_level_8_against_mpmath(self, p):
@@ -420,7 +426,7 @@ class TestGraphBlock:
             Q = g / 2 + 2 / g
             c, h = 1 + 6 * Q**2, (Q**2 + mpmath.mpf(p) ** 2) / 4
             d = mpmath.mpf(alpha1) / 2 * (Q - mpmath.mpf(alpha1) / 2)
-            words = [nu.word() for nu in partitions(8)]
+            words = partitions(8)
             gens, elems = {}, {}
             F = mpmath.matrix([[_pairing(u, v, h, c, gens) for v in words] for u in words])
             W = mpmath.matrix([[_radial_element(u, v, (h, d, h), c, elems) for v in words] for u in words])

@@ -128,7 +128,7 @@ class TestTorusOnePoint:
         assert res.value > 0
         assert res.tail_fraction < 1e-12
         assert res.last_level_fraction < 1e-6
-        assert res.details["integrand_min"] >= 0.0  # positivity at all nodes
+        assert (res.details["rho"] * res.details["block_abs2"]).min() >= 0.0  # positivity at all nodes
 
     def test_mu_scaling_exact_factorization(self):
         base = torus_one_point(1.2, 1j, CftParams(gamma=math.sqrt(2.0), mu=1.0), QUAD, N=2)
@@ -247,7 +247,9 @@ class TestAdapterDetails:
 
     def test_torus_one_point(self):
         details = torus_one_point(1.2, 1j, S2, self.QUAD, N=1).details
-        assert self.ENGINE_KEYS | {"q", "integrand_min"} <= details.keys()
+        assert self.ENGINE_KEYS | {"q"} <= details.keys()
+        assert details["q"] == pytest.approx(math.exp(-2 * math.pi), rel=1e-15)
+        assert (details["rho"] * details["block_abs2"]).min() >= 0.0
         assert details["prefactor"] == pytest.approx(1 / (2 * math.e), rel=1e-15)
         assert np.isrealobj(details["rho"]) and details["rho"].shape == (4,)
         counts = (details["gram_sets"], details["dozz_factors"], details["vertex_tensors"])
