@@ -32,12 +32,12 @@ one plan of the graph (``graphs._plan``: each vertex's slots in order, as
 (edge index, orientation sign) or (None, alpha); ``dozz`` reads its DOZZ
 arguments from the same records).  Its arrays have one node axis per edge,
 and each vertex's tensors, taken on the grid of its own edges' nodes, lie on
-theirs.  The vertices of one kind (number of edge slots and marked weights)
-make one ``_vertex_tensors`` call over the distinct weight rows of all of
-them, as ``dozz._rho`` makes one ``_dozz`` call: two pants with the same
-weight triples share one build.  An edge glues through F^{-1} = R^-T R^-1,
-R the lower Cholesky factor of F: ``_fold`` solves each edge slot of a row
-against its node's R, each vertex gathers its rows back, and ``_contract``
+theirs.  The vertices of one kind (slot pattern and marked weights) share
+one ``_vertex_tensors`` call, each slot's weights on the kind's node axis of
+its edge: the two pants of a genus-2 graph share one build.  An edge glues
+through F^{-1} = R^-T R^-1, R the lower Cholesky factor of F: ``_fold``
+solves each edge slot against its node's R, on the same axis, each vertex
+takes views of its kind's tensors on its own edges' axes, and ``_contract``
 sums each multidegree's products of tensor entries over one basis index per
 edge; ``BlockSeries`` turns the coefficient arrays into |F|^2 and the
 last-level share.  Every step is an out-of-place elementwise operation, so
@@ -53,7 +53,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dozz import _distinct
 from .errors import DimensionMismatch, ValidationError
 from .graphs import AdmissibleGraph, EdgeSpec, MarkedPoint, _plan
 from .params import CftParams
@@ -166,14 +165,15 @@ def _radial_element(a: tuple, b: tuple, weights, c, memo: dict):
 
 def _fill(levels, weights, element) -> dict:
     """{levels: array} holding element(words) for every tuple of partition
-    words at each level tuple in ``levels``; axis 0 runs along the weights."""
-    size = np.broadcast(*weights).size
+    words at each level tuple in ``levels``; the leading axes are the
+    weights' broadcast shape, then one basis axis per word."""
+    shape = np.broadcast(*weights).shape
     out = {}
     for lv in levels:
         bases = [partitions(n) for n in lv]
-        arr = out[lv] = np.empty((size, *(len(b) for b in bases)), dtype=complex)
-        for idx in np.ndindex(*arr.shape[1:]):
-            arr[(slice(None), *idx)] = element(*(b[i] for b, i in zip(bases, idx)))
+        arr = out[lv] = np.empty((*shape, *(len(b) for b in bases)), dtype=complex)
+        for idx in np.ndindex(*arr.shape[len(shape):]):
+            arr[(..., *idx)] = element(*(b[i] for b, i in zip(bases, idx)))
     return out
 
 
@@ -249,10 +249,6 @@ class BlockSeries:
         last_level = np.divide(top, full, out=np.full(full.shape, math.inf), where=full != 0)
         return self._out(pref**2 * full**2), self._out(last_level)
 
-    def abs2(self, qs):
-        """|F|^2 at the given moduli."""
-        return self.abs2_and_last_level(qs)[0]
-
 
 def _gram_factors(hs: np.ndarray, c: float, N: int) -> list:
     """Lower Cholesky factors R, F = R R^T, of the Gram matrices at levels
@@ -301,14 +297,17 @@ def _vertex_tensors(marks: tuple, levels, weights, c) -> dict:
     """Pant arrays, annulus matrices or disk vectors (by the number of edge
     slots) of a vertex kind with the marked weights ``marks``, keyed by each
     of the given distinct level tuples on its edge slots; ``weights`` holds
-    one complex array per edge slot, and axis 0 of every tensor runs along
-    them."""
+    one complex array per edge slot, and their broadcast shape leads every
+    tensor.  A kind is a slot pattern (each slot's edge numbered by first
+    appearance in slot order: (0, 0) a self-loop, (0, 1, 1) a genus-2 pant)
+    with the marks' bits; a kind whose weight rows lie among another's (a
+    self-loop pant beside a three-edge pant) still builds its own."""
     if len(weights) == 3:
         return _pant_arrays(levels, weights, c)
     if len(weights) == 2:
         return _radial_arrays(levels, (weights[0], marks[0], weights[1]), c)
     disks = _radial_arrays({(lv[0], 0) for lv in levels}, (weights[0], *marks), c)
-    return {(n,): arr[:, :, 0] for (n, _zero), arr in disks.items()}
+    return {(n,): arr[..., 0] for (n, _zero), arr in disks.items()}
 
 
 def _contract(plan: tuple, terms: list, tensors: list) -> dict:
@@ -334,25 +333,35 @@ def _contract(plan: tuple, terms: list, tensors: list) -> dict:
     return coeffs
 
 
-def _fold(t: np.ndarray, lv: tuple, nodes: np.ndarray, stacks: list) -> np.ndarray:
-    """``t`` (rows on axis 0, then one basis axis per edge slot, at levels ``lv``)
-    with slot k solved against R = stacks[lv[k]][nodes[k, row]] by forward
+def _fold(t: np.ndarray, lv: tuple, factors: list) -> np.ndarray:
+    """``t`` (node axes, then one basis axis per slot at levels ``lv``) with
+    slot k solved against R = factors[k][lv[k]] (p, p, *node axes) by forward
     substitution: x_j = (t_j - sum_{i<j} R[j, i] x_i) / R[j, j], i ascending."""
     for k, n in enumerate(lv):
-        t, xs = np.moveaxis(t, k + 1, 1), []
-        R = np.expand_dims(stacks[n][nodes[k]], tuple(range(3, len(lv) + 2)))  # R[:, j, i] on t[:, j]
-        for j in range(t.shape[1]):
-            acc = t[:, j]
+        axis = t.ndim - len(lv) + k
+        t, xs = np.moveaxis(t, axis, 0), []
+        R = np.expand_dims(factors[k][n], tuple(range(1 - len(lv), 0)))  # R[j, i] on t[j]
+        for j in range(len(t)):
+            acc = t[j]
             for i in range(j):
-                acc = acc - R[:, j, i] * xs[i]
-            xs.append(acc / R[:, j, j])
-        t = np.moveaxis(np.stack(xs, 1), 1, k + 1)
+                acc = acc - R[j, i] * xs[i]
+            xs.append(acc / R[j, j])
+        t = np.moveaxis(np.stack(xs), 0, axis)
     return t
 
 
-def _on_axes(a: np.ndarray, shape: tuple) -> np.ndarray:
-    """A view of ``a`` with its node axis 0 moved last and laid out as ``shape``."""
-    return np.moveaxis(a, 0, -1).reshape(*a.shape[1:], *shape)
+def _on_axis(a: np.ndarray, axis: int, d: int) -> np.ndarray:
+    """A view of ``a`` with its node axis 0 moved last, as axis ``axis`` of d."""
+    return np.moveaxis(a, 0, -1).reshape(*a.shape[1:], *(len(a) if k == axis else 1 for k in range(d)))
+
+
+def _on_axes(a: np.ndarray, own: tuple, n: int, L: int) -> np.ndarray:
+    """A view of ``a`` (one node axis per edge of ``own``, in that order,
+    then basis axes) with the basis axes first, then one axis per edge of L:
+    n on those of ``own``, 1 elsewhere."""
+    d = len(own)
+    a = a.transpose(*range(d, a.ndim), *sorted(range(d), key=own.__getitem__))
+    return a.reshape(*a.shape[: a.ndim - d], *(n if e in own else 1 for e in range(L)))
 
 
 def _block_series(plan: tuple, ps, L: int, params: CftParams, N: int) -> tuple:
@@ -360,36 +369,29 @@ def _block_series(plan: tuple, ps, L: int, params: CftParams, N: int) -> tuple:
     edges, as one BlockSeries of arrays that broadcast to shape (n,) * L, and
     the number of vertex tensors built.
 
-    The vertices of one kind (number of edge slots and marked weights, by
-    their bits) share one _vertex_tensors call: their weight rows, one
-    column per edge slot, are stacked and cut to the distinct rows, at the
-    union of their level tuples, and solved against the Gram factors (_fold);
-    each vertex takes its rows back and lays them on its own edges' axes."""
+    The vertices of one kind (slot pattern and marked weights, by their bits;
+    _vertex_tensors) share one build on the grid of the kind's own node axes,
+    at the union of their level tuples, solved against the Gram factors
+    (_fold) laid on the same axes; each vertex lays the kind's tensors on its
+    own edges' axes."""
     c, n = params.c_L, len(ps)
     hs = np.array([complex(conformal_weight(params.Q + 1j * p, params)) for p in ps])
     terms = _level_terms(plan, N, L)
     stacks = _gram_factors(hs, c, N)
-    kinds: dict = {}  # kind -> (marks, [(vertex index, axes shape, node columns)])
+    kinds: dict = {}  # (pattern, marks bits) -> (marks, [vertex index])
     for v, vertex in enumerate(plan):
-        own, grid, shape = vertex.grid(n, L)
+        pattern = tuple(vertex.own.index(e) for e in vertex.edges)
         marks = np.array([conformal_weight(x, params) for x in vertex.alphas], dtype=complex)
-        kind = kinds.setdefault((len(vertex.edges), marks.tobytes()), (tuple(marks.tolist()), []))
-        kind[1].append((v, shape, grid[[own.index(e) for e in vertex.edges]]))
+        kinds.setdefault((pattern, marks.tobytes()), (tuple(marks.tolist()), []))[1].append(v)
     tensors, built = [None] * len(plan), 0
-    for marks, members in kinds.values():
-        cols = np.concatenate([w for _v, _shape, w in members], axis=1)
-        first, index = _distinct(hs[cols].T)
-        cols = cols[:, first]
-        levels = {lv[v] for _degs, lv in terms for v, _shape, _w in members}
-        arrays = _vertex_tensors(marks, levels, list(hs[cols]), c)
-        built += cols.shape[1] * len(arrays)
-        for lv in arrays:
-            arrays[lv] = _fold(arrays[lv], lv, cols, stacks)
-        start = 0
-        for v, shape, w in members:
-            end = start + w.shape[1]
-            tensors[v] = {lv: _on_axes(a[index[start:end]], shape) for lv, a in arrays.items()}
-            start = end
-    axes = [tuple(n if a == e else 1 for a in range(L)) for e in range(L)]  # edge e's own axis
-    exps = tuple((-c / 24.0 + hs.real).reshape(shape) for shape in axes)
+    for (pattern, _bits), (marks, members) in kinds.items():
+        d = len(set(pattern))
+        levels = {lv[v] for _degs, lv in terms for v in members}
+        factors = [[_on_axis(R, a, d) for R in stacks] for a in pattern]
+        arrays = _vertex_tensors(marks, levels, [_on_axis(hs, a, d) for a in pattern], c)
+        arrays = {lv: _fold(a, lv, factors) for lv, a in arrays.items()}
+        built += n**d * len(arrays)
+        for v in members:
+            tensors[v] = {lv: _on_axes(a, plan[v].own, n, L) for lv, a in arrays.items()}
+    exps = tuple(_on_axis(-c / 24.0 + hs.real, e, L) for e in range(L))
     return BlockSeries(exponents=exps, coeffs=_contract(plan, terms, tensors), N=N), built

@@ -36,8 +36,8 @@ factor stack per level over the n nodes, and broadcasting spans the n^L node
 tuples only in their products.  ``_rho`` makes one ``dozz._dozz``
 call over every vertex's argument triples, which evaluates each distinct
 log-Upsilon argument (and its pole distance) once, and ``_block_series`` one
-tensor build per vertex kind over the distinct weight rows of its vertices,
-with the same bit-pattern dedupe (``dozz._distinct``).  Nothing is kept
+tensor build per vertex kind (slot pattern and marked weights), on the grid
+of the kind's own edges' nodes.  Nothing is kept
 between calls, and a rule whose n^L tuples exceed ``_NODE_BUDGET`` raises
 CostGuard before any of them is evaluated.
 """

@@ -66,13 +66,12 @@ def _lattice_distance(z, gamma: float):
     return best[()]
 
 
-def _distinct(rows: np.ndarray) -> tuple:
-    """The index of the first row of each distinct bit pattern among the rows
-    of an (m, k) complex array, in ascending order of the words (real,
-    imaginary) of column 0, then of column 1 and so on, as unsigned integers;
-    and the index of each row's pattern among them.  Signed zeros stay apart,
-    which np.unique would merge."""
-    bits = np.ascontiguousarray(rows).view(np.uint64).reshape(len(rows), -1)
+def _distinct(values: np.ndarray) -> tuple:
+    """The index of the first entry of each distinct bit pattern in a flat
+    complex array, in ascending order of the words (real, imaginary) as
+    unsigned integers; and the index of each entry's pattern among them.
+    Signed zeros stay apart, which np.unique would merge."""
+    bits = np.ascontiguousarray(values).view(np.uint64).reshape(-1, 2)
     order = np.lexsort(bits.T[::-1])
     ranked = bits[order]
     new = np.ones(order.size, dtype=bool)
@@ -121,7 +120,7 @@ def _dozz(args, params: CftParams) -> tuple:
     # columns: the numerators alpha_i, then the denominators abar/2 - Q, abar/2 - alpha_i
     cols = np.stack([*alphas, abar / 2.0 - params.Q, *(abar / 2.0 - a for a in alphas)], axis=1)
     flat = cols.ravel()
-    first, ids = _distinct(flat[:, None])
+    first, ids = _distinct(flat)
     ids = ids.reshape(cols.shape)
     denominator = np.zeros(first.size, dtype=bool)
     denominator[ids[:, 3:]] = True
@@ -162,19 +161,17 @@ def _rho(plan, ps, L: int, params: CftParams) -> tuple:
     """The engine's bare DOZZ product with the nodes ``ps`` on each of the L
     edges, as an array that broadcasts to shape (n,) * L, the number of vertex
     factors and the number of distinct log Upsilon arguments.  Each vertex's
-    factors are taken on the grid of its own edges' nodes and laid on their
-    axes: Q + i sigma p on its edge slots and alpha on its marked slots, in
-    slot order, all in one _dozz call."""
-    ps = np.asarray(ps, dtype=float)
-    slot_args, views, built = ([], [], []), [], 0
+    factors are taken on the grid of its own edges' nodes, on their axes:
+    Q + i sigma p on its edge slots and alpha on its marked slots, in slot
+    order, each broadcast over that grid, all in one _dozz call."""
+    ps, n = np.asarray(ps, dtype=float), len(ps)
+    axes = [ps.reshape([n if a == e else 1 for a in range(L)]) for e in range(L)]  # edge e's own axis
+    slot_args, shapes = ([], [], []), []
     for vertex in plan:
-        own, grid, shape = vertex.grid(len(ps), L)
+        shapes.append(tuple(n if e in vertex.edges else 1 for e in range(L)))
         for column, (eidx, x) in zip(slot_args, vertex.slots):
-            if eidx is None:
-                column.append(np.full(grid.shape[1], x, dtype=complex))
-            else:
-                column.append(params.Q + 1j * x * ps[grid[own.index(eidx)]])
-        views.append((built, grid.shape[1], shape))
-        built += grid.shape[1]
-    factors, evals = _dozz([np.concatenate(column) for column in slot_args], params)
-    return functools.reduce(np.multiply, (factors[b : b + k].reshape(s) for b, k, s in views)), built, evals
+            arg = x if eidx is None else params.Q + 1j * x * axes[eidx]
+            column.append(np.full(shapes[-1], arg, dtype=complex))
+    factors, evals = _dozz([np.concatenate(column, axis=None) for column in slot_args], params)
+    views = np.split(factors, np.cumsum([math.prod(s) for s in shapes])[:-1])
+    return functools.reduce(np.multiply, map(np.reshape, views, shapes)), len(factors), evals

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError
 from .params import CftParams
+from .special import dedekind_eta
 
 __all__ = [
     "BoundaryField",
@@ -105,22 +106,12 @@ def heat_kernel_K0(t: float, f: BoundaryField, fp: BoundaryField, params: CftPar
 def annulus_partition(q: complex) -> float:
     """Partition constant of the flat annulus:
 
-        Z_{A_q} = 2^{-1/2} (-2 pi / ln|q|)^{1/2} |q|^{-1/12} prod_{n>=1} (1 - |q|^{2n})^{-1},
+        Z_{A_q} = (pi / t)^{1/2} / eta(i t / pi),  t = -ln|q|,
 
-    the product truncated below 1e-16.
+    that is 2^{-1/2} (2 pi / t)^{1/2} |q|^{-1/12} prod_{n>=1} (1 - |q|^{2n})^{-1}.
     """
     aq = abs(complex(q))
     if not 0.0 < aq < 1.0:
         raise DomainError(f"need 0 < |q| < 1, got |q| = {aq}")
     t = -math.log(aq)
-    prod = 1.0
-    n = 1
-    while True:
-        factor = aq ** (2 * n)
-        if factor < 1e-16:
-            break
-        prod *= 1.0 - factor
-        n += 1
-        if n > 10**7:
-            raise DomainError("|q| too close to 1 for the partition product")
-    return math.sqrt(2.0 * math.pi / t) / math.sqrt(2.0) * aq ** (-1.0 / 12.0) / prod
+    return math.sqrt(math.pi / t) / dedekind_eta(1j * t / math.pi).real

@@ -16,14 +16,12 @@ Slots are numbered 1..3.  Edge orientation runs from "from" (outgoing, sign
 DOZZ factor.
 
 ``_plan`` is the one reader of the slots: the weight bounds, the DOZZ factors,
-the block and the spectral integral read its vertex records and their grids.
+the block and the spectral integral read its vertex records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import GraphInvalid
 from .params import CftParams
@@ -187,13 +185,10 @@ class _Vertex:
         """The weight of each marked slot."""
         return tuple(x for e, x in self.slots if e is None)
 
-    def grid(self, n: int, L: int) -> tuple:
-        """With n nodes on each of L edges: the own edges, sorted; the (k, n^k)
-        index array of every tuple of their nodes, in C order; and the shape
-        that lays those tuples on the own edges' axes of (n,) * L."""
-        own = sorted(set(self.edges))
-        shape = tuple(n if e in own else 1 for e in range(L))
-        return own, np.indices((n,) * len(own)).reshape(len(own), n ** len(own)), shape
+    @property
+    def own(self) -> tuple:
+        """The edge indices of the edge slots, each once, in slot order."""
+        return tuple(dict.fromkeys(self.edges))
 
 
 def _plan(graph: AdmissibleGraph) -> tuple:

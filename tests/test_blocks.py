@@ -505,7 +505,7 @@ class TestBlockSeries:
         q = 0.2 + 0.1j
         expect = abs(q) ** 0.5 * (1.0 + (2 + 1j) * q)
         assert s.value([q]) == pytest.approx(expect)
-        assert s.abs2([q]) == pytest.approx(abs(expect) ** 2)
+        assert s.abs2_and_last_level([q])[0] == pytest.approx(abs(expect) ** 2)
 
     def test_dimension_check(self):
         s = BlockSeries(exponents=(0.5,), coeffs={(0,): 1.0}, N=0)

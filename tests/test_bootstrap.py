@@ -11,7 +11,7 @@ import lcft.dozz
 import lcft.graphs
 import lcft.virasoro
 from lcft.acceptance import _genus2_hand_coded, _torus_one_point_hand_coded
-from lcft.blocks import BlockSeries, _contract, _fold, _gram_factors, _level_terms
+from lcft.blocks import BlockSeries, _contract, _fold, _gram_factors, _level_terms, _on_axis
 from lcft.bootstrap import (
     ANNULUS_VERTEX_CONSTANT,
     DISK_VERTEX_CONSTANT,
@@ -526,10 +526,10 @@ def _theta():
 class TestEngineCaches:
     """graph_correlator builds the Gram sets of all nodes in one stack per
     level, each vertex's DOZZ factors once over every tuple of its edges'
-    nodes, and each vertex kind's tensors once over the distinct weight rows
-    of its vertices; its values must equal the per-node path
-    (``engine.tuple_rho``, ``engine.tuple_block``), which is the same engine
-    at one node tuple, bit for bit."""
+    nodes, and each vertex kind's tensors (slot pattern and marked weights)
+    once over the grid of its own edges' nodes; its values must equal the
+    per-node path (``engine.tuple_rho``, ``engine.tuple_block``), which is
+    the same engine at one node tuple, bit for bit."""
 
     @pytest.mark.parametrize("case", ["genus2", "sphere5", "torus2", "torus3", "torus3_equal", "theta"])
     def test_bitwise_equal_to_per_node_path(self, case, request):
@@ -546,7 +546,7 @@ class TestEngineCaches:
         for idx in np.ndindex(*rho.shape):
             ps = [float(quad.nodes[i]) for i in idx]
             rho[idx] = tuple_rho(g, ps, S2)
-            block_abs2[idx] = tuple_block(g, ps, S2, N).abs2(qs)
+            block_abs2[idx] = tuple_block(g, ps, S2, N).abs2_and_last_level(qs)[0]
         assert np.array_equal(res.details["rho"], rho)
         assert np.array_equal(res.details["block_abs2"], block_abs2)
 
@@ -592,19 +592,21 @@ class TestEngineCaches:
         m = 3
         stacks_m = [rng.normal(size=(m, len(partitions(k)), len(partitions(k)))) for k in range(N + 1)]
         for v, vertex in enumerate(plan):
-            own, grid, _shape = vertex.grid(m, L)
-            nodes = grid[[own.index(e) for e in vertex.edges]]
+            d = len(vertex.own)
+            pattern = [vertex.own.index(e) for e in vertex.edges]
+            factors = [[_on_axis(S, a, d) for S in stacks_m] for a in pattern]
             for lv in {levels[v] for _degs, levels in terms}:
-                t = cnoise(nodes.shape[1], *(len(partitions(k)) for k in lv))
-                folded = _fold(t, lv, nodes, stacks_m)
-                for r in range(nodes.shape[1]):
-                    alone = [S[nodes[:, r]] for S in stacks_m]
-                    one_row = _fold(t[r : r + 1].copy(), lv, np.arange(len(lv))[:, None], alone)
-                    assert np.array_equal(folded[r : r + 1], one_row)
-                    expect = t[r]
+                t = cnoise(*(m,) * d, *(len(partitions(k)) for k in lv))
+                folded = _fold(t, lv, factors)
+                for idx in np.ndindex(*(m,) * d):
+                    cell = tuple(slice(i, i + 1) for i in idx)
+                    alone = [[_on_axis(S[idx[a] : idx[a] + 1], a, d) for S in stacks_m] for a in pattern]
+                    one_tuple = _fold(t[cell].copy(), lv, alone)
+                    assert np.array_equal(folded[cell], one_tuple)
+                    expect = t[idx]
                     for k, n_k in enumerate(lv):
-                        expect = np.apply_along_axis(substitute, k, expect, stacks_m[n_k][nodes[k, r]])
-                    assert np.array_equal(folded[r], expect)
+                        expect = np.apply_along_axis(substitute, k, expect, stacks_m[n_k][idx[pattern[k]]])
+                    assert np.array_equal(folded[idx], expect)
 
         tensors = [
             {lv: noise(*(len(partitions(k)) for k in lv)) for lv in {levels[v] for _degs, levels in terms}}
@@ -717,6 +719,21 @@ class TestEngineCaches:
             counts.update(calls=0, expansions=0)
             torus_one_point(1.2, 1j, S2, quad, N=6)
             assert counts == {"calls": 1774, "expansions": 403}
+
+    def test_generators_expand_on_the_node_weights(self, monkeypatch):
+        # each annulus of the torus 2-point lays h_in on one node axis, so
+        # every expansion called from blocks runs on the n = 4 node weights,
+        # not on the 16 node pairs
+        sizes = []
+        original = lcft.blocks.apply_generator_to_word
+
+        def recording(n, word, delta, *rest):
+            sizes.append(np.size(delta))
+            return original(n, word, delta, *rest)
+
+        monkeypatch.setattr(lcft.blocks, "apply_generator_to_word", recording)
+        torus_k_point([0.8, 1.2], [0, 0.5 + 2j], 1j, S2, Quadrature(1.0, 0.5, 2), N=3)
+        assert sizes and max(sizes) <= 4
 
     def test_near_pole_at_its_edge(self):
         # the self-loop's constant denominator argument abar/2 - Q = alpha/2

@@ -88,26 +88,26 @@ class TestDozzConstant:
             [dozz_constant(plus, 1.0, 1.2, params), dozz_constant(minus, 1.0, 1.2, params)]
         ).tobytes()
 
-    def test_distinct_rows_keep_bit_patterns(self):
-        # rows equal but for the sign of one zero, or for one word of one
-        # column, stay apart; each row maps back to the first with its bits
-        a, b = complex(0.7, 0.0), complex(1.2, 0.5)
-        rows = np.array([
-            [a, b],
-            [complex(0.7, -0.0), b],
-            [a, b],
-            [a, complex(math.nextafter(1.2, 2.0), 0.5)],
-            [complex(0.7, -0.0), b],
-            [0j, b],
-            [complex(-0.0, 0.0), b],
+    def test_distinct_values_keep_bit_patterns(self):
+        # values equal but for the sign of one zero, or for one word, stay
+        # apart; each value maps back to the first with its bits
+        a = complex(0.7, 0.0)
+        values = np.array([
+            a,
+            complex(0.7, -0.0),
+            a,
+            complex(math.nextafter(0.7, 2.0), 0.0),
+            complex(0.7, -0.0),
+            0j,
+            complex(-0.0, 0.0),
         ])
-        first, ids = _distinct(rows)
+        first, ids = _distinct(values)
         assert sorted(first.tolist()) == [0, 1, 3, 5, 6]
         assert first[ids].tolist() == [0, 1, 0, 3, 1, 5, 6]
-        assert rows[first][ids].tobytes() == rows.tobytes()
-        words = [tuple(w) for w in rows[first].view(np.uint64)]
+        assert values[first][ids].tobytes() == values.tobytes()
+        words = [tuple(w) for w in values[first].view(np.uint64).reshape(-1, 2)]
         assert words == sorted(words)
-        assert len(np.unique(rows, axis=0)) == 3  # which merges signed zeros
+        assert len(np.unique(values)) == 3  # which merges signed zeros
 
     @pytest.mark.parametrize(
         "weight", [math.inf, -math.inf, math.nan, complex(1.0, math.inf), complex(math.inf, -math.inf)]
